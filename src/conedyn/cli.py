@@ -4,18 +4,14 @@ Subcommands: check-dp | pf | converge | dichotomy | trichotomy | criterion
 | order | causal | list.  Reports go to --out as JSON (stdout by default)
 and optionally to --csv as flat per-sample rows.  Exit codes: 0 clean run,
 1 positivity violation / property violations, 2 usage or scenario error,
-3 numeric failure.
-
-The env var CONEDYN_THREADS caps the worker threads used by the
-Monte-Carlo experiments; per-sample sub-seeding keeps threaded and serial
-runs byte-identical.
+3 numeric failure or internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -58,6 +54,16 @@ class Scenario:
     csv: str | None = None
 
 
+def _finite(val) -> bool:
+    """True for a finite JSON number; bools and strings are not numbers."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def validate_scenario(data: dict) -> Scenario:
     """Build a Scenario from raw dict data, collecting every violation."""
     problems = []
@@ -72,32 +78,28 @@ def validate_scenario(data: dict) -> Scenario:
         problems.append(f"experiment: unknown experiment {experiment!r}")
 
     system = data.get("system")
-    if experiment not in _NO_SYSTEM:
-        if system is None:
-            problems.append("system: required for this experiment")
-        elif system not in registry.SYSTEMS:
-            problems.append(f"system: unknown system {system!r}")
-    elif system is not None and system not in registry.SYSTEMS:
+    if system is not None and (not isinstance(system, str)
+                               or system not in registry.SYSTEMS):
         problems.append(f"system: unknown system {system!r}")
+    elif system is None and experiment not in _NO_SYSTEM:
+        problems.append("system: required for this experiment")
 
-    def _pos(key, default, kind=float, minimum=None):
+    def _pos(key, default, kind=float):
+        # never coerced: float("nan") would crash the run, int(2.7) truncates
         val = data.get(key, default)
-        try:
-            val = kind(val)
-        except (TypeError, ValueError):
-            problems.append(f"{key}: expected {kind.__name__}")
-            return default
+        if not _finite(val) or (kind is int and not float(val).is_integer()):
+            expected = "an integer" if kind is int else "a finite number"
+            problems.append(f"{key}: expected {expected}")
+            return None
         if val <= 0:
             problems.append(f"{key}: must be positive")
-        if minimum is not None and val < minimum:
-            problems.append(f"{key}: must be >= {minimum}")
-        return val
+        return kind(val)
 
     T = _pos("T", 100.0)
     dt = _pos("dt", 1e-3)
-    if isinstance(T, float) and isinstance(dt, float) and 0 < T < dt:
+    if T is not None and dt is not None and 0 < T < dt:
         problems.append("dt: must be <= T")
-    N = _pos("N", 1000, int, 1)
+    N = _pos("N", 1000, int)
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         problems.append("seed: must be a nonnegative integer")
@@ -105,8 +107,8 @@ def validate_scenario(data: dict) -> Scenario:
     x0 = data.get("x0")
     if x0 is not None:
         if (not isinstance(x0, list) or not x0
-                or not all(isinstance(v, (int, float)) for v in x0)):
-            problems.append("x0: must be a nonempty list of numbers")
+                or not all(_finite(v) for v in x0)):
+            problems.append("x0: must be a nonempty list of finite numbers")
     fld = data.get("field")
     if fld is not None and not isinstance(fld, (str, dict)):
         problems.append("field: must be a token string or a field spec object")
@@ -160,16 +162,6 @@ def resolve_field(s: Scenario, system: flow.FlowSystem) -> ConeField:
         return HomogeneousPSDField(system.manifold.n)
     raise UnsupportedInputError(
         f"unknown field token {token!r}; use orthant|lorentz|psd or JSON")
-
-
-def _threads() -> int | None:
-    raw = os.environ.get("CONEDYN_THREADS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 # ------------------------------------------------------------------ handlers
@@ -230,7 +222,7 @@ def _cmd_converge(scen: Scenario):
     field = resolve_field(scen, system)
     rep = experiments.generic_convergence(
         system, field, box=3.0, N=scen.N, T=scen.T, seed=scen.seed,
-        dt=scen.dt, threads=_threads())
+        dt=scen.dt)
     counts = {"total": rep.total, "converged": rep.converged,
               "nonsingleton": rep.nonsingleton,
               "undetermined": rep.undetermined, "escapes": rep.escapes}
@@ -249,8 +241,7 @@ def _cmd_dichotomy(scen: Scenario):
     system = registry.get_system(scen.system)
     field = resolve_field(scen, system)
     rep = experiments.dichotomy_check(system, field, pairs=scen.N, T=scen.T,
-                                      seed=scen.seed, dt=scen.dt,
-                                      threads=_threads())
+                                      seed=scen.seed, dt=scen.dt)
     report = reports.make_report(
         "dichotomy",
         {"system": scen.system, "pairs": scen.N, "T": scen.T, "dt": scen.dt},
@@ -270,7 +261,7 @@ def _cmd_criterion(scen: Scenario):
     t_scan = [t for t in (0.5, 1.0, 2.0, 5.0) if t <= scen.T] or [scen.T]
     rep = experiments.convergence_criterion_check(
         system, field, x_samples=scen.N, T_scan=t_scan, seed=scen.seed,
-        dt=scen.dt, omega_T=scen.T, threads=_threads())
+        dt=scen.dt, omega_T=scen.T)
     report = reports.make_report(
         "criterion",
         {"system": scen.system, "x_samples": scen.N, "T_scan": t_scan,
@@ -438,19 +429,22 @@ def run(argv=None) -> int:
 
     try:
         report, rows, code = _HANDLERS[args.command](scen)
-    except (ScenarioError, UnsupportedInputError, DimensionMismatchError) as e:
+        if report is not None:
+            report["exit_code"] = code
+            reports.validate_report(report)
+            reports.write_json(report, scen.out)
+        if rows is not None and scen.csv:
+            reports.sample_rows_to_csv(rows, scen.csv)
+    except (ScenarioError, UnsupportedInputError, DimensionMismatchError,
+            OSError) as e:  # OSError: an --out/--csv path cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ConedynError, np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-
-    if report is not None:
-        report["exit_code"] = code
-        reports.validate_report(report)
-        reports.write_json(report, scen.out)
-    if rows is not None and scen.csv:
-        reports.sample_rows_to_csv(rows, scen.csv)
+    except Exception as e:  # a crash must never read as a violation (1)
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     return code
 
 

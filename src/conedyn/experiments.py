@@ -1,8 +1,9 @@
 """Monte-Carlo checks of the convergence theory on concrete systems.
 
 Every experiment is seeded and deterministic: sample i draws from a
-generator keyed by (seed, i), and aggregation uses commutative counters,
-so chunked/threaded and serial runs produce identical reports.
+generator keyed by (seed, i), so sample i does not depend on N, and
+ensembles integrate in chunks of OMEGA_CHUNK rows whose results are
+concatenated in sample order.
 
 "Almost every orbit converges" is operationalized honestly: a converged
 fraction with a 95% binomial interval, plus a basin-boundary bisection
@@ -14,7 +15,6 @@ reported, never coerced into a theorem-friendly bucket.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -27,6 +27,7 @@ from .flow import NON_SINGLETON, SINGLETON, UNDETERMINED
 from .order import INCOMPARABLE, LEQ_STRICT, leq_flat
 
 MATCH_TOL = 1e-3  # singleton limits closer than this are the same equilibrium
+OMEGA_CHUNK = 1024  # rows per ensemble_omega call; bounds tail-window memory
 _Z95 = 1.959963984540054
 
 
@@ -77,18 +78,9 @@ def sample_states(s: flowmod.FlowSystem, box, N: int, seed: int) -> np.ndarray:
     return out
 
 
-def _omega_batch(s, X0, T, dt, threads=None, tail_stride=flowmod.STORE_STRIDE, chunk=1024):
-    chunks = [X0[i:i + chunk] for i in range(0, len(X0), chunk)]
-
-    def worker(block):
-        return flowmod.ensemble_omega(s, block, T, dt, store_stride=tail_stride)
-
-    if threads is not None and threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(worker, chunks))
-    else:
-        parts = [worker(block) for block in chunks]
-    return [est for part in parts for est in part]
+def _omega_batch(s, X0, T, dt):
+    return [est for i in range(0, len(X0), OMEGA_CHUNK)
+            for est in flowmod.ensemble_omega(s, X0[i:i + OMEGA_CHUNK], T, dt)]
 
 
 def _match_cluster(points: list, p: np.ndarray, tol: float):
@@ -145,7 +137,6 @@ class ConvergenceReport:
 
 def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
                         T: float, seed: int = 0, dt: float = flowmod.DT_DEFAULT,
-                        threads: int | None = None,
                         dp_check: bool = True) -> ConvergenceReport:
     """Classify the omega-limits of N uniform samples.
 
@@ -163,7 +154,7 @@ def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
         dp_status = dp.status
 
     X0 = sample_states(s, box, N, seed)
-    estimates = _omega_batch(s, X0, T, dt, threads)
+    estimates = _omega_batch(s, X0, T, dt)
 
     eq_points: list[np.ndarray] = []
     eq_counts: list[int] = []
@@ -300,8 +291,7 @@ def _sample_ordered_pairs(s, c, pairs: int, box, seed: int):
 
 def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
                     T: float, seed: int = 0, box=3.0,
-                    dt: float = flowmod.DT_DEFAULT,
-                    threads: int | None = None) -> dict:
+                    dt: float = flowmod.DT_DEFAULT) -> dict:
     """Limit-set dichotomy on sampled ordered pairs x <= y.
 
     A violation is a pair of distinct singleton limits that is not
@@ -311,7 +301,7 @@ def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
     """
     c = _require_flat(field)
     X, Y = _sample_ordered_pairs(s, c, pairs, box, seed)
-    ests = _omega_batch(s, np.vstack([X, Y]), T, dt, threads)
+    ests = _omega_batch(s, np.vstack([X, Y]), T, dt)
     ex, ey = ests[:pairs], ests[pairs:]
 
     violations = strict_order = equal_singleton = 0
@@ -374,12 +364,11 @@ def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
 
 def colimit_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
                   T: float, seed: int = 0, box=3.0,
-                  dt: float = flowmod.DT_DEFAULT,
-                  threads: int | None = None) -> dict:
+                  dt: float = flowmod.DT_DEFAULT) -> dict:
     """Ordered pairs sharing one singleton limit must sit at an equilibrium."""
     c = _require_flat(field)
     X, Y = _sample_ordered_pairs(s, c, pairs, box, seed)
-    ests = _omega_batch(s, np.vstack([X, Y]), T, dt, threads)
+    ests = _omega_batch(s, np.vstack([X, Y]), T, dt)
     violations = checked = 0
     findings = []
     for i in range(pairs):
@@ -404,8 +393,7 @@ def colimit_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
 def convergence_criterion_check(s: flowmod.FlowSystem, field: ConeField,
                                 x_samples: int, T_scan, seed: int = 0,
                                 box=3.0, dt: float = flowmod.DT_DEFAULT,
-                                omega_T: float = 100.0,
-                                threads: int | None = None) -> dict:
+                                omega_T: float = 100.0) -> dict:
     """Orbits comparable with their own time-T image must converge.
 
     A sample triggers when x <= phi_T(x) or phi_T(x) <= x for some T in
@@ -439,7 +427,7 @@ def convergence_criterion_check(s: flowmod.FlowSystem, field: ConeField,
     confirmed = 0
     findings = []
     if triggered_idx:
-        ests = _omega_batch(s, X[triggered_idx], omega_T, dt, threads)
+        ests = _omega_batch(s, X[triggered_idx], omega_T, dt)
         for j, est in enumerate(ests):
             if est is not None and est.kind == SINGLETON:
                 confirmed += 1

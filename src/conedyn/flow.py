@@ -7,9 +7,12 @@ the variational equation Phi' = J(x(t)) Phi jointly with the state, sharing
 RK4 stages.
 
 Vector fields are vectorized: ``f`` maps arrays of shape (..., n) to
-(..., n) and ``jac`` maps (..., n) to (..., n, n).  All public single-orbit
-operations run through a batched stepper, so ensembles of initial
-conditions integrate at numpy speed.
+(..., n) and ``jac`` maps (..., n) to (..., n, n).  Every flow path -- single
+orbits, tangent flows, captures at given times, ensemble tails and the
+Perron-Frobenius ray pairs -- goes through one batched march
+(``_Stepper.march``), so all share the step plan, the stored times
+min(i*dt, T), the manifold guard and the failure policy, and ensembles of
+initial conditions integrate at numpy speed.
 
 Omega-limit classification is an explicitly heuristic desk-scale estimate:
 the last quarter of the stored trajectory either clusters to a polished
@@ -23,7 +26,7 @@ orbit) or marks the sample as escaped (ensembles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,19 +67,12 @@ class Trajectory:
     times: np.ndarray  # (k,), strictly increasing, starts at 0
     states: np.ndarray  # (k, n)
 
-    def state_at(self, t: float) -> np.ndarray:
-        """Stored state nearest to time t."""
-        return self.states[int(np.argmin(np.abs(self.times - t)))]
-
 
 @dataclass
 class TangentFlow:
     times: np.ndarray
     states: np.ndarray  # (k, n)
     phis: np.ndarray  # (k, n, n), phis[0] = I
-
-    def phi_at(self, t: float) -> np.ndarray:
-        return self.phis[int(np.argmin(np.abs(self.times - t)))]
 
 
 @dataclass
@@ -142,62 +138,85 @@ def _bad_rows(s: FlowSystem, X: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """Fixed-step RK4 over a batch, with failure masking or raising."""
+    """Fixed-step RK4 over a batch, with failure masking or raising.
 
-    def __init__(self, s: FlowSystem, X0: np.ndarray, dt: float,
-                 tangent: bool = False, on_failure: str = "raise"):
+    Every flow path marches through ``march``.  With an initial tangent
+    matrix ``P0`` (broadcast to every row) the stepper also integrates the
+    variational equation P' = jac(x) P.
+    """
+
+    def __init__(self, s: FlowSystem, X0: np.ndarray, P0=None,
+                 on_failure: str = "raise"):
         self.s = s
         self.X = np.array(X0, dtype=float, copy=True)
         if self.X.ndim != 2:
             raise ValueError("batch states must have shape (N, n)")
-        self.dt = dt
         self.t = 0.0
-        self.tangent = tangent
-        self.P = np.broadcast_to(np.eye(self.X.shape[1]),
-                                 (self.X.shape[0],) * 1 + (self.X.shape[1],) * 2
-                                 ).copy() if tangent else None
+        self.P = None if P0 is None else np.broadcast_to(
+            np.asarray(P0, dtype=float),
+            (self.X.shape[0],) + np.shape(P0)[-2:]).copy()
         self.on_failure = on_failure
         self.dead = _bad_rows(s, self.X)
-        if self.on_failure == "raise" and np.any(self.dead):
+        self.any_dead = bool(np.any(self.dead))
+        if self.on_failure == "raise" and self.any_dead:
             raise ManifoldExitError(0.0, "initial state is off the manifold")
 
-    def advance(self, h: float) -> None:
-        if self.tangent:
-            Xn, Pn = _rk4_step_tangent(self.s, self.X, self.P, h)
+    def advance(self, h: float, t_new: float) -> None:
+        if self.P is None:
+            Xn, Pn = _rk4_step(self.s, self.X, h), None
         else:
-            Xn = _rk4_step(self.s, self.X, h)
-            Pn = None
-        bad = _bad_rows(self.s, Xn) & ~self.dead
-        if np.any(bad):
+            Xn, Pn = _rk4_step_tangent(self.s, self.X, self.P, h)
+        bad = _bad_rows(self.s, Xn)
+        if self.any_dead:
+            bad &= ~self.dead
+        if bad.any():  # the method skips np.any's dispatch, per step
             if self.on_failure == "raise":
-                t_fail = self.t + h
                 if np.any(~np.isfinite(Xn[bad])):
-                    raise FlowBlowupError(t_fail)
-                raise ManifoldExitError(t_fail)
-            Xn[bad] = np.nan
-            if Pn is not None:
-                Pn[bad] = np.nan
+                    raise FlowBlowupError(t_new)
+                raise ManifoldExitError(t_new)
             self.dead |= bad
-        # frozen dead rows keep their nan state
-        Xn[self.dead] = np.nan
-        self.X = Xn
-        if self.tangent:
-            Pn[self.dead] = np.nan
-            self.P = Pn
-        self.t += h
+            self.any_dead = True
+        if self.any_dead:  # dead rows stay frozen at nan
+            Xn[self.dead] = np.nan
+            if Pn is not None:
+                Pn[self.dead] = np.nan
+        self.X, self.P = Xn, Pn
 
-    def run_to(self, t_target: float) -> None:
-        """March with full dt steps plus one trailing partial step."""
-        span = t_target - self.t
-        if span <= 1e-15 * max(1.0, t_target):
-            return
-        n_full, rem = _plan_steps(span, min(self.dt, span))
+    def march(self, t_end: float, dt: float, on_store=None, stride: int = 1,
+              start: int = 0) -> None:
+        """Step from self.t to t_end: full dt steps plus one partial step.
+
+        Step i ends at time self.t + min(i*dt, span).  on_store(t, last)
+        runs after step i (i = 0 is the start) when i >= start and
+        (i - start) % stride == 0, and after the last step.
+        """
+        t0 = self.t
+        span = t_end - t0
+        n_full, rem = _plan_steps(span, dt)
+        total = n_full + (1 if rem > 0.0 else 0)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            for _ in range(n_full):
-                self.advance(self.dt if self.dt <= span else span)
-            if rem > 0.0:
-                self.advance(rem)
-        self.t = t_target  # avoid float drift across segments
+            if on_store is not None and start == 0:
+                on_store(t0, False)
+            for i in range(1, total + 1):
+                t = t0 + min(i * dt, span)
+                self.advance(dt if i <= n_full else rem, t)
+                if on_store is not None and i >= start and (
+                        (i - start) % stride == 0 or i == total):
+                    on_store(t, i == total)
+        self.t = t_end  # no float drift across horizons
+
+
+def _capture(stepper: _Stepper, times, dt: float, snapshot) -> list:
+    """Snapshots at the sorted times, marching each gap on its own plan."""
+    out = []
+    for t in sorted(float(t) for t in times):
+        if t < 0:
+            raise ValueError("capture times must be >= 0")
+        span = t - stepper.t
+        if span > 1e-15 * max(1.0, t):
+            stepper.march(t, min(dt, span))
+        out.append(snapshot())
+    return out
 
 
 # ------------------------------------------------------------- public ops
@@ -207,20 +226,14 @@ def integrate(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
               store_stride: int = STORE_STRIDE) -> Trajectory:
     """Integrate one orbit, storing every store_stride-th step and the end."""
     x0 = s.manifold.check_point(x0)
-    n_full, rem = _plan_steps(T, dt)
-    stepper = _Stepper(s, x0[None, :], dt)
-    times = [0.0]
-    states = [stepper.X[0].copy()]
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for i in range(1, n_full + 1):
-            stepper.advance(dt)
-            if i % store_stride == 0 or (i == n_full and rem == 0.0):
-                times.append(i * dt)
-                states.append(stepper.X[0].copy())
-        if rem > 0.0:
-            stepper.advance(rem)
-            times.append(T)
-            states.append(stepper.X[0].copy())
+    stepper = _Stepper(s, x0[None, :])
+    times, states = [], []
+
+    def store(t, last):
+        times.append(t)
+        states.append(stepper.X[0].copy())
+
+    stepper.march(T, dt, store, store_stride)
     return Trajectory(np.asarray(times), np.asarray(states))
 
 
@@ -228,26 +241,19 @@ def tangent_flow(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT
                  store_stride: int = STORE_STRIDE) -> TangentFlow:
     """Jointly integrate x' = f(x) and Phi' = jac(x) Phi, Phi(0) = I."""
     x0 = s.manifold.check_point(x0)
-    n_full, rem = _plan_steps(T, dt)
-    stepper = _Stepper(s, x0[None, :], dt, tangent=True)
-    times = [0.0]
-    states = [stepper.X[0].copy()]
-    phis = [stepper.P[0].copy()]
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for i in range(1, n_full + 1):
-            stepper.advance(dt)
-            if i % store_stride == 0 or (i == n_full and rem == 0.0):
-                times.append(i * dt)
-                states.append(stepper.X[0].copy())
-                phis.append(stepper.P[0].copy())
-        if rem > 0.0:
-            stepper.advance(rem)
-            times.append(T)
-            states.append(stepper.X[0].copy())
-            phis.append(stepper.P[0].copy())
+    stepper = _Stepper(s, x0[None, :], P0=np.eye(s.dim))
+    times, states, phis = [], [], []
+
+    def store(t, last):
+        times.append(t)
+        states.append(stepper.X[0].copy())
+        phis.append(stepper.P[0].copy())
+
+    stepper.march(T, dt, store, store_stride)
     tf = TangentFlow(np.asarray(times), np.asarray(states), np.asarray(phis))
-    dets = np.linalg.det(tf.phis)
-    if np.any(dets <= 0.0):
+    # the sign, not det itself: det Phi underflows to 0 on long contracting orbits
+    signs, _ = np.linalg.slogdet(tf.phis)
+    if np.any(signs <= 0.0):
         raise NumericsError("tangent flow lost orientation (det Phi <= 0)")
     return tf
 
@@ -258,30 +264,20 @@ def states_at(s: FlowSystem, X0: np.ndarray, times, dt: float = DT_DEFAULT,
 
     Returns (len(times), N, n); with on_failure="mask", escaped rows are nan.
     """
-    times = sorted(float(t) for t in times)
-    if times and times[0] < 0:
-        raise ValueError("capture times must be >= 0")
-    stepper = _Stepper(s, np.atleast_2d(np.asarray(X0, float)), dt,
+    stepper = _Stepper(s, np.atleast_2d(np.asarray(X0, float)),
                        on_failure=on_failure)
-    out = []
-    for t in times:
-        stepper.run_to(t)
-        out.append(stepper.X.copy())
-    return np.asarray(out)
+    return np.asarray(_capture(stepper, times, dt, lambda: stepper.X.copy()))
 
 
 def tangent_at(s: FlowSystem, X0: np.ndarray, times, dt: float = DT_DEFAULT,
                on_failure: str = "raise"):
     """Batched (states, tangent maps) captured exactly at the given times."""
-    times = sorted(float(t) for t in times)
-    stepper = _Stepper(s, np.atleast_2d(np.asarray(X0, float)), dt,
-                       tangent=True, on_failure=on_failure)
-    xs, ps = [], []
-    for t in times:
-        stepper.run_to(t)
-        xs.append(stepper.X.copy())
-        ps.append(stepper.P.copy())
-    return np.asarray(xs), np.asarray(ps)
+    stepper = _Stepper(s, np.atleast_2d(np.asarray(X0, float)),
+                       P0=np.eye(s.dim), on_failure=on_failure)
+    snaps = _capture(stepper, times, dt,
+                     lambda: (stepper.X.copy(), stepper.P.copy()))
+    return (np.asarray([x for x, _ in snaps]),
+            np.asarray([p for _, p in snaps]))
 
 
 # ------------------------------------------------------------ equilibria
@@ -391,16 +387,16 @@ def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     n_full, rem = _plan_steps(T, dt)
     total = n_full + (1 if rem > 0.0 else 0)
-    tail_start = int(np.ceil((1.0 - tail_fraction) * total))
-    stepper = _Stepper(s, X0, dt, on_failure="mask")
+    # the tail never includes the start state, even with tail_fraction = 1
+    tail_start = max(1, int(np.ceil((1.0 - tail_fraction) * total)))
+    stepper = _Stepper(s, X0, on_failure="mask")
     times, frames = [], []
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for i in range(1, total + 1):
-            h = dt if i <= n_full else rem
-            stepper.advance(h)
-            if i >= tail_start and ((i - tail_start) % store_stride == 0 or i == total):
-                times.append(min(i * dt, T) if i <= n_full else T)
-                frames.append(stepper.X.copy())
+
+    def store(t, last):
+        times.append(t)
+        frames.append(stepper.X.copy())
+
+    stepper.march(T, dt, store, store_stride, tail_start)
     return np.asarray(times), np.asarray(frames)
 
 

@@ -199,18 +199,6 @@ def metric_norm(m: ManifoldSpec, x: np.ndarray, u: Tangent) -> float:
     return float(np.sqrt(max(metric_inner(m, x, u, u), 0.0)))
 
 
-def transport_matrix(m: ManifoldSpec, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Matrix of gamma(x1, x2) acting on chart coordinates.
-
-    Used when a dense representation is needed (e.g. to push cone rays).
-    """
-    if m.kind == "euclidean":
-        return np.eye(m.dim)
-    basis = np.eye(m.dim)
-    cols = [transport(m, x1, x2, Tangent(x1, b)).vec for b in basis]
-    return np.stack(cols, axis=1)
-
-
 def transport(m: ManifoldSpec, x1: np.ndarray, x2: np.ndarray, u: Tangent) -> Tangent:
     """Carry the tangent vector u from x1 to x2.
 

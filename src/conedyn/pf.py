@@ -15,6 +15,7 @@ tested instead of fixing a canonical tau.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ import numpy as np
 from . import flow as flowmod
 from .conefield import ConeField
 from .errors import ConeExitError, NotEquilibriumError, PowerIterationError
-from .flow import _plan_steps, _rk4_step_tangent
 from .geometry import Tangent, metric_norm
 
 PF_CONVERGED_TOL = 1e-6
@@ -56,6 +56,10 @@ def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,
                         exit_tol: float = EXIT_TOL):
     """Push k ray pairs along one orbit, renormalizing every step.
 
+    The rays ride the shared flow march as the columns of its tangent
+    matrix, so the orbit gets the same step plan and manifold guard as
+    every other flow path; they are renormalized after each step.
+
     Returns (times, dists, x_final, W_final) where dists[m, j] is the
     Hilbert distance of pair j at stored time m and W_final holds the
     propagated metric-unit rays as columns (a-rays then b-rays).
@@ -69,40 +73,29 @@ def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,
     if A.shape != B.shape or A.shape[1] != s.dim:
         raise ValueError("ray arrays must both be (k, dim)")
     k = A.shape[0]
-    W = np.concatenate([A, B], axis=0).T.copy()  # (n, 2k), columns are rays
-    X = x0[None, :].copy()
-    W = W / _metric_norms(field, x0, W)[None, :]
-
-    n_full, rem = _plan_steps(T, dt)
-    steps = [dt] * n_full + ([rem] if rem > 0.0 else [])
-
-    def record(t_now, x_now, W_now, times, dists):
-        cone = field.cone_at(x_now)
-        margins = np.array([cone.margin(W_now[:, j]) for j in range(2 * k)])
-        if np.min(margins) < -10.0 * exit_tol:
-            raise ConeExitError(
-                f"ray left the cone at t={t_now:.6g} "
-                f"(margin {np.min(margins):.3e})")
-        row = [cone.hilbert_distance(W_now[:, j], W_now[:, k + j])
-               for j in range(k)]
-        times.append(t_now)
-        dists.append(row)
-
+    # columns are rays; the stepper carries them as the tangent matrix
+    stepper = flowmod._Stepper(s, x0[None, :], P0=np.concatenate([A, B]).T)
     times: list[float] = []
     dists: list[list[float]] = []
-    record(0.0, x0, W, times, dists)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for i, h in enumerate(steps, start=1):
-            X, Wn = _rk4_step_tangent(s, X, W[None, :, :], h)
-            W = Wn[0]
-            x_now = X[0]
-            if not np.all(np.isfinite(x_now)):
-                raise flowmod.FlowBlowupError(i * dt)
-            W = W / _metric_norms(field, x_now, W)[None, :]
-            if i % store_stride == 0 or i == len(steps):
-                t_now = min(i * dt, T) if i <= n_full else T
-                record(t_now, x_now, W, times, dists)
-    return np.asarray(times), np.asarray(dists), X[0], W
+    step = itertools.count()
+
+    def renormalize(t, last):
+        x, W = stepper.X[0], stepper.P[0]
+        W /= _metric_norms(field, x, W)[None, :]
+        if next(step) % store_stride != 0 and not last:
+            return
+        cone = field.cone_at(x)
+        margins = np.array([cone.margin(W[:, j]) for j in range(2 * k)])
+        if np.min(margins) < -10.0 * exit_tol:
+            raise ConeExitError(
+                f"ray left the cone at t={t:.6g} "
+                f"(margin {np.min(margins):.3e})")
+        times.append(t)
+        dists.append([cone.hilbert_distance(W[:, j], W[:, k + j])
+                      for j in range(k)])
+
+    stepper.march(T, dt, renormalize)
+    return np.asarray(times), np.asarray(dists), stepper.X[0], stepper.P[0]
 
 
 def pf_direction(s: flowmod.FlowSystem, field: ConeField, x0: np.ndarray,

@@ -197,6 +197,53 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["converge", "--scenario", str(scen)]) == 2
 
 
+@pytest.mark.parametrize("argv,bad", [
+    (["--T", "nan"], None),
+    (["--T", "inf"], None),
+    (["--dt", "nan"], None),
+    ([], {"T": float("nan")}),
+    ([], {"T": float("-inf")}),
+    ([], {"dt": float("inf")}),
+    ([], {"dt": "1e-3"}),
+    ([], {"T": True}),
+    ([], {"dt": False}),
+    ([], {"N": True}),
+    ([], {"N": 2.7}),
+    ([], {"N": "5"}),
+    (["--x0", "nan,1"], None),
+    ([], {"system": ["coop2d"]}),
+], ids=["T-nan", "T-inf", "dt-nan", "file-T-nan", "file-T-neg-inf",
+        "file-dt-inf", "file-dt-string", "file-T-bool", "file-dt-bool",
+        "file-N-bool", "file-N-fraction", "file-N-string", "x0-nan",
+        "file-system-list"])
+def test_invalid_scenario_values_exit_2(tmp_path, capsys, argv, bad):
+    args = ["converge", "--system", "coop2d", "--n", "5"] + argv
+    if bad is not None:
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({"system": "coop2d", "N": 5, "T": 1.0,
+                                    **bad}))
+        args = ["converge", "--scenario", str(scen)]
+    assert run(args) == 2
+    assert "scenario error" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    missing = tmp_path / "no_such_dir"
+    assert run(["order", "--n", "10", "--out", str(missing / "r.json")]) == 2
+    assert run(["converge", "--system", "coop2d", "--n", "3", "--T", "1",
+                "--out", str(tmp_path / "r.json"),
+                "--csv", str(missing / "r.csv")]) == 2
+
+
+def test_handler_crash_exits_3_with_one_line(monkeypatch, capsys):
+    def crash(scen):
+        raise Exception("unexpected")
+    monkeypatch.setitem(cli._HANDLERS, "order", crash)
+    assert run(["order"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "unexpected" in err[0]
+
+
 def test_numeric_failure_exits_3():
     # rotation pushes the test rays out of the orthant: cone-exit error
     assert run(["pf", "--system", "rotation2d", "--T", "5"]) == 3

@@ -84,15 +84,6 @@ def test_generic_convergence_determinism(coop):
     assert ja == jb
 
 
-def test_generic_convergence_threads_match_serial(coop):
-    a = experiments.generic_convergence(coop, ORTHANT2, 3.0, 40, 60.0, seed=2,
-                                        threads=None)
-    b = experiments.generic_convergence(coop, ORTHANT2, 3.0, 40, 60.0, seed=2,
-                                        threads=4)
-    assert json.dumps(reports.sanitize(a.__dict__), sort_keys=True) == \
-        json.dumps(reports.sanitize(b.__dict__), sort_keys=True)
-
-
 # ------------------------------------------------------------- basin scan
 
 

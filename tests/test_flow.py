@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from conedyn import flow, geometry, registry
+from conedyn import flow, geometry, pf, registry
+from conedyn.conefield import ConstantField
+from conedyn.cones import Orthant
 from conedyn.errors import FlowBlowupError, ManifoldExitError
 from conedyn.flow import NON_SINGLETON, SINGLETON
 from conedyn.geometry import pack_sym
@@ -135,6 +137,80 @@ def test_semigroup_property(coop):
         mid = flow.integrate(coop, x0, T=t, dt=1e-3).states[-1]
         b = flow.integrate(coop, mid, T=s_, dt=1e-3).states[-1]
         assert np.linalg.norm(a - b) < 1e-7
+
+
+def test_tangent_flow_orientation_survives_det_underflow(coop):
+    # det Phi ~ exp(-792) underflows to 0.0; its sign is still +1
+    tf = flow.tangent_flow(coop, np.array([1.0, 0.5]), T=420.0, dt=1e-2)
+    assert np.linalg.det(tf.phis[-1]) == 0.0
+    assert np.all(np.linalg.slogdet(tf.phis)[0] > 0)
+
+
+# --------------------------------------------------- exact propagator oracle
+
+# For x' = Ax one RK4 step of size h is exactly the matrix R(hA) below, so
+# every flow path must reproduce products of R on a linear system.
+LIN_A = np.array([[-1.0, 0.5], [0.3, -2.0]])  # Metzler: keeps the orthant
+LIN_DT, LIN_T = 0.01, 0.105  # 10 full steps, then a partial step of 0.005
+LIN_X0 = np.array([[1.0, -0.5], [0.2, 0.7]])
+LIN_RAYS = np.array([[1.0, 0.2], [0.3, 1.0]])  # one pair of orthant rays
+
+
+def _rk4_map(h):
+    M = h * LIN_A
+    M2 = M @ M
+    return np.eye(2) + M + M2 / 2.0 + M2 @ M / 6.0 + M2 @ M2 / 24.0
+
+
+def _rk4_propagator(i):
+    """Exact RK4 map after step i of the LIN_T plan (step 11 is partial)."""
+    P = np.linalg.matrix_power(_rk4_map(LIN_DT), min(i, 10))
+    return P @ _rk4_map(LIN_T - 10 * LIN_DT) if i == 11 else P
+
+
+def _oracle_run(path):
+    """(stored step indices, stored times, [(computed, exact), ...])."""
+    s, X0, R = linear_system(LIN_A), LIN_X0, _rk4_propagator
+    stored = [0, 3, 6, 9, 11]
+    if path == "integrate":
+        tr = flow.integrate(s, X0[0], LIN_T, LIN_DT, store_stride=3)
+        return stored, tr.times, [(x, R(i) @ X0[0])
+                                  for i, x in zip(stored, tr.states)]
+    if path == "tangent_flow":
+        tf = flow.tangent_flow(s, X0[0], LIN_T, LIN_DT, store_stride=3)
+        pairs = [(x, R(i) @ X0[0]) for i, x in zip(stored, tf.states)]
+        return stored, tf.times, pairs + [(p, R(i))
+                                          for i, p in zip(stored, tf.phis)]
+    if path == "states_at":
+        xs = flow.states_at(s, X0, [LIN_T], LIN_DT)
+        return [], [], [(xs[0], X0 @ R(11).T)]
+    if path == "tangent_at":
+        xs, ps = flow.tangent_at(s, X0, [LIN_T], LIN_DT)
+        return [], [], [(xs[0], X0 @ R(11).T), (ps[0], np.stack([R(11)] * 2))]
+    if path == "ensemble_tails":  # tail starts at step ceil(0.75 * 11) = 9
+        times, frames = flow.ensemble_tails(s, X0, LIN_T, LIN_DT,
+                                            store_stride=3)
+        return [9, 11], times, [(f, X0 @ R(i).T)
+                                for i, f in zip([9, 11], frames)]
+    # the rays are renormalized after each step: compare directions
+    times, _, x, W = pf.propagate_ray_pairs(
+        s, ConstantField(Orthant(2)), X0[0], LIN_RAYS[:1], LIN_RAYS[1:],
+        LIN_T, LIN_DT, store_stride=3)
+    RW = R(11) @ LIN_RAYS.T
+    return stored, times, [(x, R(11) @ X0[0]),
+                           (W, RW / np.linalg.norm(RW, axis=0))]
+
+
+@pytest.mark.parametrize("path", ["integrate", "tangent_flow", "states_at",
+                                  "tangent_at", "ensemble_tails",
+                                  "propagate_ray_pairs"])
+def test_flow_paths_match_exact_rk4_propagator(path):
+    steps, times, pairs = _oracle_run(path)
+    assert list(times) == [min(i * LIN_DT, LIN_T) for i in steps]
+    assert pairs
+    for got, exact in pairs:
+        assert np.shape(got) == np.shape(exact)
+        assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 # -------------------------------------------------------------- equilibria
