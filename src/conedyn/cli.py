@@ -35,6 +35,7 @@ EXIT_NUMERIC = 3
 COMMANDS = ("check-dp", "pf", "converge", "dichotomy", "trichotomy",
             "criterion", "order", "causal", "list")
 
+_MAX_STEPS = 10_000_000  # T/dt cap; the default plan is 1e5 steps
 _SCENARIO_KEYS = {"system", "experiment", "field", "T", "dt", "N", "seed",
                   "x0", "out", "csv"}
 _NO_SYSTEM = ("order", "causal", "list")
@@ -97,8 +98,11 @@ def validate_scenario(data: dict) -> Scenario:
 
     T = _pos("T", 100.0)
     dt = _pos("dt", 1e-3)
-    if T is not None and dt is not None and 0 < T < dt:
-        problems.append("dt: must be <= T")
+    if T is not None and dt is not None and T > 0 and dt > 0:
+        if T < dt:
+            problems.append("dt: must be <= T")
+        elif T / dt > _MAX_STEPS:  # the step plan must stay finite
+            problems.append(f"dt: T/dt must be at most {_MAX_STEPS:,} steps")
     N = _pos("N", 1000, int)
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -225,7 +229,8 @@ def _cmd_converge(scen: Scenario):
         dt=scen.dt)
     counts = {"total": rep.total, "converged": rep.converged,
               "nonsingleton": rep.nonsingleton,
-              "undetermined": rep.undetermined, "escapes": rep.escapes}
+              "undetermined": rep.undetermined, "escapes": rep.escapes,
+              "certified": rep.certified}
     report = reports.make_report(
         "converge",
         {"system": scen.system, "N": scen.N, "T": scen.T, "dt": scen.dt,

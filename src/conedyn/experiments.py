@@ -122,6 +122,7 @@ class ConvergenceReport:
     nonsingleton: int
     undetermined: int
     escapes: int
+    certified: int  # converged rows retired early by a contraction certificate
     per_equilibrium: list  # [{"point": [...], "count": int}, ...]
     T: float
     seed: int
@@ -158,7 +159,7 @@ def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
 
     eq_points: list[np.ndarray] = []
     eq_counts: list[int] = []
-    converged = nonsingleton = undet = escapes = 0
+    converged = nonsingleton = undet = escapes = certified = 0
     samples, findings = [], []
     cone = field.cone if isinstance(field, ConstantField) else None
     for i, est in enumerate(estimates):
@@ -171,6 +172,7 @@ def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
             outcome = "converged"
             limit = est.point
             residual = est.residual
+            certified += est.certified_at is not None
             k = _match_cluster(eq_points, est.point, MATCH_TOL)
             if k is None:
                 eq_points.append(est.point.copy())
@@ -201,6 +203,7 @@ def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
             "outcome": outcome,
             "limit": None if limit is None else np.asarray(limit).tolist(),
             "residual": residual if residual is not None else None,
+            "certified_at": None if est is None else est.certified_at,
         })
 
     per_eq = [{"point": p.tolist(), "count": c}
@@ -208,7 +211,8 @@ def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
                                  key=lambda pc: (-pc[1], tuple(pc[0])))]
     return ConvergenceReport(
         total=N, converged=converged, nonsingleton=nonsingleton,
-        undetermined=undet, escapes=escapes, per_equilibrium=per_eq,
+        undetermined=undet, escapes=escapes, certified=certified,
+        per_equilibrium=per_eq,
         T=T, seed=seed, interval=wilson_interval(converged, N),
         dp_status=dp_status, samples=samples, findings=findings)
 

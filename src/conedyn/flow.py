@@ -19,6 +19,21 @@ the last quarter of the stored trajectory either clusters to a polished
 equilibrium (singleton), revisits its own start (non-singleton/recurrent),
 or stays honest as "undetermined".  Undetermined is never coerced.
 
+Ensemble rows retire early under a contraction certificate (Lohmiller &
+Slotine 1998).  A system may declare ``jac_lipschitz`` L, an exact global
+bound on ||J(x) - J(y)||_2 / ||x - y||.  At an equilibrium p with
+mu = lambda_max(sym J(p)) < 0 the logarithmic norm of J stays below
+mu + L d on the ball d = ||x - p|| < r = -mu / (2 L) (r = inf when L = 0),
+so d never grows there and the exact flow keeps
+d(t) <= d0 exp((mu + L d0)(t - t0)).  A row whose bound stays below
+CLUSTER_RADIUS / (2 sqrt(n)) over the whole tail window has a tail that
+classify_tail would call a singleton at p, so it leaves the batch with
+that verdict.  Retirement only pre-empts a singleton verdict: it never
+turns an undetermined or non-singleton tail into a singleton.  The bound
+holds for the exact flow, not the RK4 map; the RK4 error over a tail is
+far below the factor-of-two margin the threshold leaves.  Rows that never
+certify integrate to T as before.
+
 SPD-manifold trajectories integrate in chart coordinates with a
 positive-definiteness guard every step; leaving the chart raises (single
 orbit) or marks the sample as escaped (ensembles).
@@ -26,6 +41,7 @@ orbit) or marks the sample as escaped (ensembles).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +58,10 @@ STORE_STRIDE = 10
 TAIL_FRACTION = 0.25
 CLUSTER_RADIUS = 1e-4
 EQ_TOL = 1e-10
+CERT_EVERY = 100  # ensemble steps between contraction-certificate checks
+_CERT_F_MAX = 1e-2  # only rows with |f| below this seed an equilibrium search
+_CERT_EQ_TOL = 1e-12  # certified equilibria are polished past EQ_TOL
+_CERT_REJECT_RADIUS = 0.05  # rows this close to a rejected point seed nothing
 
 SINGLETON = "singleton_equilibrium"
 NON_SINGLETON = "non_singleton"
@@ -50,12 +70,18 @@ UNDETERMINED = "undetermined"
 
 @dataclass(frozen=True)
 class FlowSystem:
-    """A named smooth vector field with its exact Jacobian."""
+    """A named smooth vector field with its exact Jacobian.
+
+    jac_lipschitz, when given, is an exact global bound on
+    ||jac(x) - jac(y)||_2 / ||x - y||; it enables certified early
+    retirement of ensemble rows (see the module docstring).
+    """
 
     manifold: ManifoldSpec
     f: callable
     jac: callable
     name: str = "system"
+    jac_lipschitz: float | None = None
 
     @property
     def dim(self) -> int:
@@ -81,6 +107,7 @@ class OmegaEstimate:
     point: np.ndarray | None = None  # singleton limit
     witnesses: np.ndarray | None = None  # samples of a non-singleton tail
     residual: float = float("nan")
+    certified_at: float | None = None  # retirement time of a certified row
 
 
 # ---------------------------------------------------------------- stepping
@@ -182,27 +209,37 @@ class _Stepper:
                 Pn[self.dead] = np.nan
         self.X, self.P = Xn, Pn
 
-    def march(self, t_end: float, dt: float, on_store=None, stride: int = 1,
-              start: int = 0) -> None:
+    def drop(self, rows: np.ndarray) -> None:
+        """Remove the rows where the boolean mask rows is True."""
+        keep = ~rows
+        self.X = self.X[keep]
+        self.dead = self.dead[keep]
+        self.any_dead = bool(self.dead.any())
+        if self.P is not None:
+            self.P = self.P[keep]
+
+    def march(self, t_end: float, dt: float, on_store=None,
+              stride: int = 1) -> None:
         """Step from self.t to t_end: full dt steps plus one partial step.
 
         Step i ends at time self.t + min(i*dt, span).  on_store(t, last)
-        runs after step i (i = 0 is the start) when i >= start and
-        (i - start) % stride == 0, and after the last step.
+        runs after step i (i = 0 is the start) when i % stride == 0, and
+        after the last step.  The march ends early once the batch is empty.
         """
         t0 = self.t
         span = t_end - t0
         n_full, rem = _plan_steps(span, dt)
         total = n_full + (1 if rem > 0.0 else 0)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            if on_store is not None and start == 0:
+            if on_store is not None:
                 on_store(t0, False)
             for i in range(1, total + 1):
                 t = t0 + min(i * dt, span)
                 self.advance(dt if i <= n_full else rem, t)
-                if on_store is not None and i >= start and (
-                        (i - start) % stride == 0 or i == total):
+                if on_store is not None and (i % stride == 0 or i == total):
                     on_store(t, i == total)
+                if not len(self.X):
+                    break  # every row has left the batch
         self.t = t_end  # no float drift across horizons
 
 
@@ -375,14 +412,84 @@ def omega_limit(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
     return classify_tail(s, tail, cluster_radius, eq_tol)
 
 
+class _Certifier:
+    """Contraction balls around the stable equilibria an ensemble reaches.
+
+    balls[k] is (p, mu, r, residual) for a polished equilibrium p with
+    mu = lambda_max(sym J(p)) < 0 and certified radius r.  check(X, t)
+    returns per row the index of the ball that retires it at time t, or -1.
+    """
+
+    def __init__(self, s: FlowSystem, t_tail: float):
+        self.s = s
+        self.L = float(s.jac_lipschitz)
+        self.t_tail = t_tail
+        # classify_tail's diam is a bounding-box diagonal: up to 2 sqrt(n) d
+        self.floor = CLUSTER_RADIUS / (2.0 * np.sqrt(s.dim))
+        self.balls: list[tuple] = []
+        self.rejected: list[np.ndarray] = []
+
+    def check(self, X: np.ndarray, t: float) -> np.ndarray:
+        which = np.full(len(X), -1)
+        covered = np.zeros(len(X), dtype=bool)
+        for k in range(len(self.balls)):
+            self._claim(k, X, t, which, covered)
+        if self._discover(X, ~covered):
+            self._claim(len(self.balls) - 1, X, t, which, covered)
+        return which
+
+    def _claim(self, k, X, t, which, covered) -> None:
+        p, mu, r, _ = self.balls[k]
+        d = np.linalg.norm(X - p, axis=1)
+        inside = np.flatnonzero(d < r)  # nan (escaped) rows are never inside
+        covered[inside] = True
+        d_in = d[inside]
+        bound = d_in * np.exp((mu + self.L * d_in) * (self.t_tail - t))
+        which[inside[bound < self.floor]] = k
+
+    def _discover(self, X, uncovered) -> bool:
+        """One Newton search from the slowest uncovered row; True if it
+        added a ball."""
+        idx = np.flatnonzero(uncovered)
+        speed = np.linalg.norm(self.s.f(X[idx]), axis=1)
+        seed = speed < _CERT_F_MAX
+        for q in self.rejected:
+            seed &= np.linalg.norm(X[idx] - q, axis=1) >= _CERT_REJECT_RADIUS
+        if not seed.any():
+            return False
+        x = X[idx[seed][np.argmin(speed[seed])]]
+        p, res = _newton_polish(self.s, x, _CERT_EQ_TOL)
+        if p is None:
+            self.rejected.append(x.copy())
+            return False
+        if any(np.linalg.norm(p - q) < r for q, _, r, _ in self.balls):
+            return False  # a known equilibrium; the row is not in its ball yet
+        J = self.s.jac(p)
+        mu = float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
+        if not mu < 0.0:
+            self.rejected.append(p)
+            return False
+        r = np.inf if self.L == 0.0 else -mu / (2.0 * self.L)
+        self.balls.append((p, mu, r, res))
+        return True
+
+
 def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
                    dt: float = DT_DEFAULT,
                    tail_fraction: float = TAIL_FRACTION,
                    store_stride: int = STORE_STRIDE):
     """Batched integration that stores only the tail window.
 
-    Returns (tail_times, tails) with tails of shape (k, N, n); escaped rows
-    carry nan and classify as escapes downstream.
+    On a euclidean system that declares jac_lipschitz, every CERT_EVERY
+    steps before the tail window the rows that a contraction certificate
+    places in a singleton verdict leave the batch (see the module
+    docstring); the march ends once every row has left.
+
+    Returns (tail_times, tails, rows, certified): tails has shape (k, M, n)
+    and holds the M rows still in the batch at the tail start, whose sample
+    indices are rows; certified[j] is the certified singleton estimate of
+    a retired sample j and None for the others.  Escaped rows carry nan in
+    tails and classify as escapes downstream.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     n_full, rem = _plan_steps(T, dt)
@@ -390,31 +497,52 @@ def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
     # the tail never includes the start state, even with tail_fraction = 1
     tail_start = max(1, int(np.ceil((1.0 - tail_fraction) * total)))
     stepper = _Stepper(s, X0, on_failure="mask")
+    certifier = None
+    if s.jac_lipschitz is not None and s.manifold.kind == "euclidean":
+        certifier = _Certifier(s, min(tail_start * dt, T))
+    rows = np.arange(len(X0))
+    certified = [None] * len(X0)
     times, frames = [], []
+    step = itertools.count()
 
-    def store(t, last):
-        times.append(t)
-        frames.append(stepper.X.copy())
+    def on_step(t, last):
+        nonlocal rows
+        i = next(step)
+        if i >= tail_start:
+            if (i - tail_start) % store_stride == 0 or last:
+                times.append(t)
+                frames.append(stepper.X.copy())
+        elif certifier is not None and i > 0 and i % CERT_EVERY == 0:
+            which = certifier.check(stepper.X, t)
+            done = which >= 0
+            if done.any():
+                for j, k in zip(rows[done], which[done]):
+                    p, _, _, res = certifier.balls[k]
+                    certified[j] = OmegaEstimate(SINGLETON, point=p,
+                                                 residual=res, certified_at=t)
+                rows = rows[~done]
+                stepper.drop(done)
 
-    stepper.march(T, dt, store, store_stride, tail_start)
-    return np.asarray(times), np.asarray(frames)
+    stepper.march(T, dt, on_step)
+    tails = np.asarray(frames).reshape(len(times), len(rows), X0.shape[1])
+    return np.asarray(times), tails, rows, certified
 
 
 def ensemble_omega(s: FlowSystem, X0: np.ndarray, T: float,
                    dt: float = DT_DEFAULT,
                    tail_fraction: float = TAIL_FRACTION,
-                   cluster_radius: float = CLUSTER_RADIUS,
-                   eq_tol: float = EQ_TOL,
                    store_stride: int = STORE_STRIDE):
-    """Omega-limit estimates for a batch; escaped samples come back as None."""
-    _, frames = ensemble_tails(s, X0, T, dt, tail_fraction, store_stride)
-    out = []
-    for j in range(frames.shape[1]):
-        tail = frames[:, j, :]
-        if not np.all(np.isfinite(tail)):
-            out.append(None)  # escaped
-        else:
-            out.append(classify_tail(s, tail, cluster_radius, eq_tol))
+    """Omega-limit estimates for a batch; escaped samples come back as None.
+
+    Tails classify with the default CLUSTER_RADIUS and EQ_TOL, the
+    tolerances the retirement certificate is built on.
+    """
+    _, frames, rows, out = ensemble_tails(s, X0, T, dt, tail_fraction,
+                                          store_stride)
+    for col, j in enumerate(rows):
+        tail = frames[:, col, :]
+        # a non-finite tail is an escape
+        out[j] = classify_tail(s, tail) if np.all(np.isfinite(tail)) else None
     return out
 
 

@@ -17,6 +17,11 @@ vectorized over leading axes) so the Jacobians are exact:
                  boundary (rank-deficient) rays stay on the boundary.
                  Trajectories sink toward the semidefinite boundary, so
                  long horizons leave the chart and count as escapes.
+
+Each euclidean system declares ``jac_lipschitz``, an exact global bound on
+||J(x) - J(y)||_2 / ||x - y||: 0 for the linear ones, and for the tanh
+ones the slope bound |d sech^2(u) / du| <= 4 / (3 sqrt 3) times the squared
+gain (||A||_2^2 for coop2d, 2^2 for bistable1d).
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .errors import UnsupportedInputError
 from .flow import FlowSystem
 from .geometry import pack_sym, sym_dim, unpack_sym
 
+_SECH2_SLOPE = 4.0 / (3.0 * np.sqrt(3.0))  # max |d sech^2(u) / du|
+
 
 def _linear_system(A: np.ndarray, name: str) -> FlowSystem:
     A = np.asarray(A, dtype=float)
@@ -42,7 +49,7 @@ def _linear_system(A: np.ndarray, name: str) -> FlowSystem:
         x = np.asarray(x)
         return np.broadcast_to(A, x.shape[:-1] + (n, n))
 
-    return FlowSystem(geometry.euclidean(n), f, jac, name)
+    return FlowSystem(geometry.euclidean(n), f, jac, name, jac_lipschitz=0.0)
 
 
 def make_coop2d() -> FlowSystem:
@@ -57,7 +64,10 @@ def make_coop2d() -> FlowSystem:
         sech2 = 1.0 / np.cosh(x @ A.T) ** 2
         return -np.eye(2) + sech2[..., :, None] * A
 
-    return FlowSystem(geometry.euclidean(2), f, jac, "coop2d")
+    # J(x) - J(y) = diag(sech^2(Ax) - sech^2(Ay)) A, |Ax - Ay| <= |A||x - y|,
+    # and |A|_2 = 2.5, the top eigenvalue of the symmetric A
+    return FlowSystem(geometry.euclidean(2), f, jac, "coop2d",
+                      jac_lipschitz=_SECH2_SLOPE * 2.5 ** 2)
 
 
 def make_metzler_linear() -> FlowSystem:
@@ -78,7 +88,9 @@ def make_bistable1d() -> FlowSystem:
         sech2 = 1.0 / np.cosh(2.0 * x) ** 2
         return (-1.0 + 2.0 * sech2)[..., :, None] * np.eye(1)
 
-    return FlowSystem(geometry.euclidean(1), f, jac, "bistable1d")
+    # J(x) = -1 + 2 sech^2(2x): slope at most 2 * 2 * _SECH2_SLOPE
+    return FlowSystem(geometry.euclidean(1), f, jac, "bistable1d",
+                      jac_lipschitz=4.0 * _SECH2_SLOPE)
 
 
 def make_spd_lyapunov() -> FlowSystem:

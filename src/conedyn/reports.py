@@ -7,7 +7,9 @@ status) and validates against the shipped schema file at
 JSON-schema subset that file uses, so no external dependency is needed.
 
 CSV output is flat, one row per sample: index, the x0 components, the
-outcome, the limit components (blank when absent), and the residual.
+outcome, the limit components (blank when absent), the residual, and
+certified_at (the time a contraction certificate retired the row; blank
+for rows that ran to T).
 """
 
 from __future__ import annotations
@@ -133,7 +135,8 @@ def write_json(report: dict, path: str | None = None) -> None:
 
 
 def sample_rows_to_csv(rows: list, path: str) -> None:
-    """Write per-sample rows (index, x0..., outcome, limit..., residual)."""
+    """Write per-sample rows (index, x0..., outcome, limit..., residual,
+    certified_at)."""
     if not rows:
         Path(path).write_text("", encoding="utf-8")
         return
@@ -143,13 +146,14 @@ def sample_rows_to_csv(rows: list, path: str) -> None:
               + [f"x0_{i}" for i in range(dim)]
               + ["outcome"]
               + [f"limit_{i}" for i in range(ldim)]
-              + ["residual"])
+              + ["residual", "certified_at"])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for r in rows:
-            row = {"index": r["index"], "outcome": r["outcome"],
-                   "residual": "" if r.get("residual") is None else r["residual"]}
+            row = {"index": r["index"], "outcome": r["outcome"]}
+            for key in ("residual", "certified_at"):
+                row[key] = "" if r.get(key) is None else r[key]
             for i, v in enumerate(r.get("x0") or []):
                 row[f"x0_{i}"] = v
             lim = r.get("limit") or []

@@ -1,4 +1,9 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,7 +110,13 @@ def test_converge_writes_csv(tmp_path):
     assert code == 0
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("index,x0_0,x0_1,outcome")
+    assert lines[0].endswith(",residual,certified_at")
     assert len(lines) == 6  # header + 5 samples
+    rows = list(csv.DictReader(lines))
+    certified = [r for r in rows if r["certified_at"] != ""]
+    assert certified  # coop2d rows settle long before the tail at t = 45
+    assert read_json(out)["counts"]["certified"] == len(certified)
+    assert all(r["outcome"] == "converged" for r in certified)
 
 
 def test_scenario_file_drives_run(tmp_path):
@@ -225,6 +236,31 @@ def test_invalid_scenario_values_exit_2(tmp_path, capsys, argv, bad):
         args = ["converge", "--scenario", str(scen)]
     assert run(args) == 2
     assert "scenario error" in capsys.readouterr().err
+
+
+def test_step_cap_rejects_unbounded_plans():
+    # T/dt = 1e300 steps would never finish; the validator must refuse it
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario({"system": "coop2d", "experiment": "pf",
+                           "T": 1.0, "dt": 1e-300})
+    assert any(p.startswith("dt:") for p in err.value.problems)
+    with pytest.raises(ScenarioError):
+        validate_scenario({"system": "coop2d", "T": 1e300, "dt": 1e-300})
+    assert validate_scenario({"system": "coop2d", "T": 10.0,
+                              "dt": 1e-6}).dt == 1e-6  # 1e7 steps: the cap
+
+
+def test_python_m_conedyn_runs_cleanly():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "conedyn", "list"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0
+    assert "coop2d" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_unwritable_output_exits_2(tmp_path):

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conedyn import flow, geometry, pf, registry
+from conedyn import experiments, flow, geometry, pf, registry
 from conedyn.conefield import ConstantField
 from conedyn.cones import Orthant
 from conedyn.errors import FlowBlowupError, ManifoldExitError
-from conedyn.flow import NON_SINGLETON, SINGLETON
+from conedyn.flow import NON_SINGLETON, SINGLETON, UNDETERMINED
 from conedyn.geometry import pack_sym
 from helpers import constant_system, linear_system, tanh_fixed_point
 
@@ -188,8 +190,8 @@ def _oracle_run(path):
         xs, ps = flow.tangent_at(s, X0, [LIN_T], LIN_DT)
         return [], [], [(xs[0], X0 @ R(11).T), (ps[0], np.stack([R(11)] * 2))]
     if path == "ensemble_tails":  # tail starts at step ceil(0.75 * 11) = 9
-        times, frames = flow.ensemble_tails(s, X0, LIN_T, LIN_DT,
-                                            store_stride=3)
+        times, frames, _, _ = flow.ensemble_tails(s, X0, LIN_T, LIN_DT,
+                                                  store_stride=3)
         return [9, 11], times, [(f, X0 @ R(i).T)
                                 for i, f in zip([9, 11], frames)]
     # the rays are renormalized after each step: compare directions
@@ -285,3 +287,68 @@ def test_ensemble_matches_single(coop):
     for e, s_ in zip(ests, singles):
         assert e.kind == s_.kind == SINGLETON
         assert np.linalg.norm(e.point - s_.point) < 1e-10
+
+
+# ---------------------------------------------------- certified retirement
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(registry.SYSTEMS)
+                                  if registry.get_system(n).jac_lipschitz
+                                  is not None])
+def test_jac_lipschitz_bounds_jacobian_differences(name):
+    s = registry.get_system(name)
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-3.0, 3.0, (2000, s.dim))
+    far = rng.uniform(-3.0, 3.0, (1000, s.dim))
+    u = rng.normal(size=(1000, s.dim))
+    near = X[1000:] + (10.0 ** rng.uniform(-7.0, -1.0, (1000, 1))
+                       * u / np.linalg.norm(u, axis=1, keepdims=True))
+    Y = np.clip(np.vstack([far, near]), -3.0, 3.0)
+    lhs = np.linalg.norm(s.jac(X) - s.jac(Y), ord=2, axis=(1, 2))
+    rhs = s.jac_lipschitz * np.linalg.norm(X - Y, axis=1) * (1.0 + 1e-9)
+    assert np.all(lhs <= rhs)
+
+
+def _with_and_without_certificate(name, N, T):
+    s = registry.get_system(name)
+    X0 = experiments.sample_states(s, 3.0, N, 0)
+    plain = dataclasses.replace(s, jac_lipschitz=None)
+    return flow.ensemble_omega(s, X0, T), flow.ensemble_omega(plain, X0, T)
+
+
+@pytest.mark.parametrize("name,T", [("coop2d", 100.0), ("coop2d", 14.0),
+                                    ("bistable1d", 100.0),
+                                    ("bistable1d", 16.0)])
+def test_retirement_keeps_every_verdict(name, T):
+    got, ref = _with_and_without_certificate(name, 300, T)
+    assert [e.kind for e in got] == [e.kind for e in ref]
+    certified = [e for e in got if e.certified_at is not None]
+    assert certified  # the comparison covers retired rows
+    t_tail = (1.0 - flow.TAIL_FRACTION) * T
+    for e in certified:
+        assert e.kind == SINGLETON and e.residual < 1e-12
+        assert 0.0 < e.certified_at < t_tail
+    for g, r in zip(got, ref):
+        if g.kind == SINGLETON:
+            assert np.linalg.norm(g.point - r.point) < 1e-10
+    if T < 50.0:  # a short horizon leaves rows undetermined, and keeps them so
+        assert any(e.kind == UNDETERMINED for e in ref)
+    else:
+        assert all(e.kind == SINGLETON for e in ref)
+
+
+@pytest.mark.parametrize("name,T", [("metzler_linear", 40.0),
+                                    ("rotation2d", 20.0),
+                                    ("spd_lyapunov", 5.0)])
+def test_systems_without_a_contraction_certificate_retire_nothing(name, T):
+    got, ref = _with_and_without_certificate(name, 300, T)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert (g is None) == (r is None)
+        if g is None:
+            continue
+        assert g.kind == r.kind and g.certified_at is None
+        for a, b in ((g.point, r.point), (g.witnesses, r.witnesses)):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert g.residual == r.residual or (np.isnan(g.residual)
+                                            and np.isnan(r.residual))
