@@ -40,10 +40,10 @@ print(f"  orthant d((1,1),(2,1)) = {orthant.hilbert_distance(u, v):.6f} "
 print(f"  scale invariance: d(5u, 0.3v) = "
       f"{orthant.hilbert_distance(5 * u, 0.3 * v):.6f}")
 
-# the same cone two ways: closed-form-free bisection vs facet arithmetic
+# the same cone two ways: the Lorentz asinh form vs facet ratios
 poly = Polyhedral([[1, 1], [1, -1]], [[1, 1], [1, -1]])
 u, v = np.array([2.0, 1.0]), np.array([2.0, -1.0])
-print(f"  lorentz(2) bisection:  {lorentz.hilbert_distance(u, v):.12f}")
+print(f"  lorentz(2) asinh form: {lorentz.hilbert_distance(u, v):.12f}")
 print(f"  polyhedral twin:       {poly.hilbert_distance(u, v):.12f}")
 print(f"  light-cone coordinates map this cone onto the orthant: "
       f"log 9 = {np.log(9):.12f}")

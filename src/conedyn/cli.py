@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import experiments, flow, order, pf, positivity, registry, reports
-from .conefield import ConeField, ConstantField, HomogeneousPSDField, field_from_spec
-from .cones import Lorentz, Orthant
+from .conefield import ConeField, ConstantField, parse_field_spec
+from .cones import Lorentz, Orthant, finite_number
 from .errors import (
+    ConeConstructionError,
     ConedynError,
     DimensionMismatchError,
     ScenarioError,
@@ -55,16 +55,6 @@ class Scenario:
     csv: str | None = None
 
 
-def _finite(val) -> bool:
-    """True for a finite JSON number; bools and strings are not numbers."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        return False
-    try:
-        return math.isfinite(val)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def validate_scenario(data: dict) -> Scenario:
     """Build a Scenario from raw dict data, collecting every violation."""
     problems = []
@@ -88,7 +78,7 @@ def validate_scenario(data: dict) -> Scenario:
     def _pos(key, default, kind=float):
         # never coerced: float("nan") would crash the run, int(2.7) truncates
         val = data.get(key, default)
-        if not _finite(val) or (kind is int and not float(val).is_integer()):
+        if not finite_number(val) or (kind is int and not float(val).is_integer()):
             expected = "an integer" if kind is int else "a finite number"
             problems.append(f"{key}: expected {expected}")
             return None
@@ -111,7 +101,7 @@ def validate_scenario(data: dict) -> Scenario:
     x0 = data.get("x0")
     if x0 is not None:
         if (not isinstance(x0, list) or not x0
-                or not all(_finite(v) for v in x0)):
+                or not all(finite_number(v) for v in x0)):
             problems.append("x0: must be a nonempty list of finite numbers")
     fld = data.get("field")
     if fld is not None and not isinstance(fld, (str, dict)):
@@ -150,22 +140,33 @@ def resolve_field(s: Scenario, system: flow.FlowSystem) -> ConeField:
     spec = s.field
     if spec is None:
         return registry.default_field(system)
-    if isinstance(spec, dict):
-        return field_from_spec(spec)
-    token = spec.strip()
-    if token.startswith("{"):
-        return field_from_spec(json.loads(token))
-    if token == "orthant":
-        return ConstantField(Orthant(system.dim))
-    if token == "lorentz":
-        return ConstantField(Lorentz(system.dim))
-    if token in ("psd", "homogeneous_spd"):
-        if system.manifold.kind != "spd":
+    if isinstance(spec, str):
+        token = spec.strip()
+        if token == "orthant":
+            return ConstantField(Orthant(system.dim))
+        if token == "lorentz":
+            return ConstantField(Lorentz(system.dim))
+        if token in ("psd", "homogeneous_spd"):
+            spec = {"field": "homogeneous_spd", "n": system.manifold.n}
+        elif token.startswith("{"):
+            try:
+                spec = json.loads(token)
+            except json.JSONDecodeError as e:
+                raise UnsupportedInputError(
+                    f"field: JSON parse error at col {e.colno}: {e.msg}")
+        else:
             raise UnsupportedInputError(
-                "the psd field needs an SPD-manifold system")
-        return HomogeneousPSDField(system.manifold.n)
-    raise UnsupportedInputError(
-        f"unknown field token {token!r}; use orthant|lorentz|psd or JSON")
+                f"unknown field token {token!r}; use orthant|lorentz|psd or JSON")
+    # checked before building: a large spec must not allocate first
+    dim, build = parse_field_spec(spec)
+    if spec["field"] == "homogeneous_spd" and system.manifold.kind != "spd":
+        raise UnsupportedInputError(
+            "the psd field needs an SPD-manifold system")
+    if dim != system.dim:
+        raise UnsupportedInputError(
+            f"field: dimension {dim} does not match system "
+            f"{system.name!r} of dimension {system.dim}")
+    return build()
 
 
 # ------------------------------------------------------------------ handlers
@@ -441,6 +442,7 @@ def run(argv=None) -> int:
         if rows is not None and scen.csv:
             reports.sample_rows_to_csv(rows, scen.csv)
     except (ScenarioError, UnsupportedInputError, DimensionMismatchError,
+            ConeConstructionError,  # raised only by cone constructors
             OSError) as e:  # OSError: an --out/--csv path cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,10 +18,13 @@ interior witness), normalized to unit metric length.
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable
+
 import numpy as np
 
 from . import geometry
-from .cones import Cone, PSDCone, cone_from_spec, cone_to_spec
+from .cones import Cone, PSDCone, cone_to_spec, parse_cone_spec, spec_int
 from .errors import UnsupportedInputError
 from .geometry import ManifoldSpec, Tangent
 
@@ -118,14 +121,13 @@ def check_gamma_invariance(field: ConeField, samples: int, seed: int) -> dict:
         gens = c1.generators()
         if gens is not None:
             rays.append(gens)
-        for v in np.vstack(rays):
-            w = field.transport_vec(x1, x2, v)
-            worst = min(worst, c2.margin(w))
+        W = np.array([field.transport_vec(x1, x2, v) for v in np.vstack(rays)])
+        worst = min(worst, *c2.margins(W))
     return {"max_violation": float(worst), "samples": samples, "seed": seed}
 
 
-def field_from_spec(spec: dict) -> ConeField:
-    """Build a field from its JSON form.
+def parse_field_spec(spec: dict) -> tuple[int, Callable[[], ConeField]]:
+    """Validate a field's JSON form: its dimension and a builder of the field.
 
     {"field": "constant", "cone": {...}} or {"field": "homogeneous_spd", "n": 2}
     """
@@ -133,10 +135,19 @@ def field_from_spec(spec: dict) -> ConeField:
         raise UnsupportedInputError("field spec must be an object with a 'field'")
     kind = spec["field"]
     if kind == "constant":
-        return ConstantField(cone_from_spec(spec["cone"]))
+        if "cone" not in spec:
+            raise UnsupportedInputError("field spec: missing key 'cone'")
+        dim, cone = parse_cone_spec(spec["cone"])
+        return dim, lambda: ConstantField(cone())
     if kind == "homogeneous_spd":
-        return HomogeneousPSDField(int(spec["n"]))
+        n = spec_int(spec, "n", "field")
+        return geometry.sym_dim(n), partial(HomogeneousPSDField, n)
     raise UnsupportedInputError(f"unknown field kind {kind!r}")
+
+
+def field_from_spec(spec: dict) -> ConeField:
+    """Build a field from its JSON form (see :func:`parse_field_spec`)."""
+    return parse_field_spec(spec)[1]()
 
 
 def field_to_spec(f: ConeField) -> dict:

@@ -1,34 +1,45 @@
-"""Closed convex cones: membership with margins, duals, Hilbert metric.
+"""Closed convex cones: batched membership margins, duals, Hilbert metric.
 
 Four representations are supported, all pointed and solid:
 
-* ``Orthant(n)``      -- the nonnegative orthant of R^n.
-* ``Lorentz(n)``      -- vectors (t, x) in R x R^{n-1} with t >= |x|.
-* ``PSDCone(n)``      -- positive semidefinite symmetric matrices, stored in
-                         the packed chart coordinates of :mod:`.geometry`.
-* ``Polyhedral``      -- finitely generated, given by BOTH generators and
-                         inward facet normals (no facet enumeration here).
+* ``Polyhedral``  -- finitely generated, given by BOTH generators and inward
+                     facet normals (no facet enumeration here).
+* ``Orthant(n)``  -- the nonnegative orthant: the polyhedral cone whose
+                     generators and facet normals are both I_n.
+* ``Lorentz(n)``  -- vectors (t, x) in R x R^{n-1} with t >= |x|.
+* ``PSDCone(n)``  -- positive semidefinite symmetric matrices, stored in the
+                     packed chart coordinates of :mod:`.geometry`.
 
-Membership is reported as a :class:`Containment` with a normalized margin:
-the signed slack of the binding constraint divided by the vector norm, so
-that margins are comparable across scales.  A zero vector sits on the
-boundary of every closed cone and reports margin 0.
+``margins(V)`` gives, for every row of V (last axis = cone coordinates),
+the signed slack of the binding constraint divided by the row norm, so
+margins are comparable across scales; a zero row sits on the boundary of
+every closed cone and gets margin 0.
 
 The Hilbert projective metric between interior rays u, v is
 
     d(u, v) = log(M / m),   M = inf{b : b v - u in C},
-                            m = sup{a : u - a v in C}.
+                            m = sup{a : u - a v in C},
 
-It has closed forms on the orthant and the PSD cone; on Lorentz and
-polyhedral cones it is computed by bisection on a and b using the
-membership test (bisection tolerance 1e-12).  Rays outside the interior
-are at distance +inf.
+and is computed in closed form for every cone (Bushell 1973, *Hilbert's
+metric and positive contraction mappings*; Lemmens & Nussbaum 2012,
+*Nonlinear Perron-Frobenius Theory*, ch. 2).  Polyhedral: with
+r_i = <l_i, u> / <l_i, v> over the facet normals, d = log(max r / min r).
+PSD: d = log(lambda_max / lambda_min) of V^{-1/2} U V^{-1/2}.  Lorentz:
+with q(w) = (w_0 - |w'|)(w_0 + |w'|) and s^2 = |u_0 v' - v_0 u'|^2 -
+sum_{i<j} (u'_i v'_j - u'_j v'_i)^2 (which is B(u, v)^2 - q(u) q(v) for
+the Lorentz form B), d = 2 asinh(s / sqrt(q(u) q(v))).  The textbook form
+2 log((B + sqrt(B^2 - q(u) q(v))) / sqrt(q(u) q(v))) subtracts two nearly
+equal squares near the diagonal and returns d(3u, u) ~ 1e-7; s^2 is built
+from terms that vanish with u - v, so the asinh form stays below 1e-14.
+Rays outside the interior are at distance +inf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +52,6 @@ from .geometry import pack_sym, sym_dim, unpack_sym
 
 DEFAULT_TOL = 1e-9  # membership tolerance on the normalized margin
 _DUAL_TOL = 1e-12
-_BISECT_TOL = 1e-12
 
 OUTSIDE = "outside"
 BOUNDARY = "boundary"
@@ -64,8 +74,14 @@ def _classify(margin: float, tol: float) -> Containment:
     return Containment(BOUNDARY, margin)
 
 
+def _per_norm(slack: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """slack / |row of V|, and 0 for zero rows (NaN rows stay NaN)."""
+    nv = np.linalg.norm(V, axis=-1)
+    return np.divide(slack, nv, out=np.zeros_like(nv), where=nv != 0.0)
+
+
 class Cone:
-    """Base class; concrete cones implement ``margin`` and samplers."""
+    """Base class; concrete cones implement ``margins``, the metric, samplers."""
 
     dim: int
     name: str = "cone"
@@ -78,18 +94,21 @@ class Cone:
             )
         return v
 
+    def margins(self, V: np.ndarray) -> np.ndarray:
+        """Normalized signed slack of each row of V (any leading shape)."""
+        raise NotImplementedError
+
     def margin(self, v: np.ndarray) -> float:
         """Normalized signed slack of v; 0 for the zero vector."""
-        raise NotImplementedError
+        return float(self.margins(v))
 
     def contains(self, v: np.ndarray, tol: float = DEFAULT_TOL) -> Containment:
         if tol < 0:
             raise ValueError("tol must be >= 0")
-        v = self._check_dim(v)
         return _classify(self.margin(v), tol)
 
     def dual_contains(self, lam: np.ndarray) -> bool:
-        """True iff lam lies in the dual cone (within 1e-12 slack)."""
+        """True iff lam lies in the dual cone (within 1e-12 normalized slack)."""
         raise NotImplementedError
 
     def generators(self):
@@ -114,93 +133,23 @@ class Cone:
         nu, nv = np.linalg.norm(u), np.linalg.norm(v)
         if nu == 0.0 or nv == 0.0:
             raise ValueError("hilbert_distance is undefined for the zero vector")
-        if self.contains(u).region != INTERIOR or self.contains(v).region != INTERIOR:
+        if not np.all(self.margins(np.stack([u, v])) > DEFAULT_TOL):
             return math.inf
-        return self._hilbert_interior(u / nu, v / nv)
+        return float(self._distance(u / nu, v / nv))
 
-    def _hilbert_interior(self, u: np.ndarray, v: np.ndarray) -> float:
-        # generic route: bisection on the two support ratios
-        member = lambda w: self.margin(w) >= 0.0
-
-        hi = 1.0
-        for _ in range(200):
-            if not member(u - hi * v):
-                break
-            hi *= 2.0
-        else:  # pragma: no cover - impossible for pointed solid cones
-            raise ConeConstructionError("bisection bracket failure (sup side)")
-        lo = 0.0
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if member(u - mid * v):
-                lo = mid
-            else:
-                hi = mid
-        m = lo
-
-        hi = 1.0
-        for _ in range(200):
-            if member(hi * v - u):
-                break
-            hi *= 2.0
-        else:  # pragma: no cover
-            raise ConeConstructionError("bisection bracket failure (inf side)")
-        lo = 0.0
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if member(mid * v - u):
-                hi = mid
-            else:
-                lo = mid
-        M = hi
-
-        if m <= 0.0:
-            return math.inf
-        return math.log(M / m)
+    def _distance(self, u: np.ndarray, v: np.ndarray) -> float:
+        """Closed-form Hilbert distance of two interior unit vectors."""
+        raise NotImplementedError
 
 
-class Orthant(Cone):
-    """The nonnegative orthant in R^n."""
-
-    name = "orthant"
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ConeConstructionError("orthant needs n >= 1")
-        self.n = n
-        self.dim = n
-
-    def margin(self, v: np.ndarray) -> float:
-        v = self._check_dim(v)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        return float(np.min(v) / nv)
+class _SelfDual(Cone):
+    """A cone equal to its dual: lam is dual iff its own margin is >= 0."""
 
     def dual_contains(self, lam: np.ndarray) -> bool:
-        lam = self._check_dim(lam)
-        return bool(np.min(lam) >= -_DUAL_TOL * max(1.0, np.linalg.norm(lam)))
-
-    def generators(self) -> np.ndarray:
-        return np.eye(self.n)
-
-    def facet_normals(self) -> np.ndarray:
-        return np.eye(self.n)
-
-    def interior_witness(self) -> np.ndarray:
-        return np.ones(self.n) / np.sqrt(self.n)
-
-    def boundary_rays(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        # extreme rays of the orthant are the coordinate axes
-        idx = np.arange(k) % self.n
-        return np.eye(self.n)[idx]
-
-    def _hilbert_interior(self, u: np.ndarray, v: np.ndarray) -> float:
-        r = u / v
-        return float(np.log(np.max(r) / np.min(r)))
+        return bool(self.margin(lam) >= -_DUAL_TOL)
 
 
-class Lorentz(Cone):
+class Lorentz(_SelfDual):
     """Second-order cone {(t, x) : t >= |x|} in R^n (self-dual)."""
 
     name = "lorentz"
@@ -211,18 +160,9 @@ class Lorentz(Cone):
         self.n = n
         self.dim = n
 
-    def margin(self, v: np.ndarray) -> float:
-        v = self._check_dim(v)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        return float((v[..., 0] - np.linalg.norm(v[..., 1:], axis=-1)) / nv)
-
-    def dual_contains(self, lam: np.ndarray) -> bool:
-        lam = self._check_dim(lam)
-        if np.linalg.norm(lam) == 0.0:
-            return True
-        return bool(self.margin(lam) >= -_DUAL_TOL)
+    def margins(self, V: np.ndarray) -> np.ndarray:
+        V = self._check_dim(V)
+        return _per_norm(V[..., 0] - np.linalg.norm(V[..., 1:], axis=-1), V)
 
     def interior_witness(self) -> np.ndarray:
         w = np.zeros(self.n)
@@ -239,8 +179,19 @@ class Lorentz(Cone):
             rays[:, 1:] = x / np.linalg.norm(x, axis=1, keepdims=True)
         return rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
+    def _distance(self, u: np.ndarray, v: np.ndarray) -> float:
+        def q(w):
+            r = np.linalg.norm(w[1:])
+            return (w[0] - r) * (w[0] + r)
 
-class PSDCone(Cone):
+        ub, vb = u[1:], v[1:]
+        wedge = np.outer(ub, vb)
+        s2 = (np.sum((u[0] * vb - v[0] * ub) ** 2)
+              - 0.5 * np.sum((wedge - wedge.T) ** 2))
+        return 2.0 * math.asinh(math.sqrt(max(s2, 0.0)) / math.sqrt(q(u) * q(v)))
+
+
+class PSDCone(_SelfDual):
     """Positive semidefinite cone in packed symmetric coordinates."""
 
     name = "psd"
@@ -251,19 +202,10 @@ class PSDCone(Cone):
         self.n = n
         self.dim = sym_dim(n)
 
-    def margin(self, v: np.ndarray) -> float:
-        v = self._check_dim(v)
-        nv = np.linalg.norm(v)  # equals the Frobenius norm of the matrix
-        if nv == 0.0:
-            return 0.0
-        w = np.linalg.eigvalsh(unpack_sym(v, self.n))
-        return float(np.min(w) / nv)
-
-    def dual_contains(self, lam: np.ndarray) -> bool:
-        lam = self._check_dim(lam)
-        if np.linalg.norm(lam) == 0.0:
-            return True
-        return bool(self.margin(lam) >= -_DUAL_TOL)
+    def margins(self, V: np.ndarray) -> np.ndarray:
+        # the packed norm equals the Frobenius norm of the matrix
+        V = self._check_dim(V)
+        return _per_norm(np.linalg.eigvalsh(unpack_sym(V, self.n))[..., 0], V)
 
     def interior_witness(self) -> np.ndarray:
         return pack_sym(np.eye(self.n)) / np.sqrt(self.n)
@@ -274,13 +216,13 @@ class PSDCone(Cone):
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         return pack_sym(q[:, :, None] * q[:, None, :])
 
-    def _hilbert_interior(self, u: np.ndarray, v: np.ndarray) -> float:
+    def _distance(self, u: np.ndarray, v: np.ndarray) -> float:
         U = unpack_sym(u, self.n)
         V = unpack_sym(v, self.n)
         w, Q = np.linalg.eigh(V)
         R = (Q / np.sqrt(w)) @ Q.T
         lam = np.linalg.eigvalsh(R @ U @ R)
-        return float(np.log(np.max(lam) / np.min(lam)))
+        return np.log(np.max(lam) / np.min(lam))
 
 
 class Polyhedral(Cone):
@@ -305,37 +247,34 @@ class Polyhedral(Cone):
             raise ConeConstructionError("zero facet normal")
         self.dim = G.shape[1]
         self._gens = G
+        self._gens_unit = G / np.linalg.norm(G, axis=1, keepdims=True)
         self._normals_unit = L / np.linalg.norm(L, axis=1, keepdims=True)
-
-        prods = self._gens @ self._normals_unit.T
-        scale = np.linalg.norm(G, axis=1)[:, None]
-        if np.min(prods / scale) < -1e-12:
+        if np.min(self.margins(G)) < -1e-12:
             raise ConeConstructionError(
-                "a generator violates a facet inequality (rep inconsistency)"
-            )
-        for g in self._gens:
-            if self.margin(-g) >= -1e-12:
-                raise ConeConstructionError("cone is not pointed: -g inside")
+                "a generator violates a facet inequality (rep inconsistency)")
+        if np.any(self.margins(-G) >= -1e-12):
+            raise ConeConstructionError("cone is not pointed: -g inside")
 
         if witness is None:
-            unit = G / np.linalg.norm(G, axis=1, keepdims=True)
-            witness = unit.mean(axis=0)
+            witness = self._gens_unit.mean(axis=0)
         witness = np.asarray(witness, dtype=float)
         nw = np.linalg.norm(witness)
         if nw == 0.0 or self.margin(witness) <= DEFAULT_TOL:
             raise ConeConstructionError("cone is not solid: no interior witness")
         self._witness = witness / nw
 
-    def margin(self, v: np.ndarray) -> float:
-        v = self._check_dim(v)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        return float(np.min(self._normals_unit @ v) / nv)
+    def _facet_values(self, V: np.ndarray) -> np.ndarray:
+        # <l_i, v> for every unit facet normal (exact for the unit axes)
+        return V @ self._normals_unit.T
+
+    def margins(self, V: np.ndarray) -> np.ndarray:
+        V = self._check_dim(V)
+        return _per_norm(np.min(self._facet_values(V), axis=-1), V)
 
     def dual_contains(self, lam: np.ndarray) -> bool:
         lam = self._check_dim(lam)
-        return bool(np.min(self._gens @ lam) >= -_DUAL_TOL)
+        return bool(np.min(self._gens_unit @ lam)
+                    >= -_DUAL_TOL * np.linalg.norm(lam))
 
     def generators(self) -> np.ndarray:
         return self._gens.copy()
@@ -347,19 +286,26 @@ class Polyhedral(Cone):
         return self._witness.copy()
 
     def boundary_rays(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        idx = np.arange(k) % len(self._gens)
-        G = self._gens[idx]
-        return G / np.linalg.norm(G, axis=1, keepdims=True)
+        return self._gens_unit[np.arange(k) % len(self._gens)]
+
+    def _distance(self, u: np.ndarray, v: np.ndarray) -> float:
+        r = self._facet_values(u) / self._facet_values(v)
+        return np.log(np.max(r) / np.min(r))
 
 
-def contains(c: Cone, v: np.ndarray, tol: float = DEFAULT_TOL) -> Containment:
-    """Module-level alias for :meth:`Cone.contains`."""
-    return c.contains(v, tol)
+class Orthant(Polyhedral):
+    """The nonnegative orthant in R^n: generators = facet normals = I_n."""
+
+    name = "orthant"
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ConeConstructionError("orthant needs n >= 1")
+        self.n = n
+        super().__init__(np.eye(n), np.eye(n), witness=np.ones(n))
 
 
-def hilbert_distance(c: Cone, u: np.ndarray, v: np.ndarray) -> float:
-    """Module-level alias for :meth:`Cone.hilbert_distance`."""
-    return c.hilbert_distance(u, v)
+_BY_TYPE = {"orthant": Orthant, "lorentz": Lorentz, "psd": PSDCone}
 
 
 def dual_contains(c: Cone, lam: np.ndarray) -> bool:
@@ -367,29 +313,65 @@ def dual_contains(c: Cone, lam: np.ndarray) -> bool:
     return c.dual_contains(lam)
 
 
-def cone_from_spec(spec: dict) -> Cone:
-    """Build a cone from its JSON scenario form, e.g. {"type":"orthant","n":2}."""
+def finite_number(val) -> bool:
+    """True for a finite JSON number; bools and strings are not numbers."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def spec_int(spec: dict, key: str, what: str) -> int:
+    """The integer ``spec[key]`` of a JSON spec, or an error naming the key."""
+    if key not in spec:
+        raise UnsupportedInputError(f"{what} spec: missing key {key!r}")
+    val = spec[key]
+    if not finite_number(val) or not float(val).is_integer():
+        raise UnsupportedInputError(
+            f"{what} spec: {key!r} must be an integer, got {val!r}")
+    return int(val)
+
+
+def _spec_rows(spec: dict, key: str) -> list:
+    rows = spec.get(key)
+    if (not isinstance(rows, list) or not rows
+            or not all(isinstance(r, list) and r for r in rows)
+            or len({len(r) for r in rows}) != 1
+            or not all(finite_number(x) for r in rows for x in r)):
+        raise UnsupportedInputError(
+            f"cone spec: {key!r} must be a nonempty list of equal-length "
+            "rows of finite numbers")
+    return rows
+
+
+def parse_cone_spec(spec: dict) -> tuple[int, Callable[[], Cone]]:
+    """Validate a cone's JSON form: its dimension and a builder of the cone.
+
+    Nothing is built here, so a caller can check the dimension first.
+    """
     if not isinstance(spec, dict) or "type" not in spec:
         raise UnsupportedInputError("cone spec must be an object with a 'type'")
     kind = spec["type"]
-    if kind == "orthant":
-        return Orthant(int(spec["n"]))
-    if kind == "lorentz":
-        return Lorentz(int(spec["n"]))
-    if kind == "psd":
-        return PSDCone(int(spec["n"]))
     if kind == "polyhedral":
-        return Polyhedral(spec["generators"], spec["facet_normals"])
-    raise UnsupportedInputError(f"unknown cone type {kind!r}")
+        L = _spec_rows(spec, "facet_normals")
+        G = _spec_rows(spec, "generators")
+        return len(G[0]), partial(Polyhedral, G, L)
+    if kind not in tuple(_BY_TYPE):  # compared with ==, so any JSON value
+        raise UnsupportedInputError(f"unknown cone type {kind!r}")
+    n = spec_int(spec, "n", "cone")
+    return (sym_dim(n) if kind == "psd" else n), partial(_BY_TYPE[kind], n)
+
+
+def cone_from_spec(spec: dict) -> Cone:
+    """Build a cone from its JSON scenario form, e.g. {"type":"orthant","n":2}."""
+    return parse_cone_spec(spec)[1]()
 
 
 def cone_to_spec(c: Cone) -> dict:
-    if isinstance(c, Orthant):
-        return {"type": "orthant", "n": c.n}
-    if isinstance(c, Lorentz):
-        return {"type": "lorentz", "n": c.n}
-    if isinstance(c, PSDCone):
-        return {"type": "psd", "n": c.n}
+    if isinstance(c, tuple(_BY_TYPE.values())):
+        return {"type": c.name, "n": c.n}
     if isinstance(c, Polyhedral):
         return {
             "type": "polyhedral",

@@ -250,10 +250,10 @@ def reachable_grid(field, p: np.ndarray, region, resolution: int,
         raise ValueError("field must be a ConeField or 'minkowski'")
 
     offsets = _coprime_offsets(directions)
-    disps = [np.array([di * dt_c, dj * dx_c]) for di, dj in offsets]
+    disps = np.array([[di * dt_c, dj * dx_c] for di, dj in offsets])
     if constant:
         c0 = cone_at(np.array([t_centers[0], x_centers[0]]))
-        allowed = [c0.margin(d) >= -grid_slack for d in disps]
+        allowed = c0.margins(disps) >= -grid_slack
 
     res = resolution
     grid = np.zeros((res, res), dtype=bool)
@@ -266,7 +266,7 @@ def reachable_grid(field, p: np.ndarray, region, resolution: int,
         if not constant:
             src = np.array([t_centers[i], x_centers[j]])
             local = cone_at(src)
-            allowed = [local.margin(d) >= -grid_slack for d in disps]
+            allowed = local.margins(disps) >= -grid_slack
         for (di, dj), ok in zip(offsets, allowed):
             if not ok:
                 continue

@@ -221,9 +221,7 @@ def flat_equivalence(s: flowmod.FlowSystem, c: Cone, pairs: int, T: float,
     ordered = np.ones(pairs, dtype=bool)
     for ti in range(len(check_times)):
         xt, yt = caught[ti, :pairs], caught[ti, pairs:]
-        for i in range(pairs):
-            if c.margin(yt[i] - xt[i]) < -tol:  # left the cone: order lost
-                ordered[i] = False
+        ordered[c.margins(yt - xt) < -tol] = False  # left the cone: order lost
     n_ordered = int(np.sum(ordered))
     if dp_pass:
         agreement = n_ordered / pairs

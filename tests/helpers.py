@@ -1,4 +1,6 @@
-"""Shared test oracles: root finders and throwaway systems."""
+"""Shared test oracles: root finders, cone metrics and throwaway systems."""
+
+import math
 
 import numpy as np
 
@@ -16,6 +18,32 @@ def bisect_root(g, lo, hi, iters=200):
             lo = mid
             glo = g(lo)
     return 0.5 * (lo + hi)
+
+
+def hilbert_bisect(cone, u, v, tol=1e-12):
+    """Hilbert distance of interior rays by bisection on cone.margin alone.
+
+    The generic route: m = sup{a : u - a v in C} and M = inf{b : b v - u
+    in C}, each bracketed by doubling and bisected to an absolute width of
+    tol; d = log(M / m).  The oracle for the closed forms.
+    """
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
+    v = np.asarray(v, dtype=float) / np.linalg.norm(v)
+
+    def switch(below):
+        # [lo, hi] of width <= tol with below(lo) true and below(hi) false
+        lo, hi = 0.0, 1.0
+        while below(hi):
+            lo, hi = hi, 2.0 * hi
+            assert hi < 1e12, "no bracket: is the pair interior?"
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        return lo, hi
+
+    m = switch(lambda a: cone.margin(u - a * v) >= 0.0)[0]
+    M = switch(lambda b: cone.margin(b * v - u) < 0.0)[1]
+    return math.log(M / m)
 
 
 def tanh_fixed_point(gain):

@@ -238,6 +238,45 @@ def test_invalid_scenario_values_exit_2(tmp_path, capsys, argv, bad):
     assert "scenario error" in capsys.readouterr().err
 
 
+def _constant(cone):
+    return json.dumps({"field": "constant", "cone": cone})
+
+
+@pytest.mark.parametrize("system,spec", [
+    ("coop2d", "{bad"),
+    ("coop2d", _constant({"type": "orthant"})),
+    ("coop2d", _constant({"type": "polyhedral",
+                          "generators": [[1, 0], [0, 1]]})),
+    ("coop2d", _constant({"type": "orthant", "n": "x"})),
+    ("coop2d", _constant({"type": "orthant", "n": 2.7})),
+    ("coop2d", _constant({"type": "polyhedral",
+                          "generators": [[1, 0], [0, float("nan")]],
+                          "facet_normals": [[1, 0], [0, 1]]})),
+    ("coop2d", _constant({"type": "polyhedral", "generators": [[0, 1]],
+                          "facet_normals": [[1, -1]]})),
+    ("coop2d", _constant({"type": "polyhedral",
+                          "generators": [[1, 0], [-1, 0]],
+                          "facet_normals": [[0, 1]]})),
+    ("coop2d", json.dumps({"field": "constant"})),
+    ("coop2d", json.dumps({"field": "homogeneous_spd", "n": 10 ** 11})),
+    # the token "psd" is refused on a flat system; its JSON form must be too
+    ("bistable1d", json.dumps({"field": "homogeneous_spd", "n": 1})),
+], ids=["bad-json", "missing-n", "missing-facet-normals", "n-string",
+        "n-fraction", "nan-generator", "inconsistent", "unpointed",
+        "missing-cone", "huge-spd-n", "spd-field-on-flat-system"])
+def test_malformed_field_specs_exit_2(capsys, system, spec):
+    assert run(["pf", "--system", system, "--T", "1", "--field", spec]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_field_dimension_is_checked_before_building(capsys):
+    # an orthant of this size would allocate I_n before any check fired
+    spec = _constant({"type": "orthant", "n": 10 ** 11})
+    assert run(["pf", "--system", "coop2d", "--T", "1", "--field", spec]) == 2
+    assert "dimension" in capsys.readouterr().err
+
+
 def test_step_cap_rejects_unbounded_plans():
     # T/dt = 1e300 steps would never finish; the validator must refuse it
     with pytest.raises(ScenarioError) as err:

@@ -15,11 +15,18 @@ from conedyn.cones import (
 )
 from conedyn.errors import ConeConstructionError, DimensionMismatchError
 from conedyn.geometry import pack_sym
+from helpers import hilbert_bisect
 
 
 def lorentz2_polyhedral():
     # same 2-d cone as Lorentz(2): generators on the null rays
     return Polyhedral([[1, 1], [1, -1]], [[1, 1], [1, -1]])
+
+
+def square_pyramid():
+    # {(t, x, y) : |x| <= t, |y| <= t}: a 3-d cone that is not simplicial
+    return Polyhedral([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]],
+                      [[1, -1, 0], [1, 1, 0], [1, 0, -1], [1, 0, 1]])
 
 
 def all_cones():
@@ -65,6 +72,26 @@ def test_contains_psd():
     assert rank1.region == BOUNDARY
 
 
+def test_margins_match_margin_row_by_row():
+    rng = np.random.default_rng(5)
+    for c in all_cones():
+        rows = np.vstack([rng.normal(size=(7, c.dim)),
+                          [interior_sample(c, rng) for _ in range(3)],
+                          c.boundary_rays(rng, 3), np.zeros((2, c.dim))])
+        want = np.array([c.margin(r) for r in rows])
+        if type(c) is Polyhedral:  # a stacked matmul may round apart by ulps
+            def same(a, b):
+                return np.allclose(a, b, rtol=0.0, atol=4 * np.finfo(float).eps)
+        else:  # per-row arithmetic, the orthant's products by 0 and 1 too
+            same = np.array_equal
+        assert same(c.margins(rows), want)
+        assert same(c.margins(rows.reshape(3, 5, c.dim)), want.reshape(3, 5))
+        assert np.all(want[-2:] == 0.0)
+        assert np.all(c.margins(rows)[-2:] == 0.0)
+        with pytest.raises(DimensionMismatchError):
+            c.margins(np.ones((4, c.dim + 1)))
+
+
 def test_zero_vector_is_boundary():
     for c in all_cones():
         got = c.contains(np.zeros(c.dim))
@@ -105,6 +132,16 @@ def test_polyhedral_rejects_inconsistent_reps():
 def test_polyhedral_rejects_unpointed():
     with pytest.raises(ConeConstructionError):
         Polyhedral([[1, 0], [-1, 0]], [[0, 1]])
+
+
+def test_orthant_is_the_identity_polyhedral_cone():
+    for n in (1, 2, 3):
+        c = Orthant(n)
+        assert isinstance(c, Polyhedral)
+        assert np.array_equal(c.generators(), np.eye(n))
+        assert np.array_equal(c.facet_normals(), np.eye(n))
+        assert np.array_equal(c.interior_witness(), np.ones(n) / np.sqrt(n))
+        assert cones.cone_to_spec(c) == {"type": "orthant", "n": n}
 
 
 def test_polyhedral_rejects_non_solid():
@@ -162,6 +199,42 @@ def test_hilbert_symmetry():
     for c in all_cones():
         u, v = interior_sample(c, rng), interior_sample(c, rng)
         assert abs(c.hilbert_distance(u, v) - c.hilbert_distance(v, u)) < 1e-9
+
+
+def test_closed_forms_match_bisection_oracle():
+    rng = np.random.default_rng(6)
+    for c in all_cones() + [Lorentz(4), square_pyramid()]:
+        for _ in range(10):
+            u, v = interior_sample(c, rng), interior_sample(c, rng)
+            assert abs(c.hilbert_distance(u, v)
+                       - hilbert_bisect(c, u, v)) < 1e-9
+
+
+def _positive_maps(rng):
+    """(cone, Phi, generators) with Phi mapping the cone into its interior."""
+    twin = lorentz2_polyhedral()
+    T = twin.generators().T  # columns: the two null rays of Lorentz(2)
+    for _ in range(5):
+        for n in (2, 3):
+            yield Orthant(n), rng.uniform(0.1, 1.0, (n, n)), np.eye(n)
+        Phi = T @ rng.uniform(0.1, 1.0, (2, 2)) @ np.linalg.inv(T)
+        yield Lorentz(2), Phi, T.T
+        yield twin, Phi, T.T
+
+
+def test_birkhoff_hopf_contraction():
+    # a positive map of projective diameter D contracts the Hilbert metric
+    # by at least tanh(D / 4) (Birkhoff 1957; Bushell 1973)
+    rng = np.random.default_rng(7)
+    for c, Phi, gens in _positive_maps(rng):
+        images = gens @ Phi.T
+        diam = max(c.hilbert_distance(a, b) for a in images for b in images)
+        assert math.isfinite(diam)
+        k = math.tanh(diam / 4.0)
+        for _ in range(20):
+            u, v = interior_sample(c, rng), interior_sample(c, rng)
+            assert (c.hilbert_distance(Phi @ u, Phi @ v)
+                    <= k * c.hilbert_distance(u, v) + 1e-12)
 
 
 def test_hilbert_infinite_outside_interior():
