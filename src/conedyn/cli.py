@@ -17,12 +17,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import experiments, flow, order, pf, positivity, registry, reports
-from .conefield import ConeField, ConstantField, parse_field_spec
+from .conefield import ConeField, parse_field_spec
 from .cones import Lorentz, Orthant, finite_number
 from .errors import (
     ConeConstructionError,
     ConedynError,
     DimensionMismatchError,
+    NotPositiveDefiniteError,
     ScenarioError,
     UnsupportedInputError,
 )
@@ -39,6 +40,7 @@ _MAX_STEPS = 10_000_000  # T/dt cap; the default plan is 1e5 steps
 _SCENARIO_KEYS = {"system", "experiment", "field", "T", "dt", "N", "seed",
                   "x0", "out", "csv"}
 _NO_SYSTEM = ("order", "causal", "list")
+_ORDER_CONES = {"orthant": Orthant, "lorentz": Lorentz}
 
 
 @dataclass
@@ -142,11 +144,10 @@ def resolve_field(s: Scenario, system: flow.FlowSystem) -> ConeField:
         return registry.default_field(system)
     if isinstance(spec, str):
         token = spec.strip()
-        if token == "orthant":
-            return ConstantField(Orthant(system.dim))
-        if token == "lorentz":
-            return ConstantField(Lorentz(system.dim))
-        if token in ("psd", "homogeneous_spd"):
+        if token in ("orthant", "lorentz"):
+            spec = {"field": "constant",
+                    "cone": {"type": token, "n": system.dim}}
+        elif token in ("psd", "homogeneous_spd"):
             spec = {"field": "homogeneous_spd", "n": system.manifold.n}
         elif token.startswith("{"):
             try:
@@ -158,15 +159,26 @@ def resolve_field(s: Scenario, system: flow.FlowSystem) -> ConeField:
             raise UnsupportedInputError(
                 f"unknown field token {token!r}; use orthant|lorentz|psd or JSON")
     # checked before building: a large spec must not allocate first
-    dim, build = parse_field_spec(spec)
-    if spec["field"] == "homogeneous_spd" and system.manifold.kind != "spd":
+    manifold, build = parse_field_spec(spec)
+    if manifold.kind != system.manifold.kind:
         raise UnsupportedInputError(
-            "the psd field needs an SPD-manifold system")
-    if dim != system.dim:
+            f"field: a cone field on {manifold.kind} space does not fit "
+            f"system {system.name!r} on {system.manifold.kind} space")
+    if manifold.dim != system.dim:
         raise UnsupportedInputError(
-            f"field: dimension {dim} does not match system "
+            f"field: dimension {manifold.dim} does not match system "
             f"{system.name!r} of dimension {system.dim}")
     return build()
+
+
+def resolve_x0(s: Scenario, system: flow.FlowSystem) -> np.ndarray:
+    """--x0, or the system's default start, as a point of its manifold."""
+    if s.x0 is None:
+        return registry.DEFAULT_X0[s.system]
+    try:
+        return system.manifold.check_point(s.x0)
+    except NotPositiveDefiniteError as e:  # off the chart: a usage error
+        raise UnsupportedInputError(f"x0: {e}")
 
 
 # ------------------------------------------------------------------ handlers
@@ -205,8 +217,7 @@ def _cmd_check_dp(scen: Scenario):
 def _cmd_pf(scen: Scenario):
     system = registry.get_system(scen.system)
     field = resolve_field(scen, system)
-    x0 = (np.asarray(scen.x0, dtype=float) if scen.x0
-          else registry.DEFAULT_X0[scen.system])
+    x0 = resolve_x0(scen, system)
     res = pf.pf_direction(system, field, x0, T=scen.T, dt=scen.dt)
     log = res.contraction_log
     report = reports.make_report(
@@ -285,8 +296,7 @@ def _cmd_criterion(scen: Scenario):
 def _cmd_trichotomy(scen: Scenario):
     system = registry.get_system(scen.system)
     field = resolve_field(scen, system)
-    x0 = (np.asarray(scen.x0, dtype=float) if scen.x0
-          else registry.DEFAULT_X0[scen.system])
+    x0 = resolve_x0(scen, system)
     rep = experiments.trichotomy_check(system, field, x0, n_seq=8,
                                        T=scen.T, dt=scen.dt)
     report = reports.make_report(
@@ -303,10 +313,12 @@ def _cmd_trichotomy(scen: Scenario):
 
 
 def _cmd_order(scen: Scenario):
-    dim = 2
-    cone = Orthant(dim)
-    if isinstance(scen.field, str) and scen.field == "lorentz":
-        cone = Lorentz(dim)
+    token = "orthant" if scen.field is None else scen.field
+    if not isinstance(token, str) or token.strip() not in _ORDER_CONES:
+        raise UnsupportedInputError(
+            "order checks the orthant and lorentz orders on R^2: "
+            "--field must be orthant or lorentz")
+    cone = _ORDER_CONES[token.strip()](2)
     oracle = order.FlatOrderOracle(cone)
     sequences = min(scen.N, 500)
     qc = order.quasi_closed_probe(oracle, sequences, scen.seed)

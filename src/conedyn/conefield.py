@@ -126,8 +126,8 @@ def check_gamma_invariance(field: ConeField, samples: int, seed: int) -> dict:
     return {"max_violation": float(worst), "samples": samples, "seed": seed}
 
 
-def parse_field_spec(spec: dict) -> tuple[int, Callable[[], ConeField]]:
-    """Validate a field's JSON form: its dimension and a builder of the field.
+def parse_field_spec(spec: dict) -> tuple[ManifoldSpec, Callable[[], ConeField]]:
+    """Validate a field's JSON form: its manifold and a builder of the field.
 
     {"field": "constant", "cone": {...}} or {"field": "homogeneous_spd", "n": 2}
     """
@@ -138,10 +138,10 @@ def parse_field_spec(spec: dict) -> tuple[int, Callable[[], ConeField]]:
         if "cone" not in spec:
             raise UnsupportedInputError("field spec: missing key 'cone'")
         dim, cone = parse_cone_spec(spec["cone"])
-        return dim, lambda: ConstantField(cone())
+        return geometry.euclidean(dim), lambda: ConstantField(cone())
     if kind == "homogeneous_spd":
         n = spec_int(spec, "n", "field")
-        return geometry.sym_dim(n), partial(HomogeneousPSDField, n)
+        return geometry.spd(n), partial(HomogeneousPSDField, n)
     raise UnsupportedInputError(f"unknown field kind {kind!r}")
 
 

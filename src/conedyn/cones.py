@@ -127,6 +127,14 @@ class Cone:
         """k extreme/boundary unit rays, randomised where the set is infinite."""
         raise NotImplementedError
 
+    def unit_rays(self, rng: np.random.Generator) -> np.ndarray:
+        """The unit extreme rays that samplers combine: the normalized
+        generators, or 4 random boundary rays where there are none."""
+        gens = self.generators()
+        if gens is None:
+            return self.boundary_rays(rng, 4)
+        return gens / np.linalg.norm(gens, axis=1, keepdims=True)
+
     def hilbert_distance(self, u: np.ndarray, v: np.ndarray) -> float:
         u = self._check_dim(u)
         v = self._check_dim(v)
@@ -306,6 +314,18 @@ class Orthant(Polyhedral):
 
 
 _BY_TYPE = {"orthant": Orthant, "lorentz": Lorentz, "psd": PSDCone}
+
+
+def conic_combinations(rays: np.ndarray, k: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """k unit conic combinations of the rows of rays, weights U(0.1, 1).
+
+    The weights are one (k, m) draw.  Row products are taken as a stack of
+    one-row products, which round exactly as ``w @ rays`` and
+    ``np.linalg.norm(v)`` do, so a combination does not depend on k.
+    """
+    V = rng.uniform(0.1, 1.0, (k, 1, len(rays))) @ rays
+    return (V / np.sqrt(V @ V.transpose(0, 2, 1)))[:, 0]
 
 
 def dual_contains(c: Cone, lam: np.ndarray) -> bool:

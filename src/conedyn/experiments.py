@@ -1,8 +1,10 @@
 """Monte-Carlo checks of the convergence theory on concrete systems.
 
-Every experiment is seeded and deterministic: sample i draws from a
-generator keyed by (seed, i), so sample i does not depend on N, and
-ensembles integrate in chunks of OMEGA_CHUNK rows whose results are
+Every experiment is seeded and deterministic: a run draws all of its
+random inputs from one generator, ``np.random.default_rng(seed)``, in a
+fixed order, so no two of its streams share draws.  States come first,
+one row per sample in sample order, so sample i does not depend on N.
+Ensembles integrate in chunks of OMEGA_CHUNK rows whose results are
 concatenated in sample order.
 
 "Almost every orbit converges" is operationalized honestly: a converged
@@ -22,6 +24,7 @@ import numpy as np
 from . import flow as flowmod
 from . import positivity
 from .conefield import ConeField, ConstantField
+from .cones import conic_combinations
 from .errors import ProbeConstructionError, UnsupportedInputError
 from .flow import NON_SINGLETON, SINGLETON, UNDETERMINED
 from .order import INCOMPARABLE, LEQ_STRICT, leq_flat
@@ -55,27 +58,20 @@ def _box_array(box, dim: int) -> np.ndarray:
     return box
 
 
-def sample_box(box, dim: int, N: int, seed: int) -> np.ndarray:
-    """N uniform samples; sample i is drawn from generator (seed, i)."""
-    box = _box_array(box, dim)
-    out = np.empty((N, dim))
-    for i in range(N):
-        r = np.random.default_rng([seed, i])
-        out[i] = r.uniform(box[:, 0], box[:, 1])
-    return out
+def sample_states(s: flowmod.FlowSystem, box, N: int,
+                  seed: int | np.random.Generator) -> np.ndarray:
+    """N states drawn from ``np.random.default_rng(seed)``.
 
-
-def sample_states(s: flowmod.FlowSystem, box, N: int, seed: int) -> np.ndarray:
-    """Manifold-aware sampling: uniform box on flat space, random SPD points
-    (log-uniform eigenvalues) on SPD, where a coordinate box would leave
-    the chart."""
+    Uniform in the box on flat space; random SPD points (log-uniform
+    eigenvalues) on SPD, where a coordinate box would leave the chart.
+    Rows are drawn in sample order, so row i does not depend on N.  seed
+    may be a ``np.random.Generator``, which the draws then continue.
+    """
+    rng = np.random.default_rng(seed)
     if s.manifold.kind == "euclidean":
-        return sample_box(box, s.dim, N, seed)
-    out = np.empty((N, s.dim))
-    for i in range(N):
-        r = np.random.default_rng([seed, i])
-        out[i] = s.manifold.random_point(r)
-    return out
+        box = _box_array(box, s.dim)
+        return rng.uniform(box[:, 0], box[:, 1], (N, s.dim))
+    return np.stack([s.manifold.random_point(rng) for _ in range(N)])
 
 
 def _omega_batch(s, X0, T, dt):
@@ -95,21 +91,6 @@ def _require_flat(field: ConeField):
         raise UnsupportedInputError(
             "this check needs the flat order oracle (a constant cone field)")
     return field.cone
-
-
-def _cone_elements(c, pairs: int, rng: np.random.Generator) -> np.ndarray:
-    gens = c.generators()
-    base = (gens / np.linalg.norm(gens, axis=1, keepdims=True)
-            if gens is not None else c.boundary_rays(rng, 4))
-    dirs = np.empty((pairs, c.dim))
-    for i in range(pairs):
-        if i % 3 == 0:
-            dirs[i] = base[(i // 3) % len(base)]
-        else:
-            w = rng.uniform(0.1, 1.0, len(base))
-            v = w @ base
-            dirs[i] = v / np.linalg.norm(v)
-    return dirs
 
 
 # ------------------------------------------------------- generic convergence
@@ -148,13 +129,14 @@ def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    rng = np.random.default_rng(seed)
+    X0 = sample_states(s, box, N, rng)
     dp_status = None
     if dp_check:
         dp_times = [min(0.1, T / 2.0), min(1.0, T)]
-        dp = positivity.check_dp(s, field, 25, 6, dp_times, seed, dt=dt)
+        dp = positivity.check_dp(s, field, 25, 6, dp_times, rng, dt=dt)
         dp_status = dp.status
 
-    X0 = sample_states(s, box, N, seed)
     estimates = _omega_batch(s, X0, T, dt)
 
     eq_points: list[np.ndarray] = []
@@ -283,9 +265,14 @@ def basin_boundary_scan(s: flowmod.FlowSystem, equilibria, transect_pairs,
 
 
 def _sample_ordered_pairs(s, c, pairs: int, box, seed: int):
-    X = sample_box(box, s.dim, pairs, seed)
-    rng = np.random.default_rng([seed, 977])
-    dirs = _cone_elements(c, pairs, rng)
+    rng = np.random.default_rng(seed)
+    X = sample_states(s, box, pairs, rng)
+    rays = c.unit_rays(rng)
+    extreme = np.arange(pairs) % 3 == 0
+    n_ext = int(np.count_nonzero(extreme))
+    dirs = np.empty((pairs, c.dim))
+    dirs[extreme] = rays[np.arange(n_ext) % len(rays)]
+    dirs[~extreme] = conic_combinations(rays, pairs - n_ext, rng)
     scale = rng.uniform(0.5, 2.0, (pairs, 1))
     Y = X + scale * dirs
     degenerate = np.arange(pairs) % 17 == 16
@@ -408,7 +395,7 @@ def convergence_criterion_check(s: flowmod.FlowSystem, field: ConeField,
     T_scan = sorted(float(t) for t in T_scan)
     if not T_scan or T_scan[0] <= 0:
         raise ValueError("T_scan times must be > 0")
-    X = sample_box(box, s.dim, x_samples, seed)
+    X = sample_states(s, box, x_samples, seed)
     caught = flowmod.states_at(s, X, T_scan, dt, on_failure="mask")
 
     triggered_idx, trigger_rows = [], []

@@ -34,6 +34,7 @@ from .cones import (
     Cone,
     Lorentz,
     PSDCone,
+    conic_combinations,
 )
 from .errors import DimensionMismatchError, ProbeConstructionError
 
@@ -317,6 +318,7 @@ def _causal(p, q) -> bool:
 def flat_order_properties(cone: Cone, samples: int, seed: int) -> dict:
     """Antisymmetry and transitivity spot-checks for a flat cone order."""
     rng = np.random.default_rng(seed)
+    rays = cone.unit_rays(rng)
     anti = trans = 0
     for i in range(samples):
         x = rng.normal(size=cone.dim)
@@ -330,19 +332,11 @@ def flat_order_properties(cone: Cone, samples: int, seed: int) -> dict:
         if (fwd != INCOMPARABLE and rev != INCOMPARABLE
                 and np.linalg.norm(x - y) > 1e-12):
             anti += 1
-        c1 = _random_cone_element(cone, rng)
-        c2 = _random_cone_element(cone, rng)
+        c1, c2 = conic_combinations(rays, 2, rng)
         if leq_flat(cone, x, x + c1 + c2).relation == INCOMPARABLE:
             trans += 1
     return {"antisymmetry_violations": anti, "transitivity_violations": trans,
             "samples": samples, "seed": seed}
-
-
-def _random_cone_element(cone: Cone, rng: np.random.Generator) -> np.ndarray:
-    gens = cone.generators()
-    base = (gens if gens is not None else cone.boundary_rays(rng, 4))
-    w = rng.uniform(0.1, 1.0, len(base))
-    return w @ base
 
 
 def push_up_probe(samples: int, seed: int) -> dict:

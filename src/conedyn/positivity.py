@@ -28,7 +28,7 @@ import numpy as np
 
 from . import flow as flowmod
 from .conefield import ConeField, ConstantField
-from .cones import Cone, OUTSIDE
+from .cones import Cone, conic_combinations
 from .errors import UnsupportedInputError
 
 DP = "DP"
@@ -59,31 +59,17 @@ def _ray_set(cone: Cone, field: ConeField, x0: np.ndarray, k: int,
              rng: np.random.Generator):
     """k nonzero cone rays at x0 with boundary tags.
 
-    Generators (the binding extreme rays) come first, then the section and
-    random conic combinations.
+    The unit extreme rays come first, then the section and random conic
+    combinations.
     """
-    rays, tags = [], []
-    gens = cone.generators()
-    if gens is not None:
-        base = gens / np.linalg.norm(gens, axis=1, keepdims=True)
-    else:
-        base = cone.boundary_rays(rng, min(4, k))
-    for g in base[:k]:
-        rays.append(g)
-        tags.append(True)
-    if len(rays) < k:
-        rays.append(field.section(x0))
-        tags.append(False)
-    while len(rays) < k:
-        w = rng.uniform(0.1, 1.0, len(base))
-        v = w @ base
-        rays.append(v / np.linalg.norm(v))
-        tags.append(False)
-    return np.asarray(rays[:k]), np.asarray(tags[:k])
+    rays = cone.unit_rays(rng)
+    combos = conic_combinations(rays, max(k - len(rays) - 1, 0), rng)
+    out = np.vstack([rays, field.section(x0), combos])[:k]
+    return out, np.arange(k) < len(rays)
 
 
 def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
-             ray_samples: int, times, seed: int,
+             ray_samples: int, times, seed: int | np.random.Generator,
              tol: float = DP_TOL, sdp_margin_floor: float = SDP_MARGIN_FLOOR,
              dt: float = flowmod.DT_DEFAULT, box_scale: float = 2.0) -> DpVerdict:
     """Sampled cone-invariance verdict for the tangent flow.
@@ -202,18 +188,11 @@ def flat_equivalence(s: flowmod.FlowSystem, c: Cone, pairs: int, T: float,
     dp_pass = dp.status in (DP, SDP)
 
     rng = np.random.default_rng(seed)
-    gens = c.generators()
-    base = (gens / np.linalg.norm(gens, axis=1, keepdims=True)
-            if gens is not None else c.boundary_rays(rng, 4))
+    rays = c.unit_rays(rng)
     X = rng.uniform(-box_scale, box_scale, (pairs, s.dim))
-    dirs = np.empty_like(X)
-    for i in range(pairs):
-        if i < 2 * len(base):
-            dirs[i] = base[i % len(base)]
-        else:
-            w = rng.uniform(0.1, 1.0, len(base))
-            v = w @ base
-            dirs[i] = v / np.linalg.norm(v)
+    n_ext = min(pairs, 2 * len(rays))
+    dirs = np.vstack([rays[np.arange(n_ext) % len(rays)],
+                      conic_combinations(rays, pairs - n_ext, rng)])
     Y = X + rng.uniform(0.5, 1.5, (pairs, 1)) * dirs
 
     both = np.vstack([X, Y])

@@ -277,6 +277,34 @@ def test_field_dimension_is_checked_before_building(capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    "orthant", "lorentz", _constant({"type": "orthant", "n": 3})])
+def test_flat_field_on_spd_system_exits_2(capsys, spec):
+    # a constant cone field is defined on flat space only, not on SPD(2)
+    assert run(["check-dp", "--system", "spd_lyapunov", "--n", "5",
+                "--field", spec]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("spec", [
+    "psd", "{bad", json.dumps({"field": "constant",
+                               "cone": {"type": "lorentz", "n": 2}})])
+def test_order_refuses_fields_it_does_not_run(capsys, spec):
+    assert run(["order", "--n", "10", "--field", spec]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["pf", "trichotomy"])
+def test_x0_off_the_spd_chart_exits_2(capsys, command):
+    # diag(1, -1) is symmetric but not positive definite
+    assert run([command, "--system", "spd_lyapunov", "--T", "1",
+                "--x0", "1,0,-1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: x0:")
+
+
 def test_step_cap_rejects_unbounded_plans():
     # T/dt = 1e300 steps would never finish; the validator must refuse it
     with pytest.raises(ScenarioError) as err:

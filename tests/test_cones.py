@@ -92,6 +92,24 @@ def test_margins_match_margin_row_by_row():
             c.margins(np.ones((4, c.dim + 1)))
 
 
+def test_conic_combinations_are_unit_cone_elements_drawn_row_by_row():
+    for c in all_cones() + [square_pyramid()]:
+        R = c.unit_rays(np.random.default_rng(2))
+        assert np.allclose(np.linalg.norm(R, axis=1), 1.0)
+        assert np.all(c.margins(R) >= -1e-12)
+        C = cones.conic_combinations(R, 9, np.random.default_rng(3))
+        assert np.all(c.margins(C) > 0.0)
+        # bit for bit the one-row computation, whatever k is
+        rng = np.random.default_rng(3)
+        for v in C:
+            w = rng.uniform(0.1, 1.0, len(R)) @ R
+            assert np.array_equal(v, w / np.linalg.norm(w))
+        assert np.array_equal(
+            cones.conic_combinations(R, 4, np.random.default_rng(3)), C[:4])
+        assert cones.conic_combinations(R, 0, np.random.default_rng(3)).shape \
+            == (0, c.dim)
+
+
 def test_zero_vector_is_boundary():
     for c in all_cones():
         got = c.contains(np.zeros(c.dim))

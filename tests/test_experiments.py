@@ -84,6 +84,22 @@ def test_generic_convergence_determinism(coop):
     assert ja == jb
 
 
+@pytest.mark.parametrize("name", ["coop2d", "spd_lyapunov"])
+def test_sample_states_prefix_does_not_depend_on_N(name):
+    s = registry.get_system(name)
+    full = experiments.sample_states(s, 3.0, 50, 4)
+    assert np.array_equal(full[:7], experiments.sample_states(s, 3.0, 7, 4))
+
+
+def test_pair_directions_do_not_reuse_state_draws(coop):
+    # direction 1 is a conic combination of e1 and e2; drawn from sample
+    # 977's uniforms u, it would be parallel to the weights 0.1 + 0.9 u
+    X, Y = experiments._sample_ordered_pairs(coop, Orthant(2), 1000, 3.0, 0)
+    d = (Y[1] - X[1]) / np.linalg.norm(Y[1] - X[1])
+    w = 0.1 + 0.9 * (X[977] + 3.0) / 6.0
+    assert not np.allclose(d, w / np.linalg.norm(w), rtol=0.0, atol=1e-6)
+
+
 # ------------------------------------------------------------- basin scan
 
 
