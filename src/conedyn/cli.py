@@ -337,6 +337,9 @@ def _cmd_order(scen: Scenario):
 
 
 def _cmd_causal(scen: Scenario):
+    if scen.field is not None or scen.system is not None:
+        raise UnsupportedInputError("causal checks 1+1 Minkowski space "
+                                    "only: it takes no --field or --system")
     p = np.array([0.0, 0.0])
     region = ((0.0, 2.0), (-2.0, 2.0))
     resolution = 101

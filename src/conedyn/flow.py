@@ -12,7 +12,8 @@ orbits, tangent flows, captures at given times, ensemble tails and the
 Perron-Frobenius ray pairs -- goes through one batched march
 (``_Stepper.march``), so all share the step plan, the stored times
 min(i*dt, T), the manifold guard and the failure policy, and ensembles of
-initial conditions integrate at numpy speed.
+initial conditions integrate at numpy speed.  A system x' = Ax that
+declares its ``matrix`` A steps by its exact RK4 map x -> R(hA) x.
 
 Omega-limit classification is an explicitly heuristic desk-scale estimate:
 the last quarter of the stored trajectory either clusters to a polished
@@ -36,13 +37,14 @@ certify integrate to T as before.
 
 SPD-manifold trajectories integrate in chart coordinates with a
 positive-definiteness guard every step; leaving the chart raises (single
-orbit) or marks the sample as escaped (ensembles).
+orbit) or marks the sample as escaped (ensembles).  On SPD(2) the guard
+takes lambda_min in closed form and decides each row as eigvalsh would.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from .errors import (
     ManifoldExitError,
     NumericsError,
 )
-from .geometry import EIG_TOL, ManifoldSpec, unpack_sym
+from .geometry import _SQRT2, EIG_TOL, ManifoldSpec, unpack_sym
 
 DT_DEFAULT = 1e-3
 STORE_STRIDE = 10
@@ -74,7 +76,8 @@ class FlowSystem:
 
     jac_lipschitz, when given, is an exact global bound on
     ||jac(x) - jac(y)||_2 / ||x - y||; it enables certified early
-    retirement of ensemble rows (see the module docstring).
+    retirement of ensemble rows (see the module docstring).  matrix, when
+    given, is the A of a linear field f(x) = Ax, jac(x) = A.
     """
 
     manifold: ManifoldSpec
@@ -82,6 +85,7 @@ class FlowSystem:
     jac: callable
     name: str = "system"
     jac_lipschitz: float | None = None
+    matrix: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
@@ -151,16 +155,40 @@ def _rk4_step_tangent(s: FlowSystem, X: np.ndarray, P: np.ndarray, h: float):
     return Xn, Pn
 
 
+def _rk4_map(A: np.ndarray, h: float) -> np.ndarray:
+    """R(hA) = sum_{k<=4} (hA)^k / k! by Horner: one RK4 step of x' = Ax."""
+    R = eye = np.eye(len(A))
+    for k in (4.0, 3.0, 2.0, 1.0):
+        R = eye + (h / k) * A @ R
+    return R
+
+
+def _leaves_chart(V: np.ndarray, n: int) -> np.ndarray:
+    """Rows of finite packed SPD(n) points with lambda_min <= EIG_TOL; on
+    SPD(2) in closed form, and by eigvalsh within a rounding band of it."""
+    if n != 2:
+        return np.linalg.eigvalsh(unpack_sym(V, n))[:, 0] <= EIG_TOL
+    a, b, c = V[:, 0], V[:, 1] / _SQRT2, V[:, 2]
+    lam = 0.5 * a + 0.5 * c - np.hypot(0.5 * a - 0.5 * c, b)
+    band = 1e-13 * (np.abs(a) + np.abs(b) + np.abs(c) + 1.0)  # >> ulp errors
+    near = ~(np.abs(lam - EIG_TOL) > band)  # nan rows too
+    out = lam <= EIG_TOL
+    if near.any():
+        out[near] = np.linalg.eigvalsh(unpack_sym(V[near], 2))[:, 0] <= EIG_TOL
+    return out
+
+
 def _bad_rows(s: FlowSystem, X: np.ndarray) -> np.ndarray:
     """Boolean mask of rows that are non-finite or left the SPD chart."""
-    bad = ~np.all(np.isfinite(X), axis=-1)
-    if s.manifold.kind == "spd":
-        finite = ~bad
-        if np.any(finite):
-            w = np.linalg.eigvalsh(unpack_sym(X[finite], s.manifold.n))
-            exited = np.min(w, axis=-1) <= EIG_TOL
-            idx = np.flatnonzero(finite)
-            bad[idx[exited]] = True
+    finite = np.isfinite(X)
+    if finite.all():  # one reduction over the batch; per row only on failure
+        if s.manifold.kind == "spd":
+            return _leaves_chart(X, s.manifold.n)
+        return np.zeros(len(X), dtype=bool)
+    bad = ~finite.all(axis=-1)
+    ok = np.flatnonzero(~bad)
+    if s.manifold.kind == "spd" and len(ok):
+        bad[ok[_leaves_chart(X[ok], s.manifold.n)]] = True
     return bad
 
 
@@ -183,13 +211,20 @@ class _Stepper:
             np.asarray(P0, dtype=float),
             (self.X.shape[0],) + np.shape(P0)[-2:]).copy()
         self.on_failure = on_failure
+        self.maps = {}  # step size h -> R(hA), for a declared matrix A
         self.dead = _bad_rows(s, self.X)
         self.any_dead = bool(np.any(self.dead))
         if self.on_failure == "raise" and self.any_dead:
             raise ManifoldExitError(0.0, "initial state is off the manifold")
 
     def advance(self, h: float, t_new: float) -> None:
-        if self.P is None:
+        if self.s.matrix is not None:
+            R = self.maps.get(h)
+            if R is None:
+                R = self.maps[h] = _rk4_map(self.s.matrix, h)
+            Xn = self.X @ R.T
+            Pn = None if self.P is None else R @ self.P
+        elif self.P is None:
             Xn, Pn = _rk4_step(self.s, self.X, h), None
         else:
             Xn, Pn = _rk4_step_tangent(self.s, self.X, self.P, h)

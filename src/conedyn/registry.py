@@ -1,7 +1,8 @@
 """Built-in example systems.
 
-Systems are code-defined (vector field and Jacobian hand-written, both
-vectorized over leading axes) so the Jacobians are exact:
+Systems are code-defined (vector field and Jacobian vectorized over
+leading axes) so the Jacobians are exact; the linear ones declare their
+matrix (``_linear_system``), so the flow steps them by the exact RK4 map:
 
 * coop2d         dx_i/dt = -x_i + tanh((Ax)_i), A = [[2, 0.5], [0.5, 2]];
                  cooperative and strongly positive for the orthant field.
@@ -18,7 +19,7 @@ vectorized over leading axes) so the Jacobians are exact:
                  Trajectories sink toward the semidefinite boundary, so
                  long horizons leave the chart and count as escapes.
 
-Each euclidean system declares ``jac_lipschitz``, an exact global bound on
+Each system declares ``jac_lipschitz``, an exact global bound on
 ||J(x) - J(y)||_2 / ||x - y||: 0 for the linear ones, and for the tanh
 ones the slope bound |d sech^2(u) / du| <= 4 / (3 sqrt 3) times the squared
 gain (||A||_2^2 for coop2d, 2^2 for bistable1d).
@@ -36,9 +37,11 @@ from .flow import FlowSystem
 from .geometry import pack_sym, sym_dim, unpack_sym
 
 _SECH2_SLOPE = 4.0 / (3.0 * np.sqrt(3.0))  # max |d sech^2(u) / du|
+_EYE1, _EYE2 = np.eye(1), np.eye(2)  # hoisted out of the per-step jacs
 
 
-def _linear_system(A: np.ndarray, name: str) -> FlowSystem:
+def _linear_system(A: np.ndarray, name: str, manifold=None) -> FlowSystem:
+    """x' = Ax on manifold (default: euclidean); f, jac and matrix share A."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
 
@@ -49,7 +52,8 @@ def _linear_system(A: np.ndarray, name: str) -> FlowSystem:
         x = np.asarray(x)
         return np.broadcast_to(A, x.shape[:-1] + (n, n))
 
-    return FlowSystem(geometry.euclidean(n), f, jac, name, jac_lipschitz=0.0)
+    return FlowSystem(manifold or geometry.euclidean(n), f, jac, name,
+                      jac_lipschitz=0.0, matrix=A)
 
 
 def make_coop2d() -> FlowSystem:
@@ -62,7 +66,7 @@ def make_coop2d() -> FlowSystem:
     def jac(x):
         x = np.asarray(x)
         sech2 = 1.0 / np.cosh(x @ A.T) ** 2
-        return -np.eye(2) + sech2[..., :, None] * A
+        return sech2[..., :, None] * A - _EYE2
 
     # J(x) - J(y) = diag(sech^2(Ax) - sech^2(Ay)) A, |Ax - Ay| <= |A||x - y|,
     # and |A|_2 = 2.5, the top eigenvalue of the symmetric A
@@ -86,7 +90,7 @@ def make_bistable1d() -> FlowSystem:
     def jac(x):
         x = np.asarray(x)
         sech2 = 1.0 / np.cosh(2.0 * x) ** 2
-        return (-1.0 + 2.0 * sech2)[..., :, None] * np.eye(1)
+        return (-1.0 + 2.0 * sech2)[..., :, None] * _EYE1
 
     # J(x) = -1 + 2 sech^2(2x): slope at most 2 * 2 * _SECH2_SLOPE
     return FlowSystem(geometry.euclidean(1), f, jac, "bistable1d",
@@ -96,24 +100,10 @@ def make_bistable1d() -> FlowSystem:
 def make_spd_lyapunov() -> FlowSystem:
     A = np.array([[-1.0, 0.2], [0.0, -1.0]])
     n = 2
-    m = sym_dim(n)
-    # packed matrix of the linear map S -> A S + S A^T
-    cols = []
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = 1.0
-        S = unpack_sym(e, n)
-        cols.append(pack_sym(A @ S + S @ A.T))
-    L = np.stack(cols, axis=1)
-
-    def f(v):
-        return np.asarray(v) @ L.T
-
-    def jac(v):
-        v = np.asarray(v)
-        return np.broadcast_to(L, v.shape[:-1] + (m, m))
-
-    return FlowSystem(geometry.spd(n), f, jac, "spd_lyapunov")
+    E = unpack_sym(np.eye(sym_dim(n)), n)  # the packed basis as matrices
+    # column k: packed image of basis matrix k under S -> A S + S A^T
+    return _linear_system(pack_sym(A @ E + E @ A.T).T, "spd_lyapunov",
+                          geometry.spd(n))
 
 
 SYSTEMS = {

@@ -296,6 +296,14 @@ def test_order_refuses_fields_it_does_not_run(capsys, spec):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("extra", [["--field", "psd"], ["--system", "coop2d"],
+                                   ["--field", "psd", "--system", "coop2d"]])
+def test_causal_refuses_options_it_does_not_read(capsys, extra):
+    assert run(["causal", "--n", "10"] + extra) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 @pytest.mark.parametrize("command", ["pf", "trichotomy"])
 def test_x0_off_the_spd_chart_exits_2(capsys, command):
     # diag(1, -1) is symmetric but not positive definite

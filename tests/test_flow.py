@@ -69,6 +69,76 @@ def test_spd_guard_raises_on_chart_exit():
         flow.integrate(s, pack_sym(0.05 * np.eye(2)), T=1.0, dt=1e-3)
 
 
+# ------------------------------------------------------------- chart guard
+
+
+def _eigvalsh_guard(V):
+    """Reference guard: non-finite rows, or eigvalsh's lambda_min <= EIG_TOL."""
+    bad = ~np.all(np.isfinite(V), axis=1)
+    ok = np.flatnonzero(~bad)
+    w = np.linalg.eigvalsh(geometry.unpack_sym(V[ok], 2))
+    bad[ok[w[:, 0] <= geometry.EIG_TOL]] = True
+    return bad
+
+
+def _spd2_rows(rng, lam_min, lam_max):
+    """Packed symmetric rows with eigenvalues lam_min, lam_max, random frames."""
+    th = rng.uniform(0.0, np.pi, len(lam_min))
+    u = np.stack([np.cos(th), np.sin(th)], axis=1)
+    v = np.stack([-u[:, 1], u[:, 0]], axis=1)
+    S = (lam_min[:, None, None] * u[:, :, None] * u[:, None, :]
+         + lam_max[:, None, None] * v[:, :, None] * v[:, None, :])
+    return pack_sym(S)
+
+
+def test_spd2_guard_matches_eigvalsh():
+    s = registry.get_system("spd_lyapunov")
+    rng = np.random.default_rng(5)
+    tol, N = geometry.EIG_TOL, 4000
+    scale = 10.0 ** rng.uniform(-3.0, 12.0, N)
+    # the fallback band is 1e-13 times the entry scale; put rows inside it,
+    # on both sides of EIG_TOL, and just outside it
+    offset = rng.choice([-1.0, 1.0], N) * scale * 10.0 ** rng.uniform(
+        -18.0, -11.0, N)
+    diagonal = tol + np.array([-1e-15, -1e-16, -1e-17, 0.0, 1e-17, 1e-16,
+                               1e-15])
+    batches = {
+        "random": rng.normal(size=(N, 3)),
+        "spd": _spd2_rows(rng, rng.uniform(0.0, 2.0, N), 1.0 + scale),
+        "large": scale[:, None] * rng.normal(size=(N, 3)),
+        "band": _spd2_rows(rng, tol + offset, scale),
+        "diagonal": np.column_stack([diagonal, np.zeros(7), np.ones(7)]),
+    }
+    rows = np.vstack([batches["random"][:8], batches["spd"][:8]])
+    rows[[0, 3, 9, 12], [0, 1, 2, 1]] = [np.nan, np.inf, -np.inf, np.nan]
+    batches["nonfinite"] = rows
+    for name, V in batches.items():
+        want = _eigvalsh_guard(V)
+        assert np.array_equal(flow._bad_rows(s, V), want), name
+        assert 0 < want.sum() < len(V) or name == "spd", name
+    # the diagonal rows sit on EIG_TOL to within a few ulps of the diagonal
+    assert list(_eigvalsh_guard(batches["diagonal"])) == [True] * 4 + [False] * 3
+
+
+def test_spd3_guard_escapes_through_eigvalsh():
+    # lambda_min = 0.05 - t on the first row crosses EIG_TOL near t = 0.05
+    m = geometry.spd(3)
+    drift = -pack_sym(np.eye(3))
+    s = flow.FlowSystem(
+        m, lambda v: np.broadcast_to(drift, np.asarray(v).shape),
+        lambda v: np.zeros(np.asarray(v).shape[:-1] + (6, 6)), "sink_drift3")
+    X0 = pack_sym(np.array([np.diag([0.05, 1.0, 2.0]),
+                            np.diag([0.5, 1.0, 2.0])]))
+    with pytest.raises(ManifoldExitError) as err:
+        flow.integrate(s, X0[0], T=1.0, dt=1e-3)
+    assert abs(err.value.time - 0.05) <= 1e-3 + 1e-9
+    xs = flow.states_at(s, X0, [0.04, 0.1], dt=1e-3, on_failure="mask")
+    assert np.all(np.isfinite(xs[0]))
+    assert np.all(np.isnan(xs[1, 0])) and np.all(np.isfinite(xs[1, 1]))
+    assert np.allclose(geometry.unpack_sym(xs[1, 1], 3),
+                       np.diag([0.4, 0.9, 1.9]), atol=1e-12)
+
+
 def test_rk4_order_under_step_halving():
     s = linear_system([[-1.0]])
     exact = np.exp(-1.0)
@@ -170,9 +240,15 @@ def _rk4_propagator(i):
     return P @ _rk4_map(LIN_T - 10 * LIN_DT) if i == 11 else P
 
 
-def _oracle_run(path):
+# the same field matrix-free (f and jac only), and declaring its matrix so
+# the march steps by R(hA) itself
+LIN_SYSTEMS = {"matrix_free": lambda: linear_system(LIN_A),
+               "declared": lambda: registry._linear_system(LIN_A, "declared")}
+
+
+def _oracle_run(path, system):
     """(stored step indices, stored times, [(computed, exact), ...])."""
-    s, X0, R = linear_system(LIN_A), LIN_X0, _rk4_propagator
+    s, X0, R = LIN_SYSTEMS[system](), LIN_X0, _rk4_propagator
     stored = [0, 3, 6, 9, 11]
     if path == "integrate":
         tr = flow.integrate(s, X0[0], LIN_T, LIN_DT, store_stride=3)
@@ -203,11 +279,15 @@ def _oracle_run(path):
                            (W, RW / np.linalg.norm(RW, axis=0))]
 
 
-@pytest.mark.parametrize("path", ["integrate", "tangent_flow", "states_at",
-                                  "tangent_at", "ensemble_tails",
-                                  "propagate_ray_pairs"])
-def test_flow_paths_match_exact_rk4_propagator(path):
-    steps, times, pairs = _oracle_run(path)
+@pytest.mark.parametrize("path,system", [
+    pytest.param(path, system,
+                 id=path if system == "matrix_free" else f"{path}-{system}")
+    for system in LIN_SYSTEMS
+    for path in ["integrate", "tangent_flow", "states_at", "tangent_at",
+                 "ensemble_tails", "propagate_ray_pairs"]])
+def test_flow_paths_match_exact_rk4_propagator(path, system):
+    assert (LIN_SYSTEMS[system]().matrix is None) == (system == "matrix_free")
+    steps, times, pairs = _oracle_run(path, system)
     assert list(times) == [min(i * LIN_DT, LIN_T) for i in steps]
     assert pairs
     for got, exact in pairs:
@@ -251,6 +331,30 @@ def test_jacobians_match_finite_differences():
     for name in registry.SYSTEMS:
         s = registry.get_system(name)
         assert flow.validate_jacobian(s, samples=100, seed=0) < 1e-5
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(registry.SYSTEMS)
+                                  if registry.get_system(n).matrix
+                                  is not None])
+def test_declared_matrix_is_the_vector_field(name):
+    s = registry.get_system(name)
+    A = s.matrix
+    assert A.shape == (s.dim, s.dim)
+    X = np.random.default_rng(2).uniform(-3.0, 3.0, (50, s.dim))
+    assert np.allclose(s.f(X), X @ A.T, rtol=1e-15, atol=0.0)
+    assert np.array_equal(s.jac(X), np.broadcast_to(A, (50, s.dim, s.dim)))
+    assert flow.validate_jacobian(s, samples=20, seed=0) < 1e-8
+    if name == "spd_lyapunov":  # the packed map S -> C S + S C^T
+        C = np.array([[-1.0, 0.2], [0.0, -1.0]])
+        S = geometry.unpack_sym(X, 2)
+        assert np.allclose(geometry.unpack_sym(s.f(X), 2),
+                           C @ S + S @ C.T, rtol=0.0, atol=1e-14)
+
+
+def test_only_linear_systems_declare_a_matrix():
+    declared = {n for n in registry.SYSTEMS
+                if registry.get_system(n).matrix is not None}
+    assert declared == {"metzler_linear", "rotation2d", "spd_lyapunov"}
 
 
 # ------------------------------------------------------------- omega limits

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,29 @@ def test_hilbert_contraction_along_equilibrium_orbit(coop):
     assert times[-1] == pytest.approx(20.0)
     assert np.all(dists[-1] < 1e-3)
     assert np.all(np.diff(dists, axis=0) <= 1e-8)
+
+
+def test_birkhoff_hopf_bound_along_an_orbit(coop):
+    # rays stored at t reach t + tau through Phi = Phi(t + tau) Phi(t)^-1,
+    # a positive map for coop2d; it contracts their Hilbert distance by
+    # tanh(D / 4), D the projective diameter of Phi(orthant) (Birkhoff
+    # 1957; Bushell 1973)
+    x0, T, stride = np.array([1.0, 0.5]), 4.0, 100
+    rng = np.random.default_rng(4)
+    A = rng.uniform(0.1, 1.0, (6, 2))
+    B = rng.uniform(0.1, 1.0, (6, 2))
+    times, dists, _, _ = pf.propagate_ray_pairs(coop, ORTHANT2, x0, A, B, T,
+                                                store_stride=stride)
+    tf = flow.tangent_flow(coop, x0, T, store_stride=stride)
+    assert np.array_equal(times, tf.times)
+    cone = ORTHANT2.cone
+    factors = []
+    for i in range(len(times)):
+        for j in range(i + 1, len(times)):
+            Phi = tf.phis[j] @ np.linalg.inv(tf.phis[i])
+            diam = max(cone.hilbert_distance(Phi[:, a], Phi[:, b])
+                       for a in range(2) for b in range(2))
+            k = math.tanh(diam / 4.0)
+            assert np.all(dists[j] <= k * dists[i] + 1e-12)
+            factors.append(k)
+    assert min(factors) < 0.85  # the longest gap makes the bound bite
