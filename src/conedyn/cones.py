@@ -31,7 +31,9 @@ the Lorentz form B), d = 2 asinh(s / sqrt(q(u) q(v))).  The textbook form
 2 log((B + sqrt(B^2 - q(u) q(v))) / sqrt(q(u) q(v))) subtracts two nearly
 equal squares near the diagonal and returns d(3u, u) ~ 1e-7; s^2 is built
 from terms that vanish with u - v, so the asinh form stays below 1e-14.
-Rays outside the interior are at distance +inf.
+``hilbert_distances(U, V)`` evaluates a stack of row pairs at once, and
+``hilbert_distance`` is its one-row case.  Rays outside the interior are at
+distance +inf.
 """
 
 from __future__ import annotations
@@ -136,17 +138,28 @@ class Cone:
         return gens / np.linalg.norm(gens, axis=1, keepdims=True)
 
     def hilbert_distance(self, u: np.ndarray, v: np.ndarray) -> float:
-        u = self._check_dim(u)
-        v = self._check_dim(v)
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu == 0.0 or nv == 0.0:
-            raise ValueError("hilbert_distance is undefined for the zero vector")
-        if not np.all(self.margins(np.stack([u, v])) > DEFAULT_TOL):
-            return math.inf
-        return float(self._distance(u / nu, v / nv))
+        """Hilbert distance of two rays: the one-row hilbert_distances."""
+        return float(self.hilbert_distances(u, v))
 
-    def _distance(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Closed-form Hilbert distance of two interior unit vectors."""
+    def hilbert_distances(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Hilbert distance of each row pair (U[i], V[i]), any leading shape.
+
+        +inf where either row is outside the interior; ValueError for a
+        zero row.
+        """
+        U, V = np.broadcast_arrays(self._check_dim(U), self._check_dim(V))
+        nu = np.linalg.norm(U, axis=-1, keepdims=True)
+        nv = np.linalg.norm(V, axis=-1, keepdims=True)
+        if np.any(nu == 0.0) or np.any(nv == 0.0):
+            raise ValueError("hilbert_distance is undefined for the zero vector")
+        inner = ((self.margins(U) > DEFAULT_TOL)
+                 & (self.margins(V) > DEFAULT_TOL))
+        d = np.full(inner.shape, math.inf)
+        d[inner] = self._distances((U / nu)[inner], (V / nv)[inner])
+        return d
+
+    def _distances(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Closed-form Hilbert distances of rows of interior unit vectors."""
         raise NotImplementedError
 
 
@@ -187,16 +200,18 @@ class Lorentz(_SelfDual):
             rays[:, 1:] = x / np.linalg.norm(x, axis=1, keepdims=True)
         return rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
-    def _distance(self, u: np.ndarray, v: np.ndarray) -> float:
-        def q(w):
-            r = np.linalg.norm(w[1:])
-            return (w[0] - r) * (w[0] + r)
+    def _distances(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        def q(W):
+            r = np.linalg.norm(W[:, 1:], axis=1)
+            return (W[:, 0] - r) * (W[:, 0] + r)
 
-        ub, vb = u[1:], v[1:]
-        wedge = np.outer(ub, vb)
-        s2 = (np.sum((u[0] * vb - v[0] * ub) ** 2)
-              - 0.5 * np.sum((wedge - wedge.T) ** 2))
-        return 2.0 * math.asinh(math.sqrt(max(s2, 0.0)) / math.sqrt(q(u) * q(v)))
+        Ub, Vb = U[:, 1:], V[:, 1:]
+        wedge = Ub[:, :, None] * Vb[:, None, :]
+        s2 = (np.sum((U[:, :1] * Vb - V[:, :1] * Ub) ** 2, axis=1)
+              - 0.5 * np.sum((wedge - np.swapaxes(wedge, 1, 2)) ** 2,
+                             axis=(1, 2)))
+        return 2.0 * np.arcsinh(np.sqrt(np.maximum(s2, 0.0))
+                                / np.sqrt(q(U) * q(V)))
 
 
 class PSDCone(_SelfDual):
@@ -224,13 +239,12 @@ class PSDCone(_SelfDual):
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         return pack_sym(q[:, :, None] * q[:, None, :])
 
-    def _distance(self, u: np.ndarray, v: np.ndarray) -> float:
-        U = unpack_sym(u, self.n)
-        V = unpack_sym(v, self.n)
-        w, Q = np.linalg.eigh(V)
-        R = (Q / np.sqrt(w)) @ Q.T
-        lam = np.linalg.eigvalsh(R @ U @ R)
-        return np.log(np.max(lam) / np.min(lam))
+    def _distances(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        # eigenvalues of V^{-1/2} U V^{-1/2}, one stack of eigh calls
+        w, Q = np.linalg.eigh(unpack_sym(V, self.n))
+        R = (Q / np.sqrt(w)[:, None, :]) @ np.swapaxes(Q, 1, 2)
+        lam = np.linalg.eigvalsh(R @ unpack_sym(U, self.n) @ R)
+        return np.log(lam[:, -1] / lam[:, 0])
 
 
 class Polyhedral(Cone):
@@ -296,9 +310,9 @@ class Polyhedral(Cone):
     def boundary_rays(self, rng: np.random.Generator, k: int) -> np.ndarray:
         return self._gens_unit[np.arange(k) % len(self._gens)]
 
-    def _distance(self, u: np.ndarray, v: np.ndarray) -> float:
-        r = self._facet_values(u) / self._facet_values(v)
-        return np.log(np.max(r) / np.min(r))
+    def _distances(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        r = self._facet_values(U) / self._facet_values(V)
+        return np.log(np.max(r, axis=1) / np.min(r, axis=1))
 
 
 class Orthant(Polyhedral):

@@ -2,9 +2,14 @@
 
 Integration is classical fixed-step RK4 (default dt = 1e-3, final partial
 step allowed) for determinism and reproducibility; adaptive stepping would
-make downstream tolerances scheduler-dependent.  The tangent flow solves
-the variational equation Phi' = J(x(t)) Phi jointly with the state, sharing
-RK4 stages.
+make downstream tolerances scheduler-dependent.  Tangent maps propagate by
+one step map: ``_rk4_step_map`` returns, with each RK4 step, its exact
+Jacobian M built from the stages, so a tangent matrix steps as P <- M P.
+The map has two batch axes: the rows of an ensemble at one time, or the
+states of one orbit over time.  Batched tangent paths (``tangent_at``)
+step M and P with the rows; single-orbit tangent paths (``tangent_flow``
+and the Perron-Frobenius ray pairs) march the state alone, then evaluate
+the maps of a chunk of buffered steps in one call and scan P over them.
 
 Vector fields are vectorized: ``f`` maps arrays of shape (..., n) to
 (..., n) and ``jac`` maps (..., n) to (..., n, n).  Every flow path -- single
@@ -61,6 +66,7 @@ TAIL_FRACTION = 0.25
 CLUSTER_RADIUS = 1e-4
 EQ_TOL = 1e-10
 CERT_EVERY = 100  # ensemble steps between contraction-certificate checks
+_ORBIT_CHUNK = 1024  # steps of one orbit per batched step-map call
 _CERT_F_MAX = 1e-2  # only rows with |f| below this seed an equilibrium search
 _CERT_EQ_TOL = 1e-12  # certified equilibria are polished past EQ_TOL
 _CERT_REJECT_RADIUS = 0.05  # rows this close to a rejected point seed nothing
@@ -138,21 +144,44 @@ def _rk4_step(s: FlowSystem, X: np.ndarray, h: float) -> np.ndarray:
     return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_step_tangent(s: FlowSystem, X: np.ndarray, P: np.ndarray, h: float):
-    k1x = s.f(X)
-    k1p = s.jac(X) @ P
-    x2 = X + 0.5 * h * k1x
-    k2x = s.f(x2)
-    k2p = s.jac(x2) @ (P + 0.5 * h * k1p)
-    x3 = X + 0.5 * h * k2x
-    k3x = s.f(x3)
-    k3p = s.jac(x3) @ (P + 0.5 * h * k2p)
-    x4 = X + h * k3x
-    k4x = s.f(x4)
-    k4p = s.jac(x4) @ (P + h * k3p)
-    Xn = X + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    Pn = P + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return Xn, Pn
+def _times_eye_plus(J: np.ndarray, K: np.ndarray, c: float) -> np.ndarray:
+    """J (I + c K) as J + c (J K): no identity matrix is formed."""
+    JK = J @ K
+    JK *= c
+    JK += J
+    return JK
+
+
+def _rk4_step_map(s: FlowSystem, X: np.ndarray, h: float):
+    """One RK4 step of the rows of X and its exact Jacobian.
+
+    Returns (Xn, M) with Xn = _rk4_step(s, X, h) bit for bit and M[j] the
+    derivative of the step map at X[j], built from the stages as
+    K1 = J1, K2 = J2 (I + h/2 K1), K3 = J3 (I + h/2 K2), K4 = J4 (I + h K3),
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), the identity added in place on
+    the diagonal.  A declared matrix gives M = R(hA).  The rows may be one
+    batch at one time or one orbit's states over time: the map batches
+    over either.
+    """
+    if s.matrix is not None:
+        R = _rk4_map(s.matrix, h)
+        return X @ R.T, np.broadcast_to(R, X.shape[:-1] + R.shape)
+    k1 = s.f(X)
+    K1 = s.jac(X)
+    x2 = X + 0.5 * h * k1
+    k2 = s.f(x2)
+    K2 = _times_eye_plus(s.jac(x2), K1, 0.5 * h)
+    x3 = X + 0.5 * h * k2
+    k3 = s.f(x3)
+    K3 = _times_eye_plus(s.jac(x3), K2, 0.5 * h)
+    x4 = X + h * k3
+    k4 = s.f(x4)
+    K4 = _times_eye_plus(s.jac(x4), K3, h)
+    Xn = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    M = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    for i in range(M.shape[-1]):
+        M[..., i, i] += 1.0
+    return Xn, M
 
 
 def _rk4_map(A: np.ndarray, h: float) -> np.ndarray:
@@ -196,8 +225,8 @@ class _Stepper:
     """Fixed-step RK4 over a batch, with failure masking or raising.
 
     Every flow path marches through ``march``.  With an initial tangent
-    matrix ``P0`` (broadcast to every row) the stepper also integrates the
-    variational equation P' = jac(x) P.
+    matrix ``P0`` (broadcast to every row) the stepper also steps the
+    variational equation P' = jac(x) P as P <- M P, M from _rk4_step_map.
     """
 
     def __init__(self, s: FlowSystem, X0: np.ndarray, P0=None,
@@ -227,7 +256,8 @@ class _Stepper:
         elif self.P is None:
             Xn, Pn = _rk4_step(self.s, self.X, h), None
         else:
-            Xn, Pn = _rk4_step_tangent(self.s, self.X, self.P, h)
+            Xn, M = _rk4_step_map(self.s, self.X, h)
+            Pn = M @ self.P
         bad = _bad_rows(self.s, Xn)
         if self.any_dead:
             bad &= ~self.dead
@@ -291,6 +321,71 @@ def _capture(stepper: _Stepper, times, dt: float, snapshot) -> list:
     return out
 
 
+def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
+                   dt: float, stride: int, on_records, unit: bool = False):
+    """March one orbit and a tangent matrix P, P(0) = P0, to T.
+
+    Only the state marches through ``_Stepper`` (same plan, guard and
+    failure policy as every flow path).  Its states are buffered, and for
+    every _ORBIT_CHUNK steps one ``_rk4_step_map`` call over the buffered
+    states (a batch over time) gives the step maps; P <- M P then scans
+    them, with every column scaled to unit Euclidean length after each
+    step when unit is set.  on_records(ts, xs, Ps) receives, in step
+    order, the stored steps: the start, every stride-th step and the last.
+    A state failure first hands over the steps before it, then raises.
+
+    Returns (x_final, P_final).
+    """
+    n_full, rem = _plan_steps(T, dt)
+    total = n_full + (1 if rem > 0.0 else 0)
+    stepper = _Stepper(s, x0[None, :])
+    P = np.array(P0, dtype=float)
+    if unit:
+        P /= np.linalg.norm(P, axis=0)
+    on_records(np.zeros(1), x0[None, :], P[None])
+    xs, ts = [], []  # states and times from the chunk's start state on
+    done = 0  # steps handed over
+
+    def flush():
+        nonlocal P, done, xs, ts
+        m = len(xs) - 1
+        if m < 1:
+            return
+        X = np.asarray(xs)
+        full = min(m, n_full - done)  # the partial step, if any, comes last
+        Ms = [_rk4_step_map(s, X[a:b], h)[1]
+              for a, b, h in ((0, full, dt), (full, m, rem)) if b > a]
+        steps = np.arange(done + 1, done + m + 1)
+        keep = (steps % stride == 0) | (steps == total)
+        out = np.empty((int(keep.sum()),) + P.shape)
+        r = 0
+        for M, k in zip(itertools.chain(*Ms), keep.tolist()):
+            P = M @ P
+            if unit:  # np.linalg.norm(P, axis=0) without its overhead
+                P /= np.sqrt(np.add.reduce(P * P, axis=0))
+            if k:
+                out[r] = P
+                r += 1
+        done += m
+        t_rec, x_rec = np.asarray(ts[1:])[keep], X[1:][keep]
+        xs, ts = xs[-1:], ts[-1:]
+        on_records(t_rec, x_rec, out)
+
+    def buffer(t, last):
+        xs.append(stepper.X[0])  # advance allocates a new X every step
+        ts.append(t)
+        if len(xs) > _ORBIT_CHUNK:
+            flush()
+
+    try:
+        stepper.march(T, dt, buffer)
+    except (FlowBlowupError, ManifoldExitError):
+        flush()
+        raise
+    flush()
+    return stepper.X[0], P
+
+
 # ------------------------------------------------------------- public ops
 
 
@@ -311,18 +406,18 @@ def integrate(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
 
 def tangent_flow(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
                  store_stride: int = STORE_STRIDE) -> TangentFlow:
-    """Jointly integrate x' = f(x) and Phi' = jac(x) Phi, Phi(0) = I."""
+    """Integrate x' = f(x) and its tangent map Phi' = jac(x) Phi, Phi0 = I."""
     x0 = s.manifold.check_point(x0)
-    stepper = _Stepper(s, x0[None, :], P0=np.eye(s.dim))
     times, states, phis = [], [], []
 
-    def store(t, last):
-        times.append(t)
-        states.append(stepper.X[0].copy())
-        phis.append(stepper.P[0].copy())
+    def store(ts, xs, Ps):
+        times.append(ts)
+        states.append(xs)
+        phis.append(Ps)
 
-    stepper.march(T, dt, store, store_stride)
-    tf = TangentFlow(np.asarray(times), np.asarray(states), np.asarray(phis))
+    _orbit_tangent(s, x0, np.eye(s.dim), T, dt, store_stride, store)
+    tf = TangentFlow(np.concatenate(times), np.concatenate(states),
+                     np.concatenate(phis))
     # the sign, not det itself: det Phi underflows to 0 on long contracting orbits
     signs, _ = np.linalg.slogdet(tf.phis)
     if np.any(signs <= 0.0):

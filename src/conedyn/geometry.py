@@ -20,6 +20,7 @@ the cocycle property ``gamma(x2,x3) o gamma(x1,x2) = gamma(x1,x3)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,17 @@ def sym_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
+def _packing(n: int):
+    """Read-only upper-triangle indices (iu, ju) of size n and the packing
+    weights: 1 on the diagonal, sqrt(2) off it."""
+    iu, ju = np.triu_indices(n)
+    w = np.where(iu == ju, 1.0, _SQRT2)
+    for a in (iu, ju, w):
+        a.flags.writeable = False
+    return iu, ju, w
+
+
 def pack_sym(S: np.ndarray) -> np.ndarray:
     """Pack a symmetric matrix into row-major upper-triangle coordinates.
 
@@ -49,9 +61,7 @@ def pack_sym(S: np.ndarray) -> np.ndarray:
     matrices.  Works on stacks of matrices (leading dimensions broadcast).
     """
     S = np.asarray(S, dtype=float)
-    n = S.shape[-1]
-    iu, ju = np.triu_indices(n)
-    w = np.where(iu == ju, 1.0, _SQRT2)
+    iu, ju, w = _packing(S.shape[-1])
     return S[..., iu, ju] * w
 
 
@@ -62,8 +72,7 @@ def unpack_sym(v: np.ndarray, n: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"packed length {v.shape[-1]} != sym_dim({n}) = {sym_dim(n)}"
         )
-    iu, ju = np.triu_indices(n)
-    w = np.where(iu == ju, 1.0, _SQRT2)
+    iu, ju, w = _packing(n)
     S = np.zeros(v.shape[:-1] + (n, n))
     S[..., iu, ju] = v / w
     S[..., ju, iu] = S[..., iu, ju]

@@ -4,7 +4,11 @@ Along an orbit of a positive system, any two interior cone rays pushed by
 the tangent flow approach each other in the Hilbert projective metric of
 the cone at the moving point; the common limit direction is the
 Perron-Frobenius direction of the orbit.  ``pf_direction`` propagates two
-rays with per-step renormalization and records the contraction log.
+rays and records the contraction log.  Rays are directions: margins and
+Hilbert distances ignore scale, so they ride the orbit's tangent map at
+unit Euclidean length, renormalized every step, and are put at unit metric
+length once, on return.  The stored records of each chunk of steps are
+checked in one batched cone call.
 
 At an equilibrium the tangent map over a fixed horizon tau is a single
 cone-positive matrix, so its Perron-Frobenius eigenpair is computed by
@@ -56,16 +60,19 @@ def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,
                         exit_tol: float = EXIT_TOL):
     """Push k ray pairs along one orbit, renormalizing every step.
 
-    The rays ride the shared flow march as the columns of its tangent
-    matrix, so the orbit gets the same step plan and manifold guard as
-    every other flow path; they are renormalized after each step.
+    The rays are the columns of a tangent matrix on the orbit's shared flow
+    march (same step plan and manifold guard as every other flow path),
+    scaled to unit Euclidean length after each step: margins and Hilbert
+    distances ignore scale.  Each chunk of stored steps takes one
+    ``margins`` call and one ``hilbert_distances`` call per cone.
 
     Returns (times, dists, x_final, W_final) where dists[m, j] is the
     Hilbert distance of pair j at stored time m and W_final holds the
-    propagated metric-unit rays as columns (a-rays then b-rays).
+    propagated rays as columns (a-rays then b-rays), at unit metric length.
 
     Raises ConeExitError when a propagated ray's containment margin drops
-    below -10 * exit_tol (a positivity violation along the orbit).
+    below -10 * exit_tol (a positivity violation along the orbit), at the
+    first stored time it does so.
     """
     x0 = s.manifold.check_point(x0)
     A = np.atleast_2d(np.asarray(rays_a, dtype=float))
@@ -73,29 +80,30 @@ def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,
     if A.shape != B.shape or A.shape[1] != s.dim:
         raise ValueError("ray arrays must both be (k, dim)")
     k = A.shape[0]
-    # columns are rays; the stepper carries them as the tangent matrix
-    stepper = flowmod._Stepper(s, x0[None, :], P0=np.concatenate([A, B]).T)
-    times: list[float] = []
-    dists: list[list[float]] = []
-    step = itertools.count()
+    times: list[np.ndarray] = []
+    dists: list[np.ndarray] = []
 
-    def renormalize(t, last):
-        x, W = stepper.X[0], stepper.P[0]
-        W /= _metric_norms(field, x, W)[None, :]
-        if next(step) % store_stride != 0 and not last:
-            return
-        cone = field.cone_at(x)
-        margins = np.array([cone.margin(W[:, j]) for j in range(2 * k)])
-        if np.min(margins) < -10.0 * exit_tol:
-            raise ConeExitError(
-                f"ray left the cone at t={t:.6g} "
-                f"(margin {np.min(margins):.3e})")
-        times.append(t)
-        dists.append([cone.hilbert_distance(W[:, j], W[:, k + j])
-                      for j in range(k)])
+    def record(ts, xs, Ws):
+        rays = np.swapaxes(Ws, 1, 2)  # (stored, 2k, dim)
+        cones = [field.cone_at(x) for x in xs]
+        # one batch per run of stored times that share a cone object
+        for cone, run in itertools.groupby(range(len(ts)), cones.__getitem__):
+            run = list(run)
+            sl = slice(run[0], run[-1] + 1)
+            worst = np.min(cone.margins(rays[sl]), axis=1)
+            out = np.flatnonzero(worst < -10.0 * exit_tol)
+            if out.size:
+                j = out[0]
+                raise ConeExitError(
+                    f"ray left the cone at t={ts[sl][j]:.6g} "
+                    f"(margin {worst[j]:.3e})")
+            times.append(ts[sl])
+            dists.append(cone.hilbert_distances(rays[sl, :k], rays[sl, k:]))
 
-    stepper.march(T, dt, renormalize)
-    return np.asarray(times), np.asarray(dists), stepper.X[0], stepper.P[0]
+    x, W = flowmod._orbit_tangent(s, x0, np.concatenate([A, B]).T, T, dt,
+                                  store_stride, record, unit=True)
+    W /= _metric_norms(field, x, W)[None, :]
+    return np.concatenate(times), np.concatenate(dists), x, W
 
 
 def pf_direction(s: flowmod.FlowSystem, field: ConeField, x0: np.ndarray,
@@ -105,10 +113,11 @@ def pf_direction(s: flowmod.FlowSystem, field: ConeField, x0: np.ndarray,
     """Estimate the Perron-Frobenius direction along the orbit of x0.
 
     Two distinct interior rays (defaults: the cone-field section and a
-    section/boundary mix) ride the tangent flow with per-step metric
-    renormalization; their Hilbert distance in the cone at the moving
-    point is the contraction log.  converged is True when the final
-    distance drops below 1e-6; the direction is the first ray at time T.
+    section/boundary mix) ride the tangent flow (see
+    ``propagate_ray_pairs``); their Hilbert distance in the cone at the
+    moving point is the contraction log.  converged is True when the final
+    distance drops below 1e-6; the direction is the first ray at time T, at
+    unit metric length.
     """
     x0 = s.manifold.check_point(x0)
     if u0 is None:

@@ -265,6 +265,33 @@ def test_hilbert_zero_vector_rejected():
         Orthant(2).hilbert_distance(np.zeros(2), np.ones(2))
 
 
+@pytest.mark.parametrize("c", [Orthant(3), square_pyramid(), Lorentz(3),
+                               PSDCone(2)], ids=lambda c: c.name)
+def test_batched_hilbert_distances_match_bisection_oracle(c):
+    rng = np.random.default_rng(11)
+    U = np.array([interior_sample(c, rng) for _ in range(8)])
+    V = np.array([interior_sample(c, rng) for _ in range(8)])
+    # rows 8, 9: a boundary ray, then an outside ray, on either side
+    edge = c.boundary_rays(rng, 1)[0]
+    U = np.vstack([U, edge, V[0]])
+    V = np.vstack([V, V[1], -edge])
+    d = c.hilbert_distances(U, V)
+    assert d.shape == (10,)
+    assert d[8] == d[9] == math.inf
+    for i in range(8):
+        assert abs(d[i] - hilbert_bisect(c, U[i], V[i])) < 1e-9
+    # the one-row case, rows as rays, and any leading shape (a stacked
+    # product may round apart from a one-row product by ulps)
+    one_row = [c.hilbert_distance(u, v) for u, v in zip(U, V)]
+    assert np.allclose(one_row, d, rtol=1e-14, atol=0.0)
+    assert np.allclose(c.hilbert_distances(3.0 * U, 0.5 * V), d,
+                       rtol=1e-14, atol=0.0)
+    grid = c.hilbert_distances(U.reshape(2, 5, -1), V.reshape(2, 5, -1))
+    assert np.allclose(grid, d.reshape(2, 5), rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        c.hilbert_distances(U, np.vstack([V[:-1], np.zeros(c.dim)]))
+
+
 # ---------------------------------------------------------------------- dual
 
 

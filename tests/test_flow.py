@@ -218,6 +218,42 @@ def test_tangent_flow_orientation_survives_det_underflow(coop):
     assert np.all(np.linalg.slogdet(tf.phis)[0] > 0)
 
 
+# --------------------------------------------------------------- step map
+
+
+@pytest.mark.parametrize("name", sorted(registry.SYSTEMS))
+def test_rk4_step_map_is_the_derivative_of_the_step(name):
+    s = registry.get_system(name)
+    rng = np.random.default_rng(8)
+    X = np.array([s.manifold.random_point(rng) for _ in range(6)])
+    h = 0.05
+    Xn, M = flow._rk4_step_map(s, X, h)
+    assert M.shape == (6, s.dim, s.dim)
+    if s.matrix is not None:  # the exact RK4 map of x' = Ax
+        assert np.array_equal(M, np.broadcast_to(flow._rk4_map(s.matrix, h),
+                                                 M.shape))
+        assert np.allclose(Xn, flow._rk4_step(s, X, h), rtol=1e-14, atol=0.0)
+    else:
+        assert np.array_equal(Xn, flow._rk4_step(s, X, h))
+    eps = 1e-6
+    for i in range(s.dim):
+        e = np.zeros(s.dim)
+        e[i] = eps
+        fd = (flow._rk4_step(s, X + e, h)
+              - flow._rk4_step(s, X - e, h)) / (2 * eps)
+        assert np.max(np.abs(M[:, :, i] - fd)) <= 1e-7
+
+
+def test_rk4_step_map_stages_give_the_exact_map_of_a_linear_field():
+    A = np.array([[-1.0, 2.0, 0.5], [0.3, -0.7, 0.0], [1.0, -1.0, 0.2]])
+    X = np.random.default_rng(9).normal(size=(4, 3))
+    for h in (1e-3, 0.1, 0.7):
+        _, M = flow._rk4_step_map(linear_system(A), X, h)  # matrix-free
+        R = flow._rk4_map(A, h)
+        assert np.allclose(M, np.broadcast_to(R, M.shape), rtol=0.0,
+                           atol=1e-14 * np.abs(R).max())
+
+
 # --------------------------------------------------- exact propagator oracle
 
 # For x' = Ax one RK4 step of size h is exactly the matrix R(hA) below, so
@@ -349,6 +385,15 @@ def test_declared_matrix_is_the_vector_field(name):
         S = geometry.unpack_sym(X, 2)
         assert np.allclose(geometry.unpack_sym(s.f(X), 2),
                            C @ S + S @ C.T, rtol=0.0, atol=1e-14)
+
+
+def test_coop2d_jac_is_diag_sech2_times_gain_minus_identity(coop):
+    A = np.array([[2.0, 0.5], [0.5, 2.0]])
+    rng = np.random.default_rng(3)
+    for X in (rng.normal(size=2), rng.normal(size=(1, 2)),
+              3.0 * rng.normal(size=(1000, 2)), rng.normal(size=(4, 5, 2))):
+        sech2 = 1.0 / np.cosh(X @ A.T) ** 2
+        assert np.array_equal(coop.jac(X), sech2[..., :, None] * A - np.eye(2))
 
 
 def test_only_linear_systems_declare_a_matrix():

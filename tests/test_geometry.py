@@ -146,3 +146,21 @@ def test_packing_is_frobenius_isometric():
         assert np.dot(pack_sym(U), pack_sym(V)) == pytest.approx(
             np.sum(U * V), abs=1e-12)
         assert np.allclose(unpack_sym(pack_sym(U), 3), U, atol=1e-14)
+
+
+def test_packing_is_the_weighted_upper_triangle_for_every_size():
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 3, 5):
+        iu, ju = np.triu_indices(n)
+        w = np.where(iu == ju, 1.0, np.sqrt(2.0))
+        B = rng.normal(size=(4, n, n))
+        S = B + np.swapaxes(B, 1, 2)
+        v = pack_sym(S)
+        assert np.array_equal(v, S[..., iu, ju] * w)
+        U = np.zeros_like(S)
+        U[..., iu, ju] = v / w
+        U[..., ju, iu] = U[..., iu, ju]
+        assert np.array_equal(unpack_sym(v, n), U)
+        # the index arrays are shared between calls, so nobody may write them
+        for a in g._packing(n):
+            assert not a.flags.writeable

@@ -1,12 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conedyn import flow, pf, registry
+from conedyn import flow, geometry, pf, registry
 from conedyn.conefield import ConstantField
-from conedyn.cones import Orthant
-from conedyn.errors import ConeExitError, NotEquilibriumError, PowerIterationError
+from conedyn.cones import Lorentz, Orthant, Polyhedral, conic_combinations
+from conedyn.errors import (
+    ConeExitError,
+    FlowBlowupError,
+    NotEquilibriumError,
+    PowerIterationError,
+)
 from helpers import constant_system, linear_system, tanh_fixed_point
 
 ORTHANT2 = ConstantField(Orthant(2))
@@ -173,3 +179,156 @@ def test_birkhoff_hopf_bound_along_an_orbit(coop):
             assert np.all(dists[j] <= k * dists[i] + 1e-12)
             factors.append(k)
     assert min(factors) < 0.85  # the longest gap makes the bound bite
+
+
+# ------------------------------------------- batched records vs a reference
+
+
+def reference_ray_pairs(s, field, x0, A, B, T, dt=flow.DT_DEFAULT,
+                        store_stride=flow.STORE_STRIDE,
+                        exit_tol=pf.EXIT_TOL):
+    """propagate_ray_pairs step by step: the rays ride the batched march
+    as its tangent matrix, renormalized after every step, and each stored
+    time checks every ray with ``margin`` and every pair with
+    ``hilbert_distance``."""
+    k = len(A)
+    stepper = flow._Stepper(s, x0[None, :], P0=np.concatenate([A, B]).T)
+    times, dists = [], []
+    step = itertools.count()
+
+    def record(t, last):
+        x, W = stepper.X[0], stepper.P[0]
+        W /= np.linalg.norm(W, axis=0)
+        if next(step) % store_stride != 0 and not last:
+            return
+        cone = field.cone_at(x)
+        worst = min(cone.margin(W[:, j]) for j in range(2 * k))
+        if worst < -10.0 * exit_tol:
+            raise ConeExitError(
+                f"ray left the cone at t={t:.6g} (margin {worst:.3e})")
+        times.append(t)
+        dists.append([cone.hilbert_distance(W[:, j], W[:, k + j])
+                      for j in range(k)])
+
+    stepper.march(T, dt, record)
+    x, W = stepper.X[0], stepper.P[0]
+    norms = [geometry.metric_norm(s.manifold, x, geometry.Tangent(x, w))
+             for w in W.T]
+    return np.asarray(times), np.asarray(dists), x, W / norms
+
+
+def _ray_cases():
+    coop = registry.get_system("coop2d")
+    twin = Polyhedral(np.eye(2), np.eye(2))  # the orthant's polyhedral twin
+    spd = registry.get_system("spd_lyapunov")
+    return {
+        "coop2d-orthant": (coop, ORTHANT2, np.array([1.0, 0.5])),
+        "coop2d-polyhedral": (coop, ConstantField(twin), np.array([1.0, 0.5])),
+        "coop2d-lorentz": (coop, ConstantField(Lorentz(2)),
+                           np.array([1.0, 0.5])),
+        "spd_lyapunov-psd": (spd, registry.default_field(spd),
+                             registry.DEFAULT_X0["spd_lyapunov"]),
+    }
+
+
+def _ray_pairs(field, x0, k=3):
+    cone = field.cone_at(x0)
+    rng = np.random.default_rng(12)
+    rays = cone.unit_rays(rng)
+    return (conic_combinations(rays, k, rng), conic_combinations(rays, k, rng))
+
+
+@pytest.mark.parametrize("stride", [1, 10, 10**9])
+@pytest.mark.parametrize("case", sorted(_ray_cases()))
+def test_ray_pairs_match_the_stepwise_reference(case, stride):
+    # 2500 full steps and a partial one: three chunks of the batched march
+    s, field, x0 = _ray_cases()[case]
+    A, B = _ray_pairs(field, x0)
+    T = 2.5004
+    got = pf.propagate_ray_pairs(s, field, x0, A, B, T, store_stride=stride)
+    want = reference_ray_pairs(s, field, x0, A, B, T, store_stride=stride)
+    assert np.array_equal(got[0], want[0])
+    assert want[0][-1] == T
+    assert len(want[0]) == len(range(0, 2501, stride)) + 1  # and step 2501
+    assert got[1].shape == want[1].shape == (len(want[0]), 3)
+    assert np.all(np.isfinite(want[1]))
+    for g, w in zip(got[1:], want[1:]):
+        assert np.max(np.abs(g - w)) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_chunk_boundaries_do_not_move_the_records(monkeypatch, chunk):
+    # 15 full steps and a partial one: the partial step may start a chunk
+    s, field, x0 = _ray_cases()["coop2d-orthant"]
+    A, B = _ray_pairs(field, x0)
+    want = reference_ray_pairs(s, field, x0, A, B, 0.01505, 1e-3, 2)
+    monkeypatch.setattr(flow, "_ORBIT_CHUNK", chunk)
+    got = pf.propagate_ray_pairs(s, field, x0, A, B, 0.01505, 1e-3, 2)
+    assert np.array_equal(got[0], want[0])
+    for g, w in zip(got[1:], want[1:]):
+        assert np.max(np.abs(g - w)) <= 1e-12
+    tf = flow.tangent_flow(s, x0, 0.01505, 1e-3, store_stride=2)
+    assert np.array_equal(tf.times, want[0])
+    assert np.array_equal(tf.states[-1], want[2])
+
+
+def blowup_rotation():
+    """r' = r^2 blows up at t = 1 / r(0); (p, q) turns clockwise at rate 1,
+    so a tangent ray at angle phi in the (p, q) plane crosses q = 0 at
+    t = phi."""
+    def f(x):
+        x = np.asarray(x)
+        return np.stack([x[..., 0] ** 2, x[..., 2], -x[..., 1]], axis=-1)
+
+    def jac(x):
+        x = np.asarray(x)
+        J = np.zeros(x.shape[:-1] + (3, 3))
+        J[..., 0, 0] = 2.0 * x[..., 0]
+        J[..., 1, 2] = 1.0
+        J[..., 2, 1] = -1.0
+        return J
+
+    return flow.FlowSystem(geometry.euclidean(3), f, jac, "blowup_rotation")
+
+
+# {(r, p, q) : p >= 0, q >= 0, |r| <= p + q}: the rays below keep r = 0,
+# so the blowup of r leaves them finite
+WEDGE = ConstantField(Polyhedral(
+    [[1, 0, 1], [-1, 0, 1], [1, 1, 0], [-1, 1, 0]],
+    [[0, 1, 0], [0, 0, 1], [-1, 1, 1], [1, 1, 1]]))
+
+
+def _rotated_rays(phi):
+    return (np.array([[0.0, math.cos(phi), math.sin(phi)]]),
+            np.array([[0.0, math.cos(phi - 0.05), math.sin(phi - 0.05)]]))
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+def test_a_cone_exit_before_a_blowup_raises_at_its_own_time(stride):
+    # exit near t = 1.45 (step ~1450, the second chunk); blowup at t = 2
+    s, field = blowup_rotation(), WEDGE
+    x0 = np.array([0.5, 1.0, 0.0])
+    A, B = _rotated_rays(1.5)
+    with pytest.raises(ConeExitError) as want:
+        reference_ray_pairs(s, field, x0, A, B, 3.0, store_stride=stride)
+    with pytest.raises(ConeExitError) as got:
+        pf.propagate_ray_pairs(s, field, x0, A, B, 3.0, store_stride=stride)
+    assert str(got.value) == str(want.value)
+    assert "t=1.4" in str(got.value)
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+def test_a_blowup_with_no_earlier_exit_raises_at_the_reference_time(stride):
+    # blowup at t = 1.3 (step ~1300, the second chunk); exit near t = 1.45
+    s, field = blowup_rotation(), WEDGE
+    x0 = np.array([1.0 / 1.3, 1.0, 0.0])
+    A, B = _rotated_rays(1.5)
+    with pytest.raises(FlowBlowupError) as want:
+        reference_ray_pairs(s, field, x0, A, B, 3.0, store_stride=stride)
+    with pytest.raises(FlowBlowupError) as got:
+        pf.propagate_ray_pairs(s, field, x0, A, B, 3.0, store_stride=stride)
+    assert got.value.time == want.value.time
+    assert 1.25 < got.value.time <= 1.35
+    with pytest.raises(FlowBlowupError) as tf:
+        flow.tangent_flow(s, x0, 3.0)
+    assert tf.value.time == want.value.time
