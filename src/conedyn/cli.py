@@ -1,10 +1,9 @@
 """Command-line front end: scenario parsing, dispatch, report emission.
 
-Subcommands: check-dp | pf | converge | dichotomy | trichotomy | criterion
-| order | causal | list.  Reports go to --out as JSON (stdout by default)
-and optionally to --csv as flat per-sample rows.  Exit codes: 0 clean run,
-1 positivity violation / property violations, 2 usage or scenario error,
-3 numeric failure or internal error.
+Subcommands and the options each reads: ``COMMANDS``.  Reports go to --out
+as JSON (stdout by default) and optionally to --csv as flat per-sample
+rows.  Exit codes: 0 clean run, 1 positivity violation / property
+violations, 2 usage or scenario error, 3 numeric failure or internal error.
 """
 
 from __future__ import annotations
@@ -33,13 +32,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-COMMANDS = ("check-dp", "pf", "converge", "dichotomy", "trichotomy",
-            "criterion", "order", "causal", "list")
-
 _MAX_STEPS = 10_000_000  # T/dt cap; the default plan is 1e5 steps
-_SCENARIO_KEYS = {"system", "experiment", "field", "T", "dt", "N", "seed",
-                  "x0", "out", "csv"}
-_NO_SYSTEM = ("order", "causal", "list")
 _ORDER_CONES = {"orthant": Orthant, "lorentz": Lorentz}
 
 
@@ -62,19 +55,21 @@ def validate_scenario(data: dict) -> Scenario:
     problems = []
     if not isinstance(data, dict):
         raise ScenarioError(["scenario must be a JSON object"])
-    for key in data:
-        if key not in _SCENARIO_KEYS:
-            problems.append(f"{key}: unknown key")
-
     experiment = data.get("experiment", "converge")
-    if experiment not in COMMANDS or experiment == "list":
+    if not isinstance(experiment, str) or experiment not in COMMANDS:
         problems.append(f"experiment: unknown experiment {experiment!r}")
+    reads = () if problems else COMMANDS[experiment][1]
+    for key in data:
+        if key not in Scenario.__dataclass_fields__:
+            problems.append(f"{key}: unknown key")
+        elif key != "experiment" and reads and key not in reads:
+            problems.append(f"{key}: not read by {experiment}")
 
     system = data.get("system")
     if system is not None and (not isinstance(system, str)
                                or system not in registry.SYSTEMS):
         problems.append(f"system: unknown system {system!r}")
-    elif system is None and experiment not in _NO_SYSTEM:
+    elif system is None and "system" in reads:
         problems.append("system: required for this experiment")
 
     def _pos(key, default, kind=float):
@@ -119,7 +114,7 @@ def validate_scenario(data: dict) -> Scenario:
                     out=data.get("out"), csv=data.get("csv"))
 
 
-def load_scenario(path: str) -> Scenario:
+def _read_scenario(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -128,12 +123,21 @@ def load_scenario(path: str) -> Scenario:
             [f"{path}: JSON parse error at line {e.lineno} col {e.colno}: {e.msg}"])
     except OSError as e:
         raise ScenarioError([f"{path}: {e}"])
-    return validate_scenario(data)
+    if not isinstance(data, dict):
+        raise ScenarioError(["scenario must be a JSON object"])
+    return data
+
+
+def load_scenario(path: str) -> Scenario:
+    return validate_scenario(_read_scenario(path))
 
 
 def save_scenario(s: Scenario, path: str) -> None:
+    """Write the keys s's experiment reads, so the file loads back to s."""
+    keep = COMMANDS[s.experiment][1] + ("experiment",)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({k: v for k, v in asdict(s).items() if v is not None},
+        json.dump({k: v for k, v in asdict(s).items()
+                   if v is not None and k in keep},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -198,9 +202,7 @@ def _cmd_list(scen: Scenario):
     return None, None, EXIT_OK
 
 
-def _cmd_check_dp(scen: Scenario):
-    system = registry.get_system(scen.system)
-    field = resolve_field(scen, system)
+def _cmd_check_dp(scen: Scenario, system, field):
     times = sorted({min(t, scen.T) for t in (0.1, 1.0, 5.0)})
     verdict = positivity.check_dp(system, field, x_samples=scen.N,
                                   ray_samples=8, times=times,
@@ -214,9 +216,7 @@ def _cmd_check_dp(scen: Scenario):
     return report, None, code
 
 
-def _cmd_pf(scen: Scenario):
-    system = registry.get_system(scen.system)
-    field = resolve_field(scen, system)
+def _cmd_pf(scen: Scenario, system, field):
     x0 = resolve_x0(scen, system)
     res = pf.pf_direction(system, field, x0, T=scen.T, dt=scen.dt)
     log = res.contraction_log
@@ -233,9 +233,7 @@ def _cmd_pf(scen: Scenario):
     return report, None, EXIT_OK
 
 
-def _cmd_converge(scen: Scenario):
-    system = registry.get_system(scen.system)
-    field = resolve_field(scen, system)
+def _cmd_converge(scen: Scenario, system, field):
     rep = experiments.generic_convergence(
         system, field, box=3.0, N=scen.N, T=scen.T, seed=scen.seed,
         dt=scen.dt)
@@ -254,9 +252,7 @@ def _cmd_converge(scen: Scenario):
     return report, rep.samples, EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _cmd_dichotomy(scen: Scenario):
-    system = registry.get_system(scen.system)
-    field = resolve_field(scen, system)
+def _cmd_dichotomy(scen: Scenario, system, field):
     rep = experiments.dichotomy_check(system, field, pairs=scen.N, T=scen.T,
                                       seed=scen.seed, dt=scen.dt)
     report = reports.make_report(
@@ -272,9 +268,7 @@ def _cmd_dichotomy(scen: Scenario):
     return report, None, code
 
 
-def _cmd_criterion(scen: Scenario):
-    system = registry.get_system(scen.system)
-    field = resolve_field(scen, system)
+def _cmd_criterion(scen: Scenario, system, field):
     t_scan = [t for t in (0.5, 1.0, 2.0, 5.0) if t <= scen.T] or [scen.T]
     rep = experiments.convergence_criterion_check(
         system, field, x_samples=scen.N, T_scan=t_scan, seed=scen.seed,
@@ -293,9 +287,7 @@ def _cmd_criterion(scen: Scenario):
     return report, None, code
 
 
-def _cmd_trichotomy(scen: Scenario):
-    system = registry.get_system(scen.system)
-    field = resolve_field(scen, system)
+def _cmd_trichotomy(scen: Scenario, system, field):
     x0 = resolve_x0(scen, system)
     rep = experiments.trichotomy_check(system, field, x0, n_seq=8,
                                        T=scen.T, dt=scen.dt)
@@ -337,9 +329,6 @@ def _cmd_order(scen: Scenario):
 
 
 def _cmd_causal(scen: Scenario):
-    if scen.field is not None or scen.system is not None:
-        raise UnsupportedInputError("causal checks 1+1 Minkowski space "
-                                    "only: it takes no --field or --system")
     p = np.array([0.0, 0.0])
     region = ((0.0, 2.0), (-2.0, 2.0))
     resolution = 101
@@ -370,76 +359,83 @@ def _cmd_causal(scen: Scenario):
     return report, None, EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
-_HANDLERS = {
-    "list": _cmd_list,
-    "check-dp": _cmd_check_dp,
-    "pf": _cmd_pf,
-    "converge": _cmd_converge,
-    "dichotomy": _cmd_dichotomy,
-    "criterion": _cmd_criterion,
-    "trichotomy": _cmd_trichotomy,
-    "order": _cmd_order,
-    "causal": _cmd_causal,
+# ------------------------------------------------------------------ options
+
+
+def _floats(text: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated floats")
+
+
+# option -> (flag, type, help); every option but --scenario sets the
+# scenario key of its name
+OPTIONS = {
+    "scenario": ("--scenario", None, "JSON scenario file"),
+    "system": ("--system", None, "registry system key"),
+    "field": ("--field", None, "cone field: orthant|lorentz|psd or JSON spec"),
+    "seed": ("--seed", int, "base seed (default 0)"),
+    "N": ("--n", int, "sample/pair count (default 1000)"),
+    "T": ("--T", float, "horizon (default 100)"),
+    "dt": ("--dt", float, "RK4 step (default 1e-3)"),
+    "x0": ("--x0", _floats, "comma-separated start point"),
+    "out": ("--out", None, "JSON report path (default stdout)"),
+    "csv": ("--csv", None, "per-sample CSV path"),
+}
+_SAMPLED = ("scenario", "system", "field", "seed", "N", "T", "dt", "out")
+_ORBIT = ("scenario", "system", "field", "seed", "T", "dt", "x0", "out")
+# command -> (handler, the options it reads); a command refuses every other
+# option, on the command line and as a scenario key
+COMMANDS = {
+    "check-dp": (_cmd_check_dp, _SAMPLED),
+    "pf": (_cmd_pf, _ORBIT),
+    "converge": (_cmd_converge, _SAMPLED + ("csv",)),
+    "dichotomy": (_cmd_dichotomy, _SAMPLED),
+    "trichotomy": (_cmd_trichotomy, _ORBIT),
+    "criterion": (_cmd_criterion, _SAMPLED),
+    "order": (_cmd_order, ("scenario", "field", "seed", "N", "out")),
+    "causal": (_cmd_causal, ("scenario", "seed", "N", "out")),
+    "list": (_cmd_list, ("out",)),
 }
 
 
 # ------------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, not argparse's usage block
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conedyn",
         description="cone fields, positive flows, and conal-order checks")
-    sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, reads) in COMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} task")
-        p.add_argument("--scenario", help="JSON scenario file")
-        p.add_argument("--system", help="registry system key")
-        p.add_argument("--field",
-                       help="cone field: orthant|lorentz|psd or JSON spec")
-        p.add_argument("--seed", type=int, help="base seed (default 0)")
-        p.add_argument("--n", type=int, dest="N",
-                       help="sample/pair count (default 1000)")
-        p.add_argument("--T", type=float, help="horizon (default 100)")
-        p.add_argument("--dt", type=float, help="RK4 step (default 1e-3)")
-        p.add_argument("--x0", help="comma-separated start point")
-        p.add_argument("--out", help="JSON report path (default stdout)")
-        p.add_argument("--csv", help="per-sample CSV path")
+        for key in reads:
+            flag, kind, text = OPTIONS[key]
+            p.add_argument(flag, dest=key, type=kind, help=text)
     return parser
 
 
 def _scenario_from_args(args) -> Scenario:
-    data = {}
-    if args.scenario:
-        data = asdict(load_scenario(args.scenario))
-        data = {k: v for k, v in data.items() if v is not None}
-    data["experiment"] = args.command
-    for key, attr in (("system", "system"), ("field", "field"),
-                      ("seed", "seed"), ("N", "N"), ("T", "T"),
-                      ("dt", "dt"), ("out", "out"), ("csv", "csv")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            data[key] = val
-    if getattr(args, "x0", None):
-        try:
-            data["x0"] = [float(v) for v in args.x0.split(",")]
-        except ValueError:
-            raise ScenarioError(["x0: expected comma-separated floats"])
-    if args.command == "list":
-        return Scenario(experiment="converge", system=None,
-                        out=data.get("out"))
-    return validate_scenario(data)
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    command, path = given.pop("command"), given.pop("scenario", None)
+    data = _read_scenario(path) if path else {}
+    if data.get("experiment", command) != command:
+        raise ScenarioError(
+            [f"experiment: the file is for {data['experiment']!r}, not {command}"])
+    return validate_scenario({**data, **given, "experiment": command})
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
-    if args.command is None:
-        parser.print_help(sys.stderr)
-        return EXIT_USAGE
     try:
         scen = _scenario_from_args(args)
     except ScenarioError as e:
@@ -449,7 +445,10 @@ def run(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        report, rows, code = _HANDLERS[args.command](scen)
+        handler, reads = COMMANDS[args.command]
+        system = registry.get_system(scen.system) if "system" in reads else None
+        given = () if system is None else (system, resolve_field(scen, system))
+        report, rows, code = handler(scen, *given)
         if report is not None:
             report["exit_code"] = code
             reports.validate_report(report)

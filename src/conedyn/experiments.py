@@ -26,7 +26,7 @@ from . import positivity
 from .conefield import ConeField, ConstantField
 from .cones import conic_combinations
 from .errors import ProbeConstructionError, UnsupportedInputError
-from .flow import NON_SINGLETON, SINGLETON, UNDETERMINED
+from .flow import NON_SINGLETON, SINGLETON, UNDETERMINED, sample_states
 from .order import INCOMPARABLE, LEQ_STRICT, leq_flat
 
 MATCH_TOL = 1e-3  # singleton limits closer than this are the same equilibrium
@@ -43,35 +43,6 @@ def wilson_interval(k: int, n: int, z: float = _Z95):
     center = (ph + z * z / (2 * n)) / den
     half = z * math.sqrt(ph * (1 - ph) / n + z * z / (4 * n * n)) / den
     return (max(0.0, center - half), min(1.0, center + half))
-
-
-def _box_array(box, dim: int) -> np.ndarray:
-    box = np.asarray(box, dtype=float)
-    if box.ndim == 0:
-        box = np.array([[-float(box), float(box)]] * dim)
-    elif box.ndim == 1:
-        if box.shape[0] != 2:
-            raise ValueError("1-d box must be (lo, hi)")
-        box = np.tile(box, (dim, 1))
-    if box.shape != (dim, 2) or np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("box must give lo < hi per dimension")
-    return box
-
-
-def sample_states(s: flowmod.FlowSystem, box, N: int,
-                  seed: int | np.random.Generator) -> np.ndarray:
-    """N states drawn from ``np.random.default_rng(seed)``.
-
-    Uniform in the box on flat space; random SPD points (log-uniform
-    eigenvalues) on SPD, where a coordinate box would leave the chart.
-    Rows are drawn in sample order, so row i does not depend on N.  seed
-    may be a ``np.random.Generator``, which the draws then continue.
-    """
-    rng = np.random.default_rng(seed)
-    if s.manifold.kind == "euclidean":
-        box = _box_array(box, s.dim)
-        return rng.uniform(box[:, 0], box[:, 1], (N, s.dim))
-    return np.stack([s.manifold.random_point(rng) for _ in range(N)])
 
 
 def _omega_batch(s, X0, T, dt):

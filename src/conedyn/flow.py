@@ -332,7 +332,8 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
     them, with every column scaled to unit Euclidean length after each
     step when unit is set.  on_records(ts, xs, Ps) receives, in step
     order, the stored steps: the start, every stride-th step and the last.
-    A state failure first hands over the steps before it, then raises.
+    A state failure first hands over the steps before it, then raises; so
+    does (unit set) a step that leaves a column of P a zero or inf/nan norm.
 
     Returns (x_final, P_final).
     """
@@ -351,25 +352,32 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
         m = len(xs) - 1
         if m < 1:
             return
-        X = np.asarray(xs)
+        X, t_steps = np.asarray(xs), np.asarray(ts[1:])
+        xs, ts = xs[-1:], ts[-1:]
         full = min(m, n_full - done)  # the partial step, if any, comes last
-        Ms = [_rk4_step_map(s, X[a:b], h)[1]
-              for a, b, h in ((0, full, dt), (full, m, rem)) if b > a]
         steps = np.arange(done + 1, done + m + 1)
+        done += m
         keep = (steps % stride == 0) | (steps == total)
         out = np.empty((int(keep.sum()),) + P.shape)
+        norms = np.ones((m, P.shape[1]))  # unit: column norms after each step
         r = 0
-        for M, k in zip(itertools.chain(*Ms), keep.tolist()):
-            P = M @ P
-            if unit:  # np.linalg.norm(P, axis=0) without its overhead
-                P /= np.sqrt(np.add.reduce(P * P, axis=0))
-            if k:
-                out[r] = P
-                r += 1
-        done += m
-        t_rec, x_rec = np.asarray(ts[1:])[keep], X[1:][keep]
-        xs, ts = xs[-1:], ts[-1:]
-        on_records(t_rec, x_rec, out)
+        with np.errstate(all="ignore"):  # failures are dated below or by march
+            Ms = [_rk4_step_map(s, X[a:b], h)[1]
+                  for a, b, h in ((0, full, dt), (full, m, rem)) if b > a]
+            for M, k, nrm in zip(itertools.chain(*Ms), keep.tolist(), norms):
+                P = M @ P
+                if unit:  # np.linalg.norm(P, axis=0) without its overhead
+                    P /= np.sqrt(np.add.reduce(P * P, axis=0), out=nrm)
+                if k:
+                    out[r] = P
+                    r += 1
+        ok = ((norms > 0.0) & (norms < np.inf)).all(axis=1)  # nan fails too
+        n_ok = m if ok.all() else int(np.argmin(ok))
+        n_rec = int(keep[:n_ok].sum())
+        on_records(t_steps[keep][:n_rec], X[1:][keep][:n_rec], out[:n_rec])
+        if n_ok < m:
+            raise FlowBlowupError(t_steps[n_ok], "tangent map blew up near "
+                                  f"t={t_steps[n_ok]:.6g}")
 
     def buffer(t, last):
         xs.append(stepper.X[0])  # advance allocates a new X every step
@@ -445,6 +453,35 @@ def tangent_at(s: FlowSystem, X0: np.ndarray, times, dt: float = DT_DEFAULT,
                      lambda: (stepper.X.copy(), stepper.P.copy()))
     return (np.asarray([x for x, _ in snaps]),
             np.asarray([p for _, p in snaps]))
+
+
+def _box_array(box, dim: int) -> np.ndarray:
+    box = np.asarray(box, dtype=float)
+    if box.ndim == 0:
+        box = np.array([[-float(box), float(box)]] * dim)
+    elif box.ndim == 1:
+        if box.shape[0] != 2:
+            raise ValueError("1-d box must be (lo, hi)")
+        box = np.tile(box, (dim, 1))
+    if box.shape != (dim, 2) or np.any(box[:, 1] <= box[:, 0]):
+        raise ValueError("box must give lo < hi per dimension")
+    return box
+
+
+def sample_states(s: FlowSystem, box, N: int,
+                  seed: int | np.random.Generator) -> np.ndarray:
+    """N states drawn from ``np.random.default_rng(seed)``.
+
+    Uniform in the box on flat space; random SPD points (log-uniform
+    eigenvalues) on SPD, where a coordinate box would leave the chart.
+    Rows are drawn in sample order, so row i does not depend on N.  seed
+    may be a ``np.random.Generator``, which the draws then continue.
+    """
+    rng = np.random.default_rng(seed)
+    if s.manifold.kind == "euclidean":
+        box = _box_array(box, s.dim)
+        return rng.uniform(box[:, 0], box[:, 1], (N, s.dim))
+    return np.stack([s.manifold.random_point(rng) for _ in range(N)])
 
 
 # ------------------------------------------------------------ equilibria

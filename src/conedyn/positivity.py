@@ -49,12 +49,6 @@ class DpVerdict:
     params: dict = dc_field(default_factory=dict)
 
 
-def _sample_points(s, n_points: int, rng: np.random.Generator, box_scale: float):
-    if s.manifold.kind == "euclidean":
-        return rng.uniform(-box_scale, box_scale, (n_points, s.dim))
-    return np.stack([s.manifold.random_point(rng) for _ in range(n_points)])
-
-
 def _ray_set(cone: Cone, field: ConeField, x0: np.ndarray, k: int,
              rng: np.random.Generator):
     """k nonzero cone rays at x0 with boundary tags.
@@ -88,7 +82,7 @@ def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
     if x_samples < 1 or ray_samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    X0 = _sample_points(s, x_samples, rng, box_scale)
+    X0 = flowmod.sample_states(s, box_scale, x_samples, rng)
     ray_list, tag_list = [], []
     for i in range(x_samples):
         r, tg = _ray_set(field.cone_at(X0[i]), field, X0[i], ray_samples, rng)
@@ -148,8 +142,7 @@ def cross_positivity_flat(s: flowmod.FlowSystem, c: Cone, x_samples: int,
     active = [(g, lam) for g in gens for lam in normals
               if abs(float(np.dot(lam, g))) < 1e-12]
 
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-box_scale, box_scale, (x_samples, s.dim))
+    X = flowmod.sample_states(s, box_scale, x_samples, seed)
     worst = np.inf
     witness = None
     for x in X:
@@ -183,13 +176,13 @@ def flat_equivalence(s: flowmod.FlowSystem, c: Cone, pairs: int, T: float,
     if s.manifold.kind != "euclidean":
         raise UnsupportedInputError("flat_equivalence needs a flat manifold")
     check_times = [T / 2.0, T]
+    rng = np.random.default_rng(seed)  # the pairs follow check_dp's draws
     dp = check_dp(s, ConstantField(c), dp_x_samples, dp_ray_samples,
-                  check_times, seed, tol=tol, dt=dt, box_scale=box_scale)
+                  check_times, rng, tol=tol, dt=dt, box_scale=box_scale)
     dp_pass = dp.status in (DP, SDP)
 
-    rng = np.random.default_rng(seed)
     rays = c.unit_rays(rng)
-    X = rng.uniform(-box_scale, box_scale, (pairs, s.dim))
+    X = flowmod.sample_states(s, box_scale, pairs, rng)
     n_ext = min(pairs, 2 * len(rays))
     dirs = np.vstack([rays[np.arange(n_ext) % len(rays)],
                       conic_combinations(rays, pairs - n_ext, rng)])

@@ -78,3 +78,22 @@ def constant_system(v, name="constant"):
         return np.zeros(x.shape[:-1] + (n, n))
 
     return flow.FlowSystem(geometry.euclidean(n), f, jac, name)
+
+
+def blowup_rotation():
+    """r' = r^2 blows up at t = 1 / r(0); (p, q) turns clockwise at rate 1,
+    so a tangent ray at angle phi in the (p, q) plane crosses q = 0 at
+    t = phi."""
+    def f(x):
+        x = np.asarray(x)
+        return np.stack([x[..., 0] ** 2, x[..., 2], -x[..., 1]], axis=-1)
+
+    def jac(x):
+        x = np.asarray(x)
+        J = np.zeros(x.shape[:-1] + (3, 3))
+        J[..., 0, 0] = 2.0 * x[..., 0]
+        J[..., 1, 2] = 1.0
+        J[..., 2, 1] = -1.0
+        return J
+
+    return flow.FlowSystem(geometry.euclidean(3), f, jac, "blowup_rotation")

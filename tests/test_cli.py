@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conedyn import cli, reports
+from conedyn import cli, registry, reports
 from conedyn.cli import Scenario, load_scenario, run, save_scenario, validate_scenario
 from conedyn.errors import ScenarioError
+from helpers import blowup_rotation
 
 
 def read_json(path):
@@ -54,11 +56,14 @@ def test_scenario_parse_error_has_location(tmp_path):
 
 
 def test_scenario_roundtrip(tmp_path):
-    s = Scenario(system="coop2d", experiment="dichotomy", T=42.0, dt=1e-2,
-                 N=17, seed=3, x0=[0.5, 0.5])
-    p = tmp_path / "round.json"
-    save_scenario(s, str(p))
-    assert load_scenario(str(p)) == s
+    # no experiment reads both N and x0: dichotomy reads N, trichotomy x0
+    for experiment, extra in (("dichotomy", {"N": 17}),
+                              ("trichotomy", {"x0": [0.5, 0.5]})):
+        s = Scenario(system="coop2d", experiment=experiment, T=42.0,
+                     dt=1e-2, seed=3, **extra)
+        p = tmp_path / f"{experiment}.json"
+        save_scenario(s, str(p))
+        assert load_scenario(str(p)) == s
 
 
 # ------------------------------------------------------------------- runs
@@ -208,27 +213,30 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["converge", "--scenario", str(scen)]) == 2
 
 
+_CONVERGE = ["converge", "--system", "coop2d", "--n", "5"]
+
+
 @pytest.mark.parametrize("argv,bad", [
-    (["--T", "nan"], None),
-    (["--T", "inf"], None),
-    (["--dt", "nan"], None),
-    ([], {"T": float("nan")}),
-    ([], {"T": float("-inf")}),
-    ([], {"dt": float("inf")}),
-    ([], {"dt": "1e-3"}),
-    ([], {"T": True}),
-    ([], {"dt": False}),
-    ([], {"N": True}),
-    ([], {"N": 2.7}),
-    ([], {"N": "5"}),
-    (["--x0", "nan,1"], None),
-    ([], {"system": ["coop2d"]}),
+    (_CONVERGE + ["--T", "nan"], None),
+    (_CONVERGE + ["--T", "inf"], None),
+    (_CONVERGE + ["--dt", "nan"], None),
+    (None, {"T": float("nan")}),
+    (None, {"T": float("-inf")}),
+    (None, {"dt": float("inf")}),
+    (None, {"dt": "1e-3"}),
+    (None, {"T": True}),
+    (None, {"dt": False}),
+    (None, {"N": True}),
+    (None, {"N": 2.7}),
+    (None, {"N": "5"}),
+    (["pf", "--system", "coop2d", "--T", "1", "--x0", "nan,1"], None),
+    (None, {"system": ["coop2d"]}),
 ], ids=["T-nan", "T-inf", "dt-nan", "file-T-nan", "file-T-neg-inf",
         "file-dt-inf", "file-dt-string", "file-T-bool", "file-dt-bool",
         "file-N-bool", "file-N-fraction", "file-N-string", "x0-nan",
         "file-system-list"])
 def test_invalid_scenario_values_exit_2(tmp_path, capsys, argv, bad):
-    args = ["converge", "--system", "coop2d", "--n", "5"] + argv
+    args = argv
     if bad is not None:
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps({"system": "coop2d", "N": 5, "T": 1.0,
@@ -304,6 +312,68 @@ def test_causal_refuses_options_it_does_not_read(capsys, extra):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+# a valid value of each option, so that only the option itself is refused
+_VALUES = {"scenario": "missing.json", "system": "coop2d", "field": "orthant",
+           "seed": 1, "N": 5, "T": 1.0, "dt": 0.01, "x0": [1.0, 1.0],
+           "out": "r.json", "csv": "r.csv"}
+_UNREAD = [(command, key) for command, (_, reads) in cli.COMMANDS.items()
+           for key in cli.OPTIONS if key not in reads]
+
+
+@pytest.mark.parametrize("command,key", _UNREAD)
+def test_an_option_a_command_does_not_read_exits_2(tmp_path, capsys,
+                                                   command, key):
+    flag, value = cli.OPTIONS[key][0], _VALUES[key]
+    if key == "x0":
+        value = "1,1"
+    elif key in ("scenario", "csv"):
+        value = tmp_path / value  # tmp_path must stay empty
+    assert run([command, flag, str(value),
+                "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
+    assert list(tmp_path.iterdir()) == []  # no report, no CSV
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, key in _UNREAD if command != "list"])
+def test_a_scenario_key_the_experiment_does_not_read_exits_2(
+        tmp_path, capsys, command, key):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({key: _VALUES[key]}))
+    assert run([command, "--scenario", str(scen)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:")
+    assert f"{key}: not read by {command}" in err
+    with pytest.raises(ScenarioError):
+        validate_scenario({"experiment": command, key: _VALUES[key]})
+
+
+def test_a_scenario_for_another_experiment_exits_2(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"experiment": "dichotomy",
+                                "system": "coop2d", "N": 5}))
+    assert run(["converge", "--scenario", str(scen)]) == 2
+    assert "experiment:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_lists_exactly_the_options_a_command_reads(capsys, command):
+    assert run([command, "--help"]) == 0
+    listed = set(re.findall(r"--\w+", capsys.readouterr().out))
+    reads = cli.COMMANDS[command][1]
+    assert listed == {"--help"} | {cli.OPTIONS[k][0] for k in reads}
+
+
+def test_pf_tangent_overflow_exits_3(monkeypatch, capsys):
+    # the rays' r part grows like r(t)^2 and overflows a step before r does
+    monkeypatch.setitem(registry.SYSTEMS, "blowup_rotation", blowup_rotation)
+    assert run(["pf", "--system", "blowup_rotation", "--field", "orthant",
+                "--T", "3", "--x0", "2,1,0"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: tangent")
+
+
 @pytest.mark.parametrize("command", ["pf", "trichotomy"])
 def test_x0_off_the_spd_chart_exits_2(capsys, command):
     # diag(1, -1) is symmetric but not positive definite
@@ -349,7 +419,7 @@ def test_unwritable_output_exits_2(tmp_path):
 def test_handler_crash_exits_3_with_one_line(monkeypatch, capsys):
     def crash(scen):
         raise Exception("unexpected")
-    monkeypatch.setitem(cli._HANDLERS, "order", crash)
+    monkeypatch.setitem(cli.COMMANDS, "order", (crash, cli.COMMANDS["order"][1]))
     assert run(["order"]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "unexpected" in err[0]

@@ -13,7 +13,8 @@ from conedyn.errors import (
     NotEquilibriumError,
     PowerIterationError,
 )
-from helpers import constant_system, linear_system, tanh_fixed_point
+from helpers import (blowup_rotation, constant_system, linear_system,
+                     tanh_fixed_point)
 
 ORTHANT2 = ConstantField(Orthant(2))
 DIAG = np.ones(2) / np.sqrt(2.0)
@@ -272,25 +273,6 @@ def test_chunk_boundaries_do_not_move_the_records(monkeypatch, chunk):
     assert np.array_equal(tf.states[-1], want[2])
 
 
-def blowup_rotation():
-    """r' = r^2 blows up at t = 1 / r(0); (p, q) turns clockwise at rate 1,
-    so a tangent ray at angle phi in the (p, q) plane crosses q = 0 at
-    t = phi."""
-    def f(x):
-        x = np.asarray(x)
-        return np.stack([x[..., 0] ** 2, x[..., 2], -x[..., 1]], axis=-1)
-
-    def jac(x):
-        x = np.asarray(x)
-        J = np.zeros(x.shape[:-1] + (3, 3))
-        J[..., 0, 0] = 2.0 * x[..., 0]
-        J[..., 1, 2] = 1.0
-        J[..., 2, 1] = -1.0
-        return J
-
-    return flow.FlowSystem(geometry.euclidean(3), f, jac, "blowup_rotation")
-
-
 # {(r, p, q) : p >= 0, q >= 0, |r| <= p + q}: the rays below keep r = 0,
 # so the blowup of r leaves them finite
 WEDGE = ConstantField(Polyhedral(
@@ -332,3 +314,18 @@ def test_a_blowup_with_no_earlier_exit_raises_at_the_reference_time(stride):
     with pytest.raises(FlowBlowupError) as tf:
         flow.tangent_flow(s, x0, 3.0)
     assert tf.value.time == want.value.time
+
+
+def test_a_tangent_overflow_before_the_state_raises_flow_blowup():
+    # the r part of a ray grows like r(t)^2, so rays with r != 0 overflow
+    # a step before the state does: that step raises, with no warning
+    s, field = blowup_rotation(), ConstantField(Orthant(3))
+    x0 = np.array([1.0 / 1.3, 1.0, 0.0])
+    A = np.array([[0.01, math.cos(1.5), math.sin(1.5)]])
+    B = np.array([[0.01, math.cos(1.45), math.sin(1.45)]])
+    with pytest.raises(FlowBlowupError) as state:
+        flow.integrate(s, x0, 3.0)
+    with pytest.raises(FlowBlowupError) as got:
+        pf.propagate_ray_pairs(s, field, x0, A, B, 3.0, store_stride=1)
+    assert 1.25 < got.value.time < state.value.time
+    assert "tangent" in str(got.value)
