@@ -11,6 +11,15 @@ step M and P with the rows; single-orbit tangent paths (``tangent_flow``
 and the Perron-Frobenius ray pairs) march the state alone, then evaluate
 the maps of a chunk of buffered steps in one call and scan P over them.
 
+Inside the step map and the stepper, stacks of matrices are stored
+component-major: a batch of N matrices of shape (n, m) is one contiguous
+(n, m, N) array, so entry (i, j) of every matrix is one contiguous row.
+A stacked product is then one pass of sums over whole rows (``_mul``)
+rather than N small matrix products, and the product with a declared
+matrix R is one BLAS call over the (n, m N) reshape.  Every stack
+that leaves this module has the usual (N, n, m) shape: the step map's M
+and the stepper's P are transposed views of the component-major arrays.
+
 Vector fields are vectorized: ``f`` maps arrays of shape (..., n) to
 (..., n) and ``jac`` maps (..., n) to (..., n, n).  Every flow path -- single
 orbits, tangent flows, captures at given times, ensemble tails and the
@@ -144,9 +153,25 @@ def _rk4_step(s: FlowSystem, X: np.ndarray, h: float) -> np.ndarray:
     return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Stacked products of component-major stacks: A (n, k, N) and
+    B (k, m, N) give C (n, m, N) with C[:, :, r] = A[:, :, r] @ B[:, :, r].
+
+    Each entry is sum_j A[i, j] B[j, l], summed in order j = 0, 1, ...
+    over rows of length N.  A and B should be C-contiguous: over strided
+    stacks the same sums run many times slower.
+    """
+    return np.einsum("ijr,jlr->ilr", A, B)
+
+
+def _jac_cm(s: FlowSystem, X: np.ndarray) -> np.ndarray:
+    """jac at the rows of X as a contiguous component-major (n, n, N) stack."""
+    return np.ascontiguousarray(s.jac(X).transpose(1, 2, 0))
+
+
 def _times_eye_plus(J: np.ndarray, K: np.ndarray, c: float) -> np.ndarray:
-    """J (I + c K) as J + c (J K): no identity matrix is formed."""
-    JK = J @ K
+    """J (I + c K) as J + c (J K), component-major: no identity is formed."""
+    JK = _mul(J, K)
     JK *= c
     JK += J
     return JK
@@ -159,29 +184,31 @@ def _rk4_step_map(s: FlowSystem, X: np.ndarray, h: float):
     derivative of the step map at X[j], built from the stages as
     K1 = J1, K2 = J2 (I + h/2 K1), K3 = J3 (I + h/2 K2), K4 = J4 (I + h K3),
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), the identity added in place on
-    the diagonal.  A declared matrix gives M = R(hA).  The rows may be one
-    batch at one time or one orbit's states over time: the map batches
-    over either.
+    the diagonal.  The stages are component-major and M, of shape (N, n, n),
+    is a view of the contiguous (n, n, N) stack: ``M.transpose(1, 2, 0)``
+    gives that stack back for free.  A declared matrix gives M = R(hA).
+    The rows of the 2-d X may be one batch at one time or one orbit's
+    states over time: the map batches over either.
     """
     if s.matrix is not None:
         R = _rk4_map(s.matrix, h)
         return X @ R.T, np.broadcast_to(R, X.shape[:-1] + R.shape)
     k1 = s.f(X)
-    K1 = s.jac(X)
+    K1 = _jac_cm(s, X)
     x2 = X + 0.5 * h * k1
     k2 = s.f(x2)
-    K2 = _times_eye_plus(s.jac(x2), K1, 0.5 * h)
+    K2 = _times_eye_plus(_jac_cm(s, x2), K1, 0.5 * h)
     x3 = X + 0.5 * h * k2
     k3 = s.f(x3)
-    K3 = _times_eye_plus(s.jac(x3), K2, 0.5 * h)
+    K3 = _times_eye_plus(_jac_cm(s, x3), K2, 0.5 * h)
     x4 = X + h * k3
     k4 = s.f(x4)
-    K4 = _times_eye_plus(s.jac(x4), K3, h)
+    K4 = _times_eye_plus(_jac_cm(s, x4), K3, h)
     Xn = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     M = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    for i in range(M.shape[-1]):
-        M[..., i, i] += 1.0
-    return Xn, M
+    for i in range(len(M)):
+        M[i, i] += 1.0
+    return Xn, M.transpose(2, 0, 1)
 
 
 def _rk4_map(A: np.ndarray, h: float) -> np.ndarray:
@@ -224,9 +251,12 @@ def _bad_rows(s: FlowSystem, X: np.ndarray) -> np.ndarray:
 class _Stepper:
     """Fixed-step RK4 over a batch, with failure masking or raising.
 
-    Every flow path marches through ``march``.  With an initial tangent
-    matrix ``P0`` (broadcast to every row) the stepper also steps the
+    Every flow path marches through ``march``.  With an initial (n, m)
+    tangent matrix ``P0`` (copied to every row) the stepper also steps the
     variational equation P' = jac(x) P as P <- M P, M from _rk4_step_map.
+    The tangent matrices are stored component-major, (n, m, N); the ``P``
+    property is their (N, n, m) view, and writes through it land in the
+    stored stack.
     """
 
     def __init__(self, s: FlowSystem, X0: np.ndarray, P0=None,
@@ -236,9 +266,8 @@ class _Stepper:
         if self.X.ndim != 2:
             raise ValueError("batch states must have shape (N, n)")
         self.t = 0.0
-        self.P = None if P0 is None else np.broadcast_to(
-            np.asarray(P0, dtype=float),
-            (self.X.shape[0],) + np.shape(P0)[-2:]).copy()
+        self._P = None if P0 is None else np.repeat(
+            np.asarray(P0, dtype=float)[..., None], len(self.X), axis=-1)
         self.on_failure = on_failure
         self.maps = {}  # step size h -> R(hA), for a declared matrix A
         self.dead = _bad_rows(s, self.X)
@@ -246,18 +275,25 @@ class _Stepper:
         if self.on_failure == "raise" and self.any_dead:
             raise ManifoldExitError(0.0, "initial state is off the manifold")
 
+    @property
+    def P(self):
+        """The tangent matrices, (N, n, m): a view of the stored stack."""
+        return None if self._P is None else self._P.transpose(2, 0, 1)
+
     def advance(self, h: float, t_new: float) -> None:
+        P = self._P
         if self.s.matrix is not None:
             R = self.maps.get(h)
             if R is None:
                 R = self.maps[h] = _rk4_map(self.s.matrix, h)
             Xn = self.X @ R.T
-            Pn = None if self.P is None else R @ self.P
-        elif self.P is None:
+            Pn = None if P is None else (R @ P.reshape(len(R), -1)).reshape(
+                P.shape)
+        elif P is None:
             Xn, Pn = _rk4_step(self.s, self.X, h), None
         else:
             Xn, M = _rk4_step_map(self.s, self.X, h)
-            Pn = M @ self.P
+            Pn = _mul(M.transpose(1, 2, 0), P)
         bad = _bad_rows(self.s, Xn)
         if self.any_dead:
             bad &= ~self.dead
@@ -271,17 +307,16 @@ class _Stepper:
         if self.any_dead:  # dead rows stay frozen at nan
             Xn[self.dead] = np.nan
             if Pn is not None:
-                Pn[self.dead] = np.nan
-        self.X, self.P = Xn, Pn
+                Pn[..., self.dead] = np.nan
+        self.X, self._P = Xn, Pn
 
     def drop(self, rows: np.ndarray) -> None:
-        """Remove the rows where the boolean mask rows is True."""
+        """Remove the rows where the boolean mask rows is True (a stepper
+        without tangent matrices only)."""
         keep = ~rows
         self.X = self.X[keep]
         self.dead = self.dead[keep]
         self.any_dead = bool(self.dead.any())
-        if self.P is not None:
-            self.P = self.P[keep]
 
     def march(self, t_end: float, dt: float, on_store=None,
               stride: int = 1) -> None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import flow as flowmod
-from .conefield import ConeField, ConstantField
+from .conefield import ConeField, ConstantField, cone_runs
 from .cones import Cone, conic_combinations
 from .errors import UnsupportedInputError
 
@@ -62,6 +62,18 @@ def _ray_set(cone: Cone, field: ConeField, x0: np.ndarray, k: int,
     return out, np.arange(k) < len(rays)
 
 
+def _first_min(values: np.ndarray):
+    """(value, index) of the first strict minimum of values in C order, as
+    a scan keeping ``v < worst`` from worst = inf would find it: nan
+    entries never win.  (inf, None) when no entry is below inf."""
+    seen = np.where(np.isnan(values), np.inf, values)
+    if seen.size:
+        first = int(np.argmin(seen))
+        if seen.flat[first] < np.inf:
+            return seen.flat[first], np.unravel_index(first, seen.shape)
+    return np.inf, None
+
+
 def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
              ray_samples: int, times, seed: int | np.random.Generator,
              tol: float = DP_TOL, sdp_margin_floor: float = SDP_MARGIN_FLOOR,
@@ -83,29 +95,24 @@ def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     X0 = flowmod.sample_states(s, box_scale, x_samples, rng)
-    ray_list, tag_list = [], []
-    for i in range(x_samples):
-        r, tg = _ray_set(field.cone_at(X0[i]), field, X0[i], ray_samples, rng)
-        ray_list.append(r)
-        tag_list.append(tg)
+    sets = [_ray_set(field.cone_at(x), field, x, ray_samples, rng) for x in X0]
+    rays = np.array([r for r, _ in sets])  # (x_samples, ray_samples, dim)
+    tags = np.array([tg for _, tg in sets])
 
     xs, phis = flowmod.tangent_at(s, X0, times, dt)
-
-    worst = np.inf
+    margins = np.empty((len(times), x_samples, ray_samples))
+    for ti in range(len(times)):
+        W = rays @ np.swapaxes(phis[ti], 1, 2)  # W[i, j] = Phi_t(x0_i) v_ij
+        for cone, sl in cone_runs(field, xs[ti]):
+            margins[ti, sl] = cone.margins(W[sl])
+    worst, at = _first_min(margins)
     witness = None
-    boundary_min = np.inf
-    for ti, t in enumerate(times):
-        for i in range(x_samples):
-            cone_img = field.cone_at(xs[ti, i])
-            W = ray_list[i] @ phis[ti, i].T  # rows: Phi_t(x0) v
-            for j in range(ray_samples):
-                m = cone_img.margin(W[j])
-                if m < worst:
-                    worst = m
-                    witness = {"x0": X0[i].tolist(),
-                               "ray": ray_list[i][j].tolist(), "t": t}
-                if tag_list[i][j]:
-                    boundary_min = min(boundary_min, m)
+    if at is not None:
+        ti, i, j = at
+        witness = {"x0": X0[i].tolist(), "ray": rays[i, j].tolist(),
+                   "t": times[ti]}
+    boundary_min = np.min(margins, where=tags & ~np.isnan(margins),
+                          initial=np.inf)
 
     if worst < -10.0 * tol:
         status = VIOLATED
@@ -130,7 +137,9 @@ def cross_positivity_flat(s: flowmod.FlowSystem, c: Cone, x_samples: int,
     """Infinitesimal positivity test on flat space with a polyhedral cone.
 
     For every sampled state x, generator g, and facet normal lam with
-    <lam, g> = 0, requires <lam, jac(x) g> >= -tol.
+    <lam, g> = 0, requires <lam, jac(x) g> >= -tol.  One ``jac`` call
+    covers every sample; the witness is the first strict minimum in
+    (x, pair) order.
     """
     if s.manifold.kind != "euclidean":
         raise UnsupportedInputError("cross-positivity needs a flat manifold")
@@ -143,16 +152,16 @@ def cross_positivity_flat(s: flowmod.FlowSystem, c: Cone, x_samples: int,
               if abs(float(np.dot(lam, g))) < 1e-12]
 
     X = flowmod.sample_states(s, box_scale, x_samples, seed)
-    worst = np.inf
+    J = s.jac(X)
+    vals = np.empty((len(X), len(active)))
+    for p, (g, lam) in enumerate(active):
+        vals[:, p] = J @ g @ lam
+    worst, at = _first_min(vals)
     witness = None
-    for x in X:
-        J = s.jac(x)
-        for g, lam in active:
-            val = float(np.dot(lam, J @ g))
-            if val < worst:
-                worst = val
-                witness = {"x0": x.tolist(), "ray": g.tolist(),
-                           "facet_normal": lam.tolist(), "t": 0.0}
+    if at is not None:
+        g, lam = active[at[1]]
+        witness = {"x0": X[at[0]].tolist(), "ray": g.tolist(),
+                   "facet_normal": lam.tolist(), "t": 0.0}
     status = DP if worst >= -tol else VIOLATED
     params = {"x_samples": x_samples, "seed": seed, "tol": tol,
               "box_scale": box_scale, "system": s.name,

@@ -304,6 +304,17 @@ def test_order_refuses_fields_it_does_not_run(capsys, spec):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_order_help_names_exactly_the_fields_order_runs(capsys):
+    assert run(["order", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    field_help = re.search(r"--field FIELD (.*?) --", text).group(1)
+    tokens = re.search(r"\w+(\|\w+)+", field_help).group(0).split("|")
+    assert set(tokens) == {"orthant", "lorentz"}
+    assert "psd" not in field_help and "JSON" not in field_help
+    for token in tokens:
+        assert run(["order", "--n", "10", "--field", token]) == 0
+
+
 @pytest.mark.parametrize("extra", [["--field", "psd"], ["--system", "coop2d"],
                                    ["--field", "psd", "--system", "coop2d"]])
 def test_causal_refuses_options_it_does_not_read(capsys, extra):

@@ -254,6 +254,47 @@ def test_rk4_step_map_stages_give_the_exact_map_of_a_linear_field():
                            atol=1e-14 * np.abs(R).max())
 
 
+# ------------------------------------------ component-major tangent stacks
+
+
+def test_masked_tangent_at_keeps_every_other_row_to_itself():
+    # row 1 starts at lambda_min = 2e-10 and decays below EIG_TOL = 1e-10
+    # near t = 0.35, before the first capture time
+    s = registry.get_system("spd_lyapunov")
+    X0 = np.array([pack_sym(np.array([[2.0, 0.3], [0.3, 1.0]])),
+                   pack_sym(np.diag([1.0, 2e-10])),
+                   pack_sym(np.array([[1.0, -0.5], [-0.5, 3.0]]))])
+    times = [0.5, 1.0, 1.5]
+    xs, phis = flow.tangent_at(s, X0, times, on_failure="mask")
+    assert phis.shape == (3, 3, 3, 3)
+    assert np.all(np.isnan(xs[:, 1])) and np.all(np.isnan(phis[:, 1]))
+    for i in (0, 2):
+        x1, p1 = flow.tangent_at(s, X0[i:i + 1], times)
+        assert np.array_equal(phis[:, i], p1[:, 0])
+        # X @ R^T is one BLAS product whose rounding follows the batch size
+        assert np.allclose(xs[:, i], x1[:, 0], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["coop2d", "metzler_linear"])
+def test_stepper_tangents_keep_their_row_major_shape(name):
+    # a non-square P0, as the ray pairs of pf use; P is a view, so a write
+    # through it changes the next step
+    s = registry.get_system(name)
+    X = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 2))
+    P0 = np.random.default_rng(4).normal(size=(2, 5))
+    stepper = flow._Stepper(s, X, P0=P0)
+    assert stepper.P.shape == (4, 2, 5)
+    assert np.array_equal(stepper.P, np.broadcast_to(P0, (4, 2, 5)))
+    _, M = flow._rk4_step_map(s, X, 0.01)
+    assert M.shape == (4, 2, 2)
+    stepper.advance(0.01, 0.01)
+    assert stepper.P.shape == (4, 2, 5)
+    assert np.allclose(stepper.P, M @ P0, rtol=1e-15, atol=1e-15)
+    stepper.P[2] = 0.0
+    stepper.advance(0.01, 0.02)
+    assert np.all(stepper.P[2] == 0.0) and np.all(stepper.P[[0, 1, 3]] != 0.0)
+
+
 # --------------------------------------------------- exact propagator oracle
 
 # For x' = Ax one RK4 step of size h is exactly the matrix R(hA) below, so
