@@ -383,9 +383,6 @@ OPTIONS = {
     "out": ("--out", None, "JSON report path (default stdout)"),
     "csv": ("--csv", None, "per-sample CSV path"),
 }
-# (command, option) -> help, where a command accepts less than OPTIONS says
-HELP = {("order", "field"):
-        f"cone order on R^2: {'|'.join(_ORDER_CONES)} (default orthant)"}
 _SAMPLED = ("scenario", "system", "field", "seed", "N", "T", "dt", "out")
 _ORBIT = ("scenario", "system", "field", "seed", "T", "dt", "x0", "out")
 # command -> (handler, the options it reads); a command refuses every other
@@ -420,8 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} task")
         for key in reads:
             flag, kind, text = OPTIONS[key]
-            p.add_argument(flag, dest=key, type=kind,
-                           help=HELP.get((name, key), text))
+            if (name, key) == ("order", "field"):  # order runs two cones
+                text = (f"cone order on R^2: {'|'.join(_ORDER_CONES)} "
+                        "(default orthant)")
+            p.add_argument(flag, dest=key, type=kind, help=text)
     return parser
 
 

@@ -18,7 +18,6 @@ interior witness), normalized to unit metric length.
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 from typing import Callable
 
@@ -98,17 +97,6 @@ class HomogeneousPSDField(ConeField):
         # affine-invariant metric at P by the transport isometry
         P = self.manifold.to_matrix(self.manifold.check_point(x))
         return geometry.pack_sym(P / np.sqrt(self.n))
-
-
-def cone_runs(field: ConeField, xs: np.ndarray) -> list:
-    """(cone, slice) for each run of consecutive points of xs that share a
-    cone object, in order: the batches of one ``margins`` call each."""
-    runs, start = [], 0
-    for cone, run in itertools.groupby(field.cone_at(x) for x in xs):
-        stop = start + len(list(run))
-        runs.append((cone, slice(start, stop)))
-        start = stop
-    return runs
 
 
 def check_gamma_invariance(field: ConeField, samples: int, seed: int) -> dict:

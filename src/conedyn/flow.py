@@ -186,7 +186,8 @@ def _rk4_step_map(s: FlowSystem, X: np.ndarray, h: float):
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), the identity added in place on
     the diagonal.  The stages are component-major and M, of shape (N, n, n),
     is a view of the contiguous (n, n, N) stack: ``M.transpose(1, 2, 0)``
-    gives that stack back for free.  A declared matrix gives M = R(hA).
+    gives that stack back for free.  A declared matrix gives M = R(hA) as
+    a zero-stride broadcast of R, which is not such a stack.
     The rows of the 2-d X may be one batch at one time or one orbit's
     states over time: the map batches over either.
     """

@@ -19,12 +19,13 @@ tested instead of fixing a canonical tau.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import flow as flowmod
-from .conefield import ConeField, cone_runs
+from .conefield import ConeField
 from .errors import ConeExitError, NotEquilibriumError, PowerIterationError
 from .geometry import Tangent, metric_norm
 
@@ -84,7 +85,11 @@ def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,
 
     def record(ts, xs, Ws):
         rays = np.swapaxes(Ws, 1, 2)  # (stored, 2k, dim)
-        for cone, sl in cone_runs(field, xs):
+        cones = [field.cone_at(x) for x in xs]
+        # one batch per run of stored times that share a cone object
+        for cone, run in itertools.groupby(range(len(ts)), cones.__getitem__):
+            run = list(run)
+            sl = slice(run[0], run[-1] + 1)
             worst = np.min(cone.margins(rays[sl]), axis=1)
             out = np.flatnonzero(worst < -10.0 * exit_tol)
             if out.size:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import flow as flowmod
-from .conefield import ConeField, ConstantField, cone_runs
+from .conefield import ConeField, ConstantField
 from .cones import Cone, conic_combinations
 from .errors import UnsupportedInputError
 
@@ -95,24 +95,29 @@ def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     X0 = flowmod.sample_states(s, box_scale, x_samples, rng)
-    sets = [_ray_set(field.cone_at(x), field, x, ray_samples, rng) for x in X0]
-    rays = np.array([r for r, _ in sets])  # (x_samples, ray_samples, dim)
-    tags = np.array([tg for _, tg in sets])
+    ray_list, tag_list = [], []
+    for i in range(x_samples):
+        r, tg = _ray_set(field.cone_at(X0[i]), field, X0[i], ray_samples, rng)
+        ray_list.append(r)
+        tag_list.append(tg)
 
     xs, phis = flowmod.tangent_at(s, X0, times, dt)
-    margins = np.empty((len(times), x_samples, ray_samples))
-    for ti in range(len(times)):
-        W = rays @ np.swapaxes(phis[ti], 1, 2)  # W[i, j] = Phi_t(x0_i) v_ij
-        for cone, sl in cone_runs(field, xs[ti]):
-            margins[ti, sl] = cone.margins(W[sl])
-    worst, at = _first_min(margins)
+
+    worst = np.inf
     witness = None
-    if at is not None:
-        ti, i, j = at
-        witness = {"x0": X0[i].tolist(), "ray": rays[i, j].tolist(),
-                   "t": times[ti]}
-    boundary_min = np.min(margins, where=tags & ~np.isnan(margins),
-                          initial=np.inf)
+    boundary_min = np.inf
+    for ti, t in enumerate(times):
+        for i in range(x_samples):
+            cone_img = field.cone_at(xs[ti, i])
+            W = ray_list[i] @ phis[ti, i].T  # rows: Phi_t(x0) v
+            for j in range(ray_samples):
+                m = cone_img.margin(W[j])
+                if m < worst:
+                    worst = m
+                    witness = {"x0": X0[i].tolist(),
+                               "ray": ray_list[i][j].tolist(), "t": t}
+                if tag_list[i][j]:
+                    boundary_min = min(boundary_min, m)
 
     if worst < -10.0 * tol:
         status = VIOLATED

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conedyn import flow, positivity, registry
-from conedyn.conefield import ConstantField, HomogeneousPSDField, cone_runs
+from conedyn.conefield import ConstantField, HomogeneousPSDField
 from conedyn.cones import Lorentz, Orthant, Polyhedral
 from conedyn.errors import UnsupportedInputError
 from helpers import constant_system, linear_system
@@ -187,88 +187,3 @@ def test_dp_verdict_invariant_under_representation_swap():
                                  [0.5, 1.0], seed=k)
         assert v1.status == v2.status
 
-
-# ------------------------------------------- batched check_dp vs one row
-
-
-class _HalfPlaneField(ConstantField):
-    """The orthant where x_0 >= 0 and the Lorentz cone elsewhere: two cone
-    objects, so consecutive states fall into alternating runs."""
-
-    def __init__(self):
-        super().__init__(Orthant(2))
-        self.other = Lorentz(2)
-
-    def cone_at(self, x):
-        return self.cone if x[0] >= 0.0 else self.other
-
-    def section(self, x):
-        return self.cone_at(x).interior_witness()
-
-
-def reference_check_dp(s, field, x_samples, ray_samples, times, seed):
-    """check_dp with one ``Cone.margin`` call per ray: (status, worst,
-    witness, boundary) at the default tolerances."""
-    rng = np.random.default_rng(seed)
-    X0 = flow.sample_states(s, 2.0, x_samples, rng)
-    sets = [positivity._ray_set(field.cone_at(x), field, x, ray_samples, rng)
-            for x in X0]
-    xs, phis = flow.tangent_at(s, X0, times)
-    worst, witness, boundary = np.inf, None, np.inf
-    for ti, t in enumerate(times):
-        for i, (rays, tags) in enumerate(sets):
-            cone = field.cone_at(xs[ti, i])
-            W = rays @ phis[ti, i].T
-            for j in range(ray_samples):
-                m = cone.margin(W[j])
-                if m < worst:
-                    worst = m
-                    witness = {"x0": X0[i].tolist(), "ray": rays[j].tolist(),
-                               "t": t}
-                if tags[j]:
-                    boundary = min(boundary, m)
-    tol, floor = positivity.DP_TOL, positivity.SDP_MARGIN_FLOOR
-    if worst < -10.0 * tol:
-        status = positivity.VIOLATED
-    elif worst < -tol:
-        status = positivity.INCONCLUSIVE
-    elif boundary > floor:
-        status = positivity.SDP
-    else:
-        status = positivity.DP
-    return status, worst, witness, boundary
-
-
-def _dp_cases():
-    spd = registry.get_system("spd_lyapunov")
-    cases = {name: (registry.get_system(name), ORTHANT2)
-             for name in ("coop2d", "metzler_linear", "rotation2d")}
-    cases["spd_lyapunov"] = (spd, HomogeneousPSDField(2))
-    cases["coop2d-two-cones"] = (registry.get_system("coop2d"),
-                                 _HalfPlaneField())
-    return cases
-
-
-@pytest.mark.parametrize("seed", [0, 5])
-@pytest.mark.parametrize("case", sorted(_dp_cases()))
-def test_batched_check_dp_matches_the_one_row_reference(case, seed):
-    s, field = _dp_cases()[case]
-    times = [0.1, 1.0, 2.0]
-    v = positivity.check_dp(s, field, 40, 7, times, seed)
-    status, worst, witness, boundary = reference_check_dp(s, field, 40, 7,
-                                                          times, seed)
-    assert v.status == status
-    assert v.witness == witness
-    assert v.worst_margin == pytest.approx(worst, rel=1e-14, abs=0.0)
-    assert v.boundary_margin == pytest.approx(boundary, rel=1e-14, abs=0.0)
-
-
-def test_the_two_cone_field_runs_several_batches_per_time():
-    # the grouped path: both cones occur, in more than one run per time
-    s, field = _dp_cases()["coop2d-two-cones"]
-    X0 = flow.sample_states(s, 2.0, 40, 0)
-    runs = cone_runs(field, X0)
-    assert {id(c) for c, _ in runs} == {id(field.cone), id(field.other)}
-    assert len(runs) > 2
-    assert [sl.start for _, sl in runs][1:] == [sl.stop for _, sl in runs][:-1]
-    assert runs[0][1].start == 0 and runs[-1][1].stop == 40
