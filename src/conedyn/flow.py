@@ -19,6 +19,11 @@ rather than N small matrix products, and the product with a declared
 matrix R is one BLAS call over the (n, m N) reshape.  Every stack
 that leaves this module has the usual (N, n, m) shape: the step map's M
 and the stepper's P are transposed views of the component-major arrays.
+A system that declares its matrix keeps its states the same way: a step
+is (R @ X.T).T, so X is the (N, n) transposed view of a contiguous
+(n, N) array, bit-equal to X @ R.T and about three times faster at
+N = 1000.  Nonlinear systems keep row-major states: their stage sums
+would otherwise mix memory layouts.
 
 Vector fields are vectorized: ``f`` maps arrays of shape (..., n) to
 (..., n) and ``jac`` maps (..., n) to (..., n, n).  Every flow path -- single
@@ -32,7 +37,11 @@ declares its ``matrix`` A steps by its exact RK4 map x -> R(hA) x.
 Omega-limit classification is an explicitly heuristic desk-scale estimate:
 the last quarter of the stored trajectory either clusters to a polished
 equilibrium (singleton), revisits its own start (non-singleton/recurrent),
-or stays honest as "undetermined".  Undetermined is never coerced.
+or stays honest as "undetermined".  Undetermined is never coerced.  Single
+orbits and ensembles store the same tail window, fixed by step indices,
+and ``classify_tail`` classifies a whole stack of tails in one batched
+pass over blocks of rows; only the Newton polish of a clustered tail runs
+one row at a time.
 
 Ensemble rows retire early under a contraction certificate (Lohmiller &
 Slotine 1998).  A system may declare ``jac_lipschitz`` L, an exact global
@@ -75,6 +84,7 @@ TAIL_FRACTION = 0.25
 CLUSTER_RADIUS = 1e-4
 EQ_TOL = 1e-10
 CERT_EVERY = 100  # ensemble steps between contraction-certificate checks
+_CLASSIFY_BLOCK = 16  # tail rows per classify_tail pass: temporaries (k, 16, n)
 _ORBIT_CHUNK = 1024  # steps of one orbit per batched step-map call
 _CERT_F_MAX = 1e-2  # only rows with |f| below this seed an equilibrium search
 _CERT_EQ_TOL = 1e-12  # certified equilibria are polished past EQ_TOL
@@ -193,7 +203,7 @@ def _rk4_step_map(s: FlowSystem, X: np.ndarray, h: float):
     """
     if s.matrix is not None:
         R = _rk4_map(s.matrix, h)
-        return X @ R.T, np.broadcast_to(R, X.shape[:-1] + R.shape)
+        return (R @ X.T).T, np.broadcast_to(R, X.shape[:-1] + R.shape)
     k1 = s.f(X)
     K1 = _jac_cm(s, X)
     x2 = X + 0.5 * h * k1
@@ -235,13 +245,14 @@ def _leaves_chart(V: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _bad_rows(s: FlowSystem, X: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows that are non-finite or left the SPD chart."""
+def _bad_rows(s: FlowSystem, X: np.ndarray):
+    """Boolean mask of rows that are non-finite or left the SPD chart, or
+    None when one reduction proves a euclidean batch clean."""
     finite = np.isfinite(X)
     if finite.all():  # one reduction over the batch; per row only on failure
         if s.manifold.kind == "spd":
             return _leaves_chart(X, s.manifold.n)
-        return np.zeros(len(X), dtype=bool)
+        return None
     bad = ~finite.all(axis=-1)
     ok = np.flatnonzero(~bad)
     if s.manifold.kind == "spd" and len(ok):
@@ -257,7 +268,8 @@ class _Stepper:
     variational equation P' = jac(x) P as P <- M P, M from _rk4_step_map.
     The tangent matrices are stored component-major, (n, m, N); the ``P``
     property is their (N, n, m) view, and writes through it land in the
-    stored stack.
+    stored stack.  With a declared matrix the states are component-major
+    too: X is the (N, n) view of the (n, N) array each step returns.
     """
 
     def __init__(self, s: FlowSystem, X0: np.ndarray, P0=None,
@@ -271,7 +283,8 @@ class _Stepper:
             np.asarray(P0, dtype=float)[..., None], len(self.X), axis=-1)
         self.on_failure = on_failure
         self.maps = {}  # step size h -> R(hA), for a declared matrix A
-        self.dead = _bad_rows(s, self.X)
+        bad = _bad_rows(s, self.X)
+        self.dead = np.zeros(len(self.X), dtype=bool) if bad is None else bad
         self.any_dead = bool(np.any(self.dead))
         if self.on_failure == "raise" and self.any_dead:
             raise ManifoldExitError(0.0, "initial state is off the manifold")
@@ -287,7 +300,7 @@ class _Stepper:
             R = self.maps.get(h)
             if R is None:
                 R = self.maps[h] = _rk4_map(self.s.matrix, h)
-            Xn = self.X @ R.T
+            Xn = (R @ self.X.T).T  # component-major: one pass over (n, N)
             Pn = None if P is None else (R @ P.reshape(len(R), -1)).reshape(
                 P.shape)
         elif P is None:
@@ -296,15 +309,16 @@ class _Stepper:
             Xn, M = _rk4_step_map(self.s, self.X, h)
             Pn = _mul(M.transpose(1, 2, 0), P)
         bad = _bad_rows(self.s, Xn)
-        if self.any_dead:
-            bad &= ~self.dead
-        if bad.any():  # the method skips np.any's dispatch, per step
-            if self.on_failure == "raise":
-                if np.any(~np.isfinite(Xn[bad])):
-                    raise FlowBlowupError(t_new)
-                raise ManifoldExitError(t_new)
-            self.dead |= bad
-            self.any_dead = True
+        if bad is not None:
+            if self.any_dead:
+                bad &= ~self.dead
+            if bad.any():  # the method skips np.any's dispatch, per step
+                if self.on_failure == "raise":
+                    if np.any(~np.isfinite(Xn[bad])):
+                        raise FlowBlowupError(t_new)
+                    raise ManifoldExitError(t_new)
+                self.dead |= bad
+                self.any_dead = True
         if self.any_dead:  # dead rows stay frozen at nan
             Xn[self.dead] = np.nan
             if Pn is not None:
@@ -568,40 +582,117 @@ def find_equilibria(s: FlowSystem, seeds, eq_tol: float = EQ_TOL,
 # ----------------------------------------------------------- omega limits
 
 
-def _segment_min_dist(p: np.ndarray, pts: np.ndarray) -> float:
-    """Min distance from p to the polyline through pts."""
-    a, b = pts[:-1], pts[1:]
-    ab = b - a
-    denom = np.sum(ab * ab, axis=1)
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis of u * v, in order.  Over component-major
+    stacks of fewer than 8 components these are the sums that
+    np.sum(u * v, axis=-1) takes row-major, bit for bit."""
+    out = u[0] * v[0]
+    for i in range(1, len(u)):
+        out += u[i] * v[i]
+    return out
+
+
+def _return_distances(X: np.ndarray, cluster_radius: float) -> np.ndarray:
+    """Per tail of a component-major (n, k, B) block with k >= 2: how close
+    the polyline through the tail comes back to its anchor, state 0, after
+    first leaving 10 cluster_radius of it; inf for a tail that never
+    leaves, or leaves only at its last state."""
+    anchor = X[:, :1]
+    D = X - anchor
+    far = np.sqrt(_dot(D, D)) > 10.0 * cluster_radius
+    first = far.argmax(axis=0)  # the first far state; 0 for none
+    a, ab = X[:, :-1], np.diff(X, axis=1)  # segment i runs from state i
+    denom = _dot(ab, ab)
     denom[denom == 0.0] = 1.0
-    t = np.clip(np.sum((p - a) * ab, axis=1) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return float(np.min(np.linalg.norm(p - proj, axis=1)))
+    t = np.clip(_dot(anchor - a, ab) / denom, 0.0, 1.0)
+    E = anchor - (a + t * ab)
+    d = np.sqrt(_dot(E, E))
+    d[np.arange(len(d))[:, None] < first] = np.inf
+    back = d.min(axis=0)
+    back[~far.any(axis=0)] = np.inf
+    return back
 
 
-def classify_tail(s: FlowSystem, tail: np.ndarray,
+def classify_tail(s: FlowSystem, tails: np.ndarray,
                   cluster_radius: float = CLUSTER_RADIUS,
-                  eq_tol: float = EQ_TOL) -> OmegaEstimate:
-    """Classify the tail window of an orbit; shared by single and ensemble paths."""
-    if not np.all(np.isfinite(tail)):
-        return OmegaEstimate(UNDETERMINED)
-    diam = float(np.linalg.norm(tail.max(axis=0) - tail.min(axis=0)))
-    if diam < cluster_radius:
-        mean = tail.mean(axis=0)
-        p, res = _newton_polish(s, mean, eq_tol)
-        if (p is not None and res < 10.0 * eq_tol
-                and float(np.max(np.linalg.norm(tail - p, axis=1))) < cluster_radius):
-            return OmegaEstimate(SINGLETON, point=p, residual=res)
-        return OmegaEstimate(UNDETERMINED, residual=res)
-    anchor = tail[0]
-    dists = np.linalg.norm(tail - anchor, axis=1)
-    away = np.flatnonzero(dists > 10.0 * cluster_radius)
-    if len(away) > 0 and away[0] + 1 < len(tail):
-        back = _segment_min_dist(anchor, tail[away[0]:])
-        if back < cluster_radius:
-            step = max(1, len(tail) // 64)
-            return OmegaEstimate(NON_SINGLETON, witnesses=tail[::step].copy())
-    return OmegaEstimate(UNDETERMINED)
+                  eq_tol: float = EQ_TOL) -> list:
+    """Classify a (k, M, n) stack of tail windows: M estimates, in order.
+
+    Shared by the single-orbit and ensemble paths.  A tail with a
+    non-finite entry (an escape) gives None.  A tail whose bounding-box
+    diagonal is below cluster_radius is a singleton when Newton from its
+    mean polishes to a point that every state lies within cluster_radius
+    of, and undetermined otherwise.  Any other tail is non-singleton when
+    the polyline through its states, from the first one farther than
+    10 cluster_radius from tail[0] on, comes back within cluster_radius of
+    tail[0], and undetermined otherwise.  The rows go through in blocks of
+    _CLASSIFY_BLOCK, each in one vectorized pass; only Newton runs per row.
+    """
+    k, M, _ = tails.shape
+    step = max(1, k // 64)  # witnesses of a non-singleton tail
+    out = []
+    for b in range(0, M, _CLASSIFY_BLOCK):
+        block = tails[:, b:b + _CLASSIFY_BLOCK]
+        # component-major, (n, k, B): sums over n short rows run slower
+        X = np.ascontiguousarray(np.moveaxis(block, -1, 0))
+        finite = np.isfinite(X).all(axis=(0, 1))
+        with np.errstate(invalid="ignore", over="ignore"):  # escaped rows
+            box = X.max(axis=1) - X.min(axis=1)
+            clustered = np.sqrt(_dot(box, box)) < cluster_radius
+            back = (_return_distances(X, cluster_radius)
+                    if (finite & ~clustered).any() else None)
+        for j in range(block.shape[1]):
+            tail = block[:, j]
+            if not finite[j]:
+                out.append(None)
+            elif clustered[j]:
+                p, res = _newton_polish(s, tail.mean(axis=0), eq_tol)
+                if (p is not None and res < 10.0 * eq_tol and float(np.max(
+                        np.linalg.norm(tail - p, axis=1))) < cluster_radius):
+                    out.append(OmegaEstimate(SINGLETON, point=p, residual=res))
+                else:
+                    out.append(OmegaEstimate(UNDETERMINED, residual=res))
+            elif back[j] < cluster_radius:
+                out.append(OmegaEstimate(NON_SINGLETON,
+                                         witnesses=tail[::step].copy()))
+            else:
+                out.append(OmegaEstimate(UNDETERMINED))
+    return out
+
+
+def _tail_start(T: float, dt: float, tail_fraction: float) -> int:
+    """The step that opens the tail window of a march to T; never step 0,
+    so the window never holds the start state, even with tail_fraction 1."""
+    n_full, rem = _plan_steps(T, dt)
+    total = n_full + (1 if rem > 0.0 else 0)
+    return max(1, int(np.ceil((1.0 - tail_fraction) * total)))
+
+
+def _march_tail(stepper: _Stepper, T: float, dt: float, tail_fraction: float,
+                store_stride: int, check=None):
+    """March stepper from 0 to T, storing only the tail window.
+
+    The window stores step ``_tail_start``, every store_stride-th step
+    after it and the last step, so the window depends on T, dt and
+    tail_fraction alone.  check(t) runs after every CERT_EVERY-th step
+    before the window.  Returns (times, frames): lists of the stored times
+    and copies of stepper.X.
+    """
+    tail_start = _tail_start(T, dt, tail_fraction)
+    times, frames = [], []
+    step = itertools.count()
+
+    def on_step(t, last):
+        i = next(step)
+        if i >= tail_start:
+            if (i - tail_start) % store_stride == 0 or last:
+                times.append(t)
+                frames.append(stepper.X.copy())
+        elif check is not None and i > 0 and i % CERT_EVERY == 0:
+            check(t)
+
+    stepper.march(T, dt, on_step)
+    return times, frames
 
 
 def omega_limit(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
@@ -609,10 +700,13 @@ def omega_limit(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
                 cluster_radius: float = CLUSTER_RADIUS,
                 eq_tol: float = EQ_TOL,
                 store_stride: int = STORE_STRIDE) -> OmegaEstimate:
-    """Integrate to T and classify the last tail_fraction of stored states."""
-    traj = integrate(s, x0, T, dt, store_stride)
-    tail = traj.states[traj.times >= (1.0 - tail_fraction) * T]
-    return classify_tail(s, tail, cluster_radius, eq_tol)
+    """Integrate to T and classify the tail window of stored states, the
+    window ``ensemble_tails`` stores; leaving the chart or blowing up
+    raises, as in ``integrate``."""
+    x0 = s.manifold.check_point(x0)
+    stepper = _Stepper(s, x0[None, :])
+    _, frames = _march_tail(stepper, T, dt, tail_fraction, store_stride)
+    return classify_tail(s, np.asarray(frames), cluster_radius, eq_tol)[0]
 
 
 class _Certifier:
@@ -695,38 +789,28 @@ def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
     tails and classify as escapes downstream.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    n_full, rem = _plan_steps(T, dt)
-    total = n_full + (1 if rem > 0.0 else 0)
-    # the tail never includes the start state, even with tail_fraction = 1
-    tail_start = max(1, int(np.ceil((1.0 - tail_fraction) * total)))
     stepper = _Stepper(s, X0, on_failure="mask")
     certifier = None
     if s.jac_lipschitz is not None and s.manifold.kind == "euclidean":
-        certifier = _Certifier(s, min(tail_start * dt, T))
+        certifier = _Certifier(s, min(_tail_start(T, dt, tail_fraction) * dt,
+                                      T))
     rows = np.arange(len(X0))
     certified = [None] * len(X0)
-    times, frames = [], []
-    step = itertools.count()
 
-    def on_step(t, last):
+    def retire(t):
         nonlocal rows
-        i = next(step)
-        if i >= tail_start:
-            if (i - tail_start) % store_stride == 0 or last:
-                times.append(t)
-                frames.append(stepper.X.copy())
-        elif certifier is not None and i > 0 and i % CERT_EVERY == 0:
-            which = certifier.check(stepper.X, t)
-            done = which >= 0
-            if done.any():
-                for j, k in zip(rows[done], which[done]):
-                    p, _, _, res = certifier.balls[k]
-                    certified[j] = OmegaEstimate(SINGLETON, point=p,
-                                                 residual=res, certified_at=t)
-                rows = rows[~done]
-                stepper.drop(done)
+        which = certifier.check(stepper.X, t)
+        done = which >= 0
+        if done.any():
+            for j, k in zip(rows[done], which[done]):
+                p, _, _, res = certifier.balls[k]
+                certified[j] = OmegaEstimate(SINGLETON, point=p,
+                                             residual=res, certified_at=t)
+            rows = rows[~done]
+            stepper.drop(done)
 
-    stepper.march(T, dt, on_step)
+    times, frames = _march_tail(stepper, T, dt, tail_fraction, store_stride,
+                                retire if certifier is not None else None)
     tails = np.asarray(frames).reshape(len(times), len(rows), X0.shape[1])
     return np.asarray(times), tails, rows, certified
 
@@ -738,14 +822,13 @@ def ensemble_omega(s: FlowSystem, X0: np.ndarray, T: float,
     """Omega-limit estimates for a batch; escaped samples come back as None.
 
     Tails classify with the default CLUSTER_RADIUS and EQ_TOL, the
-    tolerances the retirement certificate is built on.
+    tolerances the retirement certificate is built on, in one
+    ``classify_tail`` call.
     """
-    _, frames, rows, out = ensemble_tails(s, X0, T, dt, tail_fraction,
-                                          store_stride)
-    for col, j in enumerate(rows):
-        tail = frames[:, col, :]
-        # a non-finite tail is an escape
-        out[j] = classify_tail(s, tail) if np.all(np.isfinite(tail)) else None
+    _, tails, rows, out = ensemble_tails(s, X0, T, dt, tail_fraction,
+                                         store_stride)
+    for j, est in zip(rows, classify_tail(s, tails)):
+        out[j] = est
     return out
 
 

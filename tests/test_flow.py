@@ -271,7 +271,7 @@ def test_masked_tangent_at_keeps_every_other_row_to_itself():
     for i in (0, 2):
         x1, p1 = flow.tangent_at(s, X0[i:i + 1], times)
         assert np.array_equal(phis[:, i], p1[:, 0])
-        # X @ R^T is one BLAS product whose rounding follows the batch size
+        # (R @ X.T).T is one BLAS product whose rounding follows the batch size
         assert np.allclose(xs[:, i], x1[:, 0], rtol=1e-14, atol=0.0)
 
 
@@ -499,6 +499,19 @@ def test_jac_lipschitz_bounds_jacobian_differences(name):
     assert np.all(lhs <= rhs)
 
 
+def _assert_same_estimate(got, want):
+    """Equal omega estimates: kind, point, residual and witnesses bit for bit."""
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert got.kind == want.kind
+    for a, b in ((got.point, want.point), (got.witnesses, want.witnesses)):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    assert got.residual == want.residual or (np.isnan(got.residual)
+                                             and np.isnan(want.residual))
+    assert got.certified_at == want.certified_at
+
+
 def _with_and_without_certificate(name, N, T):
     s = registry.get_system(name)
     X0 = experiments.sample_states(s, 3.0, N, 0)
@@ -534,11 +547,271 @@ def test_systems_without_a_contraction_certificate_retire_nothing(name, T):
     got, ref = _with_and_without_certificate(name, 300, T)
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
-        assert (g is None) == (r is None)
-        if g is None:
-            continue
-        assert g.kind == r.kind and g.certified_at is None
-        for a, b in ((g.point, r.point), (g.witnesses, r.witnesses)):
-            assert (a is None and b is None) or np.array_equal(a, b)
-        assert g.residual == r.residual or (np.isnan(g.residual)
-                                            and np.isnan(r.residual))
+        _assert_same_estimate(g, r)
+
+
+@pytest.mark.parametrize("T", [3.3, 2.0043, 33.3])
+def test_single_and_ensemble_paths_classify_one_tail_window(T):
+    # (1 - TAIL_FRACTION) T is off the stride grid at each T: the window must
+    # still start at the same step on both paths
+    rot = registry.get_system("rotation2d")
+    plain = dataclasses.replace(registry.get_system("coop2d"),
+                                jac_lipschitz=None)
+    p = flow.find_equilibria(plain, [np.array([1.0, 1.0])])[0]
+    cases = [(rot, np.array([1.0, 0.0])), (rot, np.array([1e-6, 2e-6])),
+             (plain, np.array([1.0, 0.5])), (plain, p + [3e-6, -2e-6])]
+    kinds = []
+    for s, x0 in cases:
+        one = flow.omega_limit(s, x0, T)
+        _assert_same_estimate(one, flow.ensemble_omega(s, x0[None], T)[0])
+        kinds.append(one.kind)
+    # the comparison covers a polished point at every T and witnesses at 33.3
+    assert kinds[3] == SINGLETON
+    assert (kinds[0] == NON_SINGLETON) == (T > 2.0 * np.pi / flow.TAIL_FRACTION)
+
+
+# ------------------------------------------------------ batched classifier
+
+
+def _polyline_min_dist(p, pts):
+    """Min distance from p to the polyline through pts."""
+    a, b = pts[:-1], pts[1:]
+    ab = b - a
+    denom = np.sum(ab * ab, axis=1)
+    denom[denom == 0.0] = 1.0
+    t = np.clip(np.sum((p - a) * ab, axis=1) / denom, 0.0, 1.0)
+    proj = a + t[:, None] * ab
+    return float(np.min(np.linalg.norm(p - proj, axis=1)))
+
+
+def _classify_one(s, tail, cluster_radius=flow.CLUSTER_RADIUS,
+                  eq_tol=flow.EQ_TOL):
+    """Reference classifier: one (k, n) tail at a time, None for an escape."""
+    if not np.all(np.isfinite(tail)):
+        return None
+    diam = float(np.linalg.norm(tail.max(axis=0) - tail.min(axis=0)))
+    if diam < cluster_radius:
+        p, res = flow._newton_polish(s, tail.mean(axis=0), eq_tol)
+        if (p is not None and res < 10.0 * eq_tol
+                and float(np.max(np.linalg.norm(tail - p, axis=1)))
+                < cluster_radius):
+            return flow.OmegaEstimate(SINGLETON, point=p, residual=res)
+        return flow.OmegaEstimate(UNDETERMINED, residual=res)
+    anchor = tail[0]
+    dists = np.linalg.norm(tail - anchor, axis=1)
+    away = np.flatnonzero(dists > 10.0 * cluster_radius)
+    if len(away) > 0 and away[0] + 1 < len(tail):
+        if _polyline_min_dist(anchor, tail[away[0]:]) < cluster_radius:
+            step = max(1, len(tail) // 64)
+            return flow.OmegaEstimate(NON_SINGLETON,
+                                      witnesses=tail[::step].copy())
+    return flow.OmegaEstimate(UNDETERMINED)
+
+
+def _assert_matches_reference(s, tails):
+    got = flow.classify_tail(s, tails)
+    assert len(got) == tails.shape[1]
+    for j, est in enumerate(got):
+        _assert_same_estimate(est, _classify_one(s, tails[:, j]))
+    return got
+
+
+def _crafted_tails(p, k=130):
+    """(name, (k, 2) tail) pairs; p is an equilibrium of coop2d."""
+    rng = np.random.default_rng(8)
+    ang = 2.0 * np.pi * np.arange(k) / 104.0  # state 104 closes the turn
+    circle = np.column_stack([np.cos(ang), np.sin(ang)])
+    # every state twice (zero-length segments): over a turn, and half a turn
+    twice = np.repeat(circle[::2], 2, axis=0)[:k]
+    arc = np.repeat(0.5 * circle[: k // 2], 2, axis=0)[:k]
+    still = 1e-5 * rng.normal(size=(k, 2))
+    jump = still.copy()
+    jump[-1] = [1.0, 0.0]
+    # returns within cluster_radius only mid-segment, far from every vertex
+    passing = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 1.0],
+                        [-1.0, 5e-5], [1.0, 5e-5]])
+    passing = np.vstack([passing, np.repeat(passing[-1:], k - 6, axis=0)])
+    nan_row, inf_row = circle.copy(), circle.copy()
+    nan_row[40, 1] = np.nan
+    inf_row[-1, 0] = np.inf
+    return [
+        ("singleton", p + 1e-7 * rng.normal(size=(k, 2))),
+        ("clustered_off_equilibrium", [0.5, 0.2] + 1e-7 * rng.normal(
+            size=(k, 2))),
+        ("circle", circle),
+        ("drift", np.linspace([0.0, 0.0], [1.0, 2.0], k)),
+        ("away_at_last_index", jump),
+        ("repeated_states_circle", twice),
+        ("repeated_states_arc", arc),
+        ("constant", np.repeat(circle[:1], k, axis=0)),
+        ("passing", passing),
+        ("nan", nan_row),
+        ("inf", inf_row),
+    ]
+
+
+@pytest.mark.parametrize("M", [0, 1, 15, 16, 17, 33])
+def test_batched_classifier_matches_the_per_row_reference(M):
+    coop = registry.get_system("coop2d")
+    p = flow.find_equilibria(coop, [np.array([1.0, 1.0])])[0]
+    crafted = _crafted_tails(p)
+    order = np.random.default_rng(M).permutation(
+        np.arange(M) % len(crafted))
+    tails = np.empty((130, M, 2))
+    for col, i in enumerate(order):
+        tails[:, col] = crafted[i][1]
+    # a constant field has no equilibrium: its Newton fails on every
+    # clustered tail
+    for s in (coop, constant_system([1.0, -1.0])):
+        got = _assert_matches_reference(s, tails)
+        for est, i in zip(got, order):
+            name = crafted[i][0]
+            if name in ("nan", "inf"):
+                assert est is None
+            elif name == "singleton":
+                assert est.kind == (SINGLETON if s is coop else UNDETERMINED)
+            elif name in ("circle", "repeated_states_circle", "passing"):
+                assert est.kind == NON_SINGLETON
+            else:
+                assert est.kind == UNDETERMINED, name
+            if name == "circle":  # witnesses sample the tail every 130 // 64
+                assert np.array_equal(est.witnesses, crafted[i][1][::2])
+
+
+def test_batched_classifier_takes_one_state_tails():
+    coop = registry.get_system("coop2d")
+    p = flow.find_equilibria(coop, [np.array([1.0, 1.0])])[0]
+    tails = np.array([[p, [0.5, 0.2], [np.nan, 0.0]]])
+    got = _assert_matches_reference(coop, tails)
+    assert [e and e.kind for e in got] == [SINGLETON, UNDETERMINED, None]
+
+
+@pytest.mark.parametrize("name,T,kinds", [
+    ("rotation2d", 40.0, {NON_SINGLETON}),
+    ("spd_lyapunov", 7.0, {SINGLETON, UNDETERMINED}),
+    ("spd_lyapunov", 10.0, {SINGLETON, None}),  # None: left the chart
+    ("bistable1d", 8.0, {UNDETERMINED}),
+    ("bistable1d", 30.0, set()),  # every row retires: no tail reaches it
+    ("coop2d", 30.0, {SINGLETON, UNDETERMINED})])
+def test_batched_classifier_matches_the_reference_on_ensembles(name, T, kinds):
+    s = registry.get_system(name)
+    if name == "coop2d":  # no retirement: every row reaches the classifier
+        s = dataclasses.replace(s, jac_lipschitz=None)
+    X0 = experiments.sample_states(s, 3.0, 60, 0)
+    _, tails, _, _ = flow.ensemble_tails(s, X0, T)
+    got = _assert_matches_reference(s, tails)
+    assert {e and e.kind for e in got} == kinds
+
+
+# ------------------------------------------ component-major matrix steps
+
+
+def _matrix_march(s, X, plan):
+    """Reference: X <- X @ R.T and P <- R P per step of the plan; a row that
+    leaves the manifold freezes at nan.  Yields (X, P) after each step."""
+    n = s.dim
+    X = np.array(X, dtype=float)
+    P = np.tile(np.eye(n), (len(X), 1, 1))
+    dead = np.zeros(len(X), dtype=bool)
+    for h in plan:
+        R = flow._rk4_map(s.matrix, h)
+        X = X @ R.T
+        P = np.einsum("ij,rjl->ril", R, P)
+        if s.manifold.kind == "spd":
+            dead |= _eigvalsh_guard(X)
+        X[dead] = np.nan
+        P[dead] = np.nan
+        yield X, P
+
+
+def _plan(span, dt):
+    n_full, rem = flow._plan_steps(span, dt)
+    return [dt] * n_full + ([rem] if rem > 0.0 else [])
+
+
+def _matrix_x0(name):
+    if name == "spd_lyapunov":  # row 1 leaves the chart near t = 0.35
+        return np.array([pack_sym(np.array([[2.0, 0.3], [0.3, 1.0]])),
+                         pack_sym(np.diag([1.0, 2e-10])),
+                         pack_sym(np.array([[1.0, -0.5], [-0.5, 3.0]]))])
+    return np.random.default_rng(6).uniform(-2.0, 2.0, (5, 2))
+
+
+@pytest.mark.parametrize("name", ["metzler_linear", "rotation2d",
+                                  "spd_lyapunov"])
+def test_matrix_steps_equal_the_row_major_reference(name):
+    s = registry.get_system(name)
+    X0, dt, times = _matrix_x0(name), 1e-3, [0.5, 1.0005, 1.5]
+    want, t_prev, X = [], 0.0, X0
+    for t in times:  # one plan per gap between capture times, as _capture
+        for X, P in _matrix_march(s, X, _plan(t - t_prev, dt)):
+            pass
+        want.append((X, P))
+        t_prev = t
+    xs = flow.states_at(s, X0, times, dt, on_failure="mask")
+    xt, ps = flow.tangent_at(s, X0, times, dt, on_failure="mask")
+    assert np.array_equal(xs, xt, equal_nan=True)
+    for i, (X, _) in enumerate(want):
+        assert np.array_equal(xs[i], X, equal_nan=True)
+    # the reference restarts its tangents on every gap: compare the first;
+    # the products of R sum in another order, so they agree to rounding
+    P = want[0][1]
+    assert np.array_equal(np.isnan(ps[0]), np.isnan(P))
+    assert np.allclose(ps[0], P, rtol=1e-14, atol=0.0, equal_nan=True)
+    if name == "spd_lyapunov":
+        assert np.all(np.isnan(xs[:, 1])) and np.all(np.isnan(ps[:, 1]))
+    T = 1.5005
+    times, tails, rows, _ = flow.ensemble_tails(s, X0, T, dt)
+    plan = _plan(T, dt)
+    start = flow._tail_start(T, dt, flow.TAIL_FRACTION)
+    stored = [X.copy() for i, (X, _) in enumerate(_matrix_march(s, X0, plan), 1)
+              if i >= start and ((i - start) % flow.STORE_STRIDE == 0
+                                 or i == len(plan))]
+    assert list(rows) == list(range(len(X0)))
+    assert np.array_equal(tails, np.array(stored), equal_nan=True)
+
+
+def test_matrix_stepper_keeps_row_major_shape_over_component_major_states():
+    s = registry.get_system("rotation2d")
+    X0 = _matrix_x0("rotation2d")
+    stepper = flow._Stepper(s, X0)
+    for t in (1e-3, 2e-3):
+        stepper.advance(1e-3, t)
+        assert stepper.X.shape == X0.shape
+        assert stepper.X.T.flags.c_contiguous  # (n, N): one row per component
+    R = flow._rk4_map(s.matrix, 1e-3)
+    assert np.array_equal(stepper.X, X0 @ R.T @ R.T)
+
+
+def test_matrix_steps_survive_retirement():
+    # on x' = -x the certificate's bound is d0 exp(-t_tail): rows that start
+    # within 0.06 of the origin retire at the first check, the others never
+    s = registry._linear_system(-np.eye(2), "sink")
+    X0 = np.array([[0.005, 0.0], [1.0, -1.0], [0.01, 0.02], [2.0, 0.5],
+                   [-0.03, 0.01]])
+    T, dt = 10.0, 1e-3
+    times, tails, rows, certified = flow.ensemble_tails(s, X0, T, dt)
+    assert list(rows) == [1, 3]
+    assert [c is not None for c in certified] == [True, False, True, False,
+                                                  True]
+    plan = _plan(T, dt)
+    start = flow._tail_start(T, dt, flow.TAIL_FRACTION)
+    stored = [X.copy() for i, (X, _) in enumerate(
+        _matrix_march(s, X0[rows], plan), 1)
+        if i >= start and ((i - start) % flow.STORE_STRIDE == 0
+                           or i == len(plan))]
+    assert np.array_equal(tails, np.array(stored))
+
+
+def test_one_row_pf_march_on_a_declared_matrix_equals_the_reference():
+    s = registry.get_system("metzler_linear")
+    x0, T, dt = np.array([1.0, 1.0]), 2.0005, 1e-3
+    rays = np.array([[1.0, 0.2], [0.3, 1.0]])
+    _, _, x, W = pf.propagate_ray_pairs(s, ConstantField(Orthant(2)), x0,
+                                        rays[:1], rays[1:], T, dt)
+    for X, P in _matrix_march(s, x0[None], _plan(T, dt)):
+        pass
+    assert np.array_equal(x, X[0])
+    RW = P[0] @ rays.T
+    assert np.allclose(W, RW / np.linalg.norm(RW, axis=0), rtol=1e-13,
+                       atol=0.0)
