@@ -23,7 +23,12 @@ A system that declares its matrix keeps its states the same way: a step
 is (R @ X.T).T, so X is the (N, n) transposed view of a contiguous
 (n, N) array, bit-equal to X @ R.T and about three times faster at
 N = 1000.  Nonlinear systems keep row-major states: their stage sums
-would otherwise mix memory layouts.
+would otherwise mix memory layouts.  A jac may build its stack
+component-major and return the (N, n, n) view of it, as coop2d does;
+``_jac_cm`` then hands that stack on without a copy.  The RK4 sums
+k1 + 2 k2 + 2 k3 + k4 of the state and of M accumulate in place
+(``_rk4_increment``), in the order of the textbook expression, so a step
+rounds as that expression does; nothing f or jac returns is written into.
 
 Vector fields are vectorized: ``f`` maps arrays of shape (..., n) to
 (..., n) and ``jac`` maps (..., n) to (..., n, n).  Every flow path -- single
@@ -155,12 +160,35 @@ def _plan_steps(T: float, dt: float):
     return n_full, rem
 
 
+def _rk4_increment(h: float, k1, k2, k3, k4, scratch: bool = False):
+    """(h / 6) (k1 + 2 k2 + 2 k3 + k4), bit for bit, summed in place.
+
+    The adds run in that order; only their operands commute.  The sum
+    lives in a new array, or, with scratch set, in k2, and 2 k3 in k3:
+    only a caller that allocated k2 and k3 itself may set it.  What f and
+    jac return is never written into (a jac may return a read-only view).
+    """
+    if scratch:
+        acc, two_k3 = k2, k3
+        acc *= 2.0
+        two_k3 *= 2.0
+    else:
+        acc, two_k3 = 2.0 * k2, 2.0 * k3
+    acc += k1
+    acc += two_k3
+    acc += k4
+    acc *= h / 6.0
+    return acc
+
+
 def _rk4_step(s: FlowSystem, X: np.ndarray, h: float) -> np.ndarray:
     k1 = s.f(X)
     k2 = s.f(X + 0.5 * h * k1)
     k3 = s.f(X + 0.5 * h * k2)
     k4 = s.f(X + h * k3)
-    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    Xn = _rk4_increment(h, k1, k2, k3, k4)
+    Xn += X
+    return Xn
 
 
 def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -175,7 +203,8 @@ def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _jac_cm(s: FlowSystem, X: np.ndarray) -> np.ndarray:
-    """jac at the rows of X as a contiguous component-major (n, n, N) stack."""
+    """jac at the rows of X as a contiguous component-major (n, n, N) stack;
+    no copy when jac returns the (N, n, n) view of such a stack."""
     return np.ascontiguousarray(s.jac(X).transpose(1, 2, 0))
 
 
@@ -215,8 +244,10 @@ def _rk4_step_map(s: FlowSystem, X: np.ndarray, h: float):
     x4 = X + h * k3
     k4 = s.f(x4)
     K4 = _times_eye_plus(_jac_cm(s, x4), K3, h)
-    Xn = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    M = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    Xn = _rk4_increment(h, k1, k2, k3, k4)
+    Xn += X
+    # K2 and K3 are _times_eye_plus outputs, so they may hold the sum
+    M = _rk4_increment(h, K1, K2, K3, K4, scratch=True)
     for i in range(len(M)):
         M[i, i] += 1.0
     return Xn, M.transpose(2, 0, 1)
@@ -243,6 +274,13 @@ def _leaves_chart(V: np.ndarray, n: int) -> np.ndarray:
     if near.any():
         out[near] = np.linalg.eigvalsh(unpack_sym(V[near], 2))[:, 0] <= EIG_TOL
     return out
+
+
+def _off_chart(s: FlowSystem, p: np.ndarray) -> bool:
+    """True for a point of an SPD system that fails the chart guard: it is
+    no point of the manifold, so no limit or equilibrium there counts."""
+    return s.manifold.kind == "spd" and bool(
+        _leaves_chart(p[None, :], s.manifold.n)[0])
 
 
 def _bad_rows(s: FlowSystem, X: np.ndarray):
@@ -564,14 +602,15 @@ def _newton_polish(s: FlowSystem, x0: np.ndarray, eq_tol: float = EQ_TOL,
 
 def find_equilibria(s: FlowSystem, seeds, eq_tol: float = EQ_TOL,
                     cluster_radius: float = CLUSTER_RADIUS) -> list:
-    """Newton from every seed; keep |f| < eq_tol, dedupe within cluster_radius."""
+    """Newton from every seed; keep |f| < eq_tol at points of the manifold
+    (on SPD, inside the chart guard), dedupe within cluster_radius."""
     seeds = [np.asarray(x, dtype=float) for x in seeds]
     if not seeds:
         raise ValueError("seeds must be nonempty")
     found: list[np.ndarray] = []
     for x0 in seeds:
         p, res = _newton_polish(s, x0, eq_tol)
-        if p is None or res >= eq_tol:
+        if p is None or res >= eq_tol or _off_chart(s, p):
             continue
         if not any(np.linalg.norm(p - q) < cluster_radius for q in found):
             found.append(p)
@@ -622,11 +661,13 @@ def classify_tail(s: FlowSystem, tails: np.ndarray,
     non-finite entry (an escape) gives None.  A tail whose bounding-box
     diagonal is below cluster_radius is a singleton when Newton from its
     mean polishes to a point that every state lies within cluster_radius
-    of, and undetermined otherwise.  Any other tail is non-singleton when
-    the polyline through its states, from the first one farther than
-    10 cluster_radius from tail[0] on, comes back within cluster_radius of
-    tail[0], and undetermined otherwise.  The rows go through in blocks of
-    _CLASSIFY_BLOCK, each in one vectorized pass; only Newton runs per row.
+    of and that is a point of the manifold (on SPD, one that passes the
+    chart guard), and undetermined otherwise.  Any other tail is
+    non-singleton when the polyline through its states, from the first one
+    farther than 10 cluster_radius from tail[0] on, comes back within
+    cluster_radius of tail[0], and undetermined otherwise.  The rows go
+    through in blocks of _CLASSIFY_BLOCK, each in one vectorized pass; only
+    Newton runs per row.
     """
     k, M, _ = tails.shape
     step = max(1, k // 64)  # witnesses of a non-singleton tail
@@ -648,7 +689,8 @@ def classify_tail(s: FlowSystem, tails: np.ndarray,
             elif clustered[j]:
                 p, res = _newton_polish(s, tail.mean(axis=0), eq_tol)
                 if (p is not None and res < 10.0 * eq_tol and float(np.max(
-                        np.linalg.norm(tail - p, axis=1))) < cluster_radius):
+                        np.linalg.norm(tail - p, axis=1))) < cluster_radius
+                        and not _off_chart(s, p)):
                     out.append(OmegaEstimate(SINGLETON, point=p, residual=res))
                 else:
                     out.append(OmegaEstimate(UNDETERMINED, residual=res))

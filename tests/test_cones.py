@@ -92,6 +92,29 @@ def test_margins_match_margin_row_by_row():
             c.margins(np.ones((4, c.dim + 1)))
 
 
+def reference_per_norm(slack, V):
+    nv = np.linalg.norm(V, axis=-1)
+    return np.divide(slack, nv, out=np.zeros_like(nv), where=nv != 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_per_norm_equals_the_linalg_norm_version(dim):
+    rng = np.random.default_rng(dim)
+    V = np.vstack([rng.normal(size=(9, dim)), np.zeros((2, dim)),
+                   np.full((1, dim), np.nan),
+                   rng.normal(size=(3, dim)) * 1e-160,
+                   rng.normal(size=(3, dim)) * 1e150])
+    V[-1, 0] = np.nan
+    slack = rng.normal(size=len(V))
+    with np.errstate(over="ignore"):  # the 1e150 rows square to inf
+        for v, sl in [(V, slack), (V.reshape(3, 6, dim), slack.reshape(3, 6)),
+                      (V[0], slack[0]), (V[9], slack[9]), (V[11], slack[11])]:
+            got, want = cones._per_norm(sl, v), reference_per_norm(sl, v)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+    assert cones._per_norm(np.float64(1.5), np.zeros(dim)) == 0.0
+
+
 def test_conic_combinations_are_unit_cone_elements_drawn_row_by_row():
     for c in all_cones() + [square_pyramid()]:
         R = c.unit_rays(np.random.default_rng(2))

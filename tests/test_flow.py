@@ -1,15 +1,17 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from conedyn import experiments, flow, geometry, pf, registry
+from conedyn import cli, experiments, flow, geometry, pf, registry
 from conedyn.conefield import ConstantField
 from conedyn.cones import Orthant
 from conedyn.errors import FlowBlowupError, ManifoldExitError
 from conedyn.flow import NON_SINGLETON, SINGLETON, UNDETERMINED
 from conedyn.geometry import pack_sym
-from helpers import constant_system, linear_system, tanh_fixed_point
+from helpers import (blowup_rotation, constant_system, linear_system,
+                     tanh_fixed_point)
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +256,111 @@ def test_rk4_step_map_stages_give_the_exact_map_of_a_linear_field():
                            atol=1e-14 * np.abs(R).max())
 
 
+# ------------------------------------------------ in-place RK4 sums
+
+
+def reference_rk4_step(s, X, h):
+    k1 = s.f(X)
+    k2 = s.f(X + 0.5 * h * k1)
+    k3 = s.f(X + 0.5 * h * k2)
+    k4 = s.f(X + h * k3)
+    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_rk4_step_map(s, X, h):
+    """The stages of _rk4_step_map, summed by the one-line expressions."""
+    k1 = s.f(X)
+    K1 = flow._jac_cm(s, X)
+    x2 = X + 0.5 * h * k1
+    k2 = s.f(x2)
+    K2 = flow._times_eye_plus(flow._jac_cm(s, x2), K1, 0.5 * h)
+    x3 = X + 0.5 * h * k2
+    k3 = s.f(x3)
+    K3 = flow._times_eye_plus(flow._jac_cm(s, x3), K2, 0.5 * h)
+    x4 = X + h * k3
+    k4 = s.f(x4)
+    K4 = flow._times_eye_plus(flow._jac_cm(s, x4), K3, h)
+    Xn = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    M = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    for i in range(len(M)):
+        M[i, i] += 1.0
+    return Xn, M.transpose(2, 0, 1)
+
+
+STAGED = {  # systems that step by RK4 stages, not a declared matrix
+    "coop2d": lambda: registry.get_system("coop2d"),
+    "bistable1d": lambda: registry.get_system("bistable1d"),
+    "blowup_rotation": blowup_rotation,
+    # its jac is a read-only broadcast
+    "linear3": lambda: linear_system([[-1.0, 2.0, 0.5], [0.3, -0.7, 0.0],
+                                      [1.0, -1.0, 0.2]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGED))
+@pytest.mark.parametrize("N", [0, 1, 7, 1000])
+def test_rk4_sums_equal_the_one_line_expressions(name, N):
+    s = STAGED[name]()
+    X = np.random.default_rng(N).uniform(-0.9, 0.9, (N, s.dim))
+    for h in (1e-3, 0.05, 0.3):
+        assert np.array_equal(flow._rk4_step(s, X, h),
+                              reference_rk4_step(s, X, h))
+        Xn, M = flow._rk4_step_map(s, X, h)
+        Xr, Mr = reference_rk4_step_map(s, X, h)
+        assert np.array_equal(Xn, Xr) and np.array_equal(M, Mr)
+
+
+def test_coop2d_jac_reaches_the_step_map_without_a_copy(coop):
+    stacks = []
+
+    def jac(x):
+        stacks.append(coop.jac(x))
+        return stacks[-1]
+
+    s = dataclasses.replace(coop, jac=jac)
+    X = np.random.default_rng(1).normal(size=(1000, 2))
+    K = flow._jac_cm(s, X)
+    assert K.shape == (2, 2, 1000) and K.flags.c_contiguous
+    assert np.shares_memory(K, stacks[0])
+
+
+def read_only_kernels(s):
+    """s with f and jac outputs made read-only, each kept with a copy."""
+    seen = []
+
+    def freeze(fn):
+        def frozen(x):
+            out = np.asarray(fn(x))
+            out.setflags(write=False)
+            seen.append((out, out.copy()))
+            return out
+        return frozen
+
+    return dataclasses.replace(s, f=freeze(s.f), jac=freeze(s.jac)), seen
+
+
+@pytest.mark.parametrize("name", ["coop2d", "linear3"])
+def test_steps_never_write_into_what_f_and_jac_return(name):
+    s = STAGED[name]()
+    frozen, seen = read_only_kernels(s)
+    X = np.random.default_rng(5).uniform(-0.9, 0.9, (6, s.dim))
+    h = 0.05
+    assert np.array_equal(flow._rk4_step(frozen, X, h),
+                          flow._rk4_step(s, X, h))
+    for a, b in zip(flow._rk4_step_map(frozen, X, h),
+                    flow._rk4_step_map(s, X, h)):
+        assert np.array_equal(a, b)
+    for a, b in zip(flow.tangent_at(frozen, X, [0.05, 0.1]),
+                    flow.tangent_at(s, X, [0.05, 0.1])):
+        assert np.array_equal(a, b)
+    assert np.array_equal(flow.states_at(frozen, X, [0.1]),
+                          flow.states_at(s, X, [0.1]))
+    assert np.array_equal(flow.tangent_flow(frozen, X[0], 0.1).phis,
+                          flow.tangent_flow(s, X[0], 0.1).phis)
+    assert len(seen) > 100
+    assert all(np.array_equal(out, copy) for out, copy in seen)
+
+
 # ------------------------------------------ component-major tangent stacks
 
 
@@ -470,6 +577,49 @@ def test_omega_limit_periodic_orbit():
     assert np.allclose(radii, 1.0, atol=1e-5)
 
 
+def tail_sinking_to_the_zero_matrix():
+    """A clustered (k, 1, 3) SPD(2) tail decaying onto 0: every state
+    passes the chart guard, but its limit is no point of SPD(2)."""
+    t = np.linspace(0.0, 1.0, 50)[:, None, None]
+    return 1e-6 * np.exp(-t) * pack_sym(np.eye(2))
+
+
+def test_an_spd_tail_clustered_at_the_zero_matrix_is_undetermined():
+    s = registry.get_system("spd_lyapunov")
+    tails = tail_sinking_to_the_zero_matrix()
+    assert not flow._leaves_chart(tails[:, 0], 2).any()
+    est, = flow.classify_tail(s, tails)
+    assert est.kind == UNDETERMINED and est.point is None
+    assert est.residual < flow.EQ_TOL  # Newton did reach the zero matrix
+    # the same tail on flat space is a singleton at the origin
+    flat, = flow.classify_tail(linear_system(s.matrix), tails)
+    assert flat.kind == SINGLETON
+    assert np.linalg.norm(flat.point) < 1e-12
+
+
+def test_find_equilibria_keeps_only_points_of_the_manifold():
+    s = registry.get_system("spd_lyapunov")
+    seeds = [pack_sym(np.eye(2)), pack_sym(np.array([[2.0, 0.3], [0.3, 1.0]]))]
+    assert flow.find_equilibria(s, seeds) == []
+    eqs = flow.find_equilibria(linear_system(s.matrix), seeds)
+    assert len(eqs) == 1 and np.linalg.norm(eqs[0]) < 1e-12
+
+
+def test_spd_orbits_sinking_to_the_boundary_do_not_converge(tmp_path):
+    # e^{At} X0 e^{A^T t} with A Hurwitz tends to the zero matrix, which is
+    # outside SPD(2); no sample leaves the chart by T = 8
+    out = tmp_path / "converge.json"
+    assert cli.run(["converge", "--system", "spd_lyapunov", "--n", "20",
+                    "--T", "8", "--seed", "0", "--out", str(out)]) in (0, 1)
+    counts = json.loads(out.read_text())["counts"]
+    assert counts["converged"] == 0 and counts["undetermined"] == 20
+    assert counts["escapes"] == 0
+    s = registry.get_system("spd_lyapunov")
+    X0 = flow.sample_states(s, 3.0, 4, 0)
+    for x0, est in zip(X0, flow.ensemble_omega(s, X0, 8.0)):
+        assert est.kind == flow.omega_limit(s, x0, 8.0).kind == UNDETERMINED
+
+
 def test_ensemble_matches_single(coop):
     X0 = np.array([[1.0, 0.5], [-1.0, -0.5]])
     ests = flow.ensemble_omega(coop, X0, T=60.0, dt=1e-3)
@@ -584,6 +734,12 @@ def _polyline_min_dist(p, pts):
     return float(np.min(np.linalg.norm(p - proj, axis=1)))
 
 
+def on_manifold(s, p):
+    """p is a point of s's manifold: on SPD(n), lambda_min > EIG_TOL."""
+    return s.manifold.kind != "spd" or np.linalg.eigvalsh(
+        geometry.unpack_sym(p, s.manifold.n))[0] > geometry.EIG_TOL
+
+
 def _classify_one(s, tail, cluster_radius=flow.CLUSTER_RADIUS,
                   eq_tol=flow.EQ_TOL):
     """Reference classifier: one (k, n) tail at a time, None for an escape."""
@@ -594,7 +750,7 @@ def _classify_one(s, tail, cluster_radius=flow.CLUSTER_RADIUS,
         p, res = flow._newton_polish(s, tail.mean(axis=0), eq_tol)
         if (p is not None and res < 10.0 * eq_tol
                 and float(np.max(np.linalg.norm(tail - p, axis=1)))
-                < cluster_radius):
+                < cluster_radius and on_manifold(s, p)):
             return flow.OmegaEstimate(SINGLETON, point=p, residual=res)
         return flow.OmegaEstimate(UNDETERMINED, residual=res)
     anchor = tail[0]
@@ -688,8 +844,9 @@ def test_batched_classifier_takes_one_state_tails():
 
 @pytest.mark.parametrize("name,T,kinds", [
     ("rotation2d", 40.0, {NON_SINGLETON}),
-    ("spd_lyapunov", 7.0, {SINGLETON, UNDETERMINED}),
-    ("spd_lyapunov", 10.0, {SINGLETON, None}),  # None: left the chart
+    # tails that cluster at the zero matrix, off SPD(2), are undetermined
+    ("spd_lyapunov", 7.0, {UNDETERMINED}),
+    ("spd_lyapunov", 10.0, {UNDETERMINED, None}),  # None: left the chart
     ("bistable1d", 8.0, {UNDETERMINED}),
     ("bistable1d", 30.0, set()),  # every row retires: no tail reaches it
     ("coop2d", 30.0, {SINGLETON, UNDETERMINED})])

@@ -329,3 +329,21 @@ def test_a_tangent_overflow_before_the_state_raises_flow_blowup():
         pf.propagate_ray_pairs(s, field, x0, A, B, 3.0, store_stride=1)
     assert 1.25 < got.value.time < state.value.time
     assert "tangent" in str(got.value)
+
+
+@pytest.mark.parametrize("start", range(6))
+def test_congruence_flows_are_hilbert_isometries(start):
+    # spd_lyapunov's tangent map is the congruence d -> Phi d Phi^T, and the
+    # PSD Hilbert metric is invariant under congruence (Bushell 1973): the
+    # contraction log of any ray pair stays at its first entry
+    s = registry.get_system("spd_lyapunov")
+    x0 = registry.DEFAULT_X0["spd_lyapunov"]
+    if start:
+        rng = np.random.default_rng(start)
+        x0 = s.manifold.random_point(rng)
+    log = pf.pf_direction(s, registry.default_field(s), x0,
+                          T=3.0).contraction_log
+    assert log[-1, 0] == pytest.approx(3.0) and len(log) > 100
+    d = log[:, 1]
+    assert d[0] > 0.1
+    assert np.max(np.abs(d - d[0])) <= 1e-11
