@@ -9,8 +9,11 @@ probes then verify closedness, push-up, and continuity behavior.
 import numpy as np
 
 from conedyn import order
+from conedyn.conefield import ConstantField
+from conedyn.cones import Lorentz
 
 p = np.zeros(2)
+LIGHT_CONE = ConstantField(Lorentz(2))  # the cone of 1+1 space-time
 REGION = ((0.0, 2.0), (-2.0, 2.0))
 
 print("== point classifications from (0,0) ==")
@@ -20,11 +23,11 @@ for q in ([2.0, 1.0], [1.0, 1.0], [0.0, 1.0]):
 
 print("\n== analytic future vs cone-respecting grid walk ==")
 analytic = order.minkowski_future(p, order.CAUSAL, REGION, 101)
-reached = order.reachable_grid("minkowski", p, REGION, 101, directions=16)
+reached = order.reachable_grid(LIGHT_CONE, p, REGION, 101, directions=16)
 print(f"  cell agreement on a 101x101 grid: {reached.agreement(analytic):.4f}")
 
 # a coarse picture: rows are time slices (top = late), # reached, . not
-coarse = order.reachable_grid("minkowski", p, REGION, 31, directions=16)
+coarse = order.reachable_grid(LIGHT_CONE, p, REGION, 31, directions=16)
 print("\n  reached set (t increases upward):")
 for i in reversed(range(0, 31, 3)):
     row = "".join("#" if coarse.grid[i, j] else "." for j in range(0, 31))

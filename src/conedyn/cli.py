@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import experiments, flow, order, pf, positivity, registry, reports
-from .conefield import ConeField, parse_field_spec
+from .conefield import ConeField, ConstantField, parse_field_spec
 from .cones import Lorentz, Orthant, finite_number
 from .errors import (
     ConeConstructionError,
@@ -333,7 +333,8 @@ def _cmd_causal(scen: Scenario):
     region = ((0.0, 2.0), (-2.0, 2.0))
     resolution = 101
     analytic = order.minkowski_future(p, order.CAUSAL, region, resolution)
-    reached = order.reachable_grid("minkowski", p, region, resolution, 16)
+    reached = order.reachable_grid(ConstantField(Lorentz(2)), p, region,
+                                   resolution, 16)
     agreement = reached.agreement(analytic)
     qc = order.quasi_closed_probe(order.MinkowskiOracle(),
                                   min(scen.N, 500), scen.seed)

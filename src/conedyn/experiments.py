@@ -27,7 +27,7 @@ from .conefield import ConeField, ConstantField
 from .cones import conic_combinations
 from .errors import ProbeConstructionError, UnsupportedInputError
 from .flow import NON_SINGLETON, SINGLETON, UNDETERMINED, sample_states
-from .order import INCOMPARABLE, LEQ_STRICT, leq_flat
+from .order import INC, LEQ_STRICT, leq_flat, relations
 
 MATCH_TOL = 1e-3  # singleton limits closer than this are the same equilibrium
 OMEGA_CHUNK = 1024  # rows per ensemble_omega call; bounds tail-window memory
@@ -137,16 +137,17 @@ def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
             outcome = "non_singleton"
             if cone is not None and dp_status == positivity.SDP:
                 # omega-limit sets of strongly positive flows are unordered;
-                # an ordered witness pair is a finding, not a crash
+                # an ordered witness pair is a finding, not a crash: the
+                # first b ordered above each a
                 W = est.witnesses
-                for a in range(len(W)):
-                    for b in range(len(W)):
-                        if a != b and leq_flat(cone, W[a], W[b]).relation != INCOMPARABLE:
-                            findings.append({
-                                "kind": "ordered_omega_witnesses",
-                                "sample": i,
-                                "points": [W[a].tolist(), W[b].tolist()]})
-                            break
+                ordered = relations(cone, W[:, None], W[None, :]) != INC
+                np.fill_diagonal(ordered, False)
+                for a in np.flatnonzero(ordered.any(axis=1)):
+                    b = np.argmax(ordered[a])
+                    findings.append({
+                        "kind": "ordered_omega_witnesses",
+                        "sample": i,
+                        "points": [W[a].tolist(), W[b].tolist()]})
         else:
             undet += 1
             outcome = "undetermined"
@@ -369,22 +370,17 @@ def convergence_criterion_check(s: flowmod.FlowSystem, field: ConeField,
     X = sample_states(s, box, x_samples, seed)
     caught = flowmod.states_at(s, X, T_scan, dt, on_failure="mask")
 
-    triggered_idx, trigger_rows = [], []
-    for i in range(x_samples):
-        hit = None
-        for ti, t in enumerate(T_scan):
-            xt = caught[ti, i]
-            if not np.all(np.isfinite(xt)):
-                continue
-            fwd = leq_flat(c, X[i], xt).relation
-            rev = leq_flat(c, xt, X[i]).relation
-            if fwd != INCOMPARABLE or rev != INCOMPARABLE:
-                hit = {"T": t,
-                       "direction": "forward" if fwd != INCOMPARABLE else "reversed"}
-                break
-        if hit is not None:
-            triggered_idx.append(i)
-            trigger_rows.append(hit)
+    # an escaped (masked) row is compared with its own start, then dropped
+    finite = np.all(np.isfinite(caught), axis=-1)
+    Xt = np.where(finite[..., None], caught, X)
+    pairs = np.stack([np.broadcast_to(X, Xt.shape), Xt])
+    fwd, rev = relations(c, pairs, pairs[::-1]) != INC  # x <= xt, xt <= x
+    hit = finite & (fwd | rev)
+    first = np.argmax(hit, axis=0)  # the first T that triggers each sample
+    triggered_idx = np.flatnonzero(hit.any(axis=0)).tolist()
+    trigger_rows = [{"T": T_scan[first[i]],
+                     "direction": "forward" if fwd[first[i], i] else "reversed"}
+                    for i in triggered_idx]
 
     confirmed = 0
     findings = []

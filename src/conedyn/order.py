@@ -10,12 +10,20 @@ Three order oracles ship:
 * Loewner:   SPD(n) points packed in chart coordinates, P <= Q iff Q - P
              is positive semidefinite (the flat test with the PSD cone).
 
-``reachable_grid`` discretizes curve-based reachability: breadth-first
-propagation over a rectangular grid, stepping only along displacement
-directions that the local cone admits (up to a slack that keeps exactly
-null directions connected).  ``quasi_closed_probe`` and
-``continuity_probe`` check closure and continuity behavior of the orders
-on constructed limit sequences.
+Every order decision is one batched call that returns int8 codes INC,
+WEAK or STRICT per pair: ``relations`` for a flat cone order (one
+``margins`` call, the one place a margin and a tolerance become a
+relation) and ``minkowski_relations``, the one encoding of the Minkowski
+inequalities, analytic and without a tolerance.  ``leq_flat`` and
+``minkowski_relation`` are their one-pair wrappers with string verdicts
+and certificates.
+
+``reachable_grid`` discretizes curve-based reachability for a
+``ConeField``: breadth-first propagation over a rectangular grid,
+stepping only along displacement directions that the local cone admits
+(up to a slack that keeps exactly null directions connected).
+``quasi_closed_probe`` and ``continuity_probe`` check closure and
+continuity behavior of the orders on constructed limit sequences.
 """
 
 from __future__ import annotations
@@ -27,20 +35,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conefield import ConeField, ConstantField
-from .cones import (
-    BOUNDARY,
-    DEFAULT_TOL,
-    INTERIOR,
-    Cone,
-    Lorentz,
-    PSDCone,
-    conic_combinations,
-)
+from .cones import DEFAULT_TOL, Cone, PSDCone, conic_combinations
 from .errors import DimensionMismatchError, ProbeConstructionError
 
 LEQ_STRICT = "leq_strict"
 LEQ = "leq"
 INCOMPARABLE = "incomparable"
+
+# relation codes: incomparable, weakly ordered, strictly ordered
+INC, WEAK, STRICT = 0, 1, 2
+_NAMES = (INCOMPARABLE, LEQ, LEQ_STRICT)  # the public verdict of each code
 
 CHRONOLOGICAL = "chronological"
 CAUSAL = "causal"
@@ -50,6 +54,46 @@ CAUSAL = "causal"
 class OrderVerdict:
     relation: str
     certificate: np.ndarray | None = None  # polyline rows, when ordered
+
+
+def relations(c: Cone, X, Y, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Codes of the pairs (x, y) under the constant-cone order of c.
+
+    One ``c.margins(Y - X)`` call over the broadcast leading shapes of X
+    and Y: STRICT where the margin is > tol, INC where it is < -tol, and
+    WEAK otherwise, so y = x and NaN separations are weakly ordered, as
+    ``Cone.contains`` decides.
+    """
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
+    m = c.margins(np.asarray(Y, dtype=float) - np.asarray(X, dtype=float))
+    codes = np.full(m.shape, WEAK, dtype=np.int8)
+    codes[m > tol] = STRICT
+    codes[m < -tol] = INC
+    return codes
+
+
+def minkowski_relations(P, Q) -> np.ndarray:
+    """Analytic codes of the pairs (p, q) on 1+1 Minkowski space.
+
+    STRICT where dt > |dx| (chronological), WEAK where dt = |dx| (causal
+    but null), INC otherwise, NaN separations included.  No tolerance:
+    null separations built from exact coordinates stay exactly null.
+    """
+    d = np.asarray(Q, dtype=float) - np.asarray(P, dtype=float)
+    if d.shape[-1:] != (2,):
+        raise DimensionMismatchError("Minkowski points are (t, x) pairs")
+    dt, dx = d[..., 0], np.abs(d[..., 1])
+    codes = np.asarray(dt >= dx, dtype=np.int8)  # WEAK = 1 where causal
+    codes[dt > dx] = STRICT
+    return codes
+
+
+def _verdict(code: int, x: np.ndarray, y: np.ndarray) -> OrderVerdict:
+    """The verdict of one pair; the certificate is the straight segment."""
+    if code == INC:
+        return OrderVerdict(INCOMPARABLE, None)
+    return OrderVerdict(_NAMES[code], np.vstack([x, y]))
 
 
 def leq_flat(c: Cone, x: np.ndarray, y: np.ndarray,
@@ -64,12 +108,7 @@ def leq_flat(c: Cone, x: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.shape[-1] != c.dim:
         raise DimensionMismatchError("point dimensions do not match the cone")
-    cont = c.contains(y - x, tol)
-    if cont.region == INTERIOR:
-        return OrderVerdict(LEQ_STRICT, np.vstack([x, y]))
-    if cont.region == BOUNDARY:
-        return OrderVerdict(LEQ, np.vstack([x, y]))
-    return OrderVerdict(INCOMPARABLE, None)
+    return _verdict(int(relations(c, x, y, tol)), x, y)
 
 
 def minkowski_relation(p: np.ndarray, q: np.ndarray) -> OrderVerdict:
@@ -78,13 +117,7 @@ def minkowski_relation(p: np.ndarray, q: np.ndarray) -> OrderVerdict:
     q = np.asarray(q, dtype=float)
     if p.shape != (2,) or q.shape != (2,):
         raise DimensionMismatchError("Minkowski points are (t, x) pairs")
-    dt = q[0] - p[0]
-    dx = abs(q[1] - p[1])
-    if dt > dx:
-        return OrderVerdict(LEQ_STRICT, np.vstack([p, q]))
-    if dt >= dx:
-        return OrderVerdict(LEQ, np.vstack([p, q]))
-    return OrderVerdict(INCOMPARABLE, None)
+    return _verdict(int(minkowski_relations(p, q)), p, q)
 
 
 def leq_loewner(n: int, x: np.ndarray, y: np.ndarray,
@@ -103,19 +136,19 @@ class FlatOrderOracle:
         self.cone = cone
         self.shift = cone.interior_witness()
 
-    def relation(self, x, y) -> OrderVerdict:
-        return leq_flat(self.cone, x, y)
+    def relations(self, X, Y) -> np.ndarray:
+        return relations(self.cone, X, Y)
 
-    def boundary_pair(self, rng: np.random.Generator):
-        """A pair (x, y) with y - x on the cone boundary (or y = x)."""
-        x = rng.normal(size=self.cone.dim)
-        if rng.integers(0, 10) == 0:
-            return x, x.copy()
-        ray = self.cone.boundary_rays(rng, 1)[0]
-        return x, x + rng.uniform(0.5, 2.0) * ray
+    def boundary_pairs(self, rng: np.random.Generator, k: int):
+        """k pairs (x, y), y - x on the cone boundary; y = x in about 1/10."""
+        X = rng.normal(size=(k, self.cone.dim))
+        same = rng.integers(0, 10, k) == 0
+        Y = X + rng.uniform(0.5, 2.0, (k, 1)) * self.cone.boundary_rays(rng, k)
+        Y[same] = X[same]
+        return X, Y
 
 
-def _dyadic(rng: np.random.Generator, lo: float, hi: float, size=None):
+def _dyadic(rng: np.random.Generator, lo, hi, size=None):
     """Uniform draw snapped to the 2^-20 grid, so small sums stay exact.
 
     Null separations are knife-edge equalities; building them from dyadic
@@ -131,16 +164,18 @@ class MinkowskiOracle:
     def __init__(self):
         self.shift = np.array([1.0, 0.0])
 
-    def relation(self, p, q) -> OrderVerdict:
-        return minkowski_relation(p, q)
+    def relations(self, P, Q) -> np.ndarray:
+        return minkowski_relations(P, Q)
 
-    def boundary_pair(self, rng: np.random.Generator):
-        p = _dyadic(rng, -2.0, 2.0, 2)
-        if rng.integers(0, 10) == 0:
-            return p, p.copy()
-        sgn = 1.0 if rng.integers(0, 2) == 0 else -1.0
-        s = _dyadic(rng, 0.5, 2.0)
-        return p, p + s * np.array([1.0, sgn])
+    def boundary_pairs(self, rng: np.random.Generator, k: int):
+        """k null pairs (p, q) from dyadic coordinates; q = p in about 1/10."""
+        P = _dyadic(rng, -2.0, 2.0, (k, 2))
+        same = rng.integers(0, 10, k) == 0
+        sgn = np.where(rng.integers(0, 2, k) == 0, 1.0, -1.0)
+        s = _dyadic(rng, 0.5, 2.0, k)
+        Q = P + s[:, None] * np.stack([np.ones(k), sgn], axis=-1)
+        Q[same] = P[same]
+        return P, Q
 
 
 # ------------------------------------------------------------- future sets
@@ -192,14 +227,12 @@ def minkowski_future(p: np.ndarray, kind: str, region, resolution: int) -> Futur
     if kind not in (CHRONOLOGICAL, CAUSAL):
         raise ValueError(f"kind must be chronological|causal, got {kind!r}")
     t_centers, x_centers, _, _ = _cells(region, resolution)
-    dt = t_centers[:, None] - p[0]
-    dx = np.abs(x_centers[None, :] - p[1])
-    grid = (dt > dx) if kind == CHRONOLOGICAL else (dt >= dx)
+    cells = np.stack(np.meshgrid(t_centers, x_centers, indexing="ij"), axis=-1)
+    least = STRICT if kind == CHRONOLOGICAL else WEAK
+    grid = minkowski_relations(p, cells) >= least
 
-    def predicate(q, _kind=kind, _p=p):
-        d_t = q[0] - _p[0]
-        d_x = abs(q[1] - _p[1])
-        return d_t > d_x if _kind == CHRONOLOGICAL else d_t >= d_x
+    def predicate(q):
+        return minkowski_relations(p, q) >= least
 
     return FutureSet(kind, p, t_centers, x_centers, grid, predicate)
 
@@ -216,45 +249,45 @@ def _coprime_offsets(directions: int):
     return offs
 
 
-def reachable_grid(field, p: np.ndarray, region, resolution: int,
+def reachable_grid(field: ConeField, p: np.ndarray, region, resolution: int,
                    directions: int = 16, grid_slack: float | None = None) -> FutureSet:
     """Reachability by cone-respecting grid steps (BFS over cells).
 
-    ``field`` is a ConeField, or the string "minkowski" for the Lorentz
-    cone of 1+1 space-time.  From each reached cell the walk may step by
-    any coprime integer offset (directions -> 8/16/32 stencil) whose
-    physical displacement has containment margin >= -grid_slack in the
-    cone at the source cell.  The default slack, half a cell diagonal over
-    the region diameter, keeps exactly-null directions connected without
-    admitting clearly spacelike ones.
+    The walk starts at the cell of p, which must lie in the closed region.
+    From each reached cell it may step by any coprime integer offset
+    (directions -> 8/16/32 stencil) whose physical displacement is not
+    incomparable, at tolerance grid_slack, in the cone of ``field`` at the
+    source cell (for 1+1 Minkowski space, ``ConstantField(Lorentz(2))``).
+    The default slack, half a cell diagonal over the region diameter,
+    keeps exactly-null directions connected without admitting clearly
+    spacelike ones.
     """
     if directions < 8:
         raise ValueError("directions must be >= 8")
+    if not isinstance(field, ConeField):
+        raise ValueError("field must be a ConeField")
     p = np.asarray(p, dtype=float)
     t_centers, x_centers, dt_c, dx_c = _cells(region, resolution)
+    (tmin, tmax), (xmin, xmax) = region
+    if not (p.shape == (2,) and np.all(np.isfinite(p))
+            and tmin <= p[0] <= tmax and xmin <= p[1] <= xmax):
+        raise ValueError(f"start point {p.tolist()} is not a point of the region")
     if grid_slack is None:
         cell_diag = math.hypot(dt_c, dx_c)
         region_diag = math.hypot(t_centers[-1] - t_centers[0] + dt_c,
                                  x_centers[-1] - x_centers[0] + dx_c)
         grid_slack = 0.5 * cell_diag / region_diag
 
-    if isinstance(field, str):
-        if field != "minkowski":
-            raise ValueError("field must be a ConeField or 'minkowski'")
-        cone = Lorentz(2)
-        cone_at = lambda xy: cone
-        constant = True
-    elif isinstance(field, ConeField):
-        cone_at = field.cone_at
-        constant = isinstance(field, ConstantField)
-    else:
-        raise ValueError("field must be a ConeField or 'minkowski'")
-
     offsets = _coprime_offsets(directions)
     disps = np.array([[di * dt_c, dj * dx_c] for di, dj in offsets])
-    if constant:
-        c0 = cone_at(np.array([t_centers[0], x_centers[0]]))
-        allowed = c0.margins(disps) >= -grid_slack
+
+    def allowed_at(i, j):
+        cone = field.cone_at(np.array([t_centers[i], x_centers[j]]))
+        return relations(cone, np.zeros(2), disps, grid_slack) != INC
+
+    constant = isinstance(field, ConstantField)
+    if constant:  # one allowed-step list serves every cell
+        allowed = allowed_at(0, 0)
 
     res = resolution
     grid = np.zeros((res, res), dtype=bool)
@@ -265,9 +298,7 @@ def reachable_grid(field, p: np.ndarray, region, resolution: int,
     while queue:
         i, j = queue.popleft()
         if not constant:
-            src = np.array([t_centers[i], x_centers[j]])
-            local = cone_at(src)
-            allowed = local.margins(disps) >= -grid_slack
+            allowed = allowed_at(i, j)
         for (di, dj), ok in zip(offsets, allowed):
             if not ok:
                 continue
@@ -292,50 +323,29 @@ def quasi_closed_probe(oracle, sequences: int, seed: int,
     if sequences < 1:
         raise ValueError("sequences must be >= 1")
     rng = np.random.default_rng(seed)
-    violations = 0
-    for _ in range(sequences):
-        x, y = oracle.boundary_pair(rng)
-        for n in range(1, n_terms + 1):
-            xn = x - oracle.shift / n
-            yn = y + oracle.shift / n
-            if oracle.relation(xn, yn).relation != LEQ_STRICT:
-                raise ProbeConstructionError(
-                    "constructed sequence is not strictly ordered")
-        if oracle.relation(x, y).relation == INCOMPARABLE:
-            violations += 1
+    X, Y = oracle.boundary_pairs(rng, sequences)
+    step = oracle.shift / np.arange(1, n_terms + 1)[:, None]  # w/n, by term
+    if np.any(oracle.relations(X[:, None] - step, Y[:, None] + step) != STRICT):
+        raise ProbeConstructionError(
+            "constructed sequence is not strictly ordered")
+    violations = int(np.sum(oracle.relations(X, Y) == INC))
     return {"violations": violations, "sequences": sequences,
             "terms_per_sequence": n_terms, "seed": seed}
-
-
-def _chron(p, q) -> bool:
-    return (q[0] - p[0]) > abs(q[1] - p[1])
-
-
-def _causal(p, q) -> bool:
-    return (q[0] - p[0]) >= abs(q[1] - p[1])
 
 
 def flat_order_properties(cone: Cone, samples: int, seed: int) -> dict:
     """Antisymmetry and transitivity spot-checks for a flat cone order."""
     rng = np.random.default_rng(seed)
     rays = cone.unit_rays(rng)
-    anti = trans = 0
-    for i in range(samples):
-        x = rng.normal(size=cone.dim)
-        if i % 3 == 0:
-            y = x.copy()
-        else:
-            w = rng.uniform(0.1, 1.0, 1)[0]
-            y = x + w * cone.interior_witness()
-        fwd = leq_flat(cone, x, y).relation
-        rev = leq_flat(cone, y, x).relation
-        if (fwd != INCOMPARABLE and rev != INCOMPARABLE
-                and np.linalg.norm(x - y) > 1e-12):
-            anti += 1
-        c1, c2 = conic_combinations(rays, 2, rng)
-        if leq_flat(cone, x, x + c1 + c2).relation == INCOMPARABLE:
-            trans += 1
-    return {"antisymmetry_violations": anti, "transitivity_violations": trans,
+    X = rng.normal(size=(samples, cone.dim))
+    Y = X + rng.uniform(0.1, 1.0, (samples, 1)) * cone.interior_witness()
+    Y[::3] = X[::3]  # every third pair is y = x
+    both = (relations(cone, X, Y) != INC) & (relations(cone, Y, X) != INC)
+    apart = np.linalg.norm(X - Y, axis=-1) > 1e-12
+    C = conic_combinations(rays, 2 * samples, rng).reshape(samples, 2, -1)
+    lost = relations(cone, X, X + C[:, 0] + C[:, 1]) == INC
+    return {"antisymmetry_violations": int(np.sum(both & apart)),
+            "transitivity_violations": int(np.sum(lost)),
             "samples": samples, "seed": seed}
 
 
@@ -347,22 +357,23 @@ def push_up_probe(samples: int, seed: int) -> dict:
     x strictly below z.
     """
     rng = np.random.default_rng(seed)
-    violations = 0
-    for _ in range(samples):
-        x = _dyadic(rng, -2.0, 2.0, 2)
-        dx = _dyadic(rng, 0.2, 2.0)
-        y = x + np.array([dx + _dyadic(rng, 0.05, 1.0),
-                          _dyadic(rng, -dx, dx)])
-        if rng.integers(0, 2) == 0:  # null second leg
-            s2 = _dyadic(rng, 0.2, 2.0)
-            z = y + s2 * np.array([1.0, 1.0 if rng.integers(0, 2) == 0 else -1.0])
-        else:
-            d2 = _dyadic(rng, 0.2, 2.0)
-            z = y + np.array([d2, _dyadic(rng, -d2, d2)])
-        if not (_chron(x, y) and _causal(y, z)):  # pragma: no cover - sampler
-            raise ProbeConstructionError("triple construction failed")
-        if minkowski_relation(x, z).relation != LEQ_STRICT:
-            violations += 1
+    X = _dyadic(rng, -2.0, 2.0, (samples, 2))
+    dx = _dyadic(rng, 0.2, 2.0, samples)
+    Y = X + np.stack([dx + _dyadic(rng, 0.05, 1.0, samples),
+                      _dyadic(rng, -dx, dx)], axis=-1)
+    null = rng.integers(0, 2, samples) == 0  # null second leg
+    sgn = np.where(rng.integers(0, 2, samples) == 0, 1.0, -1.0)
+    s2 = _dyadic(rng, 0.2, 2.0, samples)
+    d2 = _dyadic(rng, 0.2, 2.0, samples)
+    leg = np.where(null[:, None],
+                   s2[:, None] * np.stack([np.ones(samples), sgn], axis=-1),
+                   np.stack([d2, _dyadic(rng, -d2, d2)], axis=-1))
+    Z = Y + leg
+    built = (np.all(minkowski_relations(X, Y) == STRICT)
+             and np.all(minkowski_relations(Y, Z) != INC))
+    if not built:  # pragma: no cover - sampler
+        raise ProbeConstructionError("triple construction failed")
+    violations = int(np.sum(minkowski_relations(X, Z) != STRICT))
     return {"violations": violations, "samples": samples, "seed": seed}
 
 
@@ -373,47 +384,34 @@ def continuity_probe(kind: str, p: np.ndarray, K, deltas,
     Inner: K inside I^-(p); the probe finds the largest tested delta such
     that K stays inside I^-(q) for every q on the circle |q - p| = delta.
     Outer: K disjoint from the closure of I^-(p); the probe requires K to
-    stay disjoint from the closure of I^-(q).  Preconditions are verified
-    analytically and reported as errors, never skipped.
+    stay disjoint from the closure of I^-(q).  K is a (k, 2) array of
+    points.  Preconditions are verified analytically and reported as
+    errors, never skipped.
     """
     if kind not in ("inner", "outer"):
         raise ValueError("kind must be 'inner' or 'outer'")
     p = np.asarray(p, dtype=float)
-    K = [np.asarray(k, dtype=float) for k in K]
+    K = np.asarray(K, dtype=float)
+    if K.size == 0:
+        K = K.reshape(0, 2)
+    if K.ndim != 2 or K.shape[1] != 2:
+        raise DimensionMismatchError("K must be (k, 2) Minkowski points")
     deltas = sorted(float(d) for d in deltas)
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be > 0")
 
-    if kind == "inner":
-        bad = [k for k in K if not _chron(k, p)]
-        if bad:
-            raise ValueError(f"precondition failed: K not in I^-(p): {bad}")
-        keep = _chron
-        want = True
-    else:
-        bad = [k for k in K if _causal(k, p)]
-        if bad:
-            raise ValueError(
-                f"precondition failed: K meets closure(I^-(p)): {bad}")
-        keep = _causal
-        want = False
+    # inner: every k chronologically below q; outer: no k causally below q
+    want = STRICT if kind == "inner" else INC
+    bad = list(K[minkowski_relations(K, p) != want])
+    if bad:
+        where = ("K not in I^-(p)" if kind == "inner"
+                 else "K meets closure(I^-(p))")
+        raise ValueError(f"precondition failed: {where}: {bad}")
 
     angles = 2.0 * np.pi * np.arange(angular_resolution) / angular_resolution
-    passing = []
-    for d in deltas:
-        ok = True
-        for a in angles:
-            q = p + d * np.array([np.cos(a), np.sin(a)])
-            for k in K:
-                if keep(k, q) != want:
-                    ok = False
-                    break
-            if not ok:
-                break
-        passing.append(ok)
-    max_pass = None
-    for d, ok in zip(deltas, passing):
-        if ok:
-            max_pass = d
+    circle = np.stack([np.cos(angles), np.sin(angles)], axis=-1)[:, None]
+    passing = [bool(np.all(minkowski_relations(K, p + d * circle) == want))
+               for d in deltas]
+    max_pass = max((d for d, ok in zip(deltas, passing) if ok), default=None)
     return {"kind": kind, "deltas": deltas, "passing": passing,
             "max_delta_passing": max_pass, "K_size": len(K)}

@@ -30,6 +30,7 @@ from . import flow as flowmod
 from .conefield import ConeField, ConstantField
 from .cones import Cone, conic_combinations
 from .errors import UnsupportedInputError
+from .order import INC, relations
 
 DP = "DP"
 SDP = "SDP"
@@ -204,10 +205,9 @@ def flat_equivalence(s: flowmod.FlowSystem, c: Cone, pairs: int, T: float,
 
     both = np.vstack([X, Y])
     caught = flowmod.states_at(s, both, check_times, dt)
-    ordered = np.ones(pairs, dtype=bool)
-    for ti in range(len(check_times)):
-        xt, yt = caught[ti, :pairs], caught[ti, pairs:]
-        ordered[c.margins(yt - xt) < -tol] = False  # left the cone: order lost
+    # a pair that is incomparable at either time lost its order
+    ordered = np.all(
+        relations(c, caught[:, :pairs], caught[:, pairs:], tol) != INC, axis=0)
     n_ordered = int(np.sum(ordered))
     if dp_pass:
         agreement = n_ordered / pairs

@@ -12,7 +12,7 @@ import pytest
 
 from conedyn import experiments, flow, order, pf, positivity, registry
 from conedyn.conefield import ConstantField
-from conedyn.cones import Orthant
+from conedyn.cones import Lorentz, Orthant
 from conedyn.order import FlatOrderOracle, MinkowskiOracle
 from helpers import linear_system, tanh_fixed_point
 
@@ -185,7 +185,8 @@ def test_criterion_09_causal_order():
     p = np.zeros(2)
     region = ((0.0, 2.0), (-2.0, 2.0))
     analytic = order.minkowski_future(p, order.CAUSAL, region, 101)
-    reached = order.reachable_grid("minkowski", p, region, 101, 16)
+    reached = order.reachable_grid(ConstantField(Lorentz(2)), p, region,
+                                   101, 16)
     agreement = reached.agreement(analytic)
     qc = order.quasi_closed_probe(MinkowskiOracle(), 500, seed=0)
     pu = order.push_up_probe(1000, seed=0)

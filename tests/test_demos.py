@@ -1,6 +1,9 @@
-"""Smoke test: the cone demos run to the end without a traceback.
+"""Smoke test: the demos run to the end without a traceback.
 
-Only the two cone demos run here: demos 03 and 07 take over 10 s each.
+Demos 01, 02, 04, 05 and 06 run here, each in a few seconds at most:
+cones and the Hilbert metric, SPD geometry, differential positivity (with
+the flat-space monotonicity cross-check), Perron-Frobenius, and the
+causal order.  Demos 03 and 07 take over 10 s each and are left out.
 """
 
 import os
@@ -16,6 +19,9 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.mark.parametrize("name", ["01_cones_and_hilbert_metric.py",
+                                  "02_spd_geometry_and_transport.py",
+                                  "04_differential_positivity.py",
+                                  "05_perron_frobenius.py",
                                   "06_causal_order_minkowski.py"])
 def test_cone_demo_runs(tmp_path, name):
     src = str(Path(conedyn.__file__).resolve().parents[1])

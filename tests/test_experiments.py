@@ -7,7 +7,7 @@ from conedyn import experiments, flow, positivity, registry, reports
 from conedyn.conefield import ConstantField
 from conedyn.cones import Orthant
 from conedyn.errors import UnsupportedInputError
-from conedyn.order import LEQ_STRICT, leq_flat
+from conedyn.order import INCOMPARABLE, LEQ_STRICT, leq_flat
 from helpers import tanh_fixed_point
 
 ORTHANT2 = ConstantField(Orthant(2))
@@ -82,6 +82,34 @@ def test_generic_convergence_determinism(coop):
     ja = json.dumps(reports.sanitize(a.__dict__), sort_keys=True)
     jb = json.dumps(reports.sanitize(b.__dict__), sort_keys=True)
     assert ja == jb
+
+
+def test_ordered_omega_witnesses_match_the_pairwise_search(coop, monkeypatch):
+    # crafted non-singleton tails on an SDP run: every ordered witness pair
+    # is a finding, the first b for each a, as a double loop finds them
+    rng = np.random.default_rng(3)
+    tails = [np.array([[0.0, 0.0], [1.0, 1.0], [2.0, -1.0], [0.5, 0.5],
+                       [0.0, 0.0]]),
+             np.array([[0.0, 0.0], [1.0, -1.0], [-1.0, 1.0]]),  # unordered
+             rng.normal(size=(6, 2)),
+             np.array([[0.0, 0.0], [1.0, 0.0]])]  # a boundary pair
+    ests = [flow.OmegaEstimate(flow.NON_SINGLETON, witnesses=W) for W in tails]
+    monkeypatch.setattr(experiments, "_omega_batch",
+                        lambda s, X0, T, dt: ests + [None])
+    rep = experiments.generic_convergence(coop, ORTHANT2, box=3.0, N=5,
+                                          T=2.0, seed=0)
+    assert rep.dp_status == positivity.SDP
+    assert rep.nonsingleton == 4 and rep.escapes == 1
+    want = []
+    for i, W in enumerate(tails):
+        for a in range(len(W)):
+            for b in range(len(W)):
+                if a != b and leq_flat(Orthant(2), W[a], W[b]).relation != INCOMPARABLE:
+                    want.append({"kind": "ordered_omega_witnesses", "sample": i,
+                                 "points": [W[a].tolist(), W[b].tolist()]})
+                    break
+    assert rep.findings == want
+    assert {f["sample"] for f in want} == {0, 2, 3}
 
 
 @pytest.mark.parametrize("name", ["coop2d", "spd_lyapunov"])
