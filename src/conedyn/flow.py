@@ -65,8 +65,10 @@ certify integrate to T as before.
 
 SPD-manifold trajectories integrate in chart coordinates with a
 positive-definiteness guard every step; leaving the chart raises (single
-orbit) or marks the sample as escaped (ensembles).  On SPD(2) the guard
-takes lambda_min in closed form and decides each row as eigvalsh would.
+orbit) or marks the sample as escaped (ensembles).  The guard is
+``geometry._leaves_chart``, which decides each row as eigvalsh would: on
+SPD(2) a trace/determinant screen proves most batches clean at once, and
+only rows it cannot prove take lambda_min in closed form.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from .errors import (
     ManifoldExitError,
     NumericsError,
 )
-from .geometry import _SQRT2, EIG_TOL, ManifoldSpec, unpack_sym
+from .geometry import ManifoldSpec, _leaves_chart
 
 DT_DEFAULT = 1e-3
 STORE_STRIDE = 10
@@ -94,6 +96,7 @@ _ORBIT_CHUNK = 1024  # steps of one orbit per batched step-map call
 _CERT_F_MAX = 1e-2  # only rows with |f| below this seed an equilibrium search
 _CERT_EQ_TOL = 1e-12  # certified equilibria are polished past EQ_TOL
 _CERT_REJECT_RADIUS = 0.05  # rows this close to a rejected point seed nothing
+_FINITE_LIMIT = 1e300  # a batch proven below this in size stays finite
 
 SINGLETON = "singleton_equilibrium"
 NON_SINGLETON = "non_singleton"
@@ -261,41 +264,27 @@ def _rk4_map(A: np.ndarray, h: float) -> np.ndarray:
     return R
 
 
-def _leaves_chart(V: np.ndarray, n: int) -> np.ndarray:
-    """Rows of finite packed SPD(n) points with lambda_min <= EIG_TOL; on
-    SPD(2) in closed form, and by eigvalsh within a rounding band of it."""
-    if n != 2:
-        return np.linalg.eigvalsh(unpack_sym(V, n))[:, 0] <= EIG_TOL
-    a, b, c = V[:, 0], V[:, 1] / _SQRT2, V[:, 2]
-    lam = 0.5 * a + 0.5 * c - np.hypot(0.5 * a - 0.5 * c, b)
-    band = 1e-13 * (np.abs(a) + np.abs(b) + np.abs(c) + 1.0)  # >> ulp errors
-    near = ~(np.abs(lam - EIG_TOL) > band)  # nan rows too
-    out = lam <= EIG_TOL
-    if near.any():
-        out[near] = np.linalg.eigvalsh(unpack_sym(V[near], 2))[:, 0] <= EIG_TOL
-    return out
-
-
 def _off_chart(s: FlowSystem, p: np.ndarray) -> bool:
     """True for a point of an SPD system that fails the chart guard: it is
     no point of the manifold, so no limit or equilibrium there counts."""
-    return s.manifold.kind == "spd" and bool(
-        _leaves_chart(p[None, :], s.manifold.n)[0])
+    if s.manifold.kind != "spd":
+        return False
+    bad = _leaves_chart(p[None, :], s.manifold.n)
+    return bad is not None and bool(bad[0])
 
 
 def _bad_rows(s: FlowSystem, X: np.ndarray):
-    """Boolean mask of rows that are non-finite or left the SPD chart, or
-    None when one reduction proves a euclidean batch clean."""
+    """The per-step manifold guard: a boolean mask of rows that are
+    non-finite or left the SPD chart, or None when the batch is proven
+    clean, on flat space by one ``isfinite`` reduction, on SPD(n) by
+    ``geometry._leaves_chart`` (on SPD(2), its trace/determinant screen).
+    """
+    if s.manifold.kind == "spd":
+        return _leaves_chart(X, s.manifold.n)
     finite = np.isfinite(X)
     if finite.all():  # one reduction over the batch; per row only on failure
-        if s.manifold.kind == "spd":
-            return _leaves_chart(X, s.manifold.n)
         return None
-    bad = ~finite.all(axis=-1)
-    ok = np.flatnonzero(~bad)
-    if s.manifold.kind == "spd" and len(ok):
-        bad[ok[_leaves_chart(X[ok], s.manifold.n)]] = True
-    return bad
+    return ~finite.all(axis=-1)
 
 
 class _Stepper:
@@ -308,6 +297,13 @@ class _Stepper:
     property is their (N, n, m) view, and writes through it land in the
     stored stack.  With a declared matrix the states are component-major
     too: X is the (N, n) view of the (n, N) array each step returns.
+
+    The manifold guard (``_bad_rows``) runs after every step; it returns
+    None only for a batch it proves clean, and then the step does no mask
+    work.  A march on a euclidean system with a declared matrix first
+    bounds how far its steps can grow the batch (``_stays_finite``); when
+    no row can turn non-finite it skips the guard altogether, and
+    otherwise every step is guarded as before.
     """
 
     def __init__(self, s: FlowSystem, X0: np.ndarray, P0=None,
@@ -332,12 +328,36 @@ class _Stepper:
         """The tangent matrices, (N, n, m): a view of the stored stack."""
         return None if self._P is None else self._P.transpose(2, 0, 1)
 
-    def advance(self, h: float, t_new: float) -> None:
+    def _map(self, h: float) -> np.ndarray:
+        """R(hA) for the declared matrix A, cached per step size."""
+        R = self.maps.get(h)
+        if R is None:
+            R = self.maps[h] = _rk4_map(self.s.matrix, h)
+        return R
+
+    def _stays_finite(self, steps) -> bool:
+        """True when no row of a euclidean system with a declared matrix
+        can turn non-finite in the march steps = [(h, count), ...]: every
+        entry (and partial sum) of a rounded R x is at most
+        (1 + 4 n eps) ||R||_inf max|x|, so the bound below grows past
+        _FINITE_LIMIT before any entry can overflow.  A nan or inf already
+        in X fails the test.  Call it under errstate(over="ignore").
+        """
+        if self.s.matrix is None or self.s.manifold.kind != "euclidean":
+            return False
+        grow = 1.0 + 4.0 * len(self.s.matrix) * np.finfo(float).eps
+        bound = np.abs(self.X).max(initial=0.0)
+        for h, count in steps:
+            rho = grow * np.abs(self._map(h)).sum(axis=1).max()
+            bound = bound * rho ** np.float64(count)  # inf on overflow
+        return bool(bound < _FINITE_LIMIT)
+
+    def advance(self, h: float, t_new: float, guard: bool = True) -> None:
+        """One step of size h to time t_new.  guard=False skips the
+        manifold guard; only a march that proved it finds nothing sets it."""
         P = self._P
         if self.s.matrix is not None:
-            R = self.maps.get(h)
-            if R is None:
-                R = self.maps[h] = _rk4_map(self.s.matrix, h)
+            R = self._map(h)
             Xn = (R @ self.X.T).T  # component-major: one pass over (n, N)
             Pn = None if P is None else (R @ P.reshape(len(R), -1)).reshape(
                 P.shape)
@@ -346,7 +366,7 @@ class _Stepper:
         else:
             Xn, M = _rk4_step_map(self.s, self.X, h)
             Pn = _mul(M.transpose(1, 2, 0), P)
-        bad = _bad_rows(self.s, Xn)
+        bad = _bad_rows(self.s, Xn) if guard else None
         if bad is not None:
             if self.any_dead:
                 bad &= ~self.dead
@@ -384,11 +404,13 @@ class _Stepper:
         n_full, rem = _plan_steps(span, dt)
         total = n_full + (1 if rem > 0.0 else 0)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            guard = not self._stays_finite(
+                [(dt, n_full)] + ([(rem, 1)] if rem > 0.0 else []))
             if on_store is not None:
                 on_store(t0, False)
             for i in range(1, total + 1):
                 t = t0 + min(i * dt, span)
-                self.advance(dt if i <= n_full else rem, t)
+                self.advance(dt if i <= n_full else rem, t, guard)
                 if on_store is not None and (i % stride == 0 or i == total):
                     on_store(t, i == total)
                 if not len(self.X):
@@ -569,7 +591,7 @@ def sample_states(s: FlowSystem, box, N: int,
     if s.manifold.kind == "euclidean":
         box = _box_array(box, s.dim)
         return rng.uniform(box[:, 0], box[:, 1], (N, s.dim))
-    return np.stack([s.manifold.random_point(rng) for _ in range(N)])
+    return s.manifold.random_points(rng, N)
 
 
 # ------------------------------------------------------------ equilibria

@@ -35,6 +35,8 @@ from .errors import (
 EIG_TOL = 1e-10  # positive-definiteness threshold for SPD points
 
 _SQRT2 = np.sqrt(2.0)
+_EPS = float(np.finfo(float).eps)
+_SCREEN_MAX = 1e150  # no SPD(2) screen from here on: m^2 nears overflow
 
 
 def sym_dim(n: int) -> int:
@@ -90,6 +92,74 @@ def _sym_sqrt(S: np.ndarray, inverse: bool = False) -> np.ndarray:
     return (V * d) @ V.T
 
 
+def _lambda_min_exits(V: np.ndarray, n: int) -> np.ndarray:
+    """Rows of finite packed SPD(n) points with lambda_min <= EIG_TOL; on
+    SPD(2) in closed form, and by eigvalsh within a rounding band of it."""
+    if n != 2:
+        return np.linalg.eigvalsh(unpack_sym(V, n))[:, 0] <= EIG_TOL
+    a, b, c = V[:, 0], V[:, 1] / _SQRT2, V[:, 2]
+    lam = 0.5 * a + 0.5 * c - np.hypot(0.5 * a - 0.5 * c, b)
+    band = 1e-13 * (np.abs(a) + np.abs(b) + np.abs(c) + 1.0)  # >> ulp errors
+    near = ~(np.abs(lam - EIG_TOL) > band)
+    out = lam <= EIG_TOL
+    if near.any():
+        out[near] = np.linalg.eigvalsh(unpack_sym(V[near], 2))[:, 0] <= EIG_TOL
+    return out
+
+
+def _spd2_screen(V: np.ndarray, m: float) -> np.ndarray:
+    """Per row of packed SPD(2) points with entries at most m < _SCREEN_MAX
+    in size: a score that is > 0 only where the exact decision is False.
+
+    Row (a, v, c) has eigenvalue sum s = a + c and product
+    det = a c - v^2 / 2; when both are > 0, lambda_min > det / s.  The
+    score is min(det - s theta, s) with theta = (EIG_TOL + 2 band + 4 eps m)
+    (1 + 4 eps) and band = 1e-13 (3 m + 1), the widest band of
+    ``_lambda_min_exits`` in the batch.  A row scoring > 0 has a, c > 0 and
+    |v| < s, so det is off by under 2 eps m s, and lambda_min exceeds
+    EIG_TOL + 2 band: the closed form lands out of its band, above EIG_TOL.
+    """
+    band = 1e-13 * (3.0 * m + 1.0)
+    theta = (EIG_TOL + 2.0 * band + 4.0 * _EPS * m) * (1.0 + 4.0 * _EPS)
+    a, v, c = V[:, 0], V[:, 1], V[:, 2]
+    s = a + c
+    det = a * c
+    half_vv = v * v
+    half_vv *= 0.5
+    det -= half_vv
+    det -= s * theta
+    return np.minimum(det, s, out=det)
+
+
+def _leaves_chart(V: np.ndarray, n: int):
+    """The SPD(n) chart guard over a 2-d stack V of packed points: a mask,
+    True where a row is non-finite or has lambda_min <= EIG_TOL, as
+    eigvalsh decides, or None when the batch is proven inside.  On SPD(2),
+    when the largest entry m is finite and below _SCREEN_MAX, the rows
+    go through ``_spd2_screen`` first and only those it fails take the
+    exact path; None when it fails none.
+    """
+    if n == 2 and V.size:
+        # ufunc reductions skip the ndarray methods' wrappers, per step
+        m = float(np.maximum.reduce(np.abs(V), axis=None))
+        if m < _SCREEN_MAX:  # False for nan and inf
+            score = _spd2_screen(V, m)
+            if np.minimum.reduce(score) > 0.0:
+                return None
+            bad = ~(score > 0.0)
+            rest = np.flatnonzero(bad)
+            bad[rest] = _lambda_min_exits(V[rest], 2)
+            return bad
+    finite = np.isfinite(V)
+    if finite.all():
+        return _lambda_min_exits(V, n)
+    bad = ~finite.all(axis=-1)
+    ok = np.flatnonzero(~bad)
+    if len(ok):
+        bad[ok[_lambda_min_exits(V[ok], n)]] = True
+    return bad
+
+
 @dataclass(frozen=True)
 class ManifoldSpec:
     """A manifold kind plus its size.
@@ -121,8 +191,9 @@ class ManifoldSpec:
         if not np.all(np.isfinite(x)):
             raise ValueError("point has non-finite coordinates")
         if self.kind == "spd":
-            w = np.linalg.eigvalsh(unpack_sym(x, self.n))
-            if np.min(w) <= EIG_TOL:
+            bad = _leaves_chart(x.reshape(-1, self.dim), self.n)
+            if bad is not None and bad.any():  # eigvalsh for the message
+                w = np.linalg.eigvalsh(unpack_sym(x, self.n))
                 raise NotPositiveDefiniteError(
                     f"SPD point has eigenvalue {np.min(w):.3e} <= {EIG_TOL:.0e}"
                 )
@@ -148,12 +219,18 @@ class ManifoldSpec:
 
     def random_point(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         """Draw a chart point: uniform-ish for Euclidean, exp(sym) for SPD."""
+        return self.random_points(rng, 1, scale)[0]
+
+    def random_points(self, rng: np.random.Generator, N: int,
+                      scale: float = 1.0) -> np.ndarray:
+        """N chart points, (N, dim): one uniform draw, one stacked eigh and
+        one stacked product, bit for bit the points (and the rng state)
+        that N one-point draws would give."""
         if self.kind == "euclidean":
-            return rng.uniform(-scale, scale, self.n)
-        B = rng.uniform(-scale, scale, (self.n, self.n))
-        sym = 0.5 * (B + B.T)
-        w, V = np.linalg.eigh(sym)
-        return pack_sym((V * np.exp(w)) @ V.T)
+            return rng.uniform(-scale, scale, (N, self.n))
+        B = rng.uniform(-scale, scale, (N, self.n, self.n))
+        w, V = np.linalg.eigh(0.5 * (B + B.swapaxes(-1, -2)))
+        return pack_sym((V * np.exp(w)[:, None, :]) @ V.swapaxes(-1, -2))
 
 
 def euclidean(n: int) -> ManifoldSpec:

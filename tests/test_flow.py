@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from conedyn import cli, experiments, flow, geometry, pf, registry
 from conedyn.conefield import ConstantField
 from conedyn.cones import Orthant
-from conedyn.errors import FlowBlowupError, ManifoldExitError
+from conedyn.errors import (FlowBlowupError, ManifoldExitError,
+                            NotPositiveDefiniteError)
 from conedyn.flow import NON_SINGLETON, SINGLETON, UNDETERMINED
 from conedyn.geometry import pack_sym
 from helpers import (blowup_rotation, constant_system, linear_system,
@@ -93,8 +95,9 @@ def _spd2_rows(rng, lam_min, lam_max):
     return pack_sym(S)
 
 
-def test_spd2_guard_matches_eigvalsh():
-    s = registry.get_system("spd_lyapunov")
+def _spd2_guard_batches():
+    """The guard test's batches: random, SPD, large-scale, in-band,
+    diagonal rows a few ulps either side of EIG_TOL, and nan/inf rows."""
     rng = np.random.default_rng(5)
     tol, N = geometry.EIG_TOL, 4000
     scale = 10.0 ** rng.uniform(-3.0, 12.0, N)
@@ -114,12 +117,101 @@ def test_spd2_guard_matches_eigvalsh():
     rows = np.vstack([batches["random"][:8], batches["spd"][:8]])
     rows[[0, 3, 9, 12], [0, 1, 2, 1]] = [np.nan, np.inf, -np.inf, np.nan]
     batches["nonfinite"] = rows
+    return batches
+
+
+def test_spd2_guard_matches_eigvalsh():
+    s = registry.get_system("spd_lyapunov")
+    batches = _spd2_guard_batches()
     for name, V in batches.items():
-        want = _eigvalsh_guard(V)
-        assert np.array_equal(flow._bad_rows(s, V), want), name
+        want, got = _eigvalsh_guard(V), flow._bad_rows(s, V)
+        if got is None:  # proven clean
+            got = np.zeros(len(V), dtype=bool)
+        assert np.array_equal(got, want), name
         assert 0 < want.sum() < len(V) or name == "spd", name
     # the diagonal rows sit on EIG_TOL to within a few ulps of the diagonal
     assert list(_eigvalsh_guard(batches["diagonal"])) == [True] * 4 + [False] * 3
+
+
+def test_check_point_accepts_and_rejects_as_eigvalsh_row_by_row():
+    m = geometry.spd(2)
+    for name, V in _spd2_guard_batches().items():
+        for row, bad in zip(V, _eigvalsh_guard(V)):
+            if not np.all(np.isfinite(row)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    m.check_point(row)
+            elif bad:
+                with pytest.raises(NotPositiveDefiniteError) as err:
+                    m.check_point(row)
+                lam = np.linalg.eigvalsh(geometry.unpack_sym(row, 2))[0]
+                assert f"{lam:.3e}" in str(err.value), name
+            else:
+                assert m.check_point(row) is not None, name
+
+
+def _screen_batches():
+    """Batches that probe the SPD(2) screen where it can go wrong."""
+    rng = np.random.default_rng(13)
+    tol, N = geometry.EIG_TOL, 2000
+    scale = 10.0 ** rng.uniform(-3.0, 12.0, N)
+    band = 1e-13 * (3.0 * scale + 1.0)  # the screen's band at a row's scale
+    # lambda_min in and just out of the fallback band, and either side of
+    # the screen's own threshold EIG_TOL + 2 band
+    rel = rng.choice([-1.0, 1.0], N) * 10.0 ** rng.uniform(-6.0, 0.5, N)
+    lam_band = tol + rng.choice([-1.0, 1.0], N) * band * 10.0 ** rng.uniform(
+        -3.0, 0.7, N)
+    lam_edge = (tol + 2.0 * band) * (1.0 + rel)
+    # within a few rounding errors of EIG_TOL, where eigvalsh may err low
+    lam_ulps = tol + rng.uniform(-64.0, 64.0, N) * np.finfo(float).eps * scale
+    spd = _spd2_rows(rng, rng.uniform(0.5, 2.0, N),
+                     1.0 + 10.0 ** rng.uniform(-3.0, 3.0, N))
+    big = 10.0 ** rng.uniform(150.0, 200.0, 16)
+    return {
+        "band": _spd2_rows(rng, lam_band, scale),
+        "edge": _spd2_rows(rng, lam_edge, scale),
+        "ulps": _spd2_rows(rng, lam_ulps, scale),
+        "diagonal": _spd2_guard_batches()["diagonal"],  # exact eigenvalues
+        "spd": spd,
+        "negative_definite": -spd[:200],
+        "zero": np.zeros((5, 3)),
+        "zero_and_spd": np.vstack([spd[:50], np.zeros((1, 3))]),
+        "huge": _spd2_rows(rng, big, 2.0 * big),
+        "huge_bad": _spd2_rows(rng, -big, big),
+        "huge_in_a_clean_batch": np.vstack([spd[:20], [[1e150, 0.0, 1e150]]]),
+        "nan": np.vstack([spd[:20], [[np.nan, 0.0, 1.0]]]),
+        "inf": np.vstack([spd[:20], [[np.inf, 0.0, np.inf]],
+                          [[np.inf, 1.0, 1.0]], [[1.0, -np.inf, 1.0]]]),
+    }
+
+
+def test_spd2_screen_never_passes_a_row_eigvalsh_rejects():
+    s = registry.get_system("spd_lyapunov")
+    batches = _screen_batches()
+    proven, one_row_proven = [], {}
+    for name, V in batches.items():
+        want = _eigvalsh_guard(V)
+        got = flow._bad_rows(s, V)
+        if got is None:  # proven clean: nothing may be bad
+            assert not want.any(), name
+            proven.append(name)
+        else:
+            assert np.array_equal(got, want), name
+        m = np.max(np.abs(V))
+        if m < geometry._SCREEN_MAX:  # the screen runs: it passes no bad row
+            with np.errstate(invalid="ignore"):
+                passed = geometry._spd2_screen(V, m) > 0.0
+            assert not (passed & want).any(), name
+        one_row_proven[name] = 0
+        for i, row in enumerate(V):  # one-row batches
+            one = flow._bad_rows(s, row[None])
+            assert (one is None and not want[i]) or (
+                one is not None and one[0] == want[i]), (name, i)
+            one_row_proven[name] += one is None
+    assert proven == ["spd"]
+    # one row at a time, the screen's threshold EIG_TOL + 2 band falls
+    # inside the edge batch: it proves some of those rows and not others
+    assert 0 < one_row_proven["edge"] < len(batches["edge"])
+    assert one_row_proven["spd"] == len(batches["spd"])
 
 
 def test_spd3_guard_escapes_through_eigvalsh():
@@ -587,7 +679,7 @@ def tail_sinking_to_the_zero_matrix():
 def test_an_spd_tail_clustered_at_the_zero_matrix_is_undetermined():
     s = registry.get_system("spd_lyapunov")
     tails = tail_sinking_to_the_zero_matrix()
-    assert not flow._leaves_chart(tails[:, 0], 2).any()
+    assert geometry._leaves_chart(tails[:, 0], 2) is None
     est, = flow.classify_tail(s, tails)
     assert est.kind == UNDETERMINED and est.point is None
     assert est.residual < flow.EQ_TOL  # Newton did reach the zero matrix
@@ -972,3 +1064,109 @@ def test_one_row_pf_march_on_a_declared_matrix_equals_the_reference():
     RW = P[0] @ rays.T
     assert np.allclose(W, RW / np.linalg.norm(RW, axis=0), rtol=1e-13,
                        atol=0.0)
+
+
+# ------------------------------------------------ a-priori finiteness bound
+
+
+def _count_guard_calls(monkeypatch):
+    calls = []
+    real = flow._bad_rows
+
+    def counting(s, X):
+        calls.append(len(X))
+        return real(s, X)
+
+    monkeypatch.setattr(flow, "_bad_rows", counting)
+    return calls
+
+
+def test_a_march_proven_finite_skips_the_per_step_guard(monkeypatch):
+    calls = _count_guard_calls(monkeypatch)
+    flow.integrate(registry.get_system("rotation2d"), np.array([1.0, 0.0]),
+                   T=1.0005, dt=1e-3)
+    assert len(calls) == 1  # the stepper's check of the initial state
+    calls.clear()
+    grow = registry._linear_system(40.0 * np.eye(2), "grow")
+    flow.states_at(grow, np.ones((2, 2)), [20.0], on_failure="mask")
+    assert len(calls) == 1 + 20000  # the bound fails: every step is guarded
+
+
+def _grow_reference(s, X0, plan):
+    """Step X <- X R(hA)^T with the finiteness guard on every step: a row
+    with a non-finite entry freezes at nan.  Returns the step at which each
+    row failed (-1 for none) and the final states."""
+    X = np.array(X0, dtype=float)
+    died = np.full(len(X), -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, h in enumerate(plan, 1):
+            X = X @ flow._rk4_map(s.matrix, h).T
+            new = ~np.isfinite(X).all(axis=1) & (died < 0)
+            died[new] = i
+            X[died >= 0] = np.nan
+    return died, X
+
+
+def test_a_growing_matrix_raises_at_its_blowup_time():
+    s = registry._linear_system(40.0 * np.eye(2), "grow")
+    x0, T, dt = np.array([1.0, -3.0]), 20.0, 1e-3
+    died, _ = _grow_reference(s, x0[None], _plan(T, dt))
+    assert 0 < died[0] < 20000
+    with pytest.raises(FlowBlowupError) as err:
+        flow.integrate(s, x0, T, dt)
+    assert err.value.time == min(died[0] * dt, T)
+    assert died[0] == 17718  # the step at which the unbounded march failed
+
+
+def test_a_growing_matrix_freezes_the_same_rows_at_the_same_steps():
+    s = registry._linear_system(40.0 * np.eye(2), "grow")
+    X0 = np.array([[1.0, 1.0], [1e-100, 2e-100], [1e100, -1e100],
+                   [1e-300, 0.0], [0.0, 0.0]])
+    T, dt = 25.0005, 1e-3  # the plan ends in a partial step
+    died, X_ref = _grow_reference(s, X0, _plan(T, dt))
+    assert list(died) == [17745, 23484, 11989, -1, -1]  # as before the bound
+    stepper = flow._Stepper(s, X0, on_failure="mask")
+    got, step = np.full(len(X0), -1), itertools.count()
+
+    def on_store(t, last):
+        i = next(step)
+        got[stepper.dead & (got < 0)] = i
+
+    stepper.march(T, dt, on_store)
+    assert np.array_equal(got, died)
+    assert np.array_equal(stepper.X, X_ref, equal_nan=True)
+
+
+def test_the_finiteness_bound_counts_the_partial_last_step():
+    # R(1000 h) grows a row by about 4.2e10 over a full step (h = 1) and
+    # 2.6e9 over the partial one (h = 0.5): from 1e289 the full step alone
+    # stays below the bound's limit, and the partial step overflows
+    s = registry._linear_system(1000.0 * np.eye(2), "grow")
+    x0 = np.array([1e289, 0.0])
+    stepper = flow._Stepper(s, x0[None])
+    with np.errstate(over="ignore"):
+        assert stepper._stays_finite([(1.0, 1)])
+        assert not stepper._stays_finite([(1.0, 1), (0.5, 1)])
+    with pytest.raises(FlowBlowupError) as err:
+        flow.integrate(s, x0, T=1.5, dt=1.0)
+    assert err.value.time == 1.5
+
+
+# ---------------------------------------------------------- SPD sampling
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("N", [1, 25, 1000])
+def test_spd_samples_are_the_per_row_draws_in_one_batch(n, N):
+    s = flow.FlowSystem(geometry.spd(n), None, None, f"spd{n}")
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(N):  # the per-row draw: exp of a random symmetric B
+            B = rng.uniform(-1.0, 1.0, (n, n))
+            w, V = np.linalg.eigh(0.5 * (B + B.T))
+            rows.append(pack_sym((V * np.exp(w)) @ V.T))
+        batched = np.random.default_rng(seed)
+        assert np.array_equal(flow.sample_states(s, 3.0, N, batched),
+                              np.array(rows))
+        assert batched.random() == rng.random()  # the stream continues
