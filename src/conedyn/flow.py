@@ -64,11 +64,17 @@ far below the factor-of-two margin the threshold leaves.  Rows that never
 certify integrate to T as before.
 
 SPD-manifold trajectories integrate in chart coordinates with a
-positive-definiteness guard every step; leaving the chart raises (single
-orbit) or marks the sample as escaped (ensembles).  The guard is
+positive-definiteness guard; leaving the chart raises (single orbit) or
+marks the sample as escaped (ensembles).  The guard is
 ``geometry._leaves_chart``, which decides each row as eigvalsh would: on
 SPD(2) a trace/determinant screen proves most batches clean at once, and
-only rows it cannot prove take lambda_min in closed form.
+only rows it cannot prove take lambda_min in closed form.  A march of a
+declared matrix steps in runs between the steps its caller needs, and a
+run that a proof covers is one bare loop of products: on flat space the
+whole march, when a growth bound shows no row can overflow; on SPD(2),
+after a guard proves the batch clean, the steps each row's room above
+the guard's threshold allows (``geometry._spd2_steps``).  Every other
+step is guarded, so every decision is the one the guard would make.
 """
 
 from __future__ import annotations
@@ -83,7 +89,8 @@ from .errors import (
     ManifoldExitError,
     NumericsError,
 )
-from .geometry import ManifoldSpec, _leaves_chart
+from .geometry import (_EPS, ManifoldSpec, _leaves_chart, _spd2_steps,
+                       _step_bound)
 
 DT_DEFAULT = 1e-3
 STORE_STRIDE = 10
@@ -298,12 +305,13 @@ class _Stepper:
     stored stack.  With a declared matrix the states are component-major
     too: X is the (N, n) view of the (n, N) array each step returns.
 
-    The manifold guard (``_bad_rows``) runs after every step; it returns
-    None only for a batch it proves clean, and then the step does no mask
-    work.  A march on a euclidean system with a declared matrix first
-    bounds how far its steps can grow the batch (``_stays_finite``); when
-    no row can turn non-finite it skips the guard altogether, and
-    otherwise every step is guarded as before.
+    The manifold guard (``_bad_rows``) runs after every step no proof
+    covers; it returns None only for a batch it proves clean, and then the
+    step does no mask work.  ``_free_steps`` proves runs of a declared
+    matrix guard-free (``_steps``): the whole march on flat space, when a
+    growth bound shows no row can overflow; on SPD(2), after each guard
+    that proves the batch clean, the steps ``geometry._spd2_steps`` shows
+    cannot leave the chart.  A batch with a dead row is never covered.
     """
 
     def __init__(self, s: FlowSystem, X0: np.ndarray, P0=None,
@@ -316,7 +324,9 @@ class _Stepper:
         self._P = None if P0 is None else np.repeat(
             np.asarray(P0, dtype=float)[..., None], len(self.X), axis=-1)
         self.on_failure = on_failure
-        self.maps = {}  # step size h -> R(hA), for a declared matrix A
+        self.maps = {}  # step size h -> (R(hA), c), for a declared matrix A
+        self.runs = (s.matrix is not None and s.manifold.kind == "spd"
+                     and s.manifold.n == 2)  # a guard may open a run
         bad = _bad_rows(s, self.X)
         self.dead = np.zeros(len(self.X), dtype=bool) if bad is None else bad
         self.any_dead = bool(np.any(self.dead))
@@ -328,45 +338,62 @@ class _Stepper:
         """The tangent matrices, (N, n, m): a view of the stored stack."""
         return None if self._P is None else self._P.transpose(2, 0, 1)
 
-    def _map(self, h: float) -> np.ndarray:
-        """R(hA) for the declared matrix A, cached per step size."""
-        R = self.maps.get(h)
-        if R is None:
-            R = self.maps[h] = _rk4_map(self.s.matrix, h)
-        return R
+    def _map(self, h: float):
+        """(R(hA), c) for the declared matrix A, cached per step size; c is
+        ``geometry._step_bound(R)`` where runs are proved, else None."""
+        got = self.maps.get(h)
+        if got is None:
+            R = _rk4_map(self.s.matrix, h)
+            got = self.maps[h] = (R, _step_bound(R) if self.runs else None)
+        return got
 
-    def _stays_finite(self, steps) -> bool:
-        """True when no row of a euclidean system with a declared matrix
-        can turn non-finite in the march steps = [(h, count), ...]: every
-        entry (and partial sum) of a rounded R x is at most
-        (1 + 4 n eps) ||R||_inf max|x|, so the bound below grows past
-        _FINITE_LIMIT before any entry can overflow.  A nan or inf already
-        in X fails the test.  Call it under errstate(over="ignore").
+    def _free_steps(self, steps) -> int:
+        """How many of the march steps = [(h, count), ...] ahead need no
+        guard; call it under errstate(over="ignore").  Flat space: all or
+        none, as a bound on every entry of a rounded R x,
+        (1 + 4 n eps) ||R||_inf max|x| per step, stays below _FINITE_LIMIT
+        over the whole march or not.  SPD(2): of the first entry, the steps
+        ``geometry._spd2_steps`` proves.
         """
-        if self.s.matrix is None or self.s.manifold.kind != "euclidean":
-            return False
-        grow = 1.0 + 4.0 * len(self.s.matrix) * np.finfo(float).eps
-        bound = np.abs(self.X).max(initial=0.0)
-        for h, count in steps:
-            rho = grow * np.abs(self._map(h)).sum(axis=1).max()
-            bound = bound * rho ** np.float64(count)  # inf on overflow
-        return bool(bound < _FINITE_LIMIT)
+        s = self.s
+        if s.matrix is None or self.any_dead:
+            return 0
+        if s.manifold.kind == "euclidean":
+            grow = 1.0 + 4.0 * len(s.matrix) * _EPS
+            bound = np.abs(self.X).max(initial=0.0)  # nan for a nan in X
+            for h, count in steps:
+                rho = grow * np.abs(self._map(h)[0]).sum(axis=1).max()
+                bound = bound * rho ** np.float64(count)  # inf on overflow
+            return sum(count for _, count in steps) if bound < _FINITE_LIMIT \
+                else 0
+        h, count = steps[0]
+        if not (self.runs and count and len(self.X)):
+            return 0
+        return min(_spd2_steps(self.X, self._map(h)[1]), count)
 
-    def advance(self, h: float, t_new: float, guard: bool = True) -> None:
-        """One step of size h to time t_new.  guard=False skips the
-        manifold guard; only a march that proved it finds nothing sets it."""
+    def _steps(self, h: float, k: int) -> None:
+        """k steps of size h of a declared matrix, with no guard."""
+        R = self._map(h)[0]
+        X, P = self.X.T, self._P
+        for _ in range(k):
+            X = R @ X  # component-major: one pass over (n, N)
+            if P is not None:
+                P = (R @ P.reshape(len(R), -1)).reshape(P.shape)
+        self.X, self._P = X.T, P
+
+    def advance(self, h: float, t_new: float) -> bool:
+        """One guarded step of size h to time t_new; True when the guard
+        proved the batch clean."""
         P = self._P
         if self.s.matrix is not None:
-            R = self._map(h)
-            Xn = (R @ self.X.T).T  # component-major: one pass over (n, N)
-            Pn = None if P is None else (R @ P.reshape(len(R), -1)).reshape(
-                P.shape)
+            self._steps(h, 1)
+            Xn, Pn = self.X, self._P
         elif P is None:
             Xn, Pn = _rk4_step(self.s, self.X, h), None
         else:
             Xn, M = _rk4_step_map(self.s, self.X, h)
             Pn = _mul(M.transpose(1, 2, 0), P)
-        bad = _bad_rows(self.s, Xn) if guard else None
+        bad = _bad_rows(self.s, Xn)
         if bad is not None:
             if self.any_dead:
                 bad &= ~self.dead
@@ -382,6 +409,7 @@ class _Stepper:
             if Pn is not None:
                 Pn[..., self.dead] = np.nan
         self.X, self._P = Xn, Pn
+        return bad is None
 
     def drop(self, rows: np.ndarray) -> None:
         """Remove the rows where the boolean mask rows is True (a stepper
@@ -391,28 +419,42 @@ class _Stepper:
         self.dead = self.dead[keep]
         self.any_dead = bool(self.dead.any())
 
-    def march(self, t_end: float, dt: float, on_store=None,
-              stride: int = 1) -> None:
+    def march(self, t_end: float, dt: float, on_store=None, stride: int = 1,
+              events=None) -> None:
         """Step from self.t to t_end: full dt steps plus one partial step.
 
         Step i ends at time self.t + min(i*dt, span).  on_store(t, last)
-        runs after step i (i = 0 is the start) when i % stride == 0, and
-        after the last step.  The march ends early once the batch is empty.
+        runs after each step of events, ascending step indices below the
+        last (by default the multiples of stride, from i = 0, the start),
+        and after the last step.  The march ends early once the batch is
+        empty.
         """
         t0 = self.t
         span = t_end - t0
         n_full, rem = _plan_steps(span, dt)
         total = n_full + (1 if rem > 0.0 else 0)
+        if on_store is None:
+            events = ()
+        elif events is None:
+            events = range(0, total, stride)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            guard = not self._stays_finite(
+            proven = self._free_steps(  # steps 1..proven need no guard
                 [(dt, n_full)] + ([(rem, 1)] if rem > 0.0 else []))
-            if on_store is not None:
-                on_store(t0, False)
-            for i in range(1, total + 1):
-                t = t0 + min(i * dt, span)
-                self.advance(dt if i <= n_full else rem, t, guard)
-                if on_store is not None and (i % stride == 0 or i == total):
-                    on_store(t, i == total)
+            i = 0
+            for stop in itertools.chain(events, (total,)):
+                while i < stop:
+                    if i < proven:  # k = 0: the partial last step
+                        k = min(proven, stop, n_full) - i or 1
+                        self._steps(dt if i < n_full else rem, k)
+                        i += k
+                        continue
+                    i += 1
+                    clean = self.advance(dt if i <= n_full else rem,
+                                         t0 + min(i * dt, span))
+                    if clean and self.runs and i < n_full:
+                        proven = i + self._free_steps([(dt, n_full - i)])
+                if on_store is not None:
+                    on_store(t0 + min(stop * dt, span), stop == total)
                 if not len(self.X):
                     break  # every row has left the batch
         self.t = t_end  # no float drift across horizons
@@ -739,23 +781,29 @@ def _march_tail(stepper: _Stepper, T: float, dt: float, tail_fraction: float,
     The window stores step ``_tail_start``, every store_stride-th step
     after it and the last step, so the window depends on T, dt and
     tail_fraction alone.  check(t) runs after every CERT_EVERY-th step
-    before the window.  Returns (times, frames): lists of the stored times
-    and copies of stepper.X.
+    before the window.  The march calls back at these steps alone.
+    Returns (times, frames): lists of the stored times and copies of
+    stepper.X.
     """
+    n_full, rem = _plan_steps(T, dt)
+    total = n_full + (1 if rem > 0.0 else 0)
     tail_start = _tail_start(T, dt, tail_fraction)
+    checks = (range(CERT_EVERY, tail_start, CERT_EVERY) if check is not None
+              else range(0))
     times, frames = [], []
-    step = itertools.count()
+    left = len(checks)  # the checks come first, then the stores
 
-    def on_step(t, last):
-        i = next(step)
-        if i >= tail_start:
-            if (i - tail_start) % store_stride == 0 or last:
-                times.append(t)
-                frames.append(stepper.X.copy())
-        elif check is not None and i > 0 and i % CERT_EVERY == 0:
+    def on_event(t, last):
+        nonlocal left
+        if left:
+            left -= 1
             check(t)
+        else:
+            times.append(t)
+            frames.append(stepper.X.copy())
 
-    stepper.march(T, dt, on_step)
+    stepper.march(T, dt, on_event, events=itertools.chain(
+        checks, range(tail_start, total, store_stride)))
     return times, frames
 
 

@@ -21,6 +21,7 @@ the cocycle property ``gamma(x2,x3) o gamma(x1,x2) = gamma(x1,x3)``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +47,17 @@ def sym_dim(n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _packing(n: int):
-    """Read-only upper-triangle indices (iu, ju) of size n and the packing
-    weights: 1 on the diagonal, sqrt(2) off it."""
+    """Read-only upper-triangle indices (iu, ju) of size n, the packing
+    weights (1 on the diagonal, sqrt(2) off it) and, per entry of the
+    row-major n x n matrix, the packed coordinate that holds it."""
     iu, ju = np.triu_indices(n)
     w = np.where(iu == ju, 1.0, _SQRT2)
-    for a in (iu, ju, w):
+    full = np.empty((n, n), dtype=np.intp)
+    full[iu, ju] = full[ju, iu] = np.arange(len(iu))
+    full = full.ravel()
+    for a in (iu, ju, w, full):
         a.flags.writeable = False
-    return iu, ju, w
+    return iu, ju, w, full
 
 
 def pack_sym(S: np.ndarray) -> np.ndarray:
@@ -63,7 +68,7 @@ def pack_sym(S: np.ndarray) -> np.ndarray:
     matrices.  Works on stacks of matrices (leading dimensions broadcast).
     """
     S = np.asarray(S, dtype=float)
-    iu, ju, w = _packing(S.shape[-1])
+    iu, ju, w, _ = _packing(S.shape[-1])
     return S[..., iu, ju] * w
 
 
@@ -74,11 +79,8 @@ def unpack_sym(v: np.ndarray, n: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"packed length {v.shape[-1]} != sym_dim({n}) = {sym_dim(n)}"
         )
-    iu, ju, w = _packing(n)
-    S = np.zeros(v.shape[:-1] + (n, n))
-    S[..., iu, ju] = v / w
-    S[..., ju, iu] = S[..., iu, ju]
-    return S
+    _, _, w, full = _packing(n)
+    return (v / w)[..., full].reshape(v.shape[:-1] + (n, n))  # one gather
 
 
 def _sym_sqrt(S: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -129,6 +131,56 @@ def _spd2_screen(V: np.ndarray, m: float) -> np.ndarray:
     det -= half_vv
     det -= s * theta
     return np.minimum(det, s, out=det)
+
+
+def _spd2_room(V: np.ndarray) -> float:
+    """Room per unit norm of a 2-d stack V of packed SPD(2) points: a lower
+    bound q on (lambda_min - EIG_TOL - 2 band) / ||v||_2 over the rows v,
+    band that of ``_spd2_screen`` at M = 2 max s; 0.0 when the screen at M
+    fails a row, or M is nan, inf or >= _SCREEN_MAX.
+
+    Where the screen passes, lambda_min > det / s, so the score leaves at
+    least score / s above EIG_TOL + 2 band, and ||v||_2 = ||S||_F <= s: q
+    is min score / s^2, up to a few ulps that callers allow for.  A row
+    passes only with entries below s, and q <= 1/4.
+    """
+    s = V[:, 0] + V[:, 2]  # the screen's s, bit for bit
+    m = 2.0 * float(np.maximum.reduce(s))
+    if not m < _SCREEN_MAX:  # also for nan and inf
+        return 0.0
+    score = _spd2_screen(V, m)
+    if not np.minimum.reduce(score) > 0.0:
+        return 0.0
+    score /= s * s
+    return float(np.minimum.reduce(score))
+
+
+def _step_bound(R: np.ndarray) -> float:
+    """c >= ||fl(R v) - v||_2 / ||v||_2 for every v: the 2-norm of R - I,
+    inflated past the error of its SVD, plus 4 d eps ||R||_F, past the
+    rounding of a product over d terms; inf for an R that overflowed."""
+    if not np.isfinite(R).all():
+        return math.inf
+    return float(np.linalg.norm(R - np.eye(len(R)), 2) * (1.0 + 1e-9)
+                 + 4.0 * len(R) * _EPS * np.linalg.norm(R))
+
+
+def _spd2_steps(V: np.ndarray, c: float) -> int:
+    """How many steps v <- fl(R v), for an R with step bound c (see
+    ``_step_bound``), a 2-d stack V of packed SPD(2) points can take with
+    no row the chart guard could reject.
+
+    By Weyl, a step moves each eigenvalue of a row by at most c ||v||_2
+    (packing is a Frobenius isometry) and grows ||v||_2 by at most 1 + c.
+    Every row has room q ||v|| (``_spd2_room``), so j steps stay inside
+    while c sum_{l<j} (1 + c)^l <= q, that is j <= log1p(q) / log1p(c);
+    then norms grow by at most 1 + q, and entries stay below M, so the
+    band holds.  The factor 1 - 1e-12 covers the rounding of q and the logs.
+    """
+    q = _spd2_room(V)
+    if q <= 0.0:
+        return 0
+    return math.floor(math.log1p(q) / math.log1p(c) * (1.0 - 1e-12))
 
 
 def _leaves_chart(V: np.ndarray, n: int):

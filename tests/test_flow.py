@@ -955,22 +955,25 @@ def test_batched_classifier_matches_the_reference_on_ensembles(name, T, kinds):
 # ------------------------------------------ component-major matrix steps
 
 
-def _matrix_march(s, X, plan):
-    """Reference: X <- X @ R.T and P <- R P per step of the plan; a row that
-    leaves the manifold freezes at nan.  Yields (X, P) after each step."""
+def _matrix_march(s, X, plan, P=None):
+    """Reference: X <- X @ R.T and P <- R P per step of the plan, the guard
+    after every step; a row that leaves the manifold freezes at nan.  P,
+    (N, n, n), defaults to the identity; it steps component-major, as the
+    stepper's tangents do.  Yields (X, P) after each step."""
     n = s.dim
     X = np.array(X, dtype=float)
-    P = np.tile(np.eye(n), (len(X), 1, 1))
+    P = np.tile(np.eye(n), (len(X), 1, 1)) if P is None else P
+    P = np.ascontiguousarray(P.transpose(1, 2, 0))
     dead = np.zeros(len(X), dtype=bool)
     for h in plan:
         R = flow._rk4_map(s.matrix, h)
         X = X @ R.T
-        P = np.einsum("ij,rjl->ril", R, P)
+        P = (R @ P.reshape(n, -1)).reshape(P.shape)
         if s.manifold.kind == "spd":
             dead |= _eigvalsh_guard(X)
         X[dead] = np.nan
-        P[dead] = np.nan
-        yield X, P
+        P[..., dead] = np.nan
+        yield X, P.transpose(2, 0, 1)
 
 
 def _plan(span, dt):
@@ -978,7 +981,9 @@ def _plan(span, dt):
     return [dt] * n_full + ([rem] if rem > 0.0 else [])
 
 
-def _matrix_x0(name):
+def _matrix_x0(name, seed=None):
+    if seed is not None:  # rows that leave the chart between t = 9.8 and 11.2
+        return flow.sample_states(registry.get_system(name), None, 300, seed)
     if name == "spd_lyapunov":  # row 1 leaves the chart near t = 0.35
         return np.array([pack_sym(np.array([[2.0, 0.3], [0.3, 1.0]])),
                          pack_sym(np.diag([1.0, 2e-10])),
@@ -986,30 +991,33 @@ def _matrix_x0(name):
     return np.random.default_rng(6).uniform(-2.0, 2.0, (5, 2))
 
 
-@pytest.mark.parametrize("name", ["metzler_linear", "rotation2d",
-                                  "spd_lyapunov"])
-def test_matrix_steps_equal_the_row_major_reference(name):
+SHORT = (0.5, 1.0005, 1.5)
+ESCAPES = (2.5, 9.9, 10.5, 11.0005, 12.0)
+
+
+@pytest.mark.parametrize("name,seed,times", [
+    pytest.param(name, None, SHORT, id=name)
+    for name in ("metzler_linear", "rotation2d", "spd_lyapunov")] + [
+    pytest.param("spd_lyapunov", seed, ESCAPES, id=f"spd_escapes-{seed}")
+    for seed in (0, 3)])
+def test_matrix_steps_equal_the_row_major_reference(name, seed, times):
     s = registry.get_system(name)
-    X0, dt, times = _matrix_x0(name), 1e-3, [0.5, 1.0005, 1.5]
-    want, t_prev, X = [], 0.0, X0
+    X0, dt = _matrix_x0(name, seed), 1e-3
+    want, t_prev, X, P = [], 0.0, X0, None
     for t in times:  # one plan per gap between capture times, as _capture
-        for X, P in _matrix_march(s, X, _plan(t - t_prev, dt)):
+        for X, P in _matrix_march(s, X, _plan(t - t_prev, dt), P):
             pass
         want.append((X, P))
         t_prev = t
     xs = flow.states_at(s, X0, times, dt, on_failure="mask")
     xt, ps = flow.tangent_at(s, X0, times, dt, on_failure="mask")
     assert np.array_equal(xs, xt, equal_nan=True)
-    for i, (X, _) in enumerate(want):
+    for i, (X, P) in enumerate(want):
         assert np.array_equal(xs[i], X, equal_nan=True)
-    # the reference restarts its tangents on every gap: compare the first;
-    # the products of R sum in another order, so they agree to rounding
-    P = want[0][1]
-    assert np.array_equal(np.isnan(ps[0]), np.isnan(P))
-    assert np.allclose(ps[0], P, rtol=1e-14, atol=0.0, equal_nan=True)
-    if name == "spd_lyapunov":
+        assert np.array_equal(ps[i], P, equal_nan=True)
+    if name == "spd_lyapunov" and seed is None:
         assert np.all(np.isnan(xs[:, 1])) and np.all(np.isnan(ps[:, 1]))
-    T = 1.5005
+    T = times[-1] + 5e-4  # the plan ends in a partial step
     times, tails, rows, _ = flow.ensemble_tails(s, X0, T, dt)
     plan = _plan(T, dt)
     start = flow._tail_start(T, dt, flow.TAIL_FRACTION)
@@ -1018,6 +1026,38 @@ def test_matrix_steps_equal_the_row_major_reference(name):
                                  or i == len(plan))]
     assert list(rows) == list(range(len(X0)))
     assert np.array_equal(tails, np.array(stored), equal_nan=True)
+
+
+@pytest.mark.parametrize("seed,t_exit", [(0, 9.86), (1, 10.019), (2, 9.855),
+                                         (3, 9.906)])
+def test_spd_rows_leave_the_chart_at_the_reference_steps(seed, t_exit):
+    s = registry.get_system("spd_lyapunov")
+    X0, T, dt = _matrix_x0("spd_lyapunov", seed), 12.0005, 1e-3
+    plan = _plan(T, dt)
+    died, stored = np.full(len(X0), -1), {}
+    for i, (X, _) in enumerate(_matrix_march(s, X0, plan), 1):
+        died[np.isnan(X[:, 0]) & (died < 0)] = i
+        if i % 100 == 0 or i == len(plan):
+            stored[i] = X
+    assert (died > 0).all() and died.min() * dt == t_exit
+    # a callback on every step sees each row die at its reference step
+    stepper = flow._Stepper(s, X0, on_failure="mask")
+    got, step = np.full(len(X0), -1), itertools.count()
+
+    def every(t, last):
+        i = next(step)
+        got[stepper.dead & (got < 0)] = i
+
+    stepper.march(T, dt, every)
+    assert np.array_equal(got, died)
+    # callbacks at a few events alone see the same states
+    stepper, seen = flow._Stepper(s, X0, on_failure="mask"), []
+    stepper.march(T, dt, lambda t, last: seen.append(stepper.X.copy()), 100)
+    assert np.array_equal(np.array(seen[1:]), np.array(list(stored.values())),
+                          equal_nan=True)
+    with pytest.raises(ManifoldExitError) as err:  # raise mode: the first exit
+        flow.states_at(s, X0, ESCAPES, dt)
+    assert err.value.time == t_exit
 
 
 def test_matrix_stepper_keeps_row_major_shape_over_component_major_states():
@@ -1090,6 +1130,96 @@ def test_a_march_proven_finite_skips_the_per_step_guard(monkeypatch):
     grow = registry._linear_system(40.0 * np.eye(2), "grow")
     flow.states_at(grow, np.ones((2, 2)), [20.0], on_failure="mask")
     assert len(calls) == 1 + 20000  # the bound fails: every step is guarded
+    calls.clear()
+    s = registry.get_system("spd_lyapunov")
+    flow.states_at(s, flow.sample_states(s, None, 1000, 0), [5.0])
+    assert len(calls) <= 1 + 5000 // 5  # runs between guards: 402 calls
+
+
+def test_a_row_at_the_chart_threshold_gets_no_free_steps():
+    s = registry.get_system("spd_lyapunov")
+    X0 = _matrix_x0("spd_lyapunov")  # row 1: lambda_min = 2e-10
+    with np.errstate(over="ignore"):
+        assert flow._Stepper(s, X0)._free_steps([(1e-3, 1000)]) == 0
+        assert flow._Stepper(s, X0[[0, 2]])._free_steps([(1e-3, 1000)]) > 0
+
+
+def test_an_overflowing_step_map_opens_no_run():
+    s = registry.get_system("spd_lyapunov")
+    X0 = _matrix_x0("spd_lyapunov")[[0, 2]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert flow._Stepper(s, X0)._free_steps([(1e80, 1)]) == 0
+    xs = flow.states_at(s, X0, [1e80], dt=1e80, on_failure="mask")
+    assert np.isnan(xs).all()  # both rows escape; nothing raises
+
+
+def _near_identity_spd_system():
+    """A declared matrix whose map R(hA) at h = 1 is I plus entries of about
+    half an ulp of 1: the rounding of R v moves v more than (R - I) v does."""
+    A = 0.51 * geometry._EPS * np.eye(3, k=1)
+    return registry._linear_system(A, "near_identity", geometry.spd(2))
+
+
+def test_the_step_bound_covers_every_rounded_step():
+    rng = np.random.default_rng(8)
+    rows = np.vstack([np.ones((1, 3)), _spd2_rows(
+        rng, rng.uniform(0.01, 2.0, 4000), rng.uniform(2.0, 50.0, 4000))])
+    cases = [(_near_identity_spd_system(), 1.0)] + [
+        (registry.get_system("spd_lyapunov"), h) for h in (1e-3, 0.05, 0.4)]
+    for s, h in cases:
+        R, c = flow._Stepper(s, rows[:1])._map(h)
+        step = (R @ rows.T).T  # the stepper's product, bit for bit
+        norm = np.linalg.norm(rows, axis=1)
+        assert np.all(np.linalg.norm(step - rows, axis=1) <= c * norm)
+        assert np.all(np.linalg.norm(step, axis=1) <= (1.0 + c) * norm)
+    # the rounding alone moves the all-ones row past ||R - I||_2 ||v||_2
+    R, _ = flow._Stepper(cases[0][0], rows[:1])._map(1.0)
+    moved = np.linalg.norm(R @ rows[0] - rows[0])
+    assert moved > np.linalg.norm(R - np.eye(3), 2) * np.linalg.norm(rows[0])
+
+
+def test_spd2_room_bounds_the_room_above_the_band():
+    batches = dict(_screen_batches())
+    # thin rows diag(1, lam): det / s is lambda_min to within lam^2, so the
+    # room is tight up to the screen's rounding terms
+    lam = 10.0 ** np.linspace(-9.5, -6.0, 40)
+    batches["thin"] = np.column_stack([np.ones(40), np.zeros(40), lam])
+    rng = np.random.default_rng(9)
+    batches["conditioned"] = _spd2_rows(rng, rng.uniform(0.5, 1.0, 500),
+                                        rng.uniform(1.0, 4.0, 500))
+    proven = []
+    for name, V in batches.items():
+        with np.errstate(invalid="ignore", over="ignore"):
+            q = geometry._spd2_room(V)
+        if q <= 0.0:
+            continue
+        proven.append(name)
+        m = 2.0 * np.max(V[:, 0] + V[:, 2])
+        band = 1e-13 * (3.0 * m + 1.0)
+        lam_min = np.linalg.eigvalsh(geometry.unpack_sym(V, 2))[:, 0]
+        room = lam_min - (geometry.EIG_TOL + 2.0 * band)
+        assert np.all(q * np.linalg.norm(V, axis=1) <= room), name
+        if name == "thin":  # tight to well inside the band
+            assert np.min(room / np.linalg.norm(V, axis=1)) - q < 1e-14
+    assert proven == ["spd", "thin", "conditioned"]
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-3, 5e-3])
+def test_free_steps_are_the_longest_run_the_bound_allows(h):
+    # the run of j steps moves row i by at most c ||v_i|| sum_{l<j} (1+c)^l
+    s = registry.get_system("spd_lyapunov")
+    rng = np.random.default_rng(10)
+    X = _spd2_rows(rng, rng.uniform(0.5, 1.0, 200), rng.uniform(1.0, 2.0, 200))
+    stepper = flow._Stepper(s, X)
+    c, q = stepper._map(h)[1], geometry._spd2_room(X)
+    j, moved = 0, 0.0
+    while moved + c * (1.0 + c) ** j <= q:
+        moved += c * (1.0 + c) ** j
+        j += 1
+    assert 2 <= j < q / c - 1  # the growth of the norms costs steps
+    with np.errstate(over="ignore"):
+        assert stepper._free_steps([(h, 10 ** 6)]) in (j - 1, j)
+        assert stepper._free_steps([(h, 1)]) == 1  # never past the count
 
 
 def _grow_reference(s, X0, plan):
@@ -1145,8 +1275,8 @@ def test_the_finiteness_bound_counts_the_partial_last_step():
     x0 = np.array([1e289, 0.0])
     stepper = flow._Stepper(s, x0[None])
     with np.errstate(over="ignore"):
-        assert stepper._stays_finite([(1.0, 1)])
-        assert not stepper._stays_finite([(1.0, 1), (0.5, 1)])
+        assert stepper._free_steps([(1.0, 1)]) == 1
+        assert stepper._free_steps([(1.0, 1), (0.5, 1)]) == 0
     with pytest.raises(FlowBlowupError) as err:
         flow.integrate(s, x0, T=1.5, dt=1.0)
     assert err.value.time == 1.5

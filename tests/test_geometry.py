@@ -164,3 +164,29 @@ def test_packing_is_the_weighted_upper_triangle_for_every_size():
         # the index arrays are shared between calls, so nobody may write them
         for a in g._packing(n):
             assert not a.flags.writeable
+
+
+def _unpack_by_scatter(v, n):
+    """unpack_sym as two scatters into zeros: the form the gather replaced."""
+    iu, ju = np.triu_indices(n)
+    w = np.where(iu == ju, 1.0, np.sqrt(2.0))
+    S = np.zeros(v.shape[:-1] + (n, n))
+    S[..., iu, ju] = v / w
+    S[..., ju, iu] = S[..., iu, ju]
+    return S
+
+
+def test_unpack_is_the_scatter_form_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 4):
+        d = g.sym_dim(n)
+        for shape in ((d,), (6, d), (2, 3, d)):
+            v = rng.normal(size=shape)
+            if len(shape) > 1:
+                v.reshape(-1, d)[0, -1] = np.nan  # a nan row
+            got, want = unpack_sym(v, n), _unpack_by_scatter(v, n)
+            assert got.shape == want.shape == shape[:-1] + (n, n)
+            assert np.array_equal(got, want, equal_nan=True)
+            ok = ~np.isnan(v).any(axis=-1)
+            assert np.array_equal(np.linalg.eigvalsh(got[ok]),
+                                  np.linalg.eigvalsh(want[ok]))
