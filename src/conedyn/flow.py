@@ -65,16 +65,16 @@ certify integrate to T as before.
 
 SPD-manifold trajectories integrate in chart coordinates with a
 positive-definiteness guard; leaving the chart raises (single orbit) or
-marks the sample as escaped (ensembles).  The guard is
-``geometry._leaves_chart``, which decides each row as eigvalsh would: on
-SPD(2) a trace/determinant screen proves most batches clean at once, and
-only rows it cannot prove take lambda_min in closed form.  A march of a
-declared matrix steps in runs between the steps its caller needs, and a
-run that a proof covers is one bare loop of products: on flat space the
-whole march, when a growth bound shows no row can overflow; on SPD(2),
-after a guard proves the batch clean, the steps each row's room above
-the guard's threshold allows (``geometry._spd2_steps``).  Every other
-step is guarded, so every decision is the one the guard would make.
+marks the sample as escaped (ensembles).  The manifold owns the guard,
+``ManifoldSpec.leaves`` (finiteness on flat space; on SPD, eigvalsh's
+decision, on SPD(2) after a trace/determinant screen that proves most
+batches clean at once), and the one run rule, ``free_steps``: how many
+steps of a declared matrix the live rows can take before the guard could
+reject one, from their room (below overflow on flat space, above the
+guard's threshold on SPD(2)) and the growth of one step.  The march asks
+for a proof wherever none covers the next step, takes the run it proves
+as one bare loop of products and guards every other step, so every
+decision is the one the guard would make.
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ from .errors import (
     ManifoldExitError,
     NumericsError,
 )
-from .geometry import (_EPS, ManifoldSpec, _leaves_chart, _spd2_steps,
-                       _step_bound)
+from .geometry import ManifoldSpec
 
 DT_DEFAULT = 1e-3
 STORE_STRIDE = 10
@@ -103,7 +102,6 @@ _ORBIT_CHUNK = 1024  # steps of one orbit per batched step-map call
 _CERT_F_MAX = 1e-2  # only rows with |f| below this seed an equilibrium search
 _CERT_EQ_TOL = 1e-12  # certified equilibria are polished past EQ_TOL
 _CERT_REJECT_RADIUS = 0.05  # rows this close to a rejected point seed nothing
-_FINITE_LIMIT = 1e300  # a batch proven below this in size stays finite
 
 SINGLETON = "singleton_equilibrium"
 NON_SINGLETON = "non_singleton"
@@ -272,26 +270,17 @@ def _rk4_map(A: np.ndarray, h: float) -> np.ndarray:
 
 
 def _off_chart(s: FlowSystem, p: np.ndarray) -> bool:
-    """True for a point of an SPD system that fails the chart guard: it is
-    no point of the manifold, so no limit or equilibrium there counts."""
-    if s.manifold.kind != "spd":
-        return False
-    bad = _leaves_chart(p[None, :], s.manifold.n)
+    """True for a point that fails the manifold guard (on SPD, the chart
+    guard): no limit or equilibrium there counts."""
+    bad = s.manifold.leaves(p[None, :])
     return bad is not None and bool(bad[0])
 
 
 def _bad_rows(s: FlowSystem, X: np.ndarray):
-    """The per-step manifold guard: a boolean mask of rows that are
-    non-finite or left the SPD chart, or None when the batch is proven
-    clean, on flat space by one ``isfinite`` reduction, on SPD(n) by
-    ``geometry._leaves_chart`` (on SPD(2), its trace/determinant screen).
-    """
-    if s.manifold.kind == "spd":
-        return _leaves_chart(X, s.manifold.n)
-    finite = np.isfinite(X)
-    if finite.all():  # one reduction over the batch; per row only on failure
-        return None
-    return ~finite.all(axis=-1)
+    """The manifold guard, ``ManifoldSpec.leaves``, on the states of every
+    step no proven run covers: a boolean mask of rows that are non-finite
+    or left the SPD chart, or None when the batch is proven clean."""
+    return s.manifold.leaves(X)
 
 
 class _Stepper:
@@ -307,11 +296,9 @@ class _Stepper:
 
     The manifold guard (``_bad_rows``) runs after every step no proof
     covers; it returns None only for a batch it proves clean, and then the
-    step does no mask work.  ``_free_steps`` proves runs of a declared
-    matrix guard-free (``_steps``): the whole march on flat space, when a
-    growth bound shows no row can overflow; on SPD(2), after each guard
-    that proves the batch clean, the steps ``geometry._spd2_steps`` shows
-    cannot leave the chart.  A batch with a dead row is never covered.
+    step does no mask work.  A proof covers a run of steps of a declared
+    matrix (``_free_steps``): the steps ``ManifoldSpec.free_steps`` allows
+    the live rows, which the stepper then takes with no guard (``_steps``).
     """
 
     def __init__(self, s: FlowSystem, X0: np.ndarray, P0=None,
@@ -325,8 +312,6 @@ class _Stepper:
             np.asarray(P0, dtype=float)[..., None], len(self.X), axis=-1)
         self.on_failure = on_failure
         self.maps = {}  # step size h -> (R(hA), c), for a declared matrix A
-        self.runs = (s.matrix is not None and s.manifold.kind == "spd"
-                     and s.manifold.n == 2)  # a guard may open a run
         bad = _bad_rows(s, self.X)
         self.dead = np.zeros(len(self.X), dtype=bool) if bad is None else bad
         self.any_dead = bool(np.any(self.dead))
@@ -340,36 +325,22 @@ class _Stepper:
 
     def _map(self, h: float):
         """(R(hA), c) for the declared matrix A, cached per step size; c is
-        ``geometry._step_bound(R)`` where runs are proved, else None."""
+        the manifold's ``step_growth(R)``."""
         got = self.maps.get(h)
         if got is None:
             R = _rk4_map(self.s.matrix, h)
-            got = self.maps[h] = (R, _step_bound(R) if self.runs else None)
+            got = self.maps[h] = (R, self.s.manifold.step_growth(R))
         return got
 
-    def _free_steps(self, steps) -> int:
-        """How many of the march steps = [(h, count), ...] ahead need no
-        guard; call it under errstate(over="ignore").  Flat space: all or
-        none, as a bound on every entry of a rounded R x,
-        (1 + 4 n eps) ||R||_inf max|x| per step, stays below _FINITE_LIMIT
-        over the whole march or not.  SPD(2): of the first entry, the steps
-        ``geometry._spd2_steps`` proves.
-        """
-        s = self.s
-        if s.matrix is None or self.any_dead:
+    def _free_steps(self, h: float, count: int) -> int:
+        """How many of the next count steps of size h need no guard: those
+        ``ManifoldSpec.free_steps`` allows the live rows (all count once
+        every row is dead), none without a declared matrix.  Call it under
+        errstate(over="ignore")."""
+        if self.s.matrix is None:
             return 0
-        if s.manifold.kind == "euclidean":
-            grow = 1.0 + 4.0 * len(s.matrix) * _EPS
-            bound = np.abs(self.X).max(initial=0.0)  # nan for a nan in X
-            for h, count in steps:
-                rho = grow * np.abs(self._map(h)[0]).sum(axis=1).max()
-                bound = bound * rho ** np.float64(count)  # inf on overflow
-            return sum(count for _, count in steps) if bound < _FINITE_LIMIT \
-                else 0
-        h, count = steps[0]
-        if not (self.runs and count and len(self.X)):
-            return 0
-        return min(_spd2_steps(self.X, self._map(h)[1]), count)
+        live = self.X[~self.dead] if self.any_dead else self.X
+        return min(count, self.s.manifold.free_steps(live, self._map(h)[1]))
 
     def _steps(self, h: float, k: int) -> None:
         """k steps of size h of a declared matrix, with no guard."""
@@ -381,9 +352,8 @@ class _Stepper:
                 P = (R @ P.reshape(len(R), -1)).reshape(P.shape)
         self.X, self._P = X.T, P
 
-    def advance(self, h: float, t_new: float) -> bool:
-        """One guarded step of size h to time t_new; True when the guard
-        proved the batch clean."""
+    def advance(self, h: float, t_new: float) -> None:
+        """One guarded step of size h to time t_new."""
         P = self._P
         if self.s.matrix is not None:
             self._steps(h, 1)
@@ -409,7 +379,6 @@ class _Stepper:
             if Pn is not None:
                 Pn[..., self.dead] = np.nan
         self.X, self._P = Xn, Pn
-        return bad is None
 
     def drop(self, rows: np.ndarray) -> None:
         """Remove the rows where the boolean mask rows is True (a stepper
@@ -438,21 +407,20 @@ class _Stepper:
         elif events is None:
             events = range(0, total, stride)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            proven = self._free_steps(  # steps 1..proven need no guard
-                [(dt, n_full)] + ([(rem, 1)] if rem > 0.0 else []))
-            i = 0
+            i = proven = 0  # steps i + 1..proven need no guard
             for stop in itertools.chain(events, (total,)):
                 while i < stop:
-                    if i < proven:  # k = 0: the partial last step
-                        k = min(proven, stop, n_full) - i or 1
-                        self._steps(dt if i < n_full else rem, k)
+                    h = dt if i < n_full else rem
+                    if i >= proven:  # no proof covers step i + 1: ask for one
+                        proven = i + self._free_steps(
+                            h, n_full - i if i < n_full else 1)
+                    if i < proven:
+                        k = min(proven, stop) - i
+                        self._steps(h, k)
                         i += k
-                        continue
-                    i += 1
-                    clean = self.advance(dt if i <= n_full else rem,
-                                         t0 + min(i * dt, span))
-                    if clean and self.runs and i < n_full:
-                        proven = i + self._free_steps([(dt, n_full - i)])
+                    else:
+                        i += 1
+                        self.advance(h, t0 + min(i * dt, span))
                 if on_store is not None:
                     on_store(t0 + min(stop * dt, span), stop == total)
                 if not len(self.X):

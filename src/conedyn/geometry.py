@@ -38,6 +38,7 @@ EIG_TOL = 1e-10  # positive-definiteness threshold for SPD points
 _SQRT2 = np.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 _SCREEN_MAX = 1e150  # no SPD(2) screen from here on: m^2 nears overflow
+_FINITE_LIMIT = 1e300  # a flat batch proven below this in size stays finite
 
 
 def sym_dim(n: int) -> int:
@@ -95,31 +96,22 @@ def _sym_sqrt(S: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 
 def _lambda_min_exits(V: np.ndarray, n: int) -> np.ndarray:
-    """Rows of finite packed SPD(n) points with lambda_min <= EIG_TOL; on
-    SPD(2) in closed form, and by eigvalsh within a rounding band of it."""
-    if n != 2:
-        return np.linalg.eigvalsh(unpack_sym(V, n))[:, 0] <= EIG_TOL
-    a, b, c = V[:, 0], V[:, 1] / _SQRT2, V[:, 2]
-    lam = 0.5 * a + 0.5 * c - np.hypot(0.5 * a - 0.5 * c, b)
-    band = 1e-13 * (np.abs(a) + np.abs(b) + np.abs(c) + 1.0)  # >> ulp errors
-    near = ~(np.abs(lam - EIG_TOL) > band)
-    out = lam <= EIG_TOL
-    if near.any():
-        out[near] = np.linalg.eigvalsh(unpack_sym(V[near], 2))[:, 0] <= EIG_TOL
-    return out
+    """Rows of finite packed SPD(n) points with lambda_min <= EIG_TOL."""
+    return np.linalg.eigvalsh(unpack_sym(V, n))[:, 0] <= EIG_TOL
 
 
 def _spd2_screen(V: np.ndarray, m: float) -> np.ndarray:
     """Per row of packed SPD(2) points with entries at most m < _SCREEN_MAX
-    in size: a score that is > 0 only where the exact decision is False.
+    in size: a score that is > 0 only where eigvalsh finds lambda_min above
+    EIG_TOL.
 
     Row (a, v, c) has eigenvalue sum s = a + c and product
     det = a c - v^2 / 2; when both are > 0, lambda_min > det / s.  The
     score is min(det - s theta, s) with theta = (EIG_TOL + 2 band + 4 eps m)
-    (1 + 4 eps) and band = 1e-13 (3 m + 1), the widest band of
-    ``_lambda_min_exits`` in the batch.  A row scoring > 0 has a, c > 0 and
-    |v| < s, so det is off by under 2 eps m s, and lambda_min exceeds
-    EIG_TOL + 2 band: the closed form lands out of its band, above EIG_TOL.
+    (1 + 4 eps) and band = 1e-13 (3 m + 1).  A row scoring > 0 has a, c > 0
+    and |v| < s, so det is off by under 2 eps m s, and lambda_min exceeds
+    EIG_TOL + 2 band.  The band is margin over eigvalsh's error, a few
+    eps m, so eigvalsh lands above EIG_TOL too.
     """
     band = 1e-13 * (3.0 * m + 1.0)
     theta = (EIG_TOL + 2.0 * band + 4.0 * _EPS * m) * (1.0 + 4.0 * _EPS)
@@ -155,63 +147,6 @@ def _spd2_room(V: np.ndarray) -> float:
     return float(np.minimum.reduce(score))
 
 
-def _step_bound(R: np.ndarray) -> float:
-    """c >= ||fl(R v) - v||_2 / ||v||_2 for every v: the 2-norm of R - I,
-    inflated past the error of its SVD, plus 4 d eps ||R||_F, past the
-    rounding of a product over d terms; inf for an R that overflowed."""
-    if not np.isfinite(R).all():
-        return math.inf
-    return float(np.linalg.norm(R - np.eye(len(R)), 2) * (1.0 + 1e-9)
-                 + 4.0 * len(R) * _EPS * np.linalg.norm(R))
-
-
-def _spd2_steps(V: np.ndarray, c: float) -> int:
-    """How many steps v <- fl(R v), for an R with step bound c (see
-    ``_step_bound``), a 2-d stack V of packed SPD(2) points can take with
-    no row the chart guard could reject.
-
-    By Weyl, a step moves each eigenvalue of a row by at most c ||v||_2
-    (packing is a Frobenius isometry) and grows ||v||_2 by at most 1 + c.
-    Every row has room q ||v|| (``_spd2_room``), so j steps stay inside
-    while c sum_{l<j} (1 + c)^l <= q, that is j <= log1p(q) / log1p(c);
-    then norms grow by at most 1 + q, and entries stay below M, so the
-    band holds.  The factor 1 - 1e-12 covers the rounding of q and the logs.
-    """
-    q = _spd2_room(V)
-    if q <= 0.0:
-        return 0
-    return math.floor(math.log1p(q) / math.log1p(c) * (1.0 - 1e-12))
-
-
-def _leaves_chart(V: np.ndarray, n: int):
-    """The SPD(n) chart guard over a 2-d stack V of packed points: a mask,
-    True where a row is non-finite or has lambda_min <= EIG_TOL, as
-    eigvalsh decides, or None when the batch is proven inside.  On SPD(2),
-    when the largest entry m is finite and below _SCREEN_MAX, the rows
-    go through ``_spd2_screen`` first and only those it fails take the
-    exact path; None when it fails none.
-    """
-    if n == 2 and V.size:
-        # ufunc reductions skip the ndarray methods' wrappers, per step
-        m = float(np.maximum.reduce(np.abs(V), axis=None))
-        if m < _SCREEN_MAX:  # False for nan and inf
-            score = _spd2_screen(V, m)
-            if np.minimum.reduce(score) > 0.0:
-                return None
-            bad = ~(score > 0.0)
-            rest = np.flatnonzero(bad)
-            bad[rest] = _lambda_min_exits(V[rest], 2)
-            return bad
-    finite = np.isfinite(V)
-    if finite.all():
-        return _lambda_min_exits(V, n)
-    bad = ~finite.all(axis=-1)
-    ok = np.flatnonzero(~bad)
-    if len(ok):
-        bad[ok[_lambda_min_exits(V[ok], n)]] = True
-    return bad
-
-
 @dataclass(frozen=True)
 class ManifoldSpec:
     """A manifold kind plus its size.
@@ -233,6 +168,85 @@ class ManifoldSpec:
     def dim(self) -> int:
         return self.n if self.kind == "euclidean" else sym_dim(self.n)
 
+    def leaves(self, V: np.ndarray):
+        """The manifold guard over a 2-d stack V of chart points: a mask,
+        True where a row is non-finite or, on SPD, has lambda_min <= EIG_TOL
+        as eigvalsh decides, or None when the batch is proven clean.  On
+        SPD(2), when the largest entry m is finite and below _SCREEN_MAX,
+        the rows go through ``_spd2_screen`` first and only those it fails
+        take eigvalsh; None when it fails none.  In a batch with non-finite
+        rows the finite rows are decided alone, so they reach the screen too.
+        """
+        spd = self.kind == "spd"
+        if spd and self.n == 2 and V.size:
+            # ufunc reductions skip the ndarray methods' wrappers, per step
+            m = float(np.maximum.reduce(np.abs(V), axis=None))
+            if m < _SCREEN_MAX:  # False for nan and inf
+                score = _spd2_screen(V, m)
+                if np.minimum.reduce(score) > 0.0:
+                    return None
+                bad = ~(score > 0.0)
+                rest = np.flatnonzero(bad)
+                bad[rest] = _lambda_min_exits(V[rest], 2)
+                return bad
+        finite = np.isfinite(V)
+        if finite.all():  # one reduction over the batch; per row only on failure
+            return _lambda_min_exits(V, self.n) if spd else None
+        bad = ~finite.all(axis=-1)
+        ok = np.flatnonzero(~bad)
+        if spd and len(ok):
+            left = self.leaves(V[ok])
+            if left is not None:
+                bad[ok[left]] = True
+        return bad
+
+    def step_growth(self, R: np.ndarray) -> float:
+        """The growth c of a step v <- fl(R v) that ``free_steps`` takes; inf
+        for an R that overflowed.  Flat space: c >= max|fl(R v)| / max|v| - 1,
+        (1 + 4 d eps) ||R||_inf - 1.  SPD: c >= ||fl(R v) - v||_2 / ||v||_2,
+        the 2-norm of R - I, inflated past the error of its SVD, plus
+        4 d eps ||R||_F.  The 4 d eps terms pass the rounding of a product
+        over d terms."""
+        if not np.isfinite(R).all():
+            return math.inf
+        grow = 4.0 * len(R) * _EPS
+        if self.kind == "spd":
+            return float(np.linalg.norm(R - np.eye(len(R)), 2) * (1.0 + 1e-9)
+                         + grow * np.linalg.norm(R))
+        return (1.0 + grow) * float(np.abs(R).sum(axis=1).max()) - 1.0
+
+    def free_steps(self, V: np.ndarray, c: float):
+        """How many steps v <- fl(R v), c = step_growth(R), the rows of the
+        2-d stack V can take before ``leaves`` could reject one: 0 without
+        room or for an R that overflowed, inf for an empty V or a flat step
+        that grows nothing (c <= 0).
+
+        V has room q, and a step grows it by at most 1 + c, so j steps are
+        free while (1 + c)^j <= 1 + q: j = floor(log1p(q) / log1p(c)
+        (1 - 1e-12)), the factor covering the rounding of q and the logs.
+        Flat space: q = _FINITE_LIMIT / max|V| - 1, so V stays finite.  On
+        SPD(2), q is ``_spd2_room`` and, by Weyl, a step moves each
+        eigenvalue of a row by at most c ||v||_2 (packing is a Frobenius
+        isometry), so j steps move it by at most c sum_{l<j} (1 + c)^l ||v||
+        <= q ||v||; norms grow by at most 1 + q, entries stay below M, and
+        the band holds.  A room q > 0 proves V clean.  SPD(n > 2) has none.
+        """
+        if not len(V):
+            return math.inf
+        if self.kind == "euclidean":
+            m = float(np.maximum.reduce(np.abs(V), axis=None))
+            q = _FINITE_LIMIT / m - 1.0 if m else math.inf  # inf: V is all 0
+        elif self.n == 2:
+            q = _spd2_room(V)
+        else:
+            return 0
+        if not (q > 0.0 and c < math.inf):  # also for a nan q
+            return 0
+        if c <= 0.0:
+            return math.inf
+        j = math.log1p(q) / math.log1p(c) * (1.0 - 1e-12)
+        return math.floor(j) if j < math.inf else j
+
     def check_point(self, x: np.ndarray) -> np.ndarray:
         """Validate chart coordinates; returns the coordinates as an array."""
         x = np.asarray(x, dtype=float)
@@ -243,7 +257,7 @@ class ManifoldSpec:
         if not np.all(np.isfinite(x)):
             raise ValueError("point has non-finite coordinates")
         if self.kind == "spd":
-            bad = _leaves_chart(x.reshape(-1, self.dim), self.n)
+            bad = self.leaves(x.reshape(-1, self.dim))
             if bad is not None and bad.any():  # eigvalsh for the message
                 w = np.linalg.eigvalsh(unpack_sym(x, self.n))
                 raise NotPositiveDefiniteError(

@@ -679,7 +679,7 @@ def tail_sinking_to_the_zero_matrix():
 def test_an_spd_tail_clustered_at_the_zero_matrix_is_undetermined():
     s = registry.get_system("spd_lyapunov")
     tails = tail_sinking_to_the_zero_matrix()
-    assert geometry._leaves_chart(tails[:, 0], 2) is None
+    assert geometry.spd(2).leaves(tails[:, 0]) is None
     est, = flow.classify_tail(s, tails)
     assert est.kind == UNDETERMINED and est.point is None
     assert est.residual < flow.EQ_TOL  # Newton did reach the zero matrix
@@ -1128,27 +1128,56 @@ def test_a_march_proven_finite_skips_the_per_step_guard(monkeypatch):
     assert len(calls) == 1  # the stepper's check of the initial state
     calls.clear()
     grow = registry._linear_system(40.0 * np.eye(2), "grow")
-    flow.states_at(grow, np.ones((2, 2)), [20.0], on_failure="mask")
-    assert len(calls) == 1 + 20000  # the bound fails: every step is guarded
+    X0, T, dt = np.ones((2, 2)), 20.0, 1e-3
+    died, _ = _grow_reference(grow, X0, _plan(T, dt))
+    R = flow._rk4_map(grow.matrix, dt)
+    rho = (1.0 + 8.0 * geometry._EPS) * np.abs(R).sum(axis=1).max()
+    j = 0  # the steps the bound proves: 17,269
+    while rho ** (j + 1) < 1e300:
+        j += 1
+    flow.states_at(grow, X0, [T], dt, on_failure="mask")
+    # every step past the bound is guarded until both rows die, none after
+    assert 0 < j < died[0] == died[1] < T / dt
+    assert len(calls) in (1 + died[0] - j, 2 + died[0] - j)  # 477 calls
     calls.clear()
     s = registry.get_system("spd_lyapunov")
     flow.states_at(s, flow.sample_states(s, None, 1000, 0), [5.0])
-    assert len(calls) <= 1 + 5000 // 5  # runs between guards: 402 calls
+    # a positive room proves the batch clean, so back-to-back runs take no
+    # guard between them: 2 calls (402 with a guard after every run)
+    assert len(calls) <= 10
+
+
+def test_a_mask_march_proves_runs_over_its_live_rows(monkeypatch):
+    calls = []
+    real = flow._bad_rows
+
+    def counting(s, X):
+        calls.append(bool(np.isnan(X).all()))
+        return real(s, X)
+
+    monkeypatch.setattr(flow, "_bad_rows", counting)
+    s = registry.get_system("spd_lyapunov")
+    xs = flow.states_at(s, flow.sample_states(s, None, 1000, 0), [15.0],
+                        on_failure="mask")
+    assert np.isnan(xs).all()  # the rows leave between t = 9.86 and 11.21
+    # runs go on over the live rows after the first escape (one guard per
+    # step from there on would make 7,612 calls), and none once all are dead
+    assert 0 < len(calls) <= 2500 and not any(calls)
 
 
 def test_a_row_at_the_chart_threshold_gets_no_free_steps():
     s = registry.get_system("spd_lyapunov")
     X0 = _matrix_x0("spd_lyapunov")  # row 1: lambda_min = 2e-10
     with np.errstate(over="ignore"):
-        assert flow._Stepper(s, X0)._free_steps([(1e-3, 1000)]) == 0
-        assert flow._Stepper(s, X0[[0, 2]])._free_steps([(1e-3, 1000)]) > 0
+        assert flow._Stepper(s, X0)._free_steps(1e-3, 1000) == 0
+        assert flow._Stepper(s, X0[[0, 2]])._free_steps(1e-3, 1000) > 0
 
 
 def test_an_overflowing_step_map_opens_no_run():
     s = registry.get_system("spd_lyapunov")
     X0 = _matrix_x0("spd_lyapunov")[[0, 2]]
     with np.errstate(over="ignore", invalid="ignore"):
-        assert flow._Stepper(s, X0)._free_steps([(1e80, 1)]) == 0
+        assert flow._Stepper(s, X0)._free_steps(1e80, 1) == 0
     xs = flow.states_at(s, X0, [1e80], dt=1e80, on_failure="mask")
     assert np.isnan(xs).all()  # both rows escape; nothing raises
 
@@ -1204,22 +1233,39 @@ def test_spd2_room_bounds_the_room_above_the_band():
     assert proven == ["spd", "thin", "conditioned"]
 
 
-@pytest.mark.parametrize("h", [1e-4, 1e-3, 5e-3])
-def test_free_steps_are_the_longest_run_the_bound_allows(h):
-    # the run of j steps moves row i by at most c ||v_i|| sum_{l<j} (1+c)^l
-    s = registry.get_system("spd_lyapunov")
+@pytest.mark.parametrize("kind,h", [
+    pytest.param(kind, h, id=f"{prefix}{h}")
+    for kind, prefix in (("spd", ""), ("flat", "flat-"))
+    for h in (1e-4, 1e-3, 5e-3)])
+def test_free_steps_are_the_longest_run_the_bound_allows(kind, h):
     rng = np.random.default_rng(10)
-    X = _spd2_rows(rng, rng.uniform(0.5, 1.0, 200), rng.uniform(1.0, 2.0, 200))
-    stepper = flow._Stepper(s, X)
-    c, q = stepper._map(h)[1], geometry._spd2_room(X)
-    j, moved = 0, 0.0
-    while moved + c * (1.0 + c) ** j <= q:
-        moved += c * (1.0 + c) ** j
-        j += 1
-    assert 2 <= j < q / c - 1  # the growth of the norms costs steps
+    if kind == "spd":
+        # the run of j steps moves row i by at most c ||v_i|| sum_{l<j} (1+c)^l
+        s = registry.get_system("spd_lyapunov")
+        X = _spd2_rows(rng, rng.uniform(0.5, 1.0, 200),
+                       rng.uniform(1.0, 2.0, 200))
+        stepper = flow._Stepper(s, X)
+        c, q = stepper._map(h)[1], geometry._spd2_room(X)
+        j, moved = 0, 0.0
+        while moved + c * (1.0 + c) ** j <= q:
+            moved += c * (1.0 + c) ** j
+            j += 1
+        assert 2 <= j < q / c - 1  # the growth of the norms costs steps
+    else:
+        # the run of j steps keeps max|x| rho^j below the overflow limit,
+        # rho = (1 + 4 n eps) ||R||_inf per step
+        s = registry._linear_system(np.array([[1.0, 3.0], [-2.0, 0.5]]), "mix")
+        X = 1e290 * rng.uniform(-1.0, 1.0, (200, 2))
+        stepper = flow._Stepper(s, X)
+        R = flow._rk4_map(s.matrix, h)
+        rho = (1.0 + 8.0 * geometry._EPS) * np.abs(R).sum(axis=1).max()
+        m, j = np.abs(X).max(), 0
+        while m * rho ** (j + 1) < 1e300:
+            j += 1
+        assert j >= 2
     with np.errstate(over="ignore"):
-        assert stepper._free_steps([(h, 10 ** 6)]) in (j - 1, j)
-        assert stepper._free_steps([(h, 1)]) == 1  # never past the count
+        assert stepper._free_steps(h, 10 ** 6) in (j - 1, j)
+        assert stepper._free_steps(h, 1) == 1  # never past the count
 
 
 def _grow_reference(s, X0, plan):
@@ -1275,8 +1321,9 @@ def test_the_finiteness_bound_counts_the_partial_last_step():
     x0 = np.array([1e289, 0.0])
     stepper = flow._Stepper(s, x0[None])
     with np.errstate(over="ignore"):
-        assert stepper._free_steps([(1.0, 1)]) == 1
-        assert stepper._free_steps([(1.0, 1), (0.5, 1)]) == 0
+        assert stepper._free_steps(1.0, 1) == 1
+        stepper._steps(1.0, 1)
+        assert stepper._free_steps(0.5, 1) == 0
     with pytest.raises(FlowBlowupError) as err:
         flow.integrate(s, x0, T=1.5, dt=1.0)
     assert err.value.time == 1.5
