@@ -72,9 +72,10 @@ batches clean at once), and the one run rule, ``free_steps``: how many
 steps of a declared matrix the live rows can take before the guard could
 reject one, from their room (below overflow on flat space, above the
 guard's threshold on SPD(2)) and the growth of one step.  The march asks
-for a proof wherever none covers the next step, takes the run it proves
-as one bare loop of products and guards every other step, so every
-decision is the one the guard would make.
+for a proof wherever none covers the next step (after a failed proof,
+only once a guarded step proves the live rows clean or loses a row),
+takes the run it proves as one bare loop of products and guards the live
+rows on every other step, so every decision is the one the guard makes.
 """
 
 from __future__ import annotations
@@ -277,9 +278,9 @@ def _off_chart(s: FlowSystem, p: np.ndarray) -> bool:
 
 
 def _bad_rows(s: FlowSystem, X: np.ndarray):
-    """The manifold guard, ``ManifoldSpec.leaves``, on the states of every
-    step no proven run covers: a boolean mask of rows that are non-finite
-    or left the SPD chart, or None when the batch is proven clean."""
+    """The manifold guard, ``ManifoldSpec.leaves``, on the live rows of
+    every step no proven run covers: a boolean mask of rows that are
+    non-finite or left the SPD chart, or None when they are proven clean."""
     return s.manifold.leaves(X)
 
 
@@ -294,11 +295,11 @@ class _Stepper:
     stored stack.  With a declared matrix the states are component-major
     too: X is the (N, n) view of the (n, N) array each step returns.
 
-    The manifold guard (``_bad_rows``) runs after every step no proof
-    covers; it returns None only for a batch it proves clean, and then the
-    step does no mask work.  A proof covers a run of steps of a declared
-    matrix (``_free_steps``): the steps ``ManifoldSpec.free_steps`` allows
-    the live rows, which the stepper then takes with no guard (``_steps``).
+    The manifold guard (``_bad_rows``) runs over the live rows after every
+    step no proof covers; it returns None only for rows it proves clean,
+    and then the step does no mask work.  A proof covers a run of steps of
+    a declared matrix (``_free_steps``): the steps ``ManifoldSpec.free_steps``
+    allows the live rows, which the stepper then takes with no guard.
     """
 
     def __init__(self, s: FlowSystem, X0: np.ndarray, P0=None,
@@ -352,8 +353,9 @@ class _Stepper:
                 P = (R @ P.reshape(len(R), -1)).reshape(P.shape)
         self.X, self._P = X.T, P
 
-    def advance(self, h: float, t_new: float) -> None:
-        """One guarded step of size h to time t_new."""
+    def advance(self, h: float, t_new: float) -> bool:
+        """One guarded step of size h to time t_new; True when the guard
+        proved the live rows clean or rows left: a new proof may succeed."""
         P = self._P
         if self.s.matrix is not None:
             self._steps(h, 1)
@@ -363,22 +365,22 @@ class _Stepper:
         else:
             Xn, M = _rk4_step_map(self.s, self.X, h)
             Pn = _mul(M.transpose(1, 2, 0), P)
-        bad = _bad_rows(self.s, Xn)
-        if bad is not None:
-            if self.any_dead:
-                bad &= ~self.dead
-            if bad.any():  # the method skips np.any's dispatch, per step
-                if self.on_failure == "raise":
-                    if np.any(~np.isfinite(Xn[bad])):
-                        raise FlowBlowupError(t_new)
-                    raise ManifoldExitError(t_new)
-                self.dead |= bad
-                self.any_dead = True
+        live = ~self.dead if self.any_dead else slice(None)
+        bad = _bad_rows(self.s, Xn[live])  # the dead rows need no guard
+        fresh = bad is None
+        if not fresh and bad.any():  # the method skips np.any's dispatch
+            if self.on_failure == "raise":
+                if np.any(~np.isfinite(Xn[bad])):
+                    raise FlowBlowupError(t_new)
+                raise ManifoldExitError(t_new)
+            self.dead[live] |= bad
+            self.any_dead = fresh = True
         if self.any_dead:  # dead rows stay frozen at nan
             Xn[self.dead] = np.nan
             if Pn is not None:
                 Pn[..., self.dead] = np.nan
         self.X, self._P = Xn, Pn
+        return fresh
 
     def drop(self, rows: np.ndarray) -> None:
         """Remove the rows where the boolean mask rows is True (a stepper
@@ -408,10 +410,11 @@ class _Stepper:
             events = range(0, total, stride)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             i = proven = 0  # steps i + 1..proven need no guard
+            fresh = True  # no proof has failed on the batch as it stands
             for stop in itertools.chain(events, (total,)):
                 while i < stop:
                     h = dt if i < n_full else rem
-                    if i >= proven:  # no proof covers step i + 1: ask for one
+                    if i >= proven and fresh:  # no proof covers step i + 1
                         proven = i + self._free_steps(
                             h, n_full - i if i < n_full else 1)
                     if i < proven:
@@ -420,7 +423,7 @@ class _Stepper:
                         i += k
                     else:
                         i += 1
-                        self.advance(h, t0 + min(i * dt, span))
+                        fresh = self.advance(h, t0 + min(i * dt, span))
                 if on_store is not None:
                     on_store(t0 + min(stop * dt, span), stop == total)
                 if not len(self.X):

@@ -234,17 +234,17 @@ class ManifoldSpec:
         if not len(V):
             return math.inf
         if self.kind == "euclidean":
+            # log1p(q) as log L - log m (inf for V = 0): L / m overflows for
+            # m < 5.6e-9; its rounding (~1e-13) fits well inside L's margin
             m = float(np.maximum.reduce(np.abs(V), axis=None))
-            q = _FINITE_LIMIT / m - 1.0 if m else math.inf  # inf: V is all 0
-        elif self.n == 2:
-            q = _spd2_room(V)
-        else:
-            return 0
-        if not (q > 0.0 and c < math.inf):  # also for a nan q
+            room = math.log(_FINITE_LIMIT) - math.log(m) if m else math.inf
+        else:  # _spd2_room is 0.0 without room; SPD(n > 2) has none
+            room = math.log1p(_spd2_room(V)) if self.n == 2 else 0.0
+        if not (room > 0.0 and c < math.inf):  # also for a nan room
             return 0
         if c <= 0.0:
             return math.inf
-        j = math.log1p(q) / math.log1p(c) * (1.0 - 1e-12)
+        j = room / math.log1p(c) * (1.0 - 1e-12)
         return math.floor(j) if j < math.inf else j
 
     def check_point(self, x: np.ndarray) -> np.ndarray:

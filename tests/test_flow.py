@@ -1156,6 +1156,14 @@ def test_a_mask_march_proves_runs_over_its_live_rows(monkeypatch):
         return real(s, X)
 
     monkeypatch.setattr(flow, "_bad_rows", counting)
+    failed, prove = [], flow._Stepper._free_steps
+
+    def counting_proofs(stepper, h, count):
+        j = prove(stepper, h, count)
+        failed.append(j == 0)
+        return j
+
+    monkeypatch.setattr(flow._Stepper, "_free_steps", counting_proofs)
     s = registry.get_system("spd_lyapunov")
     xs = flow.states_at(s, flow.sample_states(s, None, 1000, 0), [15.0],
                         on_failure="mask")
@@ -1163,6 +1171,9 @@ def test_a_mask_march_proves_runs_over_its_live_rows(monkeypatch):
     # runs go on over the live rows after the first escape (one guard per
     # step from there on would make 7,612 calls), and none once all are dead
     assert 0 < len(calls) <= 2500 and not any(calls)
+    # a guard in doubt that loses no row asks for no proof: 1,305 proofs
+    # fail, 1,911 with a proof after every guarded step
+    assert sum(failed) <= 1500
 
 
 def test_a_row_at_the_chart_threshold_gets_no_free_steps():
@@ -1311,6 +1322,37 @@ def test_a_growing_matrix_freezes_the_same_rows_at_the_same_steps():
     stepper.march(T, dt, on_store)
     assert np.array_equal(got, died)
     assert np.array_equal(stepper.X, X_ref, equal_nan=True)
+
+
+def test_a_growing_matrix_from_tiny_states_is_guarded(monkeypatch):
+    # 1e300 / max|x| overflows for max|x| below about 5.6e-9: the room must
+    # still be finite, or the run rule frees every step and nothing raises
+    s = registry._linear_system(40.0 * np.eye(2), "grow")
+    X0 = np.array([[1e-9, 0.0], [3e-9, -1e-12], [0.0, 0.0]])
+    T, dt = 20.0, 1e-3
+    died, X_ref = _grow_reference(s, X0, _plan(T, dt))
+    assert 0 < died[1] < died[0] < T / dt and died[2] == -1
+    R = flow._rk4_map(s.matrix, dt)
+    rho = (1.0 + 8.0 * geometry._EPS) * np.abs(R).sum(axis=1).max()
+    m, j = 3e-9, 0  # rho ** j alone overflows past j = 17,744
+    while m * rho < 1e300:
+        m, j = m * rho, j + 1
+    with np.errstate(over="ignore"):
+        assert flow._Stepper(s, X0)._free_steps(dt, 10 ** 6) in (j - 1, j)
+    with pytest.raises(FlowBlowupError) as err:
+        flow.integrate(s, X0[0], T, dt)
+    assert err.value.time == died[0] * dt  # t = 18.263
+    calls = _count_guard_calls(monkeypatch)
+    stepper = flow._Stepper(s, X0, on_failure="mask")
+    got, step = np.full(len(X0), -1), itertools.count()
+
+    def on_store(t, last):
+        got[stepper.dead & (got < 0)] = next(step)
+
+    stepper.march(T, dt, on_store)
+    assert np.array_equal(got, died)
+    assert np.array_equal(stepper.X, X_ref, equal_nan=True)
+    assert len(calls) > died[0] - j  # every step past the bound is guarded
 
 
 def test_the_finiteness_bound_counts_the_partial_last_step():
