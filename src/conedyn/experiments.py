@@ -30,7 +30,9 @@ from .flow import NON_SINGLETON, SINGLETON, UNDETERMINED, sample_states
 from .order import INC, LEQ_STRICT, leq_flat, relations
 
 MATCH_TOL = 1e-3  # singleton limits closer than this are the same equilibrium
-OMEGA_CHUNK = 1024  # rows per ensemble_omega call; bounds tail-window memory
+# rows per ensemble_omega call; it bounds the tail window, stored once, to
+# k x 1024 x n floats (k stored tail steps)
+OMEGA_CHUNK = 1024
 _Z95 = 1.959963984540054
 
 

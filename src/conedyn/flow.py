@@ -44,9 +44,10 @@ the last quarter of the stored trajectory either clusters to a polished
 equilibrium (singleton), revisits its own start (non-singleton/recurrent),
 or stays honest as "undetermined".  Undetermined is never coerced.  Single
 orbits and ensembles store the same tail window, fixed by step indices,
-and ``classify_tail`` classifies a whole stack of tails in one batched
-pass over blocks of rows; only the Newton polish of a clustered tail runs
-one row at a time.
+in one (k, M, n) array allocated at the first tail store and written in
+place, and ``classify_tail`` classifies a whole stack of tails in one
+batched pass over blocks of rows; only the Newton polish of a clustered
+tail runs one row at a time.
 
 Ensemble rows retire early under a contraction certificate (Lohmiller &
 Slotine 1998).  A system may declare ``jac_lipschitz`` L, an exact global
@@ -90,7 +91,7 @@ from .errors import (
     ManifoldExitError,
     NumericsError,
 )
-from .geometry import ManifoldSpec
+from .geometry import ManifoldSpec, norms
 
 DT_DEFAULT = 1e-3
 STORE_STRIDE = 10
@@ -465,7 +466,7 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
     stepper = _Stepper(s, x0[None, :])
     P = np.array(P0, dtype=float)
     if unit:
-        P /= np.linalg.norm(P, axis=0)
+        P /= norms(P, axis=0)  # exact in scale: a huge start stays nonzero
     on_records(np.zeros(1), x0[None, :], P[None])
     xs, ts = [], []  # states and times from the chunk's start state on
     done = 0  # steps handed over
@@ -753,29 +754,35 @@ def _march_tail(stepper: _Stepper, T: float, dt: float, tail_fraction: float,
     after it and the last step, so the window depends on T, dt and
     tail_fraction alone.  check(t) runs after every CERT_EVERY-th step
     before the window.  The march calls back at these steps alone.
-    Returns (times, frames): lists of the stored times and copies of
-    stepper.X.
+    Returns (times, window): the k stored times and a C-contiguous
+    (k, M, n) array of the stored states, allocated once at the first
+    store and written in place.  M is fixed over the window, since rows
+    only leave at checks; a march whose rows all left before the window
+    stores nothing and returns a (0, 0, n) window.
     """
     n_full, rem = _plan_steps(T, dt)
     total = n_full + (1 if rem > 0.0 else 0)
     tail_start = _tail_start(T, dt, tail_fraction)
     checks = (range(CERT_EVERY, tail_start, CERT_EVERY) if check is not None
               else range(0))
-    times, frames = [], []
+    stores = range(tail_start, total, store_stride)
+    # the window stays empty only if every row left before it opened
+    times, window = [], np.empty((0, 0, stepper.X.shape[1]))
     left = len(checks)  # the checks come first, then the stores
 
     def on_event(t, last):
-        nonlocal left
+        nonlocal left, window
         if left:
             left -= 1
             check(t)
         else:
+            if not times:  # the first store allocates all k: stores + last
+                window = np.empty((len(stores) + 1,) + stepper.X.shape)
+            window[len(times)] = stepper.X
             times.append(t)
-            frames.append(stepper.X.copy())
 
-    stepper.march(T, dt, on_event, events=itertools.chain(
-        checks, range(tail_start, total, store_stride)))
-    return times, frames
+    stepper.march(T, dt, on_event, events=itertools.chain(checks, stores))
+    return np.asarray(times), window
 
 
 def omega_limit(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
@@ -788,8 +795,8 @@ def omega_limit(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
     raises, as in ``integrate``."""
     x0 = s.manifold.check_point(x0)
     stepper = _Stepper(s, x0[None, :])
-    _, frames = _march_tail(stepper, T, dt, tail_fraction, store_stride)
-    return classify_tail(s, np.asarray(frames), cluster_radius, eq_tol)[0]
+    _, tail = _march_tail(stepper, T, dt, tail_fraction, store_stride)
+    return classify_tail(s, tail, cluster_radius, eq_tol)[0]
 
 
 class _Certifier:
@@ -865,11 +872,13 @@ def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
     places in a singleton verdict leave the batch (see the module
     docstring); the march ends once every row has left.
 
-    Returns (tail_times, tails, rows, certified): tails has shape (k, M, n)
-    and holds the M rows still in the batch at the tail start, whose sample
-    indices are rows; certified[j] is the certified singleton estimate of
-    a retired sample j and None for the others.  Escaped rows carry nan in
-    tails and classify as escapes downstream.
+    Returns (tail_times, tails, rows, certified): tails is the window of
+    ``_march_tail``, a (k, M, n) array written in place as the march goes,
+    so the window is stored once.  It holds the M rows still in the batch
+    at the tail start, whose sample indices are rows; certified[j] is the
+    certified singleton estimate of a retired sample j and None for the
+    others.  Escaped rows carry nan in tails and classify as escapes
+    downstream.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     stepper = _Stepper(s, X0, on_failure="mask")
@@ -892,10 +901,9 @@ def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
             rows = rows[~done]
             stepper.drop(done)
 
-    times, frames = _march_tail(stepper, T, dt, tail_fraction, store_stride,
-                                retire if certifier is not None else None)
-    tails = np.asarray(frames).reshape(len(times), len(rows), X0.shape[1])
-    return np.asarray(times), tails, rows, certified
+    times, tails = _march_tail(stepper, T, dt, tail_fraction, store_stride,
+                               retire if certifier is not None else None)
+    return times, tails, rows, certified
 
 
 def ensemble_omega(s: FlowSystem, X0: np.ndarray, T: float,

@@ -84,6 +84,28 @@ def unpack_sym(v: np.ndarray, n: int) -> np.ndarray:
     return (v / w)[..., full].reshape(v.shape[:-1] + (n, n))  # one gather
 
 
+def scaled(V: np.ndarray, axis: int = -1):
+    """(W, e): every vector of V along axis scaled by 2^-e, with e (kept
+    as a length-1 axis) the ``np.frexp`` exponent of its largest |entry|.
+
+    The scaling is exact, W's largest |entry| lies in [0.5, 1), so no
+    square of W overflows, and e is 0 for a zero, inf or nan vector.
+    """
+    e = np.frexp(np.maximum.reduce(np.abs(V), axis=axis, keepdims=True))[1]
+    return np.ldexp(V, -e), e
+
+
+def norms(V: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Euclidean norms of the vectors of V along axis, exact in scale: each
+    is taken on the ``scaled`` vector, so it neither overflows nor
+    underflows to 0 unless the norm itself does.  It equals
+    ``np.linalg.norm(V, axis=axis)`` bit for bit wherever that neither
+    overflows nor underflows."""
+    W, e = scaled(V, axis)
+    return np.ldexp(np.sqrt(np.add.reduce(W * W, axis=axis, keepdims=True)),
+                    e).squeeze(axis)
+
+
 def _sym_sqrt(S: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Symmetric square root (or inverse square root) via eigendecomposition."""
     w, V = np.linalg.eigh(S)

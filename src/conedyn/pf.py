@@ -27,7 +27,7 @@ import numpy as np
 from . import flow as flowmod
 from .conefield import ConeField
 from .errors import ConeExitError, NotEquilibriumError, PowerIterationError
-from .geometry import Tangent, metric_norm
+from .geometry import Tangent, metric_norm, norms, scaled
 
 PF_CONVERGED_TOL = 1e-6
 POWER_DIR_TOL = 1e-12
@@ -45,12 +45,21 @@ class PfResult:
 
 
 def _metric_norms(field: ConeField, x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Metric norms of the columns of W at x."""
+    """Metric norms of the columns of W at x, exact in scale.
+
+    On SPD, |u|_x scales as |u| / |x|, so each column is first brought to
+    the scale of x by a power of two (``geometry.scaled``); the products
+    in the metric then neither underflow nor overflow for a point far from
+    unit size, and in the normal range the norms keep every bit.
+    """
     m = field.manifold
     if m.kind == "euclidean":
-        return np.linalg.norm(W, axis=0)
-    return np.array([metric_norm(m, x, Tangent(x, W[:, j]))
-                     for j in range(W.shape[1])])
+        return norms(W, axis=0)
+    U, e = scaled(W, axis=0)
+    a = int(np.frexp(np.max(np.abs(x)))[1])
+    U = np.ldexp(U, a)
+    return np.ldexp([metric_norm(m, x, Tangent(x, U[:, j]))
+                     for j in range(W.shape[1])], e[0] - a)
 
 
 def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,

@@ -385,6 +385,17 @@ def test_pf_tangent_overflow_exits_3(monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("numeric failure: tangent")
 
 
+def test_a_huge_valid_pf_start_runs_cleanly(tmp_path, capsys):
+    # 1e200 I is an SPD point; normalizing its section must not overflow
+    # (RuntimeWarnings are errors under this suite's settings)
+    out = tmp_path / "pf.json"
+    assert run(["pf", "--system", "spd_lyapunov", "--x0", "1e200,0,1e200",
+                "--T", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = read_json(out)
+    assert report["converged"] and np.all(np.isfinite(report["direction"]))
+
+
 @pytest.mark.parametrize("command", ["pf", "trichotomy"])
 def test_x0_off_the_spd_chart_exits_2(capsys, command):
     # diag(1, -1) is symmetric but not positive definite

@@ -92,6 +92,34 @@ def test_margins_match_margin_row_by_row():
             c.margins(np.ones((4, c.dim + 1)))
 
 
+@pytest.mark.parametrize("c", [Orthant(3), Lorentz(3), PSDCone(2),
+                               PSDCone(3)], ids=lambda c: f"{c.name}{c.dim}")
+def test_margins_are_exact_in_scale(c):
+    # entries of |v| in [2^-21, 2^20] (or 0) keep 2^k v normal for every k
+    # in [-1000, 1000], so each scaling is exact and must leave every bit
+    rng = np.random.default_rng(3)
+    V = (rng.uniform(0.5, 1.0, (200, c.dim)) * rng.choice([-1.0, 1.0], (200, c.dim))
+         * np.exp2(rng.integers(-20, 21, (200, c.dim))))
+    V[rng.random(V.shape) < 0.1] = 0.0
+    want = c.margins(V)
+    moved = [k for k in range(-1000, 1001)
+             if not np.array_equal(c.margins(np.ldexp(V, k)), want)]
+    assert moved == []
+    assert c.margin(np.ldexp(V[0], 1000)) == want[0]
+
+
+@pytest.mark.parametrize("c,v,unit", [
+    (Orthant(2), [1e200, -1e200], [1.0, -1.0]),
+    (Lorentz(2), [3e200, 1e200], [3.0, 1.0]),
+    (PSDCone(2), [1e200, 0.0, -1e200], [1.0, 0.0, -1.0]),
+    (Orthant(2), [1e-200, -1e-200], [1.0, -1.0]),
+], ids=["orthant-huge", "lorentz-huge", "psd-huge", "orthant-tiny"])
+def test_margins_of_huge_and_tiny_rows_are_the_unit_margins(c, v, unit):
+    # |v|^2 overflows (or underflows to 0) unless the row is scaled first
+    assert c.margin(np.array(v)) == pytest.approx(c.margin(np.array(unit)),
+                                                  rel=1e-15)
+
+
 def reference_per_norm(slack, V):
     nv = np.linalg.norm(V, axis=-1)
     return np.divide(slack, nv, out=np.zeros_like(nv), where=nv != 0.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -810,6 +811,92 @@ def test_single_and_ensemble_paths_classify_one_tail_window(T):
     # the comparison covers a polished point at every T and witnesses at 33.3
     assert kinds[3] == SINGLETON
     assert (kinds[0] == NON_SINGLETON) == (T > 2.0 * np.pi / flow.TAIL_FRACTION)
+
+
+# ------------------------------------------------------------ tail window
+
+
+def _list_and_stack_window(s, X0, T, on_failure="mask"):
+    """The tail window built store by store as a list of copies of the
+    states and stacked once at the end: the reference for the window that
+    ``_march_tail`` writes in place (no retirement)."""
+    dt = flow.DT_DEFAULT
+    n_full, rem = flow._plan_steps(T, dt)
+    total = n_full + (1 if rem > 0.0 else 0)
+    start = flow._tail_start(T, dt, flow.TAIL_FRACTION)
+    stepper = flow._Stepper(s, X0, on_failure=on_failure)
+    times, frames = [], []
+
+    def store(t, last):
+        times.append(t)
+        frames.append(stepper.X.copy())
+
+    stepper.march(T, dt, store,
+                  events=range(start, total, flow.STORE_STRIDE))
+    return np.asarray(times), np.asarray(frames)
+
+
+def _assert_same_window(got, want):
+    """Same shape, C-contiguous, and the same bytes, nan payloads included."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_an_ensemble_tail_window_is_stored_once():
+    rot = registry.get_system("rotation2d")
+    X0 = flow.sample_states(rot, 3.0, 1000, 0)
+    tracemalloc.start()
+    try:
+        _, tails, _, _ = flow.ensemble_tails(rot, X0, 40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tails.shape == (1001, 1000, 2)
+    # a list of per-store copies stacked into a second array peaks at 2x
+    assert peak <= 1.25 * tails.nbytes
+
+
+@pytest.mark.parametrize("T", [13.0, 15.0])
+def test_an_escaping_ensemble_window_equals_the_list_and_stack_reference(T):
+    # seed 0's 1000 spd_lyapunov rows all leave the chart between t = 9.86
+    # and 11.21, and the mask march freezes them at nan: the window opens
+    # at 9.75 (T = 13), among the escapes, or at 11.25 (T = 15), after all
+    spd = registry.get_system("spd_lyapunov")
+    X0 = flow.sample_states(spd, 3.0, 1000, 0)
+    times, tails, rows, certified = flow.ensemble_tails(spd, X0, T)
+    ref_times, ref = _list_and_stack_window(spd, X0, T)
+    assert np.isnan(tails[-1]).all()
+    assert np.isfinite(tails[0]).all(axis=1).any() == (T == 13.0)
+    _assert_same_window(tails, ref)
+    assert times.tobytes() == ref_times.tobytes()
+    assert np.array_equal(rows, np.arange(1000))
+    assert all(c is None for c in certified)
+
+
+def test_a_window_whose_rows_all_retired_is_empty(coop):
+    # every coop2d row certifies before the tail opens at t = 75
+    X0 = flow.sample_states(coop, 3.0, 200, 0)
+    times, tails, rows, certified = flow.ensemble_tails(coop, X0, 100.0)
+    assert times.shape == (0,) and rows.shape == (0,)
+    _assert_same_window(tails, np.empty((0, 0, 2)))
+    assert all(c is not None and c.kind == SINGLETON for c in certified)
+
+
+@pytest.mark.parametrize("name,x0,T", [
+    ("rotation2d", [1.0, 0.0], 33.3),   # non-singleton: witnesses
+    ("coop2d", [1.0, 0.5], 15.0),       # singleton: the polished mean
+    ("spd_lyapunov", [1.0, 0.2, 2.0], 5.0),
+])
+def test_one_orbit_window_equals_the_list_and_stack_reference(name, x0, T):
+    s = registry.get_system(name)
+    x0 = np.array(x0)
+    _, window = flow._march_tail(flow._Stepper(s, x0[None]), T, flow.DT_DEFAULT,
+                                 flow.TAIL_FRACTION, flow.STORE_STRIDE)
+    _, ref = _list_and_stack_window(s, x0[None], T, on_failure="raise")
+    _assert_same_window(window, ref)
+    _assert_same_estimate(flow.omega_limit(s, x0, T),
+                          flow.classify_tail(s, ref)[0])
 
 
 # ------------------------------------------------------ batched classifier

@@ -190,3 +190,15 @@ def test_unpack_is_the_scatter_form_bit_for_bit():
             ok = ~np.isnan(v).any(axis=-1)
             assert np.array_equal(np.linalg.eigvalsh(got[ok]),
                                   np.linalg.eigvalsh(want[ok]))
+
+
+def test_norms_equal_numpy_in_range_and_stay_exact_in_scale():
+    rng = np.random.default_rng(2)
+    V = rng.normal(size=(50, 3))
+    for axis in (0, -1):
+        assert np.array_equal(g.norms(V, axis), np.linalg.norm(V, axis=axis))
+    for k in (-1000, -700, 700, 1000):  # |v|^2 underflows or overflows here
+        assert np.array_equal(g.norms(np.ldexp(V, k)),
+                              np.ldexp(np.linalg.norm(V, axis=-1), k))
+    assert np.array_equal(g.norms(np.zeros((2, 3))), [0.0, 0.0])
+    assert np.isnan(g.norms(np.array([np.nan, 1.0])))

@@ -331,6 +331,24 @@ def test_a_tangent_overflow_before_the_state_raises_flow_blowup():
     assert "tangent" in str(got.value)
 
 
+
+@pytest.mark.parametrize("k", [600, 900])
+def test_a_pf_run_from_a_huge_start_is_the_scaled_unit_run(k):
+    # spd_lyapunov is linear and its step map is exact in scale, so from
+    # 2^k x0 the rays, the log and the state are the unit run's, scaled:
+    # the unit normalization of the rays and the final metric norms must
+    # not overflow or underflow on the way
+    s = registry.get_system("spd_lyapunov")
+    field = registry.default_field(s)
+    x0 = np.array([1.0, 0.3, 2.0])
+    rays = {"u0": np.array([1.0, 0.0, 1.0]), "u1": np.array([1.0, 0.5, 2.0])}
+    unit = pf.pf_direction(s, field, x0, T=1.0, **rays)
+    huge = pf.pf_direction(s, field, np.ldexp(x0, k), T=1.0, **rays)
+    assert np.array_equal(huge.contraction_log, unit.contraction_log)
+    assert np.array_equal(huge.direction.vec, np.ldexp(unit.direction.vec, k))
+    assert np.array_equal(huge.direction.base, np.ldexp(unit.direction.base, k))
+
+
 @pytest.mark.parametrize("start", range(6))
 def test_congruence_flows_are_hilbert_isometries(start):
     # spd_lyapunov's tangent map is the congruence d -> Phi d Phi^T, and the

@@ -42,6 +42,16 @@ def test_check_dp_rotation_violated_with_witness():
     assert v2.worst_margin == v.worst_margin
 
 
+@pytest.mark.parametrize("t", [380.0, 420.0, 700.0])
+def test_a_damped_violation_stays_violated_at_long_horizons(t):
+    # the tangent images shrink like e^-t: their squares underflow to 0 from
+    # t ~ 370, where a zero norm read as the zero row's margin 0 (DP)
+    s = registry._linear_system([[-1.0, 1.0], [-1.0, -1.0]], "damped")
+    v = positivity.check_dp(s, ORTHANT2, x_samples=4, ray_samples=4,
+                            times=[t], seed=0, dt=1e-2)
+    assert v.status == "violated" and v.worst_margin < -0.5
+
+
 def test_check_dp_spd_lyapunov_dp_only():
     s = registry.get_system("spd_lyapunov")
     v = positivity.check_dp(s, HomogeneousPSDField(2), 20, 8,
