@@ -50,7 +50,7 @@ from .errors import (
     DimensionMismatchError,
     UnsupportedInputError,
 )
-from .geometry import pack_sym, scaled, sym_dim, unpack_sym
+from .geometry import norms, pack_sym, scaled, sym_dim, unpack_sym
 
 DEFAULT_TOL = 1e-9  # membership tolerance on the normalized margin
 _ENTRY_RANGE = (2.0 ** -300, 2.0 ** 300)  # largest |entry| of unscaled rows
@@ -164,11 +164,14 @@ class Cone:
         """Hilbert distance of each row pair (U[i], V[i]), any leading shape.
 
         +inf where either row is outside the interior; ValueError for a
-        zero row.
+        zero row.  Exact in scale: the rows are normalized by their
+        ``geometry.norms``, so 2^k multiples of a row pair give the same
+        distance bit for bit, and the closed forms see unit rows, on which
+        no product they form can overflow.
         """
         U, V = np.broadcast_arrays(self._check_dim(U), self._check_dim(V))
-        nu = np.linalg.norm(U, axis=-1, keepdims=True)
-        nv = np.linalg.norm(V, axis=-1, keepdims=True)
+        nu = norms(U)[..., None]
+        nv = norms(V)[..., None]
         if np.any(nu == 0.0) or np.any(nv == 0.0):
             raise ValueError("hilbert_distance is undefined for the zero vector")
         inner = ((self.margins(U) > DEFAULT_TOL)

@@ -27,7 +27,8 @@ from .conefield import ConeField, ConstantField
 from .cones import conic_combinations
 from .errors import ProbeConstructionError, UnsupportedInputError
 from .flow import NON_SINGLETON, SINGLETON, UNDETERMINED, sample_states
-from .order import INC, LEQ_STRICT, leq_flat, relations
+from .geometry import norms
+from .order import INC, STRICT, relations
 
 MATCH_TOL = 1e-3  # singleton limits closer than this are the same equilibrium
 # rows per ensemble_omega call; it bounds the tail window, stored once, to
@@ -185,44 +186,34 @@ def basin_boundary_scan(s: flowmod.FlowSystem, equilibria, transect_pairs,
     midpoints that classify elsewhere (other attractor, or nowhere) move
     the upper end, so the bracket always contains the basin boundary.
     """
-    equilibria = [np.asarray(e, dtype=float) for e in equilibria]
-    if not equilibria:
+    E = np.asarray(equilibria, dtype=float)
+    if not len(E):
         raise ValueError("need the attractor list to classify transects")
 
     def classify(P):
+        """Nearest-equilibrium label of each row at classify_T; -1 where
+        the row escaped or no equilibrium lies within snap_radius."""
         final = flowmod.states_at(s, P, [classify_T], dt,
                                   on_failure="mask")[0]
-        labels = []
-        for row in final:
-            lab = None
-            if np.all(np.isfinite(row)):
-                d = [np.linalg.norm(row - e) for e in equilibria]
-                k = int(np.argmin(d))
-                if d[k] < snap_radius:
-                    lab = k
-            labels.append(lab)
-        return labels
+        d = norms(final[:, None, :] - E)  # (rows, equilibria); nan if escaped
+        return np.where(d.min(axis=1) < snap_radius, d.argmin(axis=1), -1)
 
     lo = np.array([np.asarray(a, float) for a, _ in transect_pairs])
     hi = np.array([np.asarray(b, float) for _, b in transect_pairs])
     la = classify(lo)
     lb = classify(hi)
-    for i, (ca, cb) in enumerate(zip(la, lb)):
-        if ca is None or cb is None or ca == cb:
-            raise ValueError(f"transect {i} does not straddle two basins")
+    bad = np.flatnonzero((la < 0) | (lb < 0) | (la == lb))
+    if len(bad):
+        raise ValueError(f"transect {bad[0]} does not straddle two basins")
 
     rounds = 0
     widths = np.linalg.norm(hi - lo, axis=1)
     while np.max(widths) > width_tol and rounds < max_rounds:
         mid = 0.5 * (lo + hi)
-        lm = classify(mid)
-        for i in range(len(transect_pairs)):
-            if widths[i] <= width_tol:
-                continue
-            if lm[i] == la[i]:
-                lo[i] = mid[i]
-            else:
-                hi[i] = mid[i]
+        live = ~(widths <= width_tol)
+        up = (classify(mid) == la)[:, None]  # the a-side label moves lo
+        lo = np.where(live[:, None] & up, mid, lo)
+        hi = np.where(live[:, None] & ~up, mid, hi)
         widths = np.linalg.norm(hi - lo, axis=1)
         rounds += 1
 
@@ -254,6 +245,15 @@ def _sample_ordered_pairs(s, c, pairs: int, box, seed: int):
     return X, Y
 
 
+def _pair_limits(s, field, pairs: int, T: float, seed: int, box, dt):
+    """The flat cone and the omega-estimates of the sampled ordered pairs
+    x <= y: the x halves, then the y halves."""
+    c = _require_flat(field)
+    X, Y = _sample_ordered_pairs(s, c, pairs, box, seed)
+    ests = _omega_batch(s, np.vstack([X, Y]), T, dt)
+    return c, ests[:pairs], ests[pairs:]
+
+
 def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
                     T: float, seed: int = 0, box=3.0,
                     dt: float = flowmod.DT_DEFAULT) -> dict:
@@ -262,64 +262,48 @@ def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
     A violation is a pair of distinct singleton limits that is not
     strictly ordered, or intersecting non-singleton estimates whose
     near-intersection points fail the equilibrium residual.  Undetermined
-    estimates are excluded and counted separately.
+    estimates are excluded and counted separately.  A singleton paired
+    with a non-singleton must lie strictly below (or above) every witness.
+    The order tests of all pairs are one ``relations`` call.
     """
-    c = _require_flat(field)
-    X, Y = _sample_ordered_pairs(s, c, pairs, box, seed)
-    ests = _omega_batch(s, np.vstack([X, Y]), T, dt)
-    ex, ey = ests[:pairs], ests[pairs:]
-
-    violations = strict_order = equal_singleton = 0
-    excluded = escapes = mixed = 0
-    findings = []
-    for i in range(pairs):
-        a, b = ex[i], ey[i]
+    c, ex, ey = _pair_limits(s, field, pairs, T, seed, box, dt)
+    escapes = excluded = equal_singleton = mixed = 0
+    found = [None] * pairs  # the finding of each violating pair
+    tests = []  # (pair, low rows, high rows, finding unless low < high)
+    for i, (a, b) in enumerate(zip(ex, ey)):
         if a is None or b is None:
             escapes += 1
-            continue
-        if a.kind == UNDETERMINED or b.kind == UNDETERMINED:
+        elif UNDETERMINED in (a.kind, b.kind):
             excluded += 1
-            continue
-        if a.kind == SINGLETON and b.kind == SINGLETON:
+        elif a.kind == b.kind == NON_SINGLETON:
+            mixed += 1
+            found[i] = _nonequilibrium_intersection(s, a.witnesses,
+                                                    b.witnesses, i)
+        elif a.kind == b.kind:
             if np.linalg.norm(a.point - b.point) < MATCH_TOL:
                 equal_singleton += 1
-            elif leq_flat(c, a.point, b.point).relation == LEQ_STRICT:
-                strict_order += 1
             else:
-                violations += 1
-                findings.append({"kind": "unordered_distinct_limits",
-                                 "pair": i,
-                                 "px": a.point.tolist(),
-                                 "py": b.point.tolist()})
-        elif a.kind == NON_SINGLETON and b.kind == NON_SINGLETON:
-            mixed += 1
-            wa, wb = a.witnesses, b.witnesses
-            d = np.linalg.norm(wa[:, None, :] - wb[None, :, :], axis=-1)
-            near = np.argwhere(d < flowmod.CLUSTER_RADIUS)
-            for ia, ib in near:
-                res = float(np.linalg.norm(s.f(wa[ia])))
-                if res >= 10.0 * flowmod.EQ_TOL:
-                    violations += 1
-                    findings.append({"kind": "nonequilibrium_intersection",
-                                     "pair": i, "point": wa[ia].tolist(),
-                                     "residual": res})
-                    break
+                tests.append((i, a.point, b.point, {
+                    "kind": "unordered_distinct_limits", "pair": i,
+                    "px": a.point.tolist(), "py": b.point.tolist()}))
         else:
             mixed += 1
-            single, multi = (a, b) if a.kind == SINGLETON else (b, a)
-            lo_first = a.kind == SINGLETON
-            ok = all(
-                (leq_flat(c, single.point, w).relation == LEQ_STRICT
-                 if lo_first else
-                 leq_flat(c, w, single.point).relation == LEQ_STRICT)
-                for w in multi.witnesses)
-            if ok:
-                strict_order += 1
-            else:
-                violations += 1
-                findings.append({"kind": "unordered_mixed_limits", "pair": i})
+            low, high = (e.point if e.kind == SINGLETON else e.witnesses
+                         for e in (a, b))
+            tests.append((i, low, high,
+                          {"kind": "unordered_mixed_limits", "pair": i}))
 
-    return {"violations": violations,
+    strict_order = len(tests)
+    if tests:
+        low, high = zip(*(np.broadcast_arrays(np.atleast_2d(lo), hi)
+                          for _, lo, hi, _ in tests))
+        codes = relations(c, np.concatenate(low), np.concatenate(high))
+        seg = np.repeat(np.arange(len(tests)), [len(rows) for rows in low])
+        for k in np.flatnonzero(np.bincount(seg, codes != STRICT, len(tests))):
+            found[tests[k][0]] = tests[k][3]
+            strict_order -= 1
+    findings = [f for f in found if f is not None]
+    return {"violations": len(findings),
             "cases": {"strict_order": strict_order,
                       "equal_singleton": equal_singleton},
             "undetermined_excluded": excluded, "escapes": escapes,
@@ -327,17 +311,26 @@ def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
             "seed": seed, "findings": findings, "system": s.name}
 
 
+def _nonequilibrium_intersection(s, wa, wb, pair: int):
+    """The finding for the first witness of wa within CLUSTER_RADIUS of wb
+    that fails the equilibrium residual, or None."""
+    d = np.linalg.norm(wa[:, None, :] - wb[None, :, :], axis=-1)
+    for ia in np.flatnonzero((d < flowmod.CLUSTER_RADIUS).any(axis=1)):
+        res = float(np.linalg.norm(s.f(wa[ia])))
+        if res >= 10.0 * flowmod.EQ_TOL:
+            return {"kind": "nonequilibrium_intersection", "pair": pair,
+                    "point": wa[ia].tolist(), "residual": res}
+    return None
+
+
 def colimit_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
                   T: float, seed: int = 0, box=3.0,
                   dt: float = flowmod.DT_DEFAULT) -> dict:
     """Ordered pairs sharing one singleton limit must sit at an equilibrium."""
-    c = _require_flat(field)
-    X, Y = _sample_ordered_pairs(s, c, pairs, box, seed)
-    ests = _omega_batch(s, np.vstack([X, Y]), T, dt)
+    _, ex, ey = _pair_limits(s, field, pairs, T, seed, box, dt)
     violations = checked = 0
     findings = []
-    for i in range(pairs):
-        a, b = ests[i], ests[pairs + i]
+    for i, (a, b) in enumerate(zip(ex, ey)):
         if (a is None or b is None or a.kind != SINGLETON
                 or b.kind != SINGLETON):
             continue
@@ -420,34 +413,35 @@ def trichotomy_check(s: flowmod.FlowSystem, field: ConeField, x0,
     if n_seq < 2:
         raise ValueError("n_seq must be >= 2")
     w = field.section(x0)
-    xs = [x0 - w / n for n in range(1, n_seq + 1)]
-    for i in range(len(xs) - 1):
-        if leq_flat(c, xs[i], xs[i + 1]).relation != LEQ_STRICT:
-            raise ProbeConstructionError("sequence is not strictly increasing")
-    if leq_flat(c, xs[-1], x0).relation != LEQ_STRICT:
-        raise ProbeConstructionError("sequence does not approach x0 from below")
+    # x_1, ..., x_n, x0: the chain x_i < x_{i+1}, then x_n < x0
+    xs = np.vstack([x0 - w / np.arange(1, n_seq + 1)[:, None], x0])
+    unordered = np.flatnonzero(relations(c, xs[:-1], xs[1:]) != STRICT)
+    if len(unordered):
+        raise ProbeConstructionError(
+            "sequence is not strictly increasing" if unordered[0] < n_seq - 1
+            else "sequence does not approach x0 from below")
 
-    ests = _omega_batch(s, np.vstack(xs + [x0]), T, dt)
+    ests = _omega_batch(s, xs, T, dt)
     if any(e is None or e.kind != SINGLETON for e in ests):
         return {"branch": None, "consistent": False,
                 "reason": "non-singleton or undetermined omega estimate",
                 "n_seq": n_seq, "T": T, "system": s.name}
-    ps = [e.point for e in ests[:-1]]
+    ps = np.array([e.point for e in ests[:-1]])
     p0 = ests[-1].point
 
-    def eq(a, b):
-        return np.linalg.norm(a - b) < match_tol
-
-    def ll(a, b):
-        return (not eq(a, b)) and leq_flat(c, a, b).relation == LEQ_STRICT
-
-    b1 = (all(ll(ps[i], ps[i + 1]) for i in range(len(ps) - 1))
-          and all(ll(p, p0) for p in ps))
-    b2 = all(eq(p, p0) for p in ps)
-    b3 = (all(eq(p, ps[0]) for p in ps) and ll(ps[0], p0))
+    # strictly below and distinct: each limit below the next, then each
+    # limit below p0 (row n_seq - 1 compares ps[0] with p0)
+    low = np.vstack([ps[:-1], ps])
+    high = np.vstack([ps[1:], np.broadcast_to(p0, ps.shape)])
+    below = ((relations(c, low, high) == STRICT)
+             & ~(np.linalg.norm(high - low, axis=-1) < match_tol))
+    b1 = bool(below.all())
+    b2 = bool(np.all(np.linalg.norm(ps - p0, axis=-1) < match_tol))
+    b3 = bool(np.all(np.linalg.norm(ps - ps[0], axis=-1) < match_tol)
+              and below[n_seq - 1])
     matches = [b1, b2, b3]
     branch = matches.index(True) + 1 if sum(matches) == 1 else None
     return {"branch": branch, "consistent": sum(matches) == 1,
             "branch_flags": {"1": b1, "2": b2, "3": b3},
-            "limits": [p.tolist() for p in ps], "limit_x0": p0.tolist(),
+            "limits": ps.tolist(), "limit_x0": p0.tolist(),
             "n_seq": n_seq, "T": T, "system": s.name}

@@ -460,3 +460,74 @@ def test_reports_validate_against_shipped_schema(tmp_path):
     assert reports.schema_problems(rep) == []
     rep.pop("report_type")
     assert reports.schema_problems(rep) != []
+
+
+def test_an_unresolvable_trichotomy_start_exits_3(tmp_path, capsys):
+    # x0 = 1e300 is a valid point, but x0 - w/n rounds back to x0 in
+    # float64, so no strictly increasing probe sequence can be built
+    out = tmp_path / "t.json"
+    assert run(["trichotomy", "--system", "coop2d", "--x0", "1e300,1e300",
+                "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["numeric failure: sequence is not strictly increasing"]
+    assert not out.exists()
+
+
+# ----------------------------------------------------------- hostile inputs
+
+_HOSTILE_NUMBERS = ["nan", "inf", "0", "-1", "1e300", "1e-300"]
+_DEGENERATE_CONES = {
+    "zero-generator": {"type": "polyhedral", "generators": [[0, 0], [1, 0]],
+                       "facet_normals": [[0, 1], [1, 0]]},
+    "not-pointed": {"type": "polyhedral",
+                    "generators": [[1, 0], [-1, 0], [0, 1]],
+                    "facet_normals": [[0, 1]]},
+    "wrong-dimension": {"type": "orthant", "n": 3},
+}
+# small runs of every command; a hostile option given after them wins
+_SMALL = {"check-dp": ["--system", "coop2d", "--n", "3", "--T", "1"],
+          "pf": ["--system", "coop2d", "--T", "1"],
+          "converge": ["--system", "coop2d", "--n", "3", "--T", "1"],
+          "dichotomy": ["--system", "coop2d", "--n", "3", "--T", "1"],
+          "trichotomy": ["--system", "coop2d", "--T", "1"],
+          "criterion": ["--system", "coop2d", "--n", "3", "--T", "1"],
+          "order": ["--n", "20"], "causal": ["--n", "20"], "list": []}
+
+
+def _hostile_cases():
+    for command, (_, reads) in cli.COMMANDS.items():
+        yield command, []
+        for key in ("seed", "N", "T", "dt"):
+            if key in reads:
+                flag = cli.OPTIONS[key][0]
+                yield from ((command, [f"{flag}={v}"])
+                            for v in _HOSTILE_NUMBERS)
+        if "x0" in reads:
+            yield from ((command, [f"--x0={v},{v}"]) for v in _HOSTILE_NUMBERS)
+            yield command, ["--x0=1,2,3"]  # coop2d is 2-d
+            yield command, ["--system", "spd_lyapunov", "--x0=1,0,-1"]
+        if "field" in reads:
+            yield from ((command, ["--field", json.dumps(
+                {"field": "constant", "cone": cone})])
+                for cone in _DEGENERATE_CONES.values())
+        if "dt" in reads:  # coop2d's RK4 is unstable far below this step
+            yield command, ["--T", "400", "--dt", "4"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,extra", list(_hostile_cases()),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_hostile_inputs_exit_with_a_documented_code(tmp_path, capsys,
+                                                    command, extra):
+    out = tmp_path / "r.json"
+    code = run([command, *_SMALL[command], *extra, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    for leak in ("internal error", "Traceback", "Warning"):
+        assert leak not in err
+    if code in (2, 3):
+        assert not out.exists() and len(err.strip().splitlines()) >= 1
+    elif command == "list":
+        assert out.read_text().startswith("system")
+    else:
+        assert read_json(out)["exit_code"] == code

@@ -253,6 +253,38 @@ def test_hilbert_scale_invariance():
             assert abs(c.hilbert_distance(a * u, b * v) - d0) < 1e-9
 
 
+@pytest.mark.parametrize("c", [Orthant(3), Lorentz(3), PSDCone(2),
+                               PSDCone(3), square_pyramid()],
+                         ids=lambda c: f"{c.name}{c.dim}")
+def test_hilbert_distances_are_exact_in_scale(c):
+    # entries on the grid 2^-20 Z below 2^3 keep 2^k u normal for every k
+    # in [-1000, 1000], so each scaling is exact and must leave every bit
+    rng = np.random.default_rng(5)
+    U, V = (np.round(np.array([interior_sample(c, rng) for _ in range(30)])
+                     * 2.0 ** 20) / 2.0 ** 20 for _ in range(2))
+    want = c.hilbert_distances(U, V)
+    assert np.all(np.isfinite(want)) and np.all(want > 0.0)
+    moved = [k for k in range(-1000, 1001)
+             if not np.array_equal(
+                 c.hilbert_distances(np.ldexp(U, k), np.ldexp(V, k)), want)]
+    assert moved == []
+
+
+@pytest.mark.parametrize("c,u,v", [
+    (Orthant(3), [1.0, 2.0, 3.0], [2.0, 1.0, 1.0]),
+    (Lorentz(3), [2.0, 0.5, 0.3], [3.0, 1.0, -0.5]),
+    (PSDCone(2), [2.0, 0.3, 1.0], [1.0, -0.2, 3.0]),
+], ids=["orthant", "lorentz", "psd"])
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_hilbert_distance_of_huge_and_tiny_rays_is_the_unit_distance(
+        c, u, v, scale):
+    # |u|^2 underflows to 0 (or overflows) unless the rows are normalized
+    # exactly; RuntimeWarnings are errors under this suite's settings
+    u, v = np.array(u), np.array(v)
+    assert c.hilbert_distance(scale * u, scale * v) == pytest.approx(
+        c.hilbert_distance(u, v), rel=1e-14)
+
+
 def test_hilbert_triangle_inequality():
     rng = np.random.default_rng(3)
     for c in all_cones():

@@ -6,9 +6,9 @@ import pytest
 from conedyn import experiments, flow, positivity, registry, reports
 from conedyn.conefield import ConstantField
 from conedyn.cones import Orthant
-from conedyn.errors import UnsupportedInputError
+from conedyn.errors import ProbeConstructionError, UnsupportedInputError
 from conedyn.order import INCOMPARABLE, LEQ_STRICT, leq_flat
-from helpers import tanh_fixed_point
+from helpers import blowup_rotation, tanh_fixed_point
 
 ORTHANT2 = ConstantField(Orthant(2))
 ORTHANT1 = ConstantField(Orthant(1))
@@ -263,3 +263,243 @@ def test_colimit_metzler_all_checked():
     rep = experiments.colimit_check(s, ORTHANT2, pairs=40, T=60.0, seed=0)
     assert rep["violations"] == 0
     assert rep["checked_pairs"] > 0
+
+
+# ------------------------------------------- pair theorems against per-pair loops
+
+
+def reference_dichotomy(s, c, ex, ey):
+    """The limit-set dichotomy decided pair by pair with leq_flat."""
+    counts = {"violations": 0, "strict_order": 0, "equal_singleton": 0,
+              "excluded": 0, "escapes": 0, "mixed": 0}
+    findings = []
+
+    def below(x, y):
+        return leq_flat(c, x, y).relation == LEQ_STRICT
+
+    for i, (a, b) in enumerate(zip(ex, ey)):
+        if a is None or b is None:
+            counts["escapes"] += 1
+        elif flow.UNDETERMINED in (a.kind, b.kind):
+            counts["excluded"] += 1
+        elif a.kind == b.kind == flow.SINGLETON:
+            if np.linalg.norm(a.point - b.point) < experiments.MATCH_TOL:
+                counts["equal_singleton"] += 1
+            elif below(a.point, b.point):
+                counts["strict_order"] += 1
+            else:
+                findings.append({"kind": "unordered_distinct_limits",
+                                 "pair": i, "px": a.point.tolist(),
+                                 "py": b.point.tolist()})
+        elif a.kind == b.kind:
+            counts["mixed"] += 1
+            for wa in a.witnesses:
+                near = any(np.linalg.norm(wa - wb) < flow.CLUSTER_RADIUS
+                           for wb in b.witnesses)
+                res = float(np.linalg.norm(s.f(wa)))
+                if near and res >= 10.0 * flow.EQ_TOL:
+                    findings.append({"kind": "nonequilibrium_intersection",
+                                     "pair": i, "point": wa.tolist(),
+                                     "residual": res})
+                    break
+        else:
+            counts["mixed"] += 1
+            if a.kind == flow.SINGLETON:
+                ok = all(below(a.point, w) for w in b.witnesses)
+            else:
+                ok = all(below(w, b.point) for w in a.witnesses)
+            if ok:
+                counts["strict_order"] += 1
+            else:
+                findings.append({"kind": "unordered_mixed_limits", "pair": i})
+    counts["violations"] = len(findings)
+    return counts, findings
+
+
+def _single(p):
+    return flow.OmegaEstimate(flow.SINGLETON, point=np.array(p, dtype=float))
+
+
+def _multi(W):
+    return flow.OmegaEstimate(flow.NON_SINGLETON,
+                              witnesses=np.array(W, dtype=float))
+
+
+# (x estimate, y estimate) pairs that reach every branch of the dichotomy
+CRAFTED_PAIRS = [
+    (None, _single([1.0, 1.0])),  # escape
+    (_single([0.0, 0.0]), None),
+    (flow.OmegaEstimate(flow.UNDETERMINED), _single([1.0, 1.0])),
+    (_single([0.5, 0.5]), _single([0.5, 0.5 + 1e-5])),  # equal singletons
+    (_single([0.0, 0.0]), _single([1.0, 2.0])),  # strictly ordered
+    (_single([0.0, 0.0]), _single([1.0, -1.0])),  # unordered
+    (_single([0.0, 0.0]), _single([1.0, 0.0])),  # only weakly ordered
+    (_single([0.0, 0.0]), _multi([[1.0, 1.0], [2.0, 0.5]])),  # below all
+    (_single([0.0, 0.0]), _multi([[1.0, 1.0], [-1.0, 2.0]])),  # one out
+    (_multi([[0.0, 0.0], [-1.0, -2.0]]), _single([1.0, 1.0])),  # above all
+    (_multi([[0.0, 0.0], [2.0, 0.5], [-1.0, -1.0]]), _single([1.0, 1.0])),
+    # non-singleton pairs: intersecting off, and at, an equilibrium
+    (_multi([[1.0, 2.0], [0.5, 0.5]]), _multi([[0.5, 0.5 + 1e-6], [3.0, 3.0]])),
+    (_multi([[0.0, 0.0], [1.0, 1.0]]), _multi([[2.0, 2.0], [0.0, 0.0]])),
+    (_multi([[0.0, 0.0], [1.0, 1.0]]), _multi([[2.0, 2.0], [3.0, 0.0]])),
+    (_single([0.2, 0.1]), _single([0.3, 0.4])),
+]
+
+
+def test_dichotomy_findings_match_the_per_pair_reference(coop, monkeypatch):
+    ex, ey = map(list, zip(*CRAFTED_PAIRS))
+    monkeypatch.setattr(experiments, "_omega_batch",
+                        lambda s, X0, T, dt: ex + ey)
+    rep = experiments.dichotomy_check(coop, ORTHANT2, pairs=len(ex), T=1.0)
+    counts, findings = reference_dichotomy(coop, Orthant(2), ex, ey)
+    assert rep["findings"] == findings
+    assert [f["pair"] for f in findings] == [5, 6, 8, 10, 11]
+    assert rep["violations"] == counts["violations"] == 5
+    assert rep["cases"] == {"strict_order": counts["strict_order"],
+                            "equal_singleton": counts["equal_singleton"]}
+    assert (rep["undetermined_excluded"], rep["escapes"],
+            rep["nonsingleton_or_mixed"]) == (counts["excluded"],
+                                              counts["escapes"],
+                                              counts["mixed"])
+    assert {f["kind"] for f in findings} == {
+        "unordered_distinct_limits", "unordered_mixed_limits",
+        "nonequilibrium_intersection"}
+
+
+class _Section(ConstantField):
+    """A constant field whose section is a chosen vector."""
+
+    def __init__(self, cone, w):
+        super().__init__(cone)
+        self.w = np.array(w, dtype=float)
+
+    def section(self, x):
+        return self.w
+
+
+def reference_chain_error(c, x0, w, n_seq):
+    xs = [x0 - w / n for n in range(1, n_seq + 1)]
+    for i in range(n_seq - 1):
+        if leq_flat(c, xs[i], xs[i + 1]).relation != LEQ_STRICT:
+            return "sequence is not strictly increasing"
+    if leq_flat(c, xs[-1], x0).relation != LEQ_STRICT:
+        return "sequence does not approach x0 from below"
+    return None
+
+
+@pytest.mark.parametrize("dim,x0,w,n_seq,message", [
+    (2, [0.0, 0.0], [1.0, 0.0], 8, "is not strictly increasing"),  # boundary
+    (2, [0.0, 0.0], [0.0, 0.0], 2, "is not strictly increasing"),
+    (2, [1e300, 1e300], [0.5, 0.5], 8, "is not strictly increasing"),
+    # 1 - 2^-53 is a double, 1 - 2^-54 rounds back to 1: x_1 < x_2 = x0
+    (1, [1.0], [2.0 ** -53], 2, "does not approach x0 from below"),
+], ids=["boundary-section", "zero-section", "huge-x0", "rounds-to-x0"])
+def test_trichotomy_probe_errors_match_the_per_pair_reference(
+        dim, x0, w, n_seq, message):
+    s = registry.get_system("coop2d" if dim == 2 else "bistable1d")
+    x0 = np.array(x0)
+    want = reference_chain_error(Orthant(dim), x0, np.array(w), n_seq)
+    assert want == "sequence " + message
+    with pytest.raises(ProbeConstructionError, match=want):
+        experiments.trichotomy_check(s, _Section(Orthant(dim), w), x0,
+                                     n_seq=n_seq, T=1.0)
+
+
+def reference_branch_flags(c, ps, p0, tol=experiments.MATCH_TOL):
+    def eq(a, b):
+        return np.linalg.norm(a - b) < tol
+
+    def ll(a, b):
+        return (not eq(a, b)) and leq_flat(c, a, b).relation == LEQ_STRICT
+
+    b1 = (all(ll(ps[i], ps[i + 1]) for i in range(len(ps) - 1))
+          and all(ll(p, p0) for p in ps))
+    b2 = all(eq(p, p0) for p in ps)
+    b3 = all(eq(p, ps[0]) for p in ps) and ll(ps[0], p0)
+    return {"1": b1, "2": b2, "3": b3}
+
+
+@pytest.mark.parametrize("limits", [
+    [[0.0, 0.0], [0.1, 0.2], [0.3, 0.3], [1.0, 1.0]],  # branch 1
+    [[1.0, 1.0], [1.0, 1.0 + 1e-4], [1.0, 1.0], [1.0, 1.0]],  # branch 2
+    [[-1.0, -1.0], [-1.0, -1.0], [-1.0, -1.0], [0.0, 0.0]],  # branch 3
+    [[-1.0, -1.0], [-1.0, -1.0], [-1.0, -1.0], [0.0, -1.0]],  # weak: none
+    [[0.0, 0.0], [0.1, 0.2], [0.3, 0.1], [1.0, 1.0]],  # chain breaks
+    [[0.0, 0.0], [0.1, 0.2], [0.3, 0.3], [0.2, 1.0]],  # not below p0
+    [[0.0, 0.0], [0.1, 0.2], [1.0, 1.0], [1.0, 1.0]],  # equal to p0
+])
+def test_trichotomy_branch_flags_match_the_per_pair_reference(
+        coop, monkeypatch, limits):
+    ests = [_single(p) for p in limits]
+    monkeypatch.setattr(experiments, "_omega_batch", lambda s, X0, T, dt: ests)
+    rep = experiments.trichotomy_check(coop, ORTHANT2, np.zeros(2),
+                                       n_seq=len(limits) - 1, T=1.0)
+    ps, p0 = [np.array(p) for p in limits[:-1]], np.array(limits[-1])
+    flags = reference_branch_flags(Orthant(2), ps, p0)
+    assert rep["branch_flags"] == flags
+    assert rep["consistent"] == (sum(flags.values()) == 1)
+    assert rep["limits"] == limits[:-1] and rep["limit_x0"] == limits[-1]
+
+
+def reference_basin_scan(s, eqs, transects, classify_T, dt, width_tol=1e-3,
+                         snap_radius=0.05, max_rounds=40):
+    """The basin scan with one label and one bisection step per row."""
+    def label(row):
+        if not np.all(np.isfinite(row)):
+            return None
+        d = [np.linalg.norm(row - e) for e in eqs]
+        k = int(np.argmin(d))
+        return k if d[k] < snap_radius else None
+
+    def classify(P):
+        final = flow.states_at(s, P, [classify_T], dt, on_failure="mask")[0]
+        return [label(row) for row in final]
+
+    lo = np.array([a for a, _ in transects], dtype=float)
+    hi = np.array([b for _, b in transects], dtype=float)
+    la, lb = classify(lo), classify(hi)
+    rounds = 0
+    widths = np.linalg.norm(hi - lo, axis=1)
+    while np.max(widths) > width_tol and rounds < max_rounds:
+        mid = 0.5 * (lo + hi)
+        lm = classify(mid)
+        for i in range(len(transects)):
+            if widths[i] <= width_tol:
+                continue
+            if lm[i] == la[i]:
+                lo[i] = mid[i]
+            else:
+                hi[i] = mid[i]
+        widths = np.linalg.norm(hi - lo, axis=1)
+        rounds += 1
+    return lo, hi, list(zip(la, lb)), rounds
+
+
+def test_basin_scan_matches_the_per_row_reference(coop):
+    s_star, a_star = tanh_fixed_point(2.5), tanh_fixed_point(1.5)
+    eqs = [np.array([s_star, s_star]), -np.array([s_star, s_star]),
+           np.array([a_star, -a_star]), np.array([-a_star, a_star])]
+    # the three lengths need 11, 12 and 13 halvings, so rows finish apart;
+    # at T = 8 some midpoints near a boundary have not yet snapped
+    pairs = [(np.array([1.0, 1.0]), np.array([1.0, -1.5])),
+             (np.array([-2.0, -1.0]), np.array([2.0, 1.0])),
+             (np.array([0.5, 0.5]), np.array([-0.5, -0.5]))]
+    scan = experiments.basin_boundary_scan(coop, eqs, pairs, classify_T=8.0,
+                                           dt=1e-2)
+    lo, hi, labels, rounds = reference_basin_scan(coop, eqs, pairs, 8.0, 1e-2)
+    assert scan["rounds"] == rounds == 13
+    assert [tr["lo"] for tr in scan["transects"]] == lo.tolist()
+    assert [tr["hi"] for tr in scan["transects"]] == hi.tolist()
+    assert [tr["labels"] for tr in scan["transects"]] == labels
+
+
+def test_basin_scan_refuses_an_escaping_endpoint():
+    # r' = r^2: the origin stays, r = -1 reaches -1/2 at t = 1, and r = 2
+    # blows up at t = 1/2
+    s = blowup_rotation()
+    eqs = [np.zeros(3), np.array([-0.5, 0.0, 0.0])]
+    pairs = [(np.zeros(3), np.array([-1.0, 0.0, 0.0])),
+             (np.zeros(3), np.array([2.0, 0.0, 0.0]))]
+    with pytest.raises(ValueError, match="transect 1 does not straddle"):
+        experiments.basin_boundary_scan(s, eqs, pairs, classify_T=1.0,
+                                        dt=1e-2)
