@@ -279,28 +279,32 @@ def _cmd_criterion(scen: Scenario, system, field):
          "omega_T": scen.T, "dt": scen.dt},
         scen.seed,
         counts={"triggered": rep["triggered"], "confirmed": rep["confirmed"],
-                "samples": rep["samples"]},
+                "samples": rep["samples"],
+                "undetermined_excluded": rep["undetermined_excluded"],
+                "escapes": rep["escapes"]},
         findings=rep["findings"],
-        status="ok" if rep["triggered"] == rep["confirmed"] else "violations")
-    code = (EXIT_OK if rep["triggered"] == rep["confirmed"]
-            else EXIT_VIOLATION)
-    return report, None, code
+        status="violations" if rep["findings"] else "ok")
+    return report, None, EXIT_VIOLATION if rep["findings"] else EXIT_OK
 
 
 def _cmd_trichotomy(scen: Scenario, system, field):
     x0 = resolve_x0(scen, system)
     rep = experiments.trichotomy_check(system, field, x0, n_seq=8,
                                        T=scen.T, dt=scen.dt)
+    if rep["consistent"] is None:  # undetermined, as check-dp's inconclusive
+        status, code = "undetermined", EXIT_OK
+    elif rep["consistent"]:
+        status, code = "ok", EXIT_OK
+    else:
+        status, code = "violations", EXIT_VIOLATION
     report = reports.make_report(
         "trichotomy",
         {"system": scen.system, "x0": x0.tolist(), "n_seq": 8, "T": scen.T,
          "dt": scen.dt},
         scen.seed,
         counts={"branch": rep["branch"] or 0,
-                "consistent": int(rep["consistent"])},
-        status="ok" if rep["consistent"] else "violations",
-        branch=rep["branch"], detail=rep)
-    code = EXIT_OK if rep["consistent"] else EXIT_VIOLATION
+                "consistent": int(bool(rep["consistent"]))},
+        status=status, branch=rep["branch"], detail=rep)
     return report, None, code
 
 

@@ -1,16 +1,20 @@
 """Cone fields on manifolds: constant fields and the transported PSD field.
 
-A cone field assigns to every point a closed convex cone in the tangent
-space (chart coordinates here).  Two variants ship:
+A cone field is a manifold, one chart cone ``cone``, a transport gamma
+and a section.  The paper's fields are gamma-invariant, so a field is
+fixed by its cone at one base point and the transport; on both shipped
+manifolds the transport carries the chart cone onto itself, so the cone
+at every point, in chart coordinates, is the one object ``cone``.
+``cone_at(x)`` checks x and returns it.
 
-* ``ConstantField`` -- the same cone at every point of a flat space, with
-  identity transport.  A custom ``transport`` callable can be injected to
-  model (deliberately) broken invariance in tests.
-* ``HomogeneousPSDField`` -- the PSD cone field on SPD(n).  The cone at the
-  base point (the identity matrix) is the PSD cone; moving it with the
-  congruence transport of :mod:`.geometry` lands on the PSD cone again at
-  every point, because congruence by an invertible factor preserves
-  positive semidefiniteness.
+* ``ConstantField`` -- a cone on a flat space, with identity transport.
+  A custom ``transport`` callable can be injected to model (deliberately)
+  broken invariance in tests.
+* ``HomogeneousPSDField`` -- the PSD cone field on SPD(n).  Its cone is
+  the PSD cone at the base point (the identity matrix); the congruence
+  transport of :mod:`.geometry` maps it onto the PSD cone again at every
+  point, because congruence by an invertible factor preserves positive
+  semidefiniteness.
 
 ``section`` returns a smooth interior vector field (the transported
 interior witness), normalized to unit metric length.
@@ -30,19 +34,22 @@ from .geometry import ManifoldSpec, Tangent
 
 
 class ConeField:
-    """Interface: a manifold plus cone_at/transport/section."""
+    """Interface: a manifold, its chart cone, a transport and a section."""
 
     manifold: ManifoldSpec
+    cone: Cone  # the chart cone at every point
 
     def cone_at(self, x: np.ndarray) -> Cone:
-        raise NotImplementedError
+        """The chart cone at x: ``cone``, once x is checked as a point."""
+        self.manifold.check_point(x)
+        return self.cone
 
     def transport_vec(self, x1: np.ndarray, x2: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Carry a tangent chart vector from x1 to x2 with the field's gamma."""
         raise NotImplementedError
 
     def section(self, x: np.ndarray) -> np.ndarray:
-        """Unit-metric-length interior vector of cone_at(x)."""
+        """Unit-metric-length interior vector of the cone at x."""
         raise NotImplementedError
 
 
@@ -59,10 +66,6 @@ class ConstantField(ConeField):
         self.manifold = manifold
         self.cone = cone
         self._transport = transport  # None -> identity (the flat gamma)
-
-    def cone_at(self, x: np.ndarray) -> Cone:
-        self.manifold.check_point(x)
-        return self.cone
 
     def transport_vec(self, x1, x2, v):
         if self._transport is None:
@@ -81,12 +84,7 @@ class HomogeneousPSDField(ConeField):
         self.n = n
         self.manifold = geometry.spd(n)
         self.base_point = self.manifold.identity_point()
-        self.base_cone = PSDCone(n)
-
-    def cone_at(self, x: np.ndarray) -> Cone:
-        # congruence maps PSD onto PSD, so the chart cone is point-independent
-        self.manifold.check_point(x)
-        return self.base_cone
+        self.cone = PSDCone(n)
 
     def transport_vec(self, x1, x2, v):
         t = geometry.transport(self.manifold, x1, x2, Tangent(x1, v))
@@ -102,27 +100,26 @@ class HomogeneousPSDField(ConeField):
 def check_gamma_invariance(field: ConeField, samples: int, seed: int) -> dict:
     """Probe gamma-invariance of the field on random point pairs.
 
-    Pushes generators and boundary rays of cone_at(x1) through the field's
-    transport and records the worst (most negative) containment margin in
-    cone_at(x2).  A gamma-invariant field keeps boundary rays on the
+    Pushes generators and boundary rays of the field's cone at x1 through
+    its transport and records the worst (most negative) containment margin
+    in the cone at x2.  A gamma-invariant field keeps boundary rays on the
     boundary, so the report's max_violation stays >= -1e-9 up to roundoff.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     m = field.manifold
+    c = field.cone
+    gens = c.generators()
     worst = np.inf
     for _ in range(samples):
         x1 = m.random_point(rng)
         x2 = m.random_point(rng)
-        c1 = field.cone_at(x1)
-        c2 = field.cone_at(x2)
-        rays = [c1.boundary_rays(rng, 4)]
-        gens = c1.generators()
+        rays = [c.boundary_rays(rng, 4)]
         if gens is not None:
             rays.append(gens)
         W = np.array([field.transport_vec(x1, x2, v) for v in np.vstack(rays)])
-        worst = min(worst, *c2.margins(W))
+        worst = min(worst, *c.margins(W))
     return {"max_violation": float(worst), "samples": samples, "seed": seed}
 
 

@@ -362,11 +362,6 @@ def conic_combinations(rays: np.ndarray, k: int,
     return (V / np.sqrt(V @ V.transpose(0, 2, 1)))[:, 0]
 
 
-def dual_contains(c: Cone, lam: np.ndarray) -> bool:
-    """Module-level alias for :meth:`Cone.dual_contains`."""
-    return c.dual_contains(lam)
-
-
 def finite_number(val) -> bool:
     """True for a finite JSON number; bools and strings are not numbers."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):

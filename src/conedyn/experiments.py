@@ -117,7 +117,6 @@ def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
     eq_counts: list[int] = []
     converged = nonsingleton = undet = escapes = certified = 0
     samples, findings = [], []
-    cone = field.cone if isinstance(field, ConstantField) else None
     for i, est in enumerate(estimates):
         limit, residual = None, None
         if est is None:
@@ -138,12 +137,12 @@ def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
         elif est.kind == NON_SINGLETON:
             nonsingleton += 1
             outcome = "non_singleton"
-            if cone is not None and dp_status == positivity.SDP:
+            if dp_status == positivity.SDP:
                 # omega-limit sets of strongly positive flows are unordered;
                 # an ordered witness pair is a finding, not a crash: the
                 # first b ordered above each a
                 W = est.witnesses
-                ordered = relations(cone, W[:, None], W[None, :]) != INC
+                ordered = relations(field.cone, W[:, None], W[None, :]) != INC
                 np.fill_diagonal(ordered, False)
                 for a in np.flatnonzero(ordered.any(axis=1)):
                     b = np.argmax(ordered[a])
@@ -356,7 +355,9 @@ def convergence_criterion_check(s: flowmod.FlowSystem, field: ConeField,
 
     A sample triggers when x <= phi_T(x) or phi_T(x) <= x for some T in
     T_scan; every triggered sample's omega-estimate must then be a
-    singleton equilibrium.  confirmed == triggered on a passing run.
+    singleton equilibrium.  A non-singleton estimate is a finding;
+    undetermined estimates and escapes are excluded and counted
+    separately, as in ``dichotomy_check``.
     """
     c = _require_flat(field)
     T_scan = sorted(float(t) for t in T_scan)
@@ -377,20 +378,25 @@ def convergence_criterion_check(s: flowmod.FlowSystem, field: ConeField,
                      "direction": "forward" if fwd[first[i], i] else "reversed"}
                     for i in triggered_idx]
 
-    confirmed = 0
+    confirmed = excluded = escapes = 0
     findings = []
     if triggered_idx:
         ests = _omega_batch(s, X[triggered_idx], omega_T, dt)
         for j, est in enumerate(ests):
-            if est is not None and est.kind == SINGLETON:
+            if est is None:
+                escapes += 1
+            elif est.kind == SINGLETON:
                 confirmed += 1
+            elif est.kind == UNDETERMINED:
+                excluded += 1
             else:
                 findings.append({"kind": "triggered_not_confirmed",
                                  "sample": triggered_idx[j],
                                  "x0": X[triggered_idx[j]].tolist(),
-                                 "estimate": None if est is None else est.kind,
+                                 "estimate": est.kind,
                                  "trigger": trigger_rows[j]})
     return {"triggered": len(triggered_idx), "confirmed": confirmed,
+            "undetermined_excluded": excluded, "escapes": escapes,
             "samples": x_samples, "T_scan": T_scan, "omega_T": omega_T,
             "seed": seed, "findings": findings, "system": s.name}
 
@@ -406,7 +412,8 @@ def trichotomy_check(s: flowmod.FlowSystem, field: ConeField, x0,
     the three alternatives: (1) strictly increasing limits below omega(x0),
     (2) all limits equal omega(x0), (3) all limits equal a common p
     strictly below omega(x0).  consistent is True iff exactly one branch
-    matches.
+    matches; it is None, with no branch, when an estimate is undetermined
+    or escaped.
     """
     c = _require_flat(field)
     x0 = np.asarray(x0, dtype=float)
@@ -422,9 +429,13 @@ def trichotomy_check(s: flowmod.FlowSystem, field: ConeField, x0,
             else "sequence does not approach x0 from below")
 
     ests = _omega_batch(s, xs, T, dt)
-    if any(e is None or e.kind != SINGLETON for e in ests):
+    if any(e is None or e.kind == UNDETERMINED for e in ests):
+        return {"branch": None, "consistent": None,
+                "reason": "undetermined or escaped omega estimate",
+                "n_seq": n_seq, "T": T, "system": s.name}
+    if any(e.kind != SINGLETON for e in ests):
         return {"branch": None, "consistent": False,
-                "reason": "non-singleton or undetermined omega estimate",
+                "reason": "non-singleton omega estimate",
                 "n_seq": n_seq, "T": T, "system": s.name}
     ps = np.array([e.point for e in ests[:-1]])
     p0 = ests[-1].point

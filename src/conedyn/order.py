@@ -8,7 +8,8 @@ Three order oracles ship:
 * Minkowski: 1+1 space-time with coordinates (t, x); causal order
              dt >= |dx|, chronological (strict) order dt > |dx|;
 * Loewner:   SPD(n) points packed in chart coordinates, P <= Q iff Q - P
-             is positive semidefinite (the flat test with the PSD cone).
+             is positive semidefinite: ``relations(field.cone, P, Q)``
+             with the PSD field's chart cone.
 
 Every order decision is one batched call that returns int8 codes INC,
 WEAK or STRICT per pair: ``relations`` for a flat cone order (one
@@ -20,8 +21,8 @@ and certificates.
 
 ``reachable_grid`` discretizes curve-based reachability for a
 ``ConeField``: breadth-first propagation over a rectangular grid,
-stepping only along displacement directions that the local cone admits
-(up to a slack that keeps exactly null directions connected).
+stepping only along displacement directions that the field's chart cone
+admits (up to a slack that keeps exactly null directions connected).
 ``quasi_closed_probe`` and ``continuity_probe`` check closure and
 continuity behavior of the orders on constructed limit sequences.
 """
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conefield import ConeField, ConstantField
-from .cones import DEFAULT_TOL, Cone, PSDCone, conic_combinations
+from .conefield import ConeField
+from .cones import DEFAULT_TOL, Cone, conic_combinations
 from .errors import DimensionMismatchError, ProbeConstructionError
 
 LEQ_STRICT = "leq_strict"
@@ -118,12 +119,6 @@ def minkowski_relation(p: np.ndarray, q: np.ndarray) -> OrderVerdict:
     if p.shape != (2,) or q.shape != (2,):
         raise DimensionMismatchError("Minkowski points are (t, x) pairs")
     return _verdict(int(minkowski_relations(p, q)), p, q)
-
-
-def leq_loewner(n: int, x: np.ndarray, y: np.ndarray,
-                tol: float = DEFAULT_TOL) -> OrderVerdict:
-    """Loewner order on packed SPD(n) chart points: x <= y iff y - x is PSD."""
-    return leq_flat(PSDCone(n), x, y, tol)
 
 
 # ----------------------------------------------------------- order oracles
@@ -256,8 +251,8 @@ def reachable_grid(field: ConeField, p: np.ndarray, region, resolution: int,
     The walk starts at the cell of p, which must lie in the closed region.
     From each reached cell it may step by any coprime integer offset
     (directions -> 8/16/32 stencil) whose physical displacement is not
-    incomparable, at tolerance grid_slack, in the cone of ``field`` at the
-    source cell (for 1+1 Minkowski space, ``ConstantField(Lorentz(2))``).
+    incomparable, at tolerance grid_slack, in the chart cone of ``field``
+    (for 1+1 Minkowski space, ``ConstantField(Lorentz(2))``).
     The default slack, half a cell diagonal over the region diameter,
     keeps exactly-null directions connected without admitting clearly
     spacelike ones.
@@ -280,14 +275,7 @@ def reachable_grid(field: ConeField, p: np.ndarray, region, resolution: int,
 
     offsets = _coprime_offsets(directions)
     disps = np.array([[di * dt_c, dj * dx_c] for di, dj in offsets])
-
-    def allowed_at(i, j):
-        cone = field.cone_at(np.array([t_centers[i], x_centers[j]]))
-        return relations(cone, np.zeros(2), disps, grid_slack) != INC
-
-    constant = isinstance(field, ConstantField)
-    if constant:  # one allowed-step list serves every cell
-        allowed = allowed_at(0, 0)
+    allowed = relations(field.cone, np.zeros(2), disps, grid_slack) != INC
 
     res = resolution
     grid = np.zeros((res, res), dtype=bool)
@@ -297,8 +285,6 @@ def reachable_grid(field: ConeField, p: np.ndarray, region, resolution: int,
     queue = deque([(i0, j0)])
     while queue:
         i, j = queue.popleft()
-        if not constant:
-            allowed = allowed_at(i, j)
         for (di, dj), ok in zip(offsets, allowed):
             if not ok:
                 continue

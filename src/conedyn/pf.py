@@ -19,7 +19,6 @@ tested instead of fixing a canonical tau.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +72,8 @@ def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,
     march (same step plan and manifold guard as every other flow path),
     scaled to unit Euclidean length after each step: margins and Hilbert
     distances ignore scale.  Each chunk of stored steps takes one
-    ``margins`` call and one ``hilbert_distances`` call per cone.
+    ``margins`` call and one ``hilbert_distances`` call in the field's
+    chart cone.
 
     Returns (times, dists, x_final, W_final) where dists[m, j] is the
     Hilbert distance of pair j at stored time m and W_final holds the
@@ -89,25 +89,20 @@ def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,
     if A.shape != B.shape or A.shape[1] != s.dim:
         raise ValueError("ray arrays must both be (k, dim)")
     k = A.shape[0]
+    cone = field.cone
     times: list[np.ndarray] = []
     dists: list[np.ndarray] = []
 
-    def record(ts, xs, Ws):
+    def record(ts, _xs, Ws):
         rays = np.swapaxes(Ws, 1, 2)  # (stored, 2k, dim)
-        cones = [field.cone_at(x) for x in xs]
-        # one batch per run of stored times that share a cone object
-        for cone, run in itertools.groupby(range(len(ts)), cones.__getitem__):
-            run = list(run)
-            sl = slice(run[0], run[-1] + 1)
-            worst = np.min(cone.margins(rays[sl]), axis=1)
-            out = np.flatnonzero(worst < -10.0 * exit_tol)
-            if out.size:
-                j = out[0]
-                raise ConeExitError(
-                    f"ray left the cone at t={ts[sl][j]:.6g} "
-                    f"(margin {worst[j]:.3e})")
-            times.append(ts[sl])
-            dists.append(cone.hilbert_distances(rays[sl, :k], rays[sl, k:]))
+        worst = np.min(cone.margins(rays), axis=1)
+        out = np.flatnonzero(worst < -10.0 * exit_tol)
+        if out.size:
+            j = out[0]
+            raise ConeExitError(
+                f"ray left the cone at t={ts[j]:.6g} (margin {worst[j]:.3e})")
+        times.append(ts)
+        dists.append(cone.hilbert_distances(rays[:, :k], rays[:, k:]))
 
     x, W = flowmod._orbit_tangent(s, x0, np.concatenate([A, B]).T, T, dt,
                                   store_stride, record, unit=True)
@@ -133,7 +128,7 @@ def pf_direction(s: flowmod.FlowSystem, field: ConeField, x0: np.ndarray,
         u0 = field.section(x0)
     if u1 is None:
         rng = np.random.default_rng(0)
-        b = field.cone_at(x0).boundary_rays(rng, 1)[0]
+        b = field.cone.boundary_rays(rng, 1)[0]
         u1 = u0 + 0.5 * b
     times, dists, x_final, W = propagate_ray_pairs(
         s, field, x0, u0[None, :], u1[None, :], T, dt, store_stride)

@@ -50,14 +50,14 @@ class DpVerdict:
     params: dict = dc_field(default_factory=dict)
 
 
-def _ray_set(cone: Cone, field: ConeField, x0: np.ndarray, k: int,
+def _ray_set(field: ConeField, x0: np.ndarray, k: int,
              rng: np.random.Generator):
-    """k nonzero cone rays at x0 with boundary tags.
+    """k nonzero rays of the field's cone at x0 with boundary tags.
 
     The unit extreme rays come first, then the section and random conic
     combinations.
     """
-    rays = cone.unit_rays(rng)
+    rays = field.cone.unit_rays(rng)
     combos = conic_combinations(rays, max(k - len(rays) - 1, 0), rng)
     out = np.vstack([rays, field.section(x0), combos])[:k]
     return out, np.arange(k) < len(rays)
@@ -82,12 +82,13 @@ def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
     """Sampled cone-invariance verdict for the tangent flow.
 
     For each random state and cone ray, pushes the ray through the tangent
-    map at every requested time and classifies the image in the cone at the
-    image point (chart cones are already expressed there, so no extra
-    transport is applied).  Margins below -10*tol refute positivity;
-    margins in [-10*tol, -tol) are inconclusive; otherwise the verdict is
-    DP, upgraded to SDP when every boundary-ray image stays strictly
-    interior by more than sdp_margin_floor at all sampled t > 0.
+    map at every requested time and classifies the image in the field's
+    chart cone, which is the cone at the image point (chart cones are
+    already expressed there, so no extra transport is applied).  Margins
+    below -10*tol refute positivity; margins in [-10*tol, -tol) are
+    inconclusive; otherwise the verdict is DP, upgraded to SDP when every
+    boundary-ray image stays strictly interior by more than
+    sdp_margin_floor at all sampled t > 0.
     """
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0:
@@ -98,21 +99,21 @@ def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
     X0 = flowmod.sample_states(s, box_scale, x_samples, rng)
     ray_list, tag_list = [], []
     for i in range(x_samples):
-        r, tg = _ray_set(field.cone_at(X0[i]), field, X0[i], ray_samples, rng)
+        r, tg = _ray_set(field, X0[i], ray_samples, rng)
         ray_list.append(r)
         tag_list.append(tg)
 
-    xs, phis = flowmod.tangent_at(s, X0, times, dt)
+    _, phis = flowmod.tangent_at(s, X0, times, dt)
 
+    cone = field.cone
     worst = np.inf
     witness = None
     boundary_min = np.inf
     for ti, t in enumerate(times):
         for i in range(x_samples):
-            cone_img = field.cone_at(xs[ti, i])
             W = ray_list[i] @ phis[ti, i].T  # rows: Phi_t(x0) v
             for j in range(ray_samples):
-                m = cone_img.margin(W[j])
+                m = cone.margin(W[j])
                 if m < worst:
                     worst = m
                     witness = {"x0": X0[i].tolist(),

@@ -181,6 +181,32 @@ def test_trichotomy_cli(tmp_path):
     assert read_json(out)["branch"] == 2
 
 
+@pytest.mark.parametrize("argv,excluded", [
+    (["--n", "60", "--T", "30"], 2),
+    (["--n", "3", "--T", "1"], 2),
+], ids=["n60-T30", "n3-T1"])
+def test_criterion_counts_undetermined_estimates(tmp_path, argv, excluded):
+    # an undetermined omega estimate is excluded and counted, never a finding
+    out = tmp_path / "cr.json"
+    code = run(["criterion", "--system", "coop2d", *argv, "--seed", "0",
+                "--out", str(out)])
+    rep = read_json(out)
+    assert code == 0 and rep["status"] == "ok" and rep["findings"] == []
+    counts = rep["counts"]
+    assert counts["undetermined_excluded"] == excluded
+    assert counts["escapes"] == 0
+    assert counts["confirmed"] + excluded == counts["triggered"]
+
+
+def test_trichotomy_with_an_undetermined_estimate_is_undetermined(tmp_path):
+    out = tmp_path / "t.json"
+    code = run(["trichotomy", "--system", "coop2d", "--T", "1",
+                "--out", str(out)])
+    rep = read_json(out)
+    assert code == 0 and rep["status"] == "undetermined"
+    assert rep["branch"] is None and rep["detail"]["consistent"] is None
+
+
 def test_order_cli(tmp_path):
     out = tmp_path / "o.json"
     assert run(["order", "--n", "100", "--out", str(out)]) == 0
@@ -376,6 +402,21 @@ def test_help_lists_exactly_the_options_a_command_reads(capsys, command):
     assert listed == {"--help"} | {cli.OPTIONS[k][0] for k in reads}
 
 
+def test_readme_option_table_matches_the_parser():
+    # README's "| command | options |" table: the commands of a row in its
+    # first cell, their flags in the first code span of the second
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| command | options |") + 2
+    table = {}
+    for row in lines[start:lines.index("", start)]:
+        commands, options = row.strip("|").split("|")[:2]
+        flags = sorted(re.search(r"`([^`]+)`", options)[1].split())
+        for command in re.findall(r"`([^`]+)`", commands):
+            table[command] = flags
+    assert table == {name: sorted(cli.OPTIONS[key][0] for key in reads)
+                     for name, (_, reads) in cli.COMMANDS.items()}
+
+
 def test_pf_tangent_overflow_exits_3(monkeypatch, capsys):
     # the rays' r part grows like r(t)^2 and overflows a step before r does
     monkeypatch.setitem(registry.SYSTEMS, "blowup_rotation", blowup_rotation)
@@ -526,7 +567,16 @@ def test_hostile_inputs_exit_with_a_documented_code(tmp_path, capsys,
     for leak in ("internal error", "Traceback", "Warning"):
         assert leak not in err
     if code in (2, 3):
-        assert not out.exists() and len(err.strip().splitlines()) >= 1
+        assert not out.exists()
+        # one line, or a scenario error's header and one line per problem
+        head, *problems = err.splitlines()
+        if head == "scenario error:":
+            assert code == 2 and problems
+            assert all(re.fullmatch(r"  \w+: \S.*", p) for p in problems)
+        else:
+            assert problems == []
+            assert head.startswith("error: " if code == 2
+                                   else "numeric failure: ")
     elif command == "list":
         assert out.read_text().startswith("system")
     else:

@@ -1,22 +1,37 @@
 import numpy as np
 import pytest
 
-from conedyn import flow, geometry
+from conedyn import flow, geometry, registry
 from conedyn.conefield import (
+    ConeField,
     ConstantField,
     HomogeneousPSDField,
     check_gamma_invariance,
     field_from_spec,
     field_to_spec,
 )
-from conedyn.cones import INTERIOR, Orthant, PSDCone
+from conedyn.cones import INTERIOR, Lorentz, Orthant, PSDCone
+from conedyn.errors import DimensionMismatchError, NotPositiveDefiniteError
+from conedyn.experiments import generic_convergence
 from conedyn.geometry import pack_sym, unpack_sym
+from conedyn.order import reachable_grid
+from conedyn.pf import pf_direction
+from conedyn.positivity import check_dp
 from helpers import constant_system
 
 
 def test_constant_cone_at_everywhere():
     f = ConstantField(Orthant(2))
     assert f.cone_at(np.array([5.0, -3.0])) is f.cone
+    # the transported PSD field has one chart cone too, checked points only
+    f = HomogeneousPSDField(2)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        assert f.cone_at(f.manifold.random_point(rng)) is f.cone
+    with pytest.raises(NotPositiveDefiniteError):
+        f.cone_at(pack_sym(np.diag([1.0, -1.0])))
+    with pytest.raises(DimensionMismatchError):
+        f.cone_at(np.ones(2))
 
 
 def test_homogeneous_cone_at_base_point():
@@ -72,7 +87,7 @@ def test_section_homogeneous_identity():
     f = HomogeneousPSDField(2)
     v = f.section(f.base_point)
     assert np.allclose(unpack_sym(v, 2), np.eye(2) / np.sqrt(2), atol=1e-12)
-    assert f.base_cone.contains(v).region == INTERIOR
+    assert f.cone.contains(v).region == INTERIOR
 
 
 def test_section_margin_floor_constant():
@@ -94,14 +109,14 @@ def test_section_margin_floor_homogeneous():
     # point) equals the base witness margin exactly
     f = HomogeneousPSDField(2)
     o = f.base_point
-    base_margin = f.base_cone.contains(f.section(o)).margin
+    base_margin = f.cone.contains(f.section(o)).margin
     rng = np.random.default_rng(4)
     for _ in range(50):
         x = f.manifold.random_point(rng)
         got = f.cone_at(x).contains(f.section(x))
         assert got.region == INTERIOR
         pulled = f.transport_vec(x, o, f.section(x))
-        assert f.base_cone.contains(pulled).margin == pytest.approx(
+        assert f.cone.contains(pulled).margin == pytest.approx(
             base_margin, abs=1e-9)
 
 
@@ -133,3 +148,23 @@ def test_field_spec_roundtrip():
         again = field_from_spec(field_to_spec(f))
         assert type(again) is type(f)
         assert again.manifold == f.manifold
+
+
+def _no_point_lookup(self, x):
+    raise AssertionError("a caller looked the cone up point by point")
+
+
+def test_callers_read_the_one_chart_cone(monkeypatch):
+    # cone_at is defined once, on the base class, and no caller needs it
+    assert "cone_at" not in vars(ConstantField)
+    assert "cone_at" not in vars(HomogeneousPSDField)
+    monkeypatch.setattr(ConeField, "cone_at", _no_point_lookup)
+    for name in ("coop2d", "spd_lyapunov"):  # orthant and PSD fields
+        s = registry.get_system(name)
+        field = registry.default_field(s)
+        check_dp(s, field, 4, 6, [0.1, 0.5], seed=0)
+        pf_direction(s, field, registry.DEFAULT_X0[name], T=0.5)
+        generic_convergence(s, field, box=2.0, N=5, T=1.0, seed=0)
+    reach = reachable_grid(ConstantField(Lorentz(2)), np.zeros(2),
+                           ((0.0, 2.0), (-2.0, 2.0)), 21, 16)
+    assert reach.grid.any()

@@ -379,8 +379,8 @@ def test_batched_hilbert_distances_match_bisection_oracle(c):
 
 
 def test_dual_contains_orthant():
-    assert cones.dual_contains(Orthant(3), np.array([1.0, 0.0, 2.0]))
-    assert not cones.dual_contains(Orthant(3), np.array([1.0, -0.1, 2.0]))
+    assert Orthant(3).dual_contains(np.array([1.0, 0.0, 2.0]))
+    assert not Orthant(3).dual_contains(np.array([1.0, -0.1, 2.0]))
 
 
 def test_dual_contains_lorentz_boundary():

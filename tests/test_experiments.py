@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -222,7 +223,40 @@ def test_criterion_bistable_all_trigger():
     assert rep["confirmed"] == 60
 
 
+def _stub_estimates(monkeypatch, kinds):
+    """Make every omega batch return one estimate per kind, cycled; None
+    is an escape."""
+    def batch(s, X0, T, dt):
+        return [None if k is None
+                else flow.OmegaEstimate(k, point=x, witnesses=x[None])
+                for k, x in zip(itertools.cycle(kinds), X0)]
+    monkeypatch.setattr(experiments, "_omega_batch", batch)
+
+
+def test_criterion_counts_escapes_and_undetermined_apart(monkeypatch):
+    s = registry.get_system("bistable1d")  # every sample triggers
+    _stub_estimates(monkeypatch, [flow.SINGLETON, None, flow.UNDETERMINED,
+                                  flow.NON_SINGLETON])
+    rep = experiments.convergence_criterion_check(
+        s, ORTHANT1, x_samples=8, T_scan=[0.5], seed=0, box=2.0)
+    assert (rep["triggered"], rep["confirmed"], rep["escapes"],
+            rep["undetermined_excluded"]) == (8, 2, 2, 2)
+    assert [f["estimate"] for f in rep["findings"]] == [flow.NON_SINGLETON] * 2
+    assert [f["sample"] for f in rep["findings"]] == [3, 7]
+
+
 # -------------------------------------------------------------- trichotomy
+
+
+@pytest.mark.parametrize("kind,consistent", [
+    (None, None), (flow.UNDETERMINED, None), (flow.NON_SINGLETON, False)])
+def test_trichotomy_undetermined_is_not_inconsistent(monkeypatch, coop, kind,
+                                                     consistent):
+    # one estimate of the chain (the last, omega(x0)) is not a singleton
+    _stub_estimates(monkeypatch, [flow.SINGLETON] * 8 + [kind])
+    rep = experiments.trichotomy_check(coop, ORTHANT2, np.array([1.0, 1.0]),
+                                       n_seq=8, T=1.0)
+    assert rep["branch"] is None and rep["consistent"] is consistent
 
 
 def test_trichotomy_interior_of_basin(coop):

@@ -21,7 +21,6 @@ from conedyn.order import (
     continuity_probe,
     flat_order_properties,
     leq_flat,
-    leq_loewner,
     minkowski_future,
     minkowski_relation,
     minkowski_relations,
@@ -71,9 +70,9 @@ def test_leq_loewner():
     I = pack_sym(np.eye(2))
     two = pack_sym(2.0 * np.eye(2))
     indef = pack_sym(np.diag([2.0, 0.5]))
-    assert leq_loewner(2, I, two).relation == LEQ_STRICT
-    assert leq_loewner(2, I, indef).relation == INCOMPARABLE
-    assert leq_loewner(2, I, I).relation == LEQ
+    assert leq_flat(PSDCone(2), I, two).relation == LEQ_STRICT
+    assert leq_flat(PSDCone(2), I, indef).relation == INCOMPARABLE
+    assert leq_flat(PSDCone(2), I, I).relation == LEQ
 
 
 # ------------------------------------------------------------ batched codes
