@@ -4,39 +4,19 @@ A numpy toolkit for monotone-systems geometry: cones and their Hilbert
 projective metric, cone fields with invariant transport, flows with
 variational (tangent) propagation, positivity checkers, Perron-Frobenius
 directions, causal-order oracles, and Monte-Carlo convergence experiments
-on a small registry of example systems.
+on a small registry of example systems.  ``import conedyn`` loads no
+submodule: ``conedyn.<module>`` imports one on first use.
 """
 
-from . import (
-    cli,
-    conefield,
-    cones,
-    experiments,
-    flow,
-    geometry,
-    order,
-    pf,
-    positivity,
-    registry,
-    reports,
-)
-from .conefield import ConeField, ConstantField, HomogeneousPSDField
-from .cones import Containment, Lorentz, Orthant, Polyhedral, PSDCone
-from .flow import FlowSystem, OmegaEstimate, TangentFlow, Trajectory
-from .geometry import ManifoldSpec, Tangent, euclidean, spd
-from .order import FutureSet, OrderVerdict
-from .pf import PfResult
-from .positivity import DpVerdict
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "cli", "conefield", "cones", "experiments", "flow", "geometry", "order",
-    "pf", "positivity", "registry", "reports",
-    "ConeField", "ConstantField", "HomogeneousPSDField",
-    "Containment", "Lorentz", "Orthant", "Polyhedral", "PSDCone",
-    "FlowSystem", "OmegaEstimate", "TangentFlow", "Trajectory",
-    "ManifoldSpec", "Tangent", "euclidean", "spd",
-    "FutureSet", "OrderVerdict", "PfResult", "DpVerdict",
-    "__version__",
-]
+_SUBMODULES = ("cli", "conefield", "cones", "errors", "experiments", "flow",
+               "geometry", "order", "pf", "positivity", "registry", "reports")
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

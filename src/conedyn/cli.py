@@ -252,6 +252,13 @@ def _cmd_converge(scen: Scenario, system, field):
     return report, rep.samples, EXIT_OK if ok else EXIT_VIOLATION
 
 
+def _status(violated, undecided) -> str:
+    """A violation wins; a run that decided nothing is undetermined."""
+    if violated:
+        return "violations"
+    return "undetermined" if undecided else "ok"
+
+
 def _cmd_dichotomy(scen: Scenario, system, field):
     rep = experiments.dichotomy_check(system, field, pairs=scen.N, T=scen.T,
                                       seed=scen.seed, dt=scen.dt)
@@ -263,9 +270,9 @@ def _cmd_dichotomy(scen: Scenario, system, field):
                 "undetermined_excluded": rep["undetermined_excluded"],
                 "escapes": rep["escapes"]},
         findings=rep["findings"],
-        status="ok" if rep["violations"] == 0 else "violations")
-    code = EXIT_VIOLATION if rep["violations"] > 0 else EXIT_OK
-    return report, None, code
+        status=_status(rep["violations"] > 0, rep["undetermined_excluded"]
+                       + rep["escapes"] == rep["pairs"]))
+    return report, None, EXIT_VIOLATION if rep["violations"] > 0 else EXIT_OK
 
 
 def _cmd_criterion(scen: Scenario, system, field):
@@ -283,7 +290,8 @@ def _cmd_criterion(scen: Scenario, system, field):
                 "undetermined_excluded": rep["undetermined_excluded"],
                 "escapes": rep["escapes"]},
         findings=rep["findings"],
-        status="violations" if rep["findings"] else "ok")
+        status=_status(rep["findings"], rep["triggered"] > 0
+                       and rep["confirmed"] == 0))
     return report, None, EXIT_VIOLATION if rep["findings"] else EXIT_OK
 
 
@@ -291,12 +299,8 @@ def _cmd_trichotomy(scen: Scenario, system, field):
     x0 = resolve_x0(scen, system)
     rep = experiments.trichotomy_check(system, field, x0, n_seq=8,
                                        T=scen.T, dt=scen.dt)
-    if rep["consistent"] is None:  # undetermined, as check-dp's inconclusive
-        status, code = "undetermined", EXIT_OK
-    elif rep["consistent"]:
-        status, code = "ok", EXIT_OK
-    else:
-        status, code = "violations", EXIT_VIOLATION
+    # undetermined (consistent None) exits 0, as check-dp's inconclusive
+    violated = rep["consistent"] is not None and not rep["consistent"]
     report = reports.make_report(
         "trichotomy",
         {"system": scen.system, "x0": x0.tolist(), "n_seq": 8, "T": scen.T,
@@ -304,8 +308,9 @@ def _cmd_trichotomy(scen: Scenario, system, field):
         scen.seed,
         counts={"branch": rep["branch"] or 0,
                 "consistent": int(bool(rep["consistent"]))},
-        status=status, branch=rep["branch"], detail=rep)
-    return report, None, code
+        status=_status(violated, rep["consistent"] is None),
+        branch=rep["branch"], detail=rep)
+    return report, None, EXIT_VIOLATION if violated else EXIT_OK
 
 
 def _cmd_order(scen: Scenario):

@@ -46,8 +46,8 @@ or stays honest as "undetermined".  Undetermined is never coerced.  Single
 orbits and ensembles store the same tail window, fixed by step indices,
 in one (k, M, n) array allocated at the first tail store and written in
 place, and ``classify_tail`` classifies a whole stack of tails in one
-batched pass over blocks of rows; only the Newton polish of a clustered
-tail runs one row at a time.
+batched pass over blocks of rows, in one set of block buffers; only the
+Newton polish of a clustered tail runs one row at a time.
 
 Ensemble rows retire early under a contraction certificate (Lohmiller &
 Slotine 1998).  A system may declare ``jac_lipschitz`` L, an exact global
@@ -82,7 +82,7 @@ rows on every other step, so every decision is the one the guard makes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +91,7 @@ from .errors import (
     ManifoldExitError,
     NumericsError,
 )
-from .geometry import ManifoldSpec, norms
+from .geometry import FlowSystem, norms
 
 DT_DEFAULT = 1e-3
 STORE_STRIDE = 10
@@ -99,7 +99,7 @@ TAIL_FRACTION = 0.25
 CLUSTER_RADIUS = 1e-4
 EQ_TOL = 1e-10
 CERT_EVERY = 100  # ensemble steps between contraction-certificate checks
-_CLASSIFY_BLOCK = 16  # tail rows per classify_tail pass: temporaries (k, 16, n)
+_CLASSIFY_BLOCK = 16  # tail rows per classify_tail pass: buffers (n, k, 16)
 _ORBIT_CHUNK = 1024  # steps of one orbit per batched step-map call
 _CERT_F_MAX = 1e-2  # only rows with |f| below this seed an equilibrium search
 _CERT_EQ_TOL = 1e-12  # certified equilibria are polished past EQ_TOL
@@ -108,28 +108,6 @@ _CERT_REJECT_RADIUS = 0.05  # rows this close to a rejected point seed nothing
 SINGLETON = "singleton_equilibrium"
 NON_SINGLETON = "non_singleton"
 UNDETERMINED = "undetermined"
-
-
-@dataclass(frozen=True)
-class FlowSystem:
-    """A named smooth vector field with its exact Jacobian.
-
-    jac_lipschitz, when given, is an exact global bound on
-    ||jac(x) - jac(y)||_2 / ||x - y||; it enables certified early
-    retirement of ensemble rows (see the module docstring).  matrix, when
-    given, is the A of a linear field f(x) = Ax, jac(x) = A.
-    """
-
-    manifold: ManifoldSpec
-    f: callable
-    jac: callable
-    name: str = "system"
-    jac_lipschitz: float | None = None
-    matrix: np.ndarray | None = field(default=None, compare=False)
-
-    @property
-    def dim(self) -> int:
-        return self.manifold.dim
 
 
 @dataclass
@@ -657,35 +635,49 @@ def find_equilibria(s: FlowSystem, seeds, eq_tol: float = EQ_TOL,
 # ----------------------------------------------------------- omega limits
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis of u * v, in order.  Over component-major
-    stacks of fewer than 8 components these are the sums that
-    np.sum(u * v, axis=-1) takes row-major, bit for bit."""
-    out = u[0] * v[0]
+def _dot(u: np.ndarray, v: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """Sum over the leading axis of u * v, in order (into out, tmp holding
+    each further product).  Over component-major stacks of fewer than 8
+    components: np.sum(u * v, axis=-1)'s row-major sums, bit for bit."""
+    out = np.multiply(u[0], v[0], out=out)
     for i in range(1, len(u)):
-        out += u[i] * v[i]
+        out += np.multiply(u[i], v[i], out=tmp)
     return out
 
 
-def _return_distances(X: np.ndarray, cluster_radius: float) -> np.ndarray:
-    """Per tail of a component-major (n, k, B) block with k >= 2: how close
-    the polyline through the tail comes back to its anchor, state 0, after
-    first leaving 10 cluster_radius of it; inf for a tail that never
-    leaves, or leaves only at its last state."""
-    anchor = X[:, :1]
-    D = X - anchor
-    far = np.sqrt(_dot(D, D)) > 10.0 * cluster_radius
-    first = far.argmax(axis=0)  # the first far state; 0 for none
-    a, ab = X[:, :-1], np.diff(X, axis=1)  # segment i runs from state i
-    denom = _dot(ab, ab)
-    denom[denom == 0.0] = 1.0
-    t = np.clip(_dot(anchor - a, ab) / denom, 0.0, 1.0)
-    E = anchor - (a + t * ab)
-    d = np.sqrt(_dot(E, E))
-    d[np.arange(len(d))[:, None] < first] = np.inf
-    back = d.min(axis=0)
-    back[~far.any(axis=0)] = np.inf
-    return back
+class _TailBlock:
+    """A block of tails in X, component-major (n, k, B), and work buffers
+    that every block of a call reuses: fresh ones would fault their pages
+    in again.  Past a short last block, X holds stale rows: their results
+    go unused."""
+
+    def __init__(self, n: int, k: int, B: int):
+        self.X, self.V, self.AB = np.empty((3, n, k, B))
+        self.s, self.den, self.tmp = np.empty((3, k, B))
+        self.mask = np.empty((k, B), dtype=bool)
+
+    def return_distances(self, cluster_radius: float) -> np.ndarray:
+        """Per tail of X (k >= 2): how close the polyline through it comes
+        back to its anchor, state 0, after first leaving 10 cluster_radius
+        of it; inf if it never leaves, or leaves only at its last state."""
+        X, V, s, tmp, mask = self.X, self.V, self.s, self.tmp, self.mask
+        anchor = X[:, :1]
+        D = np.subtract(X, anchor, out=V)
+        far = np.greater(np.sqrt(_dot(D, D, s, tmp), out=s),
+                         10.0 * cluster_radius, out=mask)
+        # the first far state; k, which masks every segment, for none
+        first = np.where(far.any(axis=0), far.argmax(axis=0), len(far))
+        a = X[:, :-1]  # segment i runs from state i along ab[:, i]
+        ab = np.subtract(X[:, 1:], a, out=self.AB[:, 1:])
+        den, tmp, mask = self.den[1:], tmp[1:], mask[1:]
+        den[np.equal(_dot(ab, ab, den, tmp), 0.0, out=mask)] = 1.0
+        t = _dot(np.subtract(anchor, a, out=V[:, 1:]), ab, s[1:], tmp)
+        np.clip(np.divide(t, den, out=t), 0.0, 1.0, out=t)
+        E = np.multiply(t, ab, out=V[:, 1:])
+        np.subtract(anchor, np.add(a, E, out=E), out=E)
+        d = np.sqrt(_dot(E, E, den, tmp), out=den)
+        d[np.less(np.arange(len(d))[:, None], first, out=mask)] = np.inf
+        return d.min(axis=0)
 
 
 def classify_tail(s: FlowSystem, tails: np.ndarray,
@@ -702,21 +694,22 @@ def classify_tail(s: FlowSystem, tails: np.ndarray,
     non-singleton when the polyline through its states, from the first one
     farther than 10 cluster_radius from tail[0] on, comes back within
     cluster_radius of tail[0], and undetermined otherwise.  The rows go
-    through in blocks of _CLASSIFY_BLOCK, each in one vectorized pass; only
-    Newton runs per row.
+    through in blocks of _CLASSIFY_BLOCK, each in one vectorized pass over
+    one set of buffers; only Newton runs per row.
     """
-    k, M, _ = tails.shape
+    k, M, n = tails.shape
     step = max(1, k // 64)  # witnesses of a non-singleton tail
+    w = _TailBlock(n, k, min(M, _CLASSIFY_BLOCK))
     out = []
     for b in range(0, M, _CLASSIFY_BLOCK):
         block = tails[:, b:b + _CLASSIFY_BLOCK]
-        # component-major, (n, k, B): sums over n short rows run slower
-        X = np.ascontiguousarray(np.moveaxis(block, -1, 0))
+        X = w.X[..., :block.shape[1]]
+        np.copyto(X, np.moveaxis(block, -1, 0))
         finite = np.isfinite(X).all(axis=(0, 1))
         with np.errstate(invalid="ignore", over="ignore"):  # escaped rows
             box = X.max(axis=1) - X.min(axis=1)
             clustered = np.sqrt(_dot(box, box)) < cluster_radius
-            back = (_return_distances(X, cluster_radius)
+            back = (w.return_distances(cluster_radius)
                     if (finite & ~clustered).any() else None)
         for j in range(block.shape[1]):
             tail = block[:, j]

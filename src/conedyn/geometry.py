@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -327,6 +327,28 @@ def euclidean(n: int) -> ManifoldSpec:
 
 def spd(n: int) -> ManifoldSpec:
     return ManifoldSpec("spd", n)
+
+
+@dataclass(frozen=True)
+class FlowSystem:
+    """A named smooth vector field with its exact Jacobian.
+
+    jac_lipschitz, when given, is an exact global bound on
+    ||jac(x) - jac(y)||_2 / ||x - y||; it enables certified early
+    retirement of ensemble rows (see ``conedyn.flow``).  matrix, when
+    given, is the A of a linear field f(x) = Ax, jac(x) = A.
+    """
+
+    manifold: ManifoldSpec
+    f: callable
+    jac: callable
+    name: str = "system"
+    jac_lipschitz: float | None = None
+    matrix: np.ndarray | None = field(default=None, compare=False)
+
+    @property
+    def dim(self) -> int:
+        return self.manifold.dim
 
 
 @dataclass(frozen=True)

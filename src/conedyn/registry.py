@@ -41,8 +41,7 @@ from . import geometry
 from .conefield import ConeField, ConstantField, HomogeneousPSDField
 from .cones import Orthant
 from .errors import UnsupportedInputError
-from .flow import FlowSystem
-from .geometry import pack_sym, sym_dim, unpack_sym
+from .geometry import FlowSystem, pack_sym, sym_dim, unpack_sym
 
 _SECH2_SLOPE = 4.0 / (3.0 * np.sqrt(3.0))  # max |d sech^2(u) / du|
 _EYE1 = np.eye(1)  # hoisted out of the per-step jac

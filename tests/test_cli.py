@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conedyn import cli, registry, reports
+from conedyn import cli, experiments, flow, registry, reports
 from conedyn.cli import Scenario, load_scenario, run, save_scenario, validate_scenario
 from conedyn.errors import ScenarioError
 from helpers import blowup_rotation
@@ -181,21 +181,37 @@ def test_trichotomy_cli(tmp_path):
     assert read_json(out)["branch"] == 2
 
 
-@pytest.mark.parametrize("argv,excluded", [
-    (["--n", "60", "--T", "30"], 2),
-    (["--n", "3", "--T", "1"], 2),
+@pytest.mark.parametrize("argv,excluded,status", [
+    (["--n", "60", "--T", "30"], 2, "ok"),
+    (["--n", "3", "--T", "1"], 2, "undetermined"),  # no sample confirmed
 ], ids=["n60-T30", "n3-T1"])
-def test_criterion_counts_undetermined_estimates(tmp_path, argv, excluded):
+def test_criterion_counts_undetermined_estimates(tmp_path, argv, excluded,
+                                                 status):
     # an undetermined omega estimate is excluded and counted, never a finding
     out = tmp_path / "cr.json"
     code = run(["criterion", "--system", "coop2d", *argv, "--seed", "0",
                 "--out", str(out)])
     rep = read_json(out)
-    assert code == 0 and rep["status"] == "ok" and rep["findings"] == []
+    assert code == 0 and rep["status"] == status and rep["findings"] == []
     counts = rep["counts"]
     assert counts["undetermined_excluded"] == excluded
     assert counts["escapes"] == 0
     assert counts["confirmed"] + excluded == counts["triggered"]
+
+
+@pytest.mark.parametrize("command", ["dichotomy", "criterion"])
+def test_a_run_that_decides_no_sample_is_undetermined(monkeypatch, tmp_path,
+                                                      command):
+    # every estimate escapes or is undetermined: the run decided nothing
+    monkeypatch.setattr(experiments, "_omega_batch", lambda s, X0, T, dt: [
+        None if i % 2 else flow.OmegaEstimate(flow.UNDETERMINED)
+        for i in range(len(X0))])
+    out = tmp_path / "r.json"
+    code = run([command, "--system", "bistable1d", "--n", "4", "--T", "1",
+                "--out", str(out)])
+    rep = read_json(out)
+    assert code == 0 and rep["status"] == "undetermined"
+    assert rep["findings"] == [] and rep["counts"]["escapes"] == 2
 
 
 def test_trichotomy_with_an_undetermined_estimate_is_undetermined(tmp_path):
@@ -535,6 +551,20 @@ _SMALL = {"check-dp": ["--system", "coop2d", "--n", "3", "--T", "1"],
           "order": ["--n", "20"], "causal": ["--n", "20"], "list": []}
 
 
+def _counted(rep):
+    return rep["counts"].get("violations", 0) > 0 or rep["findings"] != []
+
+
+# what in each command's report stands behind an exit of 1
+_VIOLATED = {"check-dp": lambda rep: rep["status"] == "violated",
+             "converge": lambda rep: (rep["status"] != "SDP"
+                                      or rep["counts"]["escapes"] > 0),
+             "trichotomy": lambda rep: rep["status"] == "violations",
+             "pf": lambda rep: False,
+             "dichotomy": _counted, "criterion": _counted,
+             "order": _counted, "causal": _counted}
+
+
 def _hostile_cases():
     for command, (_, reads) in cli.COMMANDS.items():
         yield command, []
@@ -580,4 +610,7 @@ def test_hostile_inputs_exit_with_a_documented_code(tmp_path, capsys,
     elif command == "list":
         assert out.read_text().startswith("system")
     else:
-        assert read_json(out)["exit_code"] == code
+        rep = read_json(out)
+        assert rep["exit_code"] == code
+        # exit 1 comes with a violation or a failed precondition, and only then
+        assert (code == 1) == _VIOLATED[command](rep)
