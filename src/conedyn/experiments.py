@@ -31,8 +31,10 @@ from .geometry import norms
 from .order import INC, STRICT, relations
 
 MATCH_TOL = 1e-3  # singleton limits closer than this are the same equilibrium
-# rows per ensemble_omega call; it bounds the tail window, stored once, to
-# k x 1024 x n floats (k stored tail steps)
+# rows per ensemble_omega call.  Each call builds its own contraction
+# balls, so merging the chunks would share balls across them and move
+# certified_at for N > 1024: the chunking stays for that, not for memory
+# (ensemble_omega streams its tails and stores no window).
 OMEGA_CHUNK = 1024
 _Z95 = 1.959963984540054
 

@@ -43,11 +43,15 @@ Omega-limit classification is an explicitly heuristic desk-scale estimate:
 the last quarter of the stored trajectory either clusters to a polished
 equilibrium (singleton), revisits its own start (non-singleton/recurrent),
 or stays honest as "undetermined".  Undetermined is never coerced.  Single
-orbits and ensembles store the same tail window, fixed by step indices,
-in one (k, M, n) array allocated at the first tail store and written in
-place, and ``classify_tail`` classifies a whole stack of tails in one
-batched pass over blocks of rows, in one set of block buffers; only the
-Newton polish of a clustered tail runs one row at a time.
+orbits and ensembles stream the same tail window, fixed by step indices,
+through a ``_TailStream``: it folds each slice of stored states, one
+witness stride long, into running per-row statistics (bounding box,
+finiteness, return distance) in one vectorized pass, and keeps whole
+only the tails of rows whose bounding box is still small enough to
+cluster, plus every other row's witnesses.  No (k, M, n) window is
+stored, and the verdicts equal those of the whole window bit for bit.
+``classify_tail`` finishes the stream; only the Newton polish of a
+clustered tail runs one row at a time.
 
 Ensemble rows retire early under a contraction certificate (Lohmiller &
 Slotine 1998).  A system may declare ``jac_lipschitz`` L, an exact global
@@ -99,7 +103,6 @@ TAIL_FRACTION = 0.25
 CLUSTER_RADIUS = 1e-4
 EQ_TOL = 1e-10
 CERT_EVERY = 100  # ensemble steps between contraction-certificate checks
-_CLASSIFY_BLOCK = 16  # tail rows per classify_tail pass: buffers (n, k, 16)
 _ORBIT_CHUNK = 1024  # steps of one orbit per batched step-map call
 _CERT_F_MAX = 1e-2  # only rows with |f| below this seed an equilibrium search
 _CERT_EQ_TOL = 1e-12  # certified equilibria are polished past EQ_TOL
@@ -645,45 +648,135 @@ def _dot(u: np.ndarray, v: np.ndarray, out=None, tmp=None) -> np.ndarray:
     return out
 
 
-class _TailBlock:
-    """A block of tails in X, component-major (n, k, B), and work buffers
-    that every block of a call reuses: fresh ones would fault their pages
-    in again.  Past a short last block, X holds stale rows: their results
-    go unused."""
+class _TailStream:
+    """The tail window of M rows, classified as it is stored.
 
-    def __init__(self, n: int, k: int, B: int):
-        self.X, self.V, self.AB = np.empty((3, n, k, B))
-        self.s, self.den, self.tmp = np.empty((3, k, B))
-        self.mask = np.empty((k, B), dtype=bool)
+    ``store`` takes the next of k stored (M, n) states.  The states gather
+    component-major in one slice buffer of step = max(1, k // 64) stores,
+    the witness stride, after the last state of the slice before; each
+    full slice (and the short last one) updates, in one vectorized pass:
+    every row's running min and max (its finiteness and bounding box;
+    both propagate nan), its return distance (the anchor, state 0; whether
+    it has left 10 cluster_radius of it; the running minimum of the
+    segment distances from the first far state on), and the states it
+    keeps.  The bounding-box diagonal only grows, so only a row whose
+    diagonal is still below cluster_radius (near) can end clustered, and
+    only its tail is needed whole.  Rows near after the first slice get a
+    column of tails, (k, C, n): every state while they stay near, then
+    the witnesses (the states at multiples of step) in their slots.  The
+    others keep only their witnesses, in the rows of witnesses.  The
+    buffers are allocated once; fresh ones would fault their pages in
+    again on every slice.
+    """
 
-    def return_distances(self, cluster_radius: float) -> np.ndarray:
-        """Per tail of X (k >= 2): how close the polyline through it comes
-        back to its anchor, state 0, after first leaving 10 cluster_radius
-        of it; inf if it never leaves, or leaves only at its last state."""
-        X, V, s, tmp, mask = self.X, self.V, self.s, self.tmp, self.mask
-        anchor = X[:, :1]
-        D = np.subtract(X, anchor, out=V)
-        far = np.greater(np.sqrt(_dot(D, D, s, tmp), out=s),
-                         10.0 * cluster_radius, out=mask)
-        # the first far state; k, which masks every segment, for none
-        first = np.where(far.any(axis=0), far.argmax(axis=0), len(far))
-        a = X[:, :-1]  # segment i runs from state i along ab[:, i]
-        ab = np.subtract(X[:, 1:], a, out=self.AB[:, 1:])
-        den, tmp, mask = self.den[1:], tmp[1:], mask[1:]
-        den[np.equal(_dot(ab, ab, den, tmp), 0.0, out=mask)] = 1.0
-        t = _dot(np.subtract(anchor, a, out=V[:, 1:]), ab, s[1:], tmp)
+    def __init__(self, k: int, M: int, n: int, cluster_radius: float):
+        self.k, self.M, self.r = k, M, cluster_radius
+        self.step = step = max(1, k // 64)
+        self.seen = self.fill = 0  # states stored; of them, in the buffer
+        self.buf = np.empty((n, step + 1, M))  # [:, 0]: the state before
+        self.V = None  # return-distance buffers, once a row is not near
+        self.lo = np.full((n, M), np.inf)
+        self.hi = np.full((n, M), -np.inf)
+        self.left = np.zeros(M, dtype=bool)  # a state farther than 10 r
+        self.back = np.full(M, np.inf)
+        self.near = np.zeros(M, dtype=bool)  # bounding-box diagonal below r
+        self.rows = None  # the near rows, once a slice is in
+
+    def store(self, X: np.ndarray) -> None:
+        """Take the next stored (M, n) state; a full slice is folded in."""
+        self.fill += 1
+        self.buf[:, self.fill] = X.T
+        if self.fill == self.step:
+            self._take()
+
+    def _take(self) -> None:
+        """Fold the filled slice into the running statistics."""
+        b, buf, i0 = self.fill, self.buf, self.seen
+        new = buf[:, 1:b + 1]
+        if not i0:
+            self.anchor = new[:, 0].copy()
+            buf[:, 0] = new[:, 0]  # a zero-length first segment, masked
+        with np.errstate(invalid="ignore", over="ignore"):  # escaped rows
+            np.minimum(self.lo, new.min(axis=1), out=self.lo)
+            np.maximum(self.hi, new.max(axis=1), out=self.hi)
+            if self.rows is None or len(self.rows):
+                box = self.hi - self.lo
+                np.less(np.sqrt(_dot(box, box)), self.r, out=self.near)
+                self.rows = np.flatnonzero(self.near)
+            if not i0:
+                self._allocate(len(buf))
+            self._keep(new, i0)
+            if len(self.rows) < self.M:
+                self._return_distances(b)
+        buf[:, 0] = buf[:, b]
+        self.seen += b
+        self.fill = 0
+
+    def _allocate(self, n: int) -> None:
+        """tails for the rows near after the first slice (cols, marked in
+        in_tails), witnesses for the others (wrows); slot[j] is row j's
+        index in the one that holds it."""
+        self.cols = self.rows
+        self.in_tails = self.near.copy()
+        self.wrows = np.flatnonzero(~self.near)
+        self.tails = np.empty((self.k, len(self.cols), n))
+        w = len(range(0, self.k, self.step))
+        self.witnesses = np.empty((len(self.wrows), w, n))
+        self.slot = np.empty(self.M, dtype=int)
+        self.slot[self.cols] = np.arange(len(self.cols))
+        self.slot[self.wrows] = np.arange(len(self.wrows))
+
+    def _keep(self, new: np.ndarray, i0: int) -> None:
+        """Keep the slice's witness of every row and every state of the
+        near rows."""
+        if len(self.wrows):
+            self.witnesses[:, i0 // self.step] = new[:, 0, self.wrows].T
+        rows, b = self.rows, len(new[0])
+        if len(rows) == len(self.cols):  # every column is still near
+            self.tails[i0:i0 + b] = new[..., rows].transpose(1, 2, 0)
+            return
+        self.tails[i0] = new[:, 0, self.cols].T
+        if len(rows):
+            self.tails[i0:i0 + b, self.slot[rows]] = (
+                new[..., rows].transpose(1, 2, 0))
+
+    def _return_distances(self, b: int) -> None:
+        """Fold the slice's segments into back: segment q runs from the
+        state before new state q to it, and counts once a state before
+        new state q is farther than 10 r from the anchor."""
+        buf, anchor, r = self.buf, self.anchor[:, None], self.r
+        if self.V is None:
+            n, step, M = buf.shape[0], self.step, self.M
+            self.V, self.AB = np.empty((2, n, step, M))
+            self.s, self.den, self.tmp = np.empty((3, step, M))
+            self.skip = np.empty((step, M), dtype=bool)
+        V, s, tmp = self.V[:, :b], self.s[:b], self.tmp[:b]
+        D = np.subtract(buf[:, 1:b + 1], anchor, out=V)
+        far = np.sqrt(_dot(D, D, s, tmp), out=s) > 10.0 * r
+        gone = np.logical_or.accumulate(far, axis=0)  # far at q or before
+        skip = self.skip[:b]
+        np.logical_not(self.left, out=skip[0])
+        np.logical_not(gone[:-1], out=skip[1:])
+        skip[1:] &= skip[0]
+        self.left |= gone[-1]
+        a = buf[:, :b]
+        ab = np.subtract(buf[:, 1:b + 1], a, out=self.AB[:, :b])
+        den = _dot(ab, ab, self.den[:b], tmp)
+        den[den == 0.0] = 1.0
+        t = _dot(np.subtract(anchor, a, out=V), ab, s, tmp)
         np.clip(np.divide(t, den, out=t), 0.0, 1.0, out=t)
-        E = np.multiply(t, ab, out=V[:, 1:])
+        E = np.multiply(t, ab, out=V)
         np.subtract(anchor, np.add(a, E, out=E), out=E)
         d = np.sqrt(_dot(E, E, den, tmp), out=den)
-        d[np.less(np.arange(len(d))[:, None], first, out=mask)] = np.inf
-        return d.min(axis=0)
+        d[skip] = np.inf
+        np.minimum(self.back, d.min(axis=0), out=self.back)
 
 
-def classify_tail(s: FlowSystem, tails: np.ndarray,
-                  cluster_radius: float = CLUSTER_RADIUS,
+def classify_tail(s: FlowSystem, tails, cluster_radius: float = CLUSTER_RADIUS,
                   eq_tol: float = EQ_TOL) -> list:
-    """Classify a (k, M, n) stack of tail windows: M estimates, in order.
+    """Classify the tails of a ``_TailStream`` (built with cluster_radius)
+    or of a (k, M, n) stack of tail windows, which streams through one:
+    M estimates, in order.
 
     Shared by the single-orbit and ensemble paths.  A tail with a
     non-finite entry (an escape) gives None.  A tail whose bounding-box
@@ -693,41 +786,40 @@ def classify_tail(s: FlowSystem, tails: np.ndarray,
     chart guard), and undetermined otherwise.  Any other tail is
     non-singleton when the polyline through its states, from the first one
     farther than 10 cluster_radius from tail[0] on, comes back within
-    cluster_radius of tail[0], and undetermined otherwise.  The rows go
-    through in blocks of _CLASSIFY_BLOCK, each in one vectorized pass over
-    one set of buffers; only Newton runs per row.
+    cluster_radius of tail[0], and undetermined otherwise.  Every state of
+    the stream is already folded in; only Newton runs per row.  Rows may
+    share one array of witnesses: their witnesses are views into it.
     """
-    k, M, n = tails.shape
-    step = max(1, k // 64)  # witnesses of a non-singleton tail
-    w = _TailBlock(n, k, min(M, _CLASSIFY_BLOCK))
+    if not isinstance(tails, _TailStream):
+        window = np.asarray(tails, dtype=float)
+        tails = _TailStream(*window.shape, cluster_radius)
+        for X in window:
+            tails.store(X)
+    elif tails.r != cluster_radius:
+        raise ValueError("the stream was built with another cluster_radius")
+    st = tails
+    if st.fill:
+        st._take()  # the short last slice
+    finite = (np.isfinite(st.lo) & np.isfinite(st.hi)).all(axis=0)
     out = []
-    for b in range(0, M, _CLASSIFY_BLOCK):
-        block = tails[:, b:b + _CLASSIFY_BLOCK]
-        X = w.X[..., :block.shape[1]]
-        np.copyto(X, np.moveaxis(block, -1, 0))
-        finite = np.isfinite(X).all(axis=(0, 1))
-        with np.errstate(invalid="ignore", over="ignore"):  # escaped rows
-            box = X.max(axis=1) - X.min(axis=1)
-            clustered = np.sqrt(_dot(box, box)) < cluster_radius
-            back = (w.return_distances(cluster_radius)
-                    if (finite & ~clustered).any() else None)
-        for j in range(block.shape[1]):
-            tail = block[:, j]
-            if not finite[j]:
-                out.append(None)
-            elif clustered[j]:
-                p, res = _newton_polish(s, tail.mean(axis=0), eq_tol)
-                if (p is not None and res < 10.0 * eq_tol and float(np.max(
-                        np.linalg.norm(tail - p, axis=1))) < cluster_radius
-                        and not _off_chart(s, p)):
-                    out.append(OmegaEstimate(SINGLETON, point=p, residual=res))
-                else:
-                    out.append(OmegaEstimate(UNDETERMINED, residual=res))
-            elif back[j] < cluster_radius:
-                out.append(OmegaEstimate(NON_SINGLETON,
-                                         witnesses=tail[::step].copy()))
+    for j in range(st.M):
+        if not finite[j]:
+            out.append(None)
+        elif st.near[j]:
+            tail = st.tails[:, st.slot[j]]
+            p, res = _newton_polish(s, tail.mean(axis=0), eq_tol)
+            if (p is not None and res < 10.0 * eq_tol and float(np.max(
+                    np.linalg.norm(tail - p, axis=1))) < cluster_radius
+                    and not _off_chart(s, p)):
+                out.append(OmegaEstimate(SINGLETON, point=p, residual=res))
             else:
-                out.append(OmegaEstimate(UNDETERMINED))
+                out.append(OmegaEstimate(UNDETERMINED, residual=res))
+        elif st.back[j] < cluster_radius:
+            w = (st.tails[::st.step, st.slot[j]].copy() if st.in_tails[j]
+                 else st.witnesses[st.slot[j]])
+            out.append(OmegaEstimate(NON_SINGLETON, witnesses=w))
+        else:
+            out.append(OmegaEstimate(UNDETERMINED))
     return out
 
 
@@ -740,18 +832,19 @@ def _tail_start(T: float, dt: float, tail_fraction: float) -> int:
 
 
 def _march_tail(stepper: _Stepper, T: float, dt: float, tail_fraction: float,
-                store_stride: int, check=None):
-    """March stepper from 0 to T, storing only the tail window.
+                store_stride: int, check=None,
+                cluster_radius: float = CLUSTER_RADIUS):
+    """March stepper from 0 to T, streaming only the tail window.
 
     The window stores step ``_tail_start``, every store_stride-th step
     after it and the last step, so the window depends on T, dt and
     tail_fraction alone.  check(t) runs after every CERT_EVERY-th step
     before the window.  The march calls back at these steps alone.
-    Returns (times, window): the k stored times and a C-contiguous
-    (k, M, n) array of the stored states, allocated once at the first
-    store and written in place.  M is fixed over the window, since rows
-    only leave at checks; a march whose rows all left before the window
-    stores nothing and returns a (0, 0, n) window.
+    Returns (times, stream): the k stored times and the ``_TailStream``
+    (built with cluster_radius) that took every stored state as it came;
+    no window is kept.  M is fixed over the window, since rows only leave
+    at checks; a march whose rows all left before the window stores
+    nothing and returns a stream of no rows.
     """
     n_full, rem = _plan_steps(T, dt)
     total = n_full + (1 if rem > 0.0 else 0)
@@ -759,23 +852,25 @@ def _march_tail(stepper: _Stepper, T: float, dt: float, tail_fraction: float,
     checks = (range(CERT_EVERY, tail_start, CERT_EVERY) if check is not None
               else range(0))
     stores = range(tail_start, total, store_stride)
-    # the window stays empty only if every row left before it opened
-    times, window = [], np.empty((0, 0, stepper.X.shape[1]))
+    k, n = len(stores) + 1, stepper.X.shape[1]  # the stores and the last
+    times, stream = [], None
     left = len(checks)  # the checks come first, then the stores
 
     def on_event(t, last):
-        nonlocal left, window
+        nonlocal left, stream
         if left:
             left -= 1
             check(t)
         else:
-            if not times:  # the first store allocates all k: stores + last
-                window = np.empty((len(stores) + 1,) + stepper.X.shape)
-            window[len(times)] = stepper.X
+            if stream is None:  # the rows still in the batch
+                stream = _TailStream(k, len(stepper.X), n, cluster_radius)
+            stream.store(stepper.X)
             times.append(t)
 
     stepper.march(T, dt, on_event, events=itertools.chain(checks, stores))
-    return np.asarray(times), window
+    if stream is None:  # every row left before the window opened
+        stream = _TailStream(k, 0, n, cluster_radius)
+    return np.asarray(times), stream
 
 
 def omega_limit(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
@@ -784,11 +879,12 @@ def omega_limit(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
                 eq_tol: float = EQ_TOL,
                 store_stride: int = STORE_STRIDE) -> OmegaEstimate:
     """Integrate to T and classify the tail window of stored states, the
-    window ``ensemble_tails`` stores; leaving the chart or blowing up
+    window ``ensemble_tails`` streams; leaving the chart or blowing up
     raises, as in ``integrate``."""
     x0 = s.manifold.check_point(x0)
     stepper = _Stepper(s, x0[None, :])
-    _, tail = _march_tail(stepper, T, dt, tail_fraction, store_stride)
+    _, tail = _march_tail(stepper, T, dt, tail_fraction, store_stride,
+                          cluster_radius=cluster_radius)
     return classify_tail(s, tail, cluster_radius, eq_tol)[0]
 
 
@@ -858,20 +954,21 @@ def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
                    dt: float = DT_DEFAULT,
                    tail_fraction: float = TAIL_FRACTION,
                    store_stride: int = STORE_STRIDE):
-    """Batched integration that stores only the tail window.
+    """Batched integration that streams only the tail window.
 
     On a euclidean system that declares jac_lipschitz, every CERT_EVERY
     steps before the tail window the rows that a contraction certificate
     places in a singleton verdict leave the batch (see the module
     docstring); the march ends once every row has left.
 
-    Returns (tail_times, tails, rows, certified): tails is the window of
-    ``_march_tail``, a (k, M, n) array written in place as the march goes,
-    so the window is stored once.  It holds the M rows still in the batch
+    Returns (tail_times, tails, rows, certified): tails is the
+    ``_TailStream`` of ``_march_tail``, built with the default
+    CLUSTER_RADIUS, which took each stored state as the march went; no
+    (k, M, n) window is stored.  It holds the M rows still in the batch
     at the tail start, whose sample indices are rows; certified[j] is the
     certified singleton estimate of a retired sample j and None for the
-    others.  Escaped rows carry nan in tails and classify as escapes
-    downstream.
+    others.  Escaped rows carry nan into the stream and classify as
+    escapes downstream.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     stepper = _Stepper(s, X0, on_failure="mask")

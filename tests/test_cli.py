@@ -583,6 +583,8 @@ def _hostile_cases():
                 for cone in _DEGENERATE_CONES.values())
         if "dt" in reads:  # coop2d's RK4 is unstable far below this step
             yield command, ["--T", "400", "--dt", "4"]
+        if command in ("criterion", "dichotomy"):  # a run that decides: ok
+            yield command, ["--T", "30", "--seed", "0"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -543,8 +543,8 @@ def _oracle_run(path, system):
         xs, ps = flow.tangent_at(s, X0, [LIN_T], LIN_DT)
         return [], [], [(xs[0], X0 @ R(11).T), (ps[0], np.stack([R(11)] * 2))]
     if path == "ensemble_tails":  # tail starts at step ceil(0.75 * 11) = 9
-        times, frames, _, _ = flow.ensemble_tails(s, X0, LIN_T, LIN_DT,
-                                                  store_stride=3)
+        times, frames, _, _, _ = _recorded_tails(s, X0, LIN_T, LIN_DT,
+                                                 store_stride=3)
         return [9, 11], times, [(f, X0 @ R(i).T)
                                 for i, f in zip([9, 11], frames)]
     # the rays are renormalized after each step: compare directions
@@ -749,9 +749,10 @@ def _assert_same_estimate(got, want):
         return
     assert got.kind == want.kind
     for a, b in ((got.point, want.point), (got.witnesses, want.witnesses)):
-        assert (a is None and b is None) or np.array_equal(a, b)
-    assert got.residual == want.residual or (np.isnan(got.residual)
-                                             and np.isnan(want.residual))
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert repr(got.residual) == repr(want.residual)
     assert got.certified_at == want.certified_at
 
 
@@ -818,8 +819,8 @@ def test_single_and_ensemble_paths_classify_one_tail_window(T):
 
 def _list_and_stack_window(s, X0, T, on_failure="mask"):
     """The tail window built store by store as a list of copies of the
-    states and stacked once at the end: the reference for the window that
-    ``_march_tail`` writes in place (no retirement)."""
+    states and stacked once at the end: the reference for the states that
+    ``_march_tail`` streams (no retirement)."""
     dt = flow.DT_DEFAULT
     n_full, rem = flow._plan_steps(T, dt)
     total = n_full + (1 if rem > 0.0 else 0)
@@ -836,25 +837,68 @@ def _list_and_stack_window(s, X0, T, on_failure="mask"):
     return np.asarray(times), np.asarray(frames)
 
 
+def _recorded(march, *args, **kwargs):
+    """Run march(*args, **kwargs) with a copy of every state a tail
+    stream takes recorded: (its result, the (k, M, n) stack of them)."""
+    frames, store = [], flow._TailStream.store
+
+    def spy(stream, X):
+        frames.append(X.copy())
+        store(stream, X)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow._TailStream, "store", spy)
+        got = march(*args, **kwargs)
+    return got, np.array(frames)
+
+
+def _recorded_tails(s, X0, T, *args, **kwargs):
+    """ensemble_tails with the streamed window recorded: (times, window,
+    stream, rows, certified)."""
+    (times, stream, rows, certified), window = _recorded(
+        flow.ensemble_tails, s, X0, T, *args, **kwargs)
+    if not len(window):  # no row reached the tail
+        window = np.empty((0, 0, X0.shape[1]))
+    return times, window, stream, rows, certified
+
+
 def _assert_same_window(got, want):
-    """Same shape, C-contiguous, and the same bytes, nan payloads included."""
+    """Same shape and the same bytes, nan payloads included."""
     assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
 
 
-def test_an_ensemble_tail_window_is_stored_once():
+def test_an_ensemble_tail_window_is_never_stored():
     rot = registry.get_system("rotation2d")
     X0 = flow.sample_states(rot, 3.0, 1000, 0)
     tracemalloc.start()
     try:
-        _, tails, _, _ = flow.ensemble_tails(rot, X0, 40.0)
+        out = flow.ensemble_omega(rot, X0, 40.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tails.shape == (1001, 1000, 2)
-    # a list of per-store copies stacked into a second array peaks at 2x
-    assert peak <= 1.25 * tails.nbytes
+    assert {e.kind for e in out} == {NON_SINGLETON}
+    # the window would be 1001 x 1000 x 2 floats, 16.0 MB; the stream keeps
+    # 67 witnesses of every row and a slice of 15 stores
+    assert peak <= 4e6
+
+
+def test_a_stream_whose_rows_all_cluster_keeps_one_window():
+    # every metzler_linear row clusters at the origin, so the stream keeps
+    # every state of every row: its worst case
+    s = registry.get_system("metzler_linear")
+    X0 = flow.sample_states(s, 3.0, 1000, 0)
+    tracemalloc.start()
+    try:
+        out = flow.ensemble_omega(s, X0, 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {e.kind for e in out} == {SINGLETON}
+    window = 501 * 1000 * 2 * 8
+    # the kept tails are one window; the slice buffer and the estimates
+    # come on top, but no second window-sized buffer does
+    assert peak <= 1.08 * window
 
 
 @pytest.mark.parametrize("T", [13.0, 15.0])
@@ -864,7 +908,7 @@ def test_an_escaping_ensemble_window_equals_the_list_and_stack_reference(T):
     # at 9.75 (T = 13), among the escapes, or at 11.25 (T = 15), after all
     spd = registry.get_system("spd_lyapunov")
     X0 = flow.sample_states(spd, 3.0, 1000, 0)
-    times, tails, rows, certified = flow.ensemble_tails(spd, X0, T)
+    times, tails, stream, rows, certified = _recorded_tails(spd, X0, T)
     ref_times, ref = _list_and_stack_window(spd, X0, T)
     assert np.isnan(tails[-1]).all()
     assert np.isfinite(tails[0]).all(axis=1).any() == (T == 13.0)
@@ -872,14 +916,16 @@ def test_an_escaping_ensemble_window_equals_the_list_and_stack_reference(T):
     assert times.tobytes() == ref_times.tobytes()
     assert np.array_equal(rows, np.arange(1000))
     assert all(c is None for c in certified)
+    assert flow.classify_tail(spd, stream) == [None] * 1000
 
 
 def test_a_window_whose_rows_all_retired_is_empty(coop):
     # every coop2d row certifies before the tail opens at t = 75
     X0 = flow.sample_states(coop, 3.0, 200, 0)
-    times, tails, rows, certified = flow.ensemble_tails(coop, X0, 100.0)
+    times, tails, stream, rows, certified = _recorded_tails(coop, X0, 100.0)
     assert times.shape == (0,) and rows.shape == (0,)
-    _assert_same_window(tails, np.empty((0, 0, 2)))
+    assert tails.shape == (0, 0, 2) and stream.M == 0
+    assert flow.classify_tail(coop, stream) == []
     assert all(c is not None and c.kind == SINGLETON for c in certified)
 
 
@@ -891,12 +937,38 @@ def test_a_window_whose_rows_all_retired_is_empty(coop):
 def test_one_orbit_window_equals_the_list_and_stack_reference(name, x0, T):
     s = registry.get_system(name)
     x0 = np.array(x0)
-    _, window = flow._march_tail(flow._Stepper(s, x0[None]), T, flow.DT_DEFAULT,
-                                 flow.TAIL_FRACTION, flow.STORE_STRIDE)
+    _, window = _recorded(flow._march_tail, flow._Stepper(s, x0[None]), T,
+                          flow.DT_DEFAULT, flow.TAIL_FRACTION,
+                          flow.STORE_STRIDE)
     _, ref = _list_and_stack_window(s, x0[None], T, on_failure="raise")
     _assert_same_window(window, ref)
     _assert_same_estimate(flow.omega_limit(s, x0, T),
                           flow.classify_tail(s, ref)[0])
+
+
+@pytest.mark.parametrize("name,T,N,kinds", [
+    ("rotation2d", 40.0, 1000, {NON_SINGLETON}),
+    ("spd_lyapunov", 5.0, 1000, {UNDETERMINED}),
+    ("spd_lyapunov", 13.0, 300, {None}),  # every row escapes
+    ("coop2d", 100.0, 50, {SINGLETON}),
+    ("coop2d", 12.0, 300, {SINGLETON, UNDETERMINED}),
+    ("bistable1d", 8.0, 500, {SINGLETON, UNDETERMINED}),
+    ("metzler_linear", 20.0, 300, {SINGLETON}),  # every row clustered
+    ("coop2d", flow.DT_DEFAULT, 50, {UNDETERMINED}),  # one stored state
+])
+def test_streamed_estimates_equal_the_per_row_reference(name, T, N, kinds):
+    s = registry.get_system(name)
+    X0 = experiments.sample_states(s, 3.0, N, 0)
+    _, ref = _list_and_stack_window(s, X0, T)
+    want = [_classify_one(s, ref[:, j]) for j in range(N)]
+    assert {e and e.kind for e in want} == kinds
+    plain = dataclasses.replace(s, jac_lipschitz=None)
+    for got, w in zip(flow.ensemble_omega(plain, X0, T), want, strict=True):
+        _assert_same_estimate(got, w)
+    # with retirement, every row that reaches the tail keeps its estimate
+    for got, w in zip(flow.ensemble_omega(s, X0, T), want, strict=True):
+        if got is None or got.certified_at is None:
+            _assert_same_estimate(got, w)
 
 
 # ------------------------------------------------------ batched classifier
@@ -1034,9 +1106,13 @@ def test_batched_classifier_matches_the_reference_on_ensembles(name, T, kinds):
     if name == "coop2d":  # no retirement: every row reaches the classifier
         s = dataclasses.replace(s, jac_lipschitz=None)
     X0 = experiments.sample_states(s, 3.0, 60, 0)
-    _, tails, _, _ = flow.ensemble_tails(s, X0, T)
+    _, tails, stream, _, _ = _recorded_tails(s, X0, T)
     got = _assert_matches_reference(s, tails)
     assert {e and e.kind for e in got} == kinds
+    streamed = flow.classify_tail(s, stream)
+    assert len(streamed) == len(got)
+    for est, want in zip(streamed, got):
+        _assert_same_estimate(est, want)
 
 
 # ------------------------------------------ component-major matrix steps
@@ -1105,7 +1181,7 @@ def test_matrix_steps_equal_the_row_major_reference(name, seed, times):
     if name == "spd_lyapunov" and seed is None:
         assert np.all(np.isnan(xs[:, 1])) and np.all(np.isnan(ps[:, 1]))
     T = times[-1] + 5e-4  # the plan ends in a partial step
-    times, tails, rows, _ = flow.ensemble_tails(s, X0, T, dt)
+    times, tails, _, rows, _ = _recorded_tails(s, X0, T, dt)
     plan = _plan(T, dt)
     start = flow._tail_start(T, dt, flow.TAIL_FRACTION)
     stored = [X.copy() for i, (X, _) in enumerate(_matrix_march(s, X0, plan), 1)
@@ -1166,7 +1242,7 @@ def test_matrix_steps_survive_retirement():
     X0 = np.array([[0.005, 0.0], [1.0, -1.0], [0.01, 0.02], [2.0, 0.5],
                    [-0.03, 0.01]])
     T, dt = 10.0, 1e-3
-    times, tails, rows, certified = flow.ensemble_tails(s, X0, T, dt)
+    times, tails, _, rows, certified = _recorded_tails(s, X0, T, dt)
     assert list(rows) == [1, 3]
     assert [c is not None for c in certified] == [True, False, True, False,
                                                   True]
