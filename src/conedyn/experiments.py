@@ -50,9 +50,10 @@ def wilson_interval(k: int, n: int, z: float = _Z95):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _omega_batch(s, X0, T, dt):
+def _omega_batch(s, X0, T, dt, witnesses=True):
     return [est for i in range(0, len(X0), OMEGA_CHUNK)
-            for est in flowmod.ensemble_omega(s, X0[i:i + OMEGA_CHUNK], T, dt)]
+            for est in flowmod.ensemble_omega(s, X0[i:i + OMEGA_CHUNK], T, dt,
+                                              witnesses=witnesses)]
 
 
 def _match_cluster(points: list, p: np.ndarray, tol: float):
@@ -113,7 +114,8 @@ def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
         dp = positivity.check_dp(s, field, 25, 6, dp_times, rng, dt=dt)
         dp_status = dp.status
 
-    estimates = _omega_batch(s, X0, T, dt)
+    # the witnesses are read only under an SDP verdict
+    estimates = _omega_batch(s, X0, T, dt, dp_status == positivity.SDP)
 
     eq_points: list[np.ndarray] = []
     eq_counts: list[int] = []

@@ -46,12 +46,15 @@ or stays honest as "undetermined".  Undetermined is never coerced.  Single
 orbits and ensembles stream the same tail window, fixed by step indices,
 through a ``_TailStream``: it folds each slice of stored states, one
 witness stride long, into running per-row statistics (bounding box,
-finiteness, return distance) in one vectorized pass, and keeps whole
-only the tails of rows whose bounding box is still small enough to
-cluster, plus every other row's witnesses.  No (k, M, n) window is
-stored, and the verdicts equal those of the whole window bit for bit.
-``classify_tail`` finishes the stream; only the Newton polish of a
-clustered tail runs one row at a time.
+finiteness, return distance) in one vectorized pass and keeps no state.
+They decide every verdict; ``classify_tail`` replays the window once,
+from the batch at the tail start in the march's own steps, only for the
+states they cannot give: a clustered tail's (its mean seeds Newton, and
+every state must lie near the point) and, if asked for, non-singleton
+witnesses.  The replay steps the whole batch: a declared matrix steps
+all rows in one product, and a product over fewer columns can round
+differently (one column takes BLAS's gemv path).  The verdicts equal
+those of the whole window bit for bit; only Newton runs per row.
 
 Ensemble rows retire early under a contraction certificate (Lohmiller &
 Slotine 1998).  A system may declare ``jac_lipschitz`` L, an exact global
@@ -85,6 +88,7 @@ rows on every other step, so every decision is the one the guard makes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -373,14 +377,14 @@ class _Stepper:
         self.any_dead = bool(self.dead.any())
 
     def march(self, t_end: float, dt: float, on_store=None, stride: int = 1,
-              events=None) -> None:
+              events=None, first: int = 0) -> None:
         """Step from self.t to t_end: full dt steps plus one partial step.
 
         Step i ends at time self.t + min(i*dt, span).  on_store(t, last)
         runs after each step of events, ascending step indices below the
         last (by default the multiples of stride, from i = 0, the start),
         and after the last step.  The march ends early once the batch is
-        empty.
+        empty.  With first, it resumes the plan at step first's state.
         """
         t0 = self.t
         span = t_end - t0
@@ -391,7 +395,7 @@ class _Stepper:
         elif events is None:
             events = range(0, total, stride)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            i = proven = 0  # steps i + 1..proven need no guard
+            i = proven = first  # steps i + 1..proven need no guard
             fresh = True  # no proof has failed on the batch as it stands
             for stop in itertools.chain(events, (total,)):
                 while i < stop:
@@ -654,33 +658,27 @@ class _TailStream:
     ``store`` takes the next of k stored (M, n) states.  The states gather
     component-major in one slice buffer of step = max(1, k // 64) stores,
     the witness stride, after the last state of the slice before; each
-    full slice (and the short last one) updates, in one vectorized pass:
-    every row's running min and max (its finiteness and bounding box;
-    both propagate nan), its return distance (the anchor, state 0; whether
+    full slice (and the short last one) updates, in one vectorized pass,
+    every row's running min and max (its finiteness and bounding box; both
+    propagate nan) and its return distance (the anchor, state 0; whether
     it has left 10 cluster_radius of it; the running minimum of the
-    segment distances from the first far state on), and the states it
-    keeps.  The bounding-box diagonal only grows, so only a row whose
-    diagonal is still below cluster_radius (near) can end clustered, and
-    only its tail is needed whole.  Rows near after the first slice get a
-    column of tails, (k, C, n): every state while they stay near, then
-    the witnesses (the states at multiples of step) in their slots.  The
-    others keep only their witnesses, in the rows of witnesses.  The
-    buffers are allocated once; fresh ones would fault their pages in
-    again on every slice.
+    segment distances from the first far state on).  replay(visit) calls
+    visit with the k states again, in order.  The buffers are allocated
+    once; fresh ones would fault their pages in again on every slice.
     """
 
-    def __init__(self, k: int, M: int, n: int, cluster_radius: float):
-        self.k, self.M, self.r = k, M, cluster_radius
+    def __init__(self, k: int, M: int, n: int, cluster_radius: float,
+                 replay=None):
+        self.k, self.M, self.r, self.replay = k, M, cluster_radius, replay
         self.step = step = max(1, k // 64)
-        self.seen = self.fill = 0  # states stored; of them, in the buffer
+        self.fill = 0  # states in the buffer
         self.buf = np.empty((n, step + 1, M))  # [:, 0]: the state before
-        self.V = None  # return-distance buffers, once a row is not near
+        self.anchor = self.V = None  # V: return-distance buffers, once used
         self.lo = np.full((n, M), np.inf)
         self.hi = np.full((n, M), -np.inf)
         self.left = np.zeros(M, dtype=bool)  # a state farther than 10 r
         self.back = np.full(M, np.inf)
-        self.near = np.zeros(M, dtype=bool)  # bounding-box diagonal below r
-        self.rows = None  # the near rows, once a slice is in
+        self.all_near = True  # every bounding-box diagonal is below r
 
     def store(self, X: np.ndarray) -> None:
         """Take the next stored (M, n) state; a full slice is folded in."""
@@ -691,54 +689,21 @@ class _TailStream:
 
     def _take(self) -> None:
         """Fold the filled slice into the running statistics."""
-        b, buf, i0 = self.fill, self.buf, self.seen
+        b, buf = self.fill, self.buf
         new = buf[:, 1:b + 1]
-        if not i0:
+        if self.anchor is None:
             self.anchor = new[:, 0].copy()
             buf[:, 0] = new[:, 0]  # a zero-length first segment, masked
         with np.errstate(invalid="ignore", over="ignore"):  # escaped rows
             np.minimum(self.lo, new.min(axis=1), out=self.lo)
             np.maximum(self.hi, new.max(axis=1), out=self.hi)
-            if self.rows is None or len(self.rows):
+            if self.all_near:  # then no state is 10 r from its anchor
                 box = self.hi - self.lo
-                np.less(np.sqrt(_dot(box, box)), self.r, out=self.near)
-                self.rows = np.flatnonzero(self.near)
-            if not i0:
-                self._allocate(len(buf))
-            self._keep(new, i0)
-            if len(self.rows) < self.M:
+                self.all_near = bool((_dot(box, box) < self.r ** 2).all())
+            if not self.all_near:
                 self._return_distances(b)
         buf[:, 0] = buf[:, b]
-        self.seen += b
         self.fill = 0
-
-    def _allocate(self, n: int) -> None:
-        """tails for the rows near after the first slice (cols, marked in
-        in_tails), witnesses for the others (wrows); slot[j] is row j's
-        index in the one that holds it."""
-        self.cols = self.rows
-        self.in_tails = self.near.copy()
-        self.wrows = np.flatnonzero(~self.near)
-        self.tails = np.empty((self.k, len(self.cols), n))
-        w = len(range(0, self.k, self.step))
-        self.witnesses = np.empty((len(self.wrows), w, n))
-        self.slot = np.empty(self.M, dtype=int)
-        self.slot[self.cols] = np.arange(len(self.cols))
-        self.slot[self.wrows] = np.arange(len(self.wrows))
-
-    def _keep(self, new: np.ndarray, i0: int) -> None:
-        """Keep the slice's witness of every row and every state of the
-        near rows."""
-        if len(self.wrows):
-            self.witnesses[:, i0 // self.step] = new[:, 0, self.wrows].T
-        rows, b = self.rows, len(new[0])
-        if len(rows) == len(self.cols):  # every column is still near
-            self.tails[i0:i0 + b] = new[..., rows].transpose(1, 2, 0)
-            return
-        self.tails[i0] = new[:, 0, self.cols].T
-        if len(rows):
-            self.tails[i0:i0 + b, self.slot[rows]] = (
-                new[..., rows].transpose(1, 2, 0))
 
     def _return_distances(self, b: int) -> None:
         """Fold the slice's segments into back: segment q runs from the
@@ -773,7 +738,7 @@ class _TailStream:
 
 
 def classify_tail(s: FlowSystem, tails, cluster_radius: float = CLUSTER_RADIUS,
-                  eq_tol: float = EQ_TOL) -> list:
+                  eq_tol: float = EQ_TOL, witnesses: bool = True) -> list:
     """Classify the tails of a ``_TailStream`` (built with cluster_radius)
     or of a (k, M, n) stack of tail windows, which streams through one:
     M estimates, in order.
@@ -786,27 +751,46 @@ def classify_tail(s: FlowSystem, tails, cluster_radius: float = CLUSTER_RADIUS,
     chart guard), and undetermined otherwise.  Any other tail is
     non-singleton when the polyline through its states, from the first one
     farther than 10 cluster_radius from tail[0] on, comes back within
-    cluster_radius of tail[0], and undetermined otherwise.  Every state of
-    the stream is already folded in; only Newton runs per row.  Rows may
-    share one array of witnesses: their witnesses are views into it.
+    cluster_radius of tail[0], and undetermined otherwise; its witnesses
+    (views into one array) are None unless witnesses is set.  The stream's
+    statistics decide every row; one replay of the window gives the states
+    of the clustered rows and the witnesses.  Only Newton runs per row.
     """
     if not isinstance(tails, _TailStream):
         window = np.asarray(tails, dtype=float)
-        tails = _TailStream(*window.shape, cluster_radius)
-        for X in window:
-            tails.store(X)
+        tails = _TailStream(*window.shape, cluster_radius,
+                            lambda visit: [visit(X) for X in window])
+        tails.replay(tails.store)
     elif tails.r != cluster_radius:
         raise ValueError("the stream was built with another cluster_radius")
     st = tails
     if st.fill:
         st._take()  # the short last slice
     finite = (np.isfinite(st.lo) & np.isfinite(st.hi)).all(axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        box = st.hi - st.lo
+        near = np.sqrt(_dot(box, box)) < cluster_radius  # and so finite
+    back = finite & ~near & (st.back < cluster_radius)
+    cols, wrows = np.flatnonzero(near), np.flatnonzero(back & witnesses)
+    kept = np.empty((st.k, len(cols), len(box)))
+    wit = np.empty((len(wrows), len(range(0, st.k, st.step)), len(box)))
+    if len(cols) or len(wrows):
+        count = itertools.count()
+
+        def visit(X):
+            i = next(count)
+            kept[i] = X[cols]
+            if i % st.step == 0:
+                wit[:, i // st.step] = X[wrows]
+
+        st.replay(visit)
+    kept, wit = iter(kept.transpose(1, 0, 2)), iter(wit)
     out = []
     for j in range(st.M):
         if not finite[j]:
             out.append(None)
-        elif st.near[j]:
-            tail = st.tails[:, st.slot[j]]
+        elif near[j]:
+            tail = next(kept)
             p, res = _newton_polish(s, tail.mean(axis=0), eq_tol)
             if (p is not None and res < 10.0 * eq_tol and float(np.max(
                     np.linalg.norm(tail - p, axis=1))) < cluster_radius
@@ -814,10 +798,9 @@ def classify_tail(s: FlowSystem, tails, cluster_radius: float = CLUSTER_RADIUS,
                 out.append(OmegaEstimate(SINGLETON, point=p, residual=res))
             else:
                 out.append(OmegaEstimate(UNDETERMINED, residual=res))
-        elif st.back[j] < cluster_radius:
-            w = (st.tails[::st.step, st.slot[j]].copy() if st.in_tails[j]
-                 else st.witnesses[st.slot[j]])
-            out.append(OmegaEstimate(NON_SINGLETON, witnesses=w))
+        elif back[j]:
+            out.append(OmegaEstimate(
+                NON_SINGLETON, witnesses=next(wit) if witnesses else None))
         else:
             out.append(OmegaEstimate(UNDETERMINED))
     return out
@@ -831,6 +814,15 @@ def _tail_start(T: float, dt: float, tail_fraction: float) -> int:
     return max(1, int(np.ceil((1.0 - tail_fraction) * total)))
 
 
+def _replay_tail(s: FlowSystem, X: np.ndarray, T: float, dt: float,
+                 stores: range, visit) -> None:
+    """visit(state) at each of stores and at the last step of a march of s
+    to T, replayed from the batch X at step stores.start."""
+    stepper = _Stepper(s, X, on_failure="mask")  # copies X, layout and all
+    stepper.march(T, dt, lambda t, last: visit(stepper.X), events=stores,
+                  first=stores.start)
+
+
 def _march_tail(stepper: _Stepper, T: float, dt: float, tail_fraction: float,
                 store_stride: int, check=None,
                 cluster_radius: float = CLUSTER_RADIUS):
@@ -842,7 +834,8 @@ def _march_tail(stepper: _Stepper, T: float, dt: float, tail_fraction: float,
     before the window.  The march calls back at these steps alone.
     Returns (times, stream): the k stored times and the ``_TailStream``
     (built with cluster_radius) that took every stored state as it came;
-    no window is kept.  M is fixed over the window, since rows only leave
+    it keeps the batch at the tail start, never written into, to replay
+    the window from.  M is fixed over the window, since rows only leave
     at checks; a march whose rows all left before the window stores
     nothing and returns a stream of no rows.
     """
@@ -863,7 +856,10 @@ def _march_tail(stepper: _Stepper, T: float, dt: float, tail_fraction: float,
             check(t)
         else:
             if stream is None:  # the rows still in the batch
-                stream = _TailStream(k, len(stepper.X), n, cluster_radius)
+                replay = functools.partial(_replay_tail, stepper.s, stepper.X,
+                                           T, dt, stores)
+                stream = _TailStream(k, len(stepper.X), n, cluster_radius,
+                                     replay)
             stream.store(stepper.X)
             times.append(t)
 
@@ -963,17 +959,19 @@ def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
 
     Returns (tail_times, tails, rows, certified): tails is the
     ``_TailStream`` of ``_march_tail``, built with the default
-    CLUSTER_RADIUS, which took each stored state as the march went; no
-    (k, M, n) window is stored.  It holds the M rows still in the batch
-    at the tail start, whose sample indices are rows; certified[j] is the
-    certified singleton estimate of a retired sample j and None for the
-    others.  Escaped rows carry nan into the stream and classify as
-    escapes downstream.
+    CLUSTER_RADIUS, which folded each stored state into per-row statistics
+    as the march went; no state of the window is stored.  It holds the M
+    rows still in the batch at the tail start, whose sample indices are
+    rows; certified[j] is the certified singleton estimate of a retired
+    sample j and None for the others.  Escaped rows carry nan into the
+    stream and classify as escapes downstream.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     stepper = _Stepper(s, X0, on_failure="mask")
     certifier = None
-    if s.jac_lipschitz is not None and s.manifold.kind == "euclidean":
+    A = s.matrix  # with lambda_max(sym A) >= 0, every equilibrium has mu >= 0
+    if (s.jac_lipschitz is not None and s.manifold.kind == "euclidean"
+            and (A is None or np.linalg.eigvalsh(0.5 * (A + A.T))[-1] < 0.0)):
         certifier = _Certifier(s, min(_tail_start(T, dt, tail_fraction) * dt,
                                       T))
     rows = np.arange(len(X0))
@@ -999,16 +997,17 @@ def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
 def ensemble_omega(s: FlowSystem, X0: np.ndarray, T: float,
                    dt: float = DT_DEFAULT,
                    tail_fraction: float = TAIL_FRACTION,
-                   store_stride: int = STORE_STRIDE):
+                   store_stride: int = STORE_STRIDE, witnesses: bool = True):
     """Omega-limit estimates for a batch; escaped samples come back as None.
 
     Tails classify with the default CLUSTER_RADIUS and EQ_TOL, the
     tolerances the retirement certificate is built on, in one
-    ``classify_tail`` call.
+    ``classify_tail`` call; non-singleton estimates carry witnesses only
+    when witnesses is set, and only then are they replayed.
     """
     _, tails, rows, out = ensemble_tails(s, X0, T, dt, tail_fraction,
                                          store_stride)
-    for j, est in zip(rows, classify_tail(s, tails)):
+    for j, est in zip(rows, classify_tail(s, tails, witnesses=witnesses)):
         out[j] = est
     return out
 

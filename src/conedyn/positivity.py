@@ -75,6 +75,27 @@ def _first_min(values: np.ndarray):
     return np.inf, None
 
 
+def _rk4_step_not_positive(s: flowmod.FlowSystem, cone: Cone, X0: np.ndarray,
+                           rays: np.ndarray, dt: float, tol: float) -> bool:
+    """True when RK4's step map, not the flow, refutes positivity at the
+    sampled states X0: the step map at DT_DEFAULT keeps every ray of
+    rays[i] (the rays drawn at X0[i]) within tol of the cone, and the map
+    at dt pushes one out by more than 10 tol.
+
+    RK4's stability polynomial is absolutely monotonic on [-1, 0] and on
+    no larger interval, so its step map at a large h need not be positive
+    where the flow is; a system that is not positive fails at DT_DEFAULT
+    too.  One ``_rk4_step_map`` and one batched ``margins`` call per step.
+    """
+    def margins(h):
+        M = flowmod._rk4_step_map(s, X0, h)[1]
+        return cone.margins(rays @ M.transpose(0, 2, 1))
+
+    with np.errstate(all="ignore"):  # a map at a huge dt may overflow
+        return bool(np.all(margins(flowmod.DT_DEFAULT) >= -tol)
+                    and np.any(margins(dt) < -10.0 * tol))
+
+
 def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
              ray_samples: int, times, seed: int | np.random.Generator,
              tol: float = DP_TOL, sdp_margin_floor: float = SDP_MARGIN_FLOOR,
@@ -88,7 +109,9 @@ def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
     below -10*tol refute positivity; margins in [-10*tol, -tol) are
     inconclusive; otherwise the verdict is DP, upgraded to SDP when every
     boundary-ray image stays strictly interior by more than
-    sdp_margin_floor at all sampled t > 0.
+    sdp_margin_floor at all sampled t > 0.  A refutation at dt above
+    DT_DEFAULT that RK4's step map explains (``_rk4_step_not_positive``)
+    is inconclusive instead, with params["rk4_step_not_positive"] set.
     """
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0:
@@ -133,6 +156,11 @@ def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
               "times": times, "seed": seed, "tol": tol,
               "sdp_margin_floor": sdp_margin_floor, "dt": dt,
               "box_scale": box_scale, "system": s.name}
+    if (status == VIOLATED and dt > flowmod.DT_DEFAULT
+            and _rk4_step_not_positive(s, cone, X0, np.array(ray_list), dt,
+                                       tol)):
+        status = INCONCLUSIVE
+        params["rk4_step_not_positive"] = True
     return DpVerdict(status, float(worst), witness,
                      float(boundary_min) if np.isfinite(boundary_min) else None,
                      params)

@@ -565,6 +565,9 @@ _VIOLATED = {"check-dp": lambda rep: rep["status"] == "violated",
              "order": _counted, "causal": _counted}
 
 
+_UNSTABLE_STEP = ["--T", "400", "--dt", "4"]
+
+
 def _hostile_cases():
     for command, (_, reads) in cli.COMMANDS.items():
         yield command, []
@@ -582,7 +585,7 @@ def _hostile_cases():
                 {"field": "constant", "cone": cone})])
                 for cone in _DEGENERATE_CONES.values())
         if "dt" in reads:  # coop2d's RK4 is unstable far below this step
-            yield command, ["--T", "400", "--dt", "4"]
+            yield command, _UNSTABLE_STEP
         if command in ("criterion", "dichotomy"):  # a run that decides: ok
             yield command, ["--T", "30", "--seed", "0"]
 
@@ -616,3 +619,7 @@ def test_hostile_inputs_exit_with_a_documented_code(tmp_path, capsys,
         assert rep["exit_code"] == code
         # exit 1 comes with a violation or a failed precondition, and only then
         assert (code == 1) == _VIOLATED[command](rep)
+        if command == "check-dp" and extra == _UNSTABLE_STEP:
+            # RK4's step map at h = 4, not the flow, pushes rays out
+            assert rep["status"] == "inconclusive" and code == 0
+            assert rep["params"]["rk4_step_not_positive"] is True

@@ -95,8 +95,10 @@ def test_ordered_omega_witnesses_match_the_pairwise_search(coop, monkeypatch):
              rng.normal(size=(6, 2)),
              np.array([[0.0, 0.0], [1.0, 0.0]])]  # a boundary pair
     ests = [flow.OmegaEstimate(flow.NON_SINGLETON, witnesses=W) for W in tails]
+    asked = []  # an SDP run reads the witnesses, so it asks for them
     monkeypatch.setattr(experiments, "_omega_batch",
-                        lambda s, X0, T, dt: ests + [None])
+                        lambda s, X0, T, dt, witnesses: asked.append(
+                            witnesses) or ests + [None])
     rep = experiments.generic_convergence(coop, ORTHANT2, box=3.0, N=5,
                                           T=2.0, seed=0)
     assert rep.dp_status == positivity.SDP
@@ -111,6 +113,7 @@ def test_ordered_omega_witnesses_match_the_pairwise_search(coop, monkeypatch):
                     break
     assert rep.findings == want
     assert {f["sample"] for f in want} == {0, 2, 3}
+    assert asked == [True]
 
 
 @pytest.mark.parametrize("name", ["coop2d", "spd_lyapunov"])

@@ -756,6 +756,21 @@ def _assert_same_estimate(got, want):
     assert got.certified_at == want.certified_at
 
 
+def _without_witnesses(est):
+    """est as a caller that reads no witnesses gets it."""
+    if est is None or est.kind != NON_SINGLETON:
+        return est
+    return dataclasses.replace(est, witnesses=None)
+
+
+def _replays(monkeypatch):
+    """A list that gets one entry per tail replay from now on."""
+    calls, real = [], flow._replay_tail
+    monkeypatch.setattr(flow, "_replay_tail",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 def _with_and_without_certificate(name, N, T):
     s = registry.get_system(name)
     X0 = experiments.sample_states(s, 3.0, N, 0)
@@ -787,8 +802,15 @@ def test_retirement_keeps_every_verdict(name, T):
 @pytest.mark.parametrize("name,T", [("metzler_linear", 40.0),
                                     ("rotation2d", 20.0),
                                     ("spd_lyapunov", 5.0)])
-def test_systems_without_a_contraction_certificate_retire_nothing(name, T):
+def test_systems_without_a_contraction_certificate_retire_nothing(
+        name, T, monkeypatch):
+    # no ball can certify: the declared matrices have lambda_max(sym A) = 0
+    # and SPD(2) is not euclidean, so no certificate is even built
+    built, real = [], flow._Certifier
+    monkeypatch.setattr(flow, "_Certifier",
+                        lambda *args: built.append(args) or real(*args))
     got, ref = _with_and_without_certificate(name, 300, T)
+    assert built == []
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
         _assert_same_estimate(g, r)
@@ -808,6 +830,9 @@ def test_single_and_ensemble_paths_classify_one_tail_window(T):
     for s, x0 in cases:
         one = flow.omega_limit(s, x0, T)
         _assert_same_estimate(one, flow.ensemble_omega(s, x0[None], T)[0])
+        # the replayed states are the window's, which the crafted path reads
+        _, window = _list_and_stack_window(s, x0[None], T, on_failure="raise")
+        _assert_same_estimate(one, flow.classify_tail(s, window)[0])
         kinds.append(one.kind)
     # the comparison covers a polished point at every T and witnesses at 33.3
     assert kinds[3] == SINGLETON
@@ -868,19 +893,44 @@ def _assert_same_window(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def test_an_ensemble_tail_window_is_never_stored():
-    rot = registry.get_system("rotation2d")
-    X0 = flow.sample_states(rot, 3.0, 1000, 0)
+def _peak_of(call, *args, **kwargs):
+    """(call's result, its tracemalloc peak in bytes)."""
     tracemalloc.start()
     try:
-        out = flow.ensemble_omega(rot, X0, 40.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = call(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_an_ensemble_tail_window_is_never_stored(monkeypatch):
+    rot = registry.get_system("rotation2d")
+    X0 = flow.sample_states(rot, 3.0, 1000, 0)
+    out, peak = _peak_of(flow.ensemble_omega, rot, X0, 40.0)
     assert {e.kind for e in out} == {NON_SINGLETON}
-    # the window would be 1001 x 1000 x 2 floats, 16.0 MB; the stream keeps
-    # 67 witnesses of every row and a slice of 15 stores
+    # the window would be 1001 x 1000 x 2 floats, 16.0 MB; the replay keeps
+    # 67 witnesses of every row, the stream a slice of 15 stores
     assert peak <= 4e6
+    # every spd_lyapunov row looks clustered after a one-state first slice
+    # (k = 126, so the stride is 1), but none is at the end: no state is
+    # kept, where a (126, 1000, 3) store, 3 MB, once was
+    spd = registry.get_system("spd_lyapunov")
+    out, peak = _peak_of(flow.ensemble_omega, spd,
+                         flow.sample_states(spd, 3.0, 1000, 0), 5.0)
+    assert {e.kind for e in out} == {UNDETERMINED}
+    assert peak < 1e6
+    # generic_convergence reads witnesses only under an SDP verdict, so on
+    # the rotation (violated) it marches to T once and replays nothing
+    ends, march = [], flow._Stepper.march
+    monkeypatch.setattr(flow._Stepper, "march", lambda self, t_end, *a, **k:
+                        ends.append(t_end) or march(self, t_end, *a, **k))
+    rep = experiments.generic_convergence(rot, ConstantField(Orthant(2)), 3.0,
+                                          1000, 40.0, seed=0)
+    assert rep.dp_status == "violated" and rep.nonsingleton == 1000
+    assert ends.count(40.0) == 1
+    ends.clear()
+    flow.ensemble_omega(rot, X0, 40.0)  # with witnesses: one replay
+    assert ends.count(40.0) == 2
 
 
 def test_a_stream_whose_rows_all_cluster_keeps_one_window():
@@ -955,16 +1005,32 @@ def test_one_orbit_window_equals_the_list_and_stack_reference(name, x0, T):
     ("bistable1d", 8.0, 500, {SINGLETON, UNDETERMINED}),
     ("metzler_linear", 20.0, 300, {SINGLETON}),  # every row clustered
     ("coop2d", flow.DT_DEFAULT, 50, {UNDETERMINED}),  # one stored state
+    # rows leave the chart inside the tail while clustered rows replay
+    ("spd_lyapunov", 10.0, 1000, {UNDETERMINED, None}),
+    ("rotation2d", 40.0, 1, {NON_SINGLETON}),  # one orbit
+    ("metzler_linear", 20.0, 1, {SINGLETON}),
 ])
-def test_streamed_estimates_equal_the_per_row_reference(name, T, N, kinds):
+def test_streamed_estimates_equal_the_per_row_reference(name, T, N, kinds,
+                                                        monkeypatch):
     s = registry.get_system(name)
     X0 = experiments.sample_states(s, 3.0, N, 0)
     _, ref = _list_and_stack_window(s, X0, T)
     want = [_classify_one(s, ref[:, j]) for j in range(N)]
     assert {e and e.kind for e in want} == kinds
+    for got, w in zip(flow.classify_tail(s, ref), want, strict=True):
+        _assert_same_estimate(got, w)  # the crafted-window path
     plain = dataclasses.replace(s, jac_lipschitz=None)
-    for got, w in zip(flow.ensemble_omega(plain, X0, T), want, strict=True):
-        _assert_same_estimate(got, w)
+    replays = _replays(monkeypatch)
+    for witnesses in (True, False):
+        replays.clear()
+        got = flow.ensemble_omega(plain, X0, T, witnesses=witnesses)
+        for g, w in zip(got, want, strict=True):
+            _assert_same_estimate(g, w if witnesses else _without_witnesses(w))
+        # one replay, made only for a clustered row (Newton's residual is
+        # set) or, when they are read, for witnesses
+        needs = any(w is not None and (not np.isnan(w.residual) or (
+            witnesses and w.kind == NON_SINGLETON)) for w in want)
+        assert len(replays) == needs
     # with retirement, every row that reaches the tail keeps its estimate
     for got, w in zip(flow.ensemble_omega(s, X0, T), want, strict=True):
         if got is None or got.certified_at is None:

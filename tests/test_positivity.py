@@ -197,3 +197,39 @@ def test_dp_verdict_invariant_under_representation_swap():
                                  [0.5, 1.0], seed=k)
         assert v1.status == v2.status
 
+
+
+# ------------------------------------------------ RK4's positivity threshold
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_refutation_by_the_rk4_step_map_is_inconclusive(coop, seed):
+    # coop2d is SDP, but RK4's step map at h = 4 is not a positive map: the
+    # images it pushes out of the orthant refute the integrator, not the flow
+    times = [0.1, 1.0, 5.0]
+    v = positivity.check_dp(coop, ORTHANT2, 3, 8, times, seed=seed, dt=4.0)
+    assert v.status == positivity.INCONCLUSIVE and v.worst_margin < -1e-6
+    assert v.params["rk4_step_not_positive"] is True
+    small = positivity.check_dp(coop, ORTHANT2, 3, 8, times, seed=seed,
+                                dt=0.5)
+    assert small.status == positivity.SDP
+    assert "rk4_step_not_positive" not in small.params
+
+
+@pytest.mark.parametrize("dt", [flow.DT_DEFAULT, 0.5, 4.0])
+def test_a_flow_that_is_not_positive_stays_violated_at_any_step(dt):
+    # the rotation fails at DT_DEFAULT too, so no step size explains it
+    s = registry.get_system("rotation2d")
+    v = positivity.check_dp(s, ORTHANT2, 20, 8, [0.1, 1.0, 5.0], seed=3,
+                            dt=dt)
+    assert v.status == positivity.VIOLATED
+    assert "rk4_step_not_positive" not in v.params
+
+
+def test_the_rk4_map_of_a_metzler_matrix_is_positive_for_h_at_most_1():
+    # A + alpha I >= 0 with alpha = 1, and RK4's stability polynomial is
+    # absolutely monotonic on [-1, 0]: R(hA) >= 0 whenever h alpha <= 1
+    A = registry.get_system("metzler_linear").matrix
+    for h in np.linspace(0.0, 1.0, 101):
+        assert flow._rk4_map(A, h).min() >= 0.0
+    assert flow._rk4_map(A, 2.0).min() < 0.0  # and not at every h
