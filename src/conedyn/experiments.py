@@ -37,12 +37,17 @@ MATCH_TOL = 1e-3  # singleton limits closer than this are the same equilibrium
 # (ensemble_omega streams its tails and stores no window).
 OMEGA_CHUNK = 1024
 _Z95 = 1.959963984540054
+WIDTH_TOL = 1e-3  # basin_boundary_scan bisects until brackets are this narrow
+MAX_ROUNDS = 40  # or for this many rounds
+SNAP_RADIUS = 0.05  # a state this close to an equilibrium is in its basin
+PAIR_BOX = 3.0  # half-width of the box the pair theorems sample x from
 
 
-def wilson_interval(k: int, n: int, z: float = _Z95):
+def wilson_interval(k: int, n: int):
     """95% score interval for a binomial fraction k/n."""
     if n == 0:
         return (0.0, 1.0)
+    z = _Z95
     ph = k / n
     den = 1.0 + z * z / n
     center = (ph + z * z / (2 * n)) / den
@@ -178,28 +183,29 @@ def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
 
 
 def basin_boundary_scan(s: flowmod.FlowSystem, equilibria, transect_pairs,
-                        classify_T: float = 50.0, dt: float = flowmod.DT_DEFAULT,
-                        width_tol: float = 1e-3, snap_radius: float = 0.05,
-                        max_rounds: int = 40) -> dict:
+                        classify_T: float = 50.0,
+                        dt: float = flowmod.DT_DEFAULT) -> dict:
     """Bisect straddling segments to localize basin boundaries.
 
     Each transect (a, b) must have its endpoints classify to different
     attractors (nearest equilibrium of the time-classify_T state, within
-    snap_radius).  Bisection keeps the a-side label on the lower end;
+    SNAP_RADIUS).  Bisection keeps the a-side label on the lower end;
     midpoints that classify elsewhere (other attractor, or nowhere) move
     the upper end, so the bracket always contains the basin boundary.
     """
     E = np.asarray(equilibria, dtype=float)
     if not len(E):
         raise ValueError("need the attractor list to classify transects")
+    if not len(transect_pairs):
+        raise ValueError("need at least one transect to scan")
 
     def classify(P):
         """Nearest-equilibrium label of each row at classify_T; -1 where
-        the row escaped or no equilibrium lies within snap_radius."""
+        the row escaped or no equilibrium lies within SNAP_RADIUS."""
         final = flowmod.states_at(s, P, [classify_T], dt,
                                   on_failure="mask")[0]
         d = norms(final[:, None, :] - E)  # (rows, equilibria); nan if escaped
-        return np.where(d.min(axis=1) < snap_radius, d.argmin(axis=1), -1)
+        return np.where(d.min(axis=1) < SNAP_RADIUS, d.argmin(axis=1), -1)
 
     lo = np.array([np.asarray(a, float) for a, _ in transect_pairs])
     hi = np.array([np.asarray(b, float) for _, b in transect_pairs])
@@ -211,9 +217,9 @@ def basin_boundary_scan(s: flowmod.FlowSystem, equilibria, transect_pairs,
 
     rounds = 0
     widths = np.linalg.norm(hi - lo, axis=1)
-    while np.max(widths) > width_tol and rounds < max_rounds:
+    while np.max(widths) > WIDTH_TOL and rounds < MAX_ROUNDS:
         mid = 0.5 * (lo + hi)
-        live = ~(widths <= width_tol)
+        live = ~(widths <= WIDTH_TOL)
         up = (classify(mid) == la)[:, None]  # the a-side label moves lo
         lo = np.where(live[:, None] & up, mid, lo)
         hi = np.where(live[:, None] & ~up, mid, hi)
@@ -225,16 +231,16 @@ def basin_boundary_scan(s: flowmod.FlowSystem, equilibria, transect_pairs,
                   "labels": (int(la[i]), int(lb[i]))}
                  for i in range(len(transect_pairs))]
     return {"transects": transects, "max_width": float(np.max(widths)),
-            "rounds": rounds, "width_tol": width_tol,
+            "rounds": rounds, "width_tol": WIDTH_TOL,
             "classify_T": classify_T}
 
 
 # ------------------------------------------------------------ pair theorems
 
 
-def _sample_ordered_pairs(s, c, pairs: int, box, seed: int):
+def _sample_ordered_pairs(s, c, pairs: int, seed: int):
     rng = np.random.default_rng(seed)
-    X = sample_states(s, box, pairs, rng)
+    X = sample_states(s, PAIR_BOX, pairs, rng)
     rays = c.unit_rays(rng)
     extreme = np.arange(pairs) % 3 == 0
     n_ext = int(np.count_nonzero(extreme))
@@ -248,17 +254,17 @@ def _sample_ordered_pairs(s, c, pairs: int, box, seed: int):
     return X, Y
 
 
-def _pair_limits(s, field, pairs: int, T: float, seed: int, box, dt):
+def _pair_limits(s, field, pairs: int, T: float, seed: int, dt):
     """The flat cone and the omega-estimates of the sampled ordered pairs
     x <= y: the x halves, then the y halves."""
     c = _require_flat(field)
-    X, Y = _sample_ordered_pairs(s, c, pairs, box, seed)
+    X, Y = _sample_ordered_pairs(s, c, pairs, seed)
     ests = _omega_batch(s, np.vstack([X, Y]), T, dt)
     return c, ests[:pairs], ests[pairs:]
 
 
 def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
-                    T: float, seed: int = 0, box=3.0,
+                    T: float, seed: int = 0,
                     dt: float = flowmod.DT_DEFAULT) -> dict:
     """Limit-set dichotomy on sampled ordered pairs x <= y.
 
@@ -269,7 +275,7 @@ def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
     with a non-singleton must lie strictly below (or above) every witness.
     The order tests of all pairs are one ``relations`` call.
     """
-    c, ex, ey = _pair_limits(s, field, pairs, T, seed, box, dt)
+    c, ex, ey = _pair_limits(s, field, pairs, T, seed, dt)
     escapes = excluded = equal_singleton = mixed = 0
     found = [None] * pairs  # the finding of each violating pair
     tests = []  # (pair, low rows, high rows, finding unless low < high)
@@ -327,10 +333,10 @@ def _nonequilibrium_intersection(s, wa, wb, pair: int):
 
 
 def colimit_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
-                  T: float, seed: int = 0, box=3.0,
+                  T: float, seed: int = 0,
                   dt: float = flowmod.DT_DEFAULT) -> dict:
     """Ordered pairs sharing one singleton limit must sit at an equilibrium."""
-    _, ex, ey = _pair_limits(s, field, pairs, T, seed, box, dt)
+    _, ex, ey = _pair_limits(s, field, pairs, T, seed, dt)
     violations = checked = 0
     findings = []
     for i, (a, b) in enumerate(zip(ex, ey)):
@@ -407,8 +413,7 @@ def convergence_criterion_check(s: flowmod.FlowSystem, field: ConeField,
 
 def trichotomy_check(s: flowmod.FlowSystem, field: ConeField, x0,
                      n_seq: int, T: float,
-                     dt: float = flowmod.DT_DEFAULT,
-                     match_tol: float = MATCH_TOL) -> dict:
+                     dt: float = flowmod.DT_DEFAULT) -> dict:
     """Classify the limits of a monotone approximating sequence.
 
     Builds x_n = x0 - w/n (w the interior section), verifies the chain
@@ -449,10 +454,10 @@ def trichotomy_check(s: flowmod.FlowSystem, field: ConeField, x0,
     low = np.vstack([ps[:-1], ps])
     high = np.vstack([ps[1:], np.broadcast_to(p0, ps.shape)])
     below = ((relations(c, low, high) == STRICT)
-             & ~(np.linalg.norm(high - low, axis=-1) < match_tol))
+             & ~(np.linalg.norm(high - low, axis=-1) < MATCH_TOL))
     b1 = bool(below.all())
-    b2 = bool(np.all(np.linalg.norm(ps - p0, axis=-1) < match_tol))
-    b3 = bool(np.all(np.linalg.norm(ps - ps[0], axis=-1) < match_tol)
+    b2 = bool(np.all(np.linalg.norm(ps - p0, axis=-1) < MATCH_TOL))
+    b3 = bool(np.all(np.linalg.norm(ps - ps[0], axis=-1) < MATCH_TOL)
               and below[n_seq - 1])
     matches = [b1, b2, b3]
     branch = matches.index(True) + 1 if sum(matches) == 1 else None

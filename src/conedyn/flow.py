@@ -40,21 +40,22 @@ initial conditions integrate at numpy speed.  A system x' = Ax that
 declares its ``matrix`` A steps by its exact RK4 map x -> R(hA) x.
 
 Omega-limit classification is an explicitly heuristic desk-scale estimate:
-the last quarter of the stored trajectory either clusters to a polished
-equilibrium (singleton), revisits its own start (non-singleton/recurrent),
+the tail window (the last TAIL_FRACTION of the march, stored every
+STORE_STRIDE steps) either clusters within CLUSTER_RADIUS to an equilibrium
+polished below EQ_TOL (singleton), revisits its own start (non-singleton),
 or stays honest as "undetermined".  Undetermined is never coerced.  Single
-orbits and ensembles stream the same tail window, fixed by step indices,
-through a ``_TailStream``: it folds each slice of stored states, one
-witness stride long, into running per-row statistics (bounding box,
-finiteness, return distance) in one vectorized pass and keeps no state.
-They decide every verdict; ``classify_tail`` replays the window once,
-from the batch at the tail start in the march's own steps, only for the
-states they cannot give: a clustered tail's (its mean seeds Newton, and
-every state must lie near the point) and, if asked for, non-singleton
-witnesses.  The replay steps the whole batch: a declared matrix steps
-all rows in one product, and a product over fewer columns can round
-differently (one column takes BLAS's gemv path).  The verdicts equal
-those of the whole window bit for bit; only Newton runs per row.
+orbits and ensembles stream this window, fixed by T and dt alone, through a
+``_TailStream``: it folds each slice of stored states, one witness stride
+long, into running per-row statistics (bounding box, finiteness, return
+distance) in one vectorized pass and keeps no state.  They decide every
+verdict; ``classify_tail`` replays the window once, from the batch at the
+tail start in the march's own steps, only for the states they cannot give:
+a clustered tail's (its mean seeds Newton, and every state must lie near
+the point) and, if asked for, non-singleton witnesses.  The replay steps
+the whole batch: a declared matrix steps all rows in one product, and a
+product over fewer columns can round differently (one column takes BLAS's
+gemv path).  The verdicts equal those of the whole window bit for bit; only
+Newton runs per row.
 
 Ensemble rows retire early under a contraction certificate (Lohmiller &
 Slotine 1998).  A system may declare ``jac_lipschitz`` L, an exact global
@@ -418,16 +419,26 @@ class _Stepper:
 
 
 def _capture(stepper: _Stepper, times, dt: float, snapshot) -> list:
-    """Snapshots at the sorted times, marching each gap on its own plan."""
-    out = []
-    for t in sorted(float(t) for t in times):
+    """Snapshots at times, in their order; the march visits them sorted,
+    each gap on its own plan."""
+    times = [float(t) for t in times]
+    out = [None] * len(times)
+    for i in sorted(range(len(times)), key=times.__getitem__):
+        t = times[i]
         if t < 0:
             raise ValueError("capture times must be >= 0")
         span = t - stepper.t
         if span > 1e-15 * max(1.0, t):
             stepper.march(t, min(dt, span))
-        out.append(snapshot())
+        out[i] = snapshot()
     return out
+
+
+def _check_stride(stride) -> None:
+    """Raise ValueError unless stride, a store_stride, is an integer >= 1."""
+    if (isinstance(stride, bool) or not isinstance(stride, (int, np.integer))
+            or stride < 1):
+        raise ValueError(f"store_stride must be an integer >= 1: {stride!r}")
 
 
 def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
@@ -446,6 +457,7 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
 
     Returns (x_final, P_final).
     """
+    _check_stride(stride)
     n_full, rem = _plan_steps(T, dt)
     total = n_full + (1 if rem > 0.0 else 0)
     stepper = _Stepper(s, x0[None, :])
@@ -509,6 +521,7 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
 def integrate(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
               store_stride: int = STORE_STRIDE) -> Trajectory:
     """Integrate one orbit, storing every store_stride-th step and the end."""
+    _check_stride(store_stride)
     x0 = s.manifold.check_point(x0)
     stepper = _Stepper(s, x0[None, :])
     times, states = [], []
@@ -550,7 +563,8 @@ def states_at(s: FlowSystem, X0: np.ndarray, times, dt: float = DT_DEFAULT,
     """
     stepper = _Stepper(s, np.atleast_2d(np.asarray(X0, float)),
                        on_failure=on_failure)
-    return np.asarray(_capture(stepper, times, dt, lambda: stepper.X.copy()))
+    snaps = _capture(stepper, times, dt, lambda: stepper.X.copy())
+    return np.asarray(snaps).reshape((len(snaps),) + stepper.X.shape)
 
 
 def tangent_at(s: FlowSystem, X0: np.ndarray, times, dt: float = DT_DEFAULT,
@@ -560,8 +574,9 @@ def tangent_at(s: FlowSystem, X0: np.ndarray, times, dt: float = DT_DEFAULT,
                        P0=np.eye(s.dim), on_failure=on_failure)
     snaps = _capture(stepper, times, dt,
                      lambda: (stepper.X.copy(), stepper.P.copy()))
-    return (np.asarray([x for x, _ in snaps]),
-            np.asarray([p for _, p in snaps]))
+    k = len(snaps)
+    return (np.asarray([x for x, _ in snaps]).reshape((k,) + stepper.X.shape),
+            np.asarray([p for _, p in snaps]).reshape((k,) + stepper.P.shape))
 
 
 def _box_array(box, dim: int) -> np.ndarray:
@@ -596,12 +611,12 @@ def sample_states(s: FlowSystem, box, N: int,
 # ------------------------------------------------------------ equilibria
 
 
-def _newton_polish(s: FlowSystem, x0: np.ndarray, eq_tol: float = EQ_TOL,
-                   max_iter: int = 100):
-    """Damped Newton on f; returns (point, residual) or (None, residual)."""
+def _newton_polish(s: FlowSystem, x0: np.ndarray, eq_tol: float = EQ_TOL):
+    """Damped Newton on f, at most 100 steps; returns (point, residual) or
+    (None, residual)."""
     x = np.asarray(x0, dtype=float).copy()
     res = float(np.linalg.norm(s.f(x)))
-    for _ in range(max_iter):
+    for _ in range(100):
         if res < eq_tol:
             return x, res
         try:
@@ -621,19 +636,18 @@ def _newton_polish(s: FlowSystem, x0: np.ndarray, eq_tol: float = EQ_TOL,
     return (x, res) if res < eq_tol else (None, res)
 
 
-def find_equilibria(s: FlowSystem, seeds, eq_tol: float = EQ_TOL,
-                    cluster_radius: float = CLUSTER_RADIUS) -> list:
-    """Newton from every seed; keep |f| < eq_tol at points of the manifold
-    (on SPD, inside the chart guard), dedupe within cluster_radius."""
+def find_equilibria(s: FlowSystem, seeds) -> list:
+    """Newton from every seed; keep |f| < EQ_TOL at points of the manifold
+    (on SPD, inside the chart guard), dedupe within CLUSTER_RADIUS."""
     seeds = [np.asarray(x, dtype=float) for x in seeds]
     if not seeds:
         raise ValueError("seeds must be nonempty")
     found: list[np.ndarray] = []
     for x0 in seeds:
-        p, res = _newton_polish(s, x0, eq_tol)
-        if p is None or res >= eq_tol or _off_chart(s, p):
+        p, res = _newton_polish(s, x0)
+        if p is None or res >= EQ_TOL or _off_chart(s, p):
             continue
-        if not any(np.linalg.norm(p - q) < cluster_radius for q in found):
+        if not any(np.linalg.norm(p - q) < CLUSTER_RADIUS for q in found):
             found.append(p)
     found.sort(key=lambda p: tuple(np.round(p, 8)))
     return found
@@ -661,15 +675,14 @@ class _TailStream:
     full slice (and the short last one) updates, in one vectorized pass,
     every row's running min and max (its finiteness and bounding box; both
     propagate nan) and its return distance (the anchor, state 0; whether
-    it has left 10 cluster_radius of it; the running minimum of the
+    it has left 10 CLUSTER_RADIUS of it; the running minimum of the
     segment distances from the first far state on).  replay(visit) calls
     visit with the k states again, in order.  The buffers are allocated
     once; fresh ones would fault their pages in again on every slice.
     """
 
-    def __init__(self, k: int, M: int, n: int, cluster_radius: float,
-                 replay=None):
-        self.k, self.M, self.r, self.replay = k, M, cluster_radius, replay
+    def __init__(self, k: int, M: int, n: int, replay=None):
+        self.k, self.M, self.replay = k, M, replay
         self.step = step = max(1, k // 64)
         self.fill = 0  # states in the buffer
         self.buf = np.empty((n, step + 1, M))  # [:, 0]: the state before
@@ -699,7 +712,8 @@ class _TailStream:
             np.maximum(self.hi, new.max(axis=1), out=self.hi)
             if self.all_near:  # then no state is 10 r from its anchor
                 box = self.hi - self.lo
-                self.all_near = bool((_dot(box, box) < self.r ** 2).all())
+                near = _dot(box, box) < CLUSTER_RADIUS ** 2
+                self.all_near = bool(near.all())
             if not self.all_near:
                 self._return_distances(b)
         buf[:, 0] = buf[:, b]
@@ -709,7 +723,7 @@ class _TailStream:
         """Fold the slice's segments into back: segment q runs from the
         state before new state q to it, and counts once a state before
         new state q is farther than 10 r from the anchor."""
-        buf, anchor, r = self.buf, self.anchor[:, None], self.r
+        buf, anchor = self.buf, self.anchor[:, None]
         if self.V is None:
             n, step, M = buf.shape[0], self.step, self.M
             self.V, self.AB = np.empty((2, n, step, M))
@@ -717,7 +731,7 @@ class _TailStream:
             self.skip = np.empty((step, M), dtype=bool)
         V, s, tmp = self.V[:, :b], self.s[:b], self.tmp[:b]
         D = np.subtract(buf[:, 1:b + 1], anchor, out=V)
-        far = np.sqrt(_dot(D, D, s, tmp), out=s) > 10.0 * r
+        far = np.sqrt(_dot(D, D, s, tmp), out=s) > 10.0 * CLUSTER_RADIUS
         gone = np.logical_or.accumulate(far, axis=0)  # far at q or before
         skip = self.skip[:b]
         np.logical_not(self.left, out=skip[0])
@@ -737,40 +751,35 @@ class _TailStream:
         np.minimum(self.back, d.min(axis=0), out=self.back)
 
 
-def classify_tail(s: FlowSystem, tails, cluster_radius: float = CLUSTER_RADIUS,
-                  eq_tol: float = EQ_TOL, witnesses: bool = True) -> list:
-    """Classify the tails of a ``_TailStream`` (built with cluster_radius)
-    or of a (k, M, n) stack of tail windows, which streams through one:
-    M estimates, in order.
+def classify_tail(s: FlowSystem, tails, witnesses: bool = True) -> list:
+    """Classify the tails of a ``_TailStream`` or of a (k, M, n) stack of
+    tail windows, which streams through one: M estimates, in order.
 
-    Shared by the single-orbit and ensemble paths.  A tail with a
-    non-finite entry (an escape) gives None.  A tail whose bounding-box
-    diagonal is below cluster_radius is a singleton when Newton from its
-    mean polishes to a point that every state lies within cluster_radius
-    of and that is a point of the manifold (on SPD, one that passes the
-    chart guard), and undetermined otherwise.  Any other tail is
+    Shared by the single-orbit and ensemble paths; r is CLUSTER_RADIUS.  A
+    tail with a non-finite entry (an escape) gives None.  A tail whose
+    bounding-box diagonal is below r is a singleton when Newton from its
+    mean polishes (residual below 10 EQ_TOL) to a point that every state
+    lies within r of and that is a point of the manifold (on SPD, one that
+    passes the chart guard), and undetermined otherwise.  Any other tail is
     non-singleton when the polyline through its states, from the first one
-    farther than 10 cluster_radius from tail[0] on, comes back within
-    cluster_radius of tail[0], and undetermined otherwise; its witnesses
-    (views into one array) are None unless witnesses is set.  The stream's
-    statistics decide every row; one replay of the window gives the states
-    of the clustered rows and the witnesses.  Only Newton runs per row.
+    farther than 10 r from tail[0] on, comes back within r of tail[0], and
+    undetermined otherwise; its witnesses (views into one array) are None
+    unless witnesses is set.  The stream's statistics decide every row;
+    one replay of the window gives the states of the clustered rows and
+    the witnesses.  Only Newton runs per row.
     """
     if not isinstance(tails, _TailStream):
         window = np.asarray(tails, dtype=float)
-        tails = _TailStream(*window.shape, cluster_radius,
-                            lambda visit: [visit(X) for X in window])
+        tails = _TailStream(*window.shape, lambda v: [v(X) for X in window])
         tails.replay(tails.store)
-    elif tails.r != cluster_radius:
-        raise ValueError("the stream was built with another cluster_radius")
     st = tails
     if st.fill:
         st._take()  # the short last slice
     finite = (np.isfinite(st.lo) & np.isfinite(st.hi)).all(axis=0)
     with np.errstate(invalid="ignore", over="ignore"):
         box = st.hi - st.lo
-        near = np.sqrt(_dot(box, box)) < cluster_radius  # and so finite
-    back = finite & ~near & (st.back < cluster_radius)
+        near = np.sqrt(_dot(box, box)) < CLUSTER_RADIUS  # and so finite
+    back = finite & ~near & (st.back < CLUSTER_RADIUS)
     cols, wrows = np.flatnonzero(near), np.flatnonzero(back & witnesses)
     kept = np.empty((st.k, len(cols), len(box)))
     wit = np.empty((len(wrows), len(range(0, st.k, st.step)), len(box)))
@@ -791,9 +800,9 @@ def classify_tail(s: FlowSystem, tails, cluster_radius: float = CLUSTER_RADIUS,
             out.append(None)
         elif near[j]:
             tail = next(kept)
-            p, res = _newton_polish(s, tail.mean(axis=0), eq_tol)
-            if (p is not None and res < 10.0 * eq_tol and float(np.max(
-                    np.linalg.norm(tail - p, axis=1))) < cluster_radius
+            p, res = _newton_polish(s, tail.mean(axis=0))
+            if (p is not None and res < 10.0 * EQ_TOL and float(np.max(
+                    np.linalg.norm(tail - p, axis=1))) < CLUSTER_RADIUS
                     and not _off_chart(s, p)):
                 out.append(OmegaEstimate(SINGLETON, point=p, residual=res))
             else:
@@ -806,12 +815,12 @@ def classify_tail(s: FlowSystem, tails, cluster_radius: float = CLUSTER_RADIUS,
     return out
 
 
-def _tail_start(T: float, dt: float, tail_fraction: float) -> int:
+def _tail_start(T: float, dt: float) -> int:
     """The step that opens the tail window of a march to T; never step 0,
-    so the window never holds the start state, even with tail_fraction 1."""
+    so the window never holds the start state."""
     n_full, rem = _plan_steps(T, dt)
     total = n_full + (1 if rem > 0.0 else 0)
-    return max(1, int(np.ceil((1.0 - tail_fraction) * total)))
+    return max(1, int(np.ceil((1.0 - TAIL_FRACTION) * total)))
 
 
 def _replay_tail(s: FlowSystem, X: np.ndarray, T: float, dt: float,
@@ -823,17 +832,15 @@ def _replay_tail(s: FlowSystem, X: np.ndarray, T: float, dt: float,
                   first=stores.start)
 
 
-def _march_tail(stepper: _Stepper, T: float, dt: float, tail_fraction: float,
-                store_stride: int, check=None,
-                cluster_radius: float = CLUSTER_RADIUS):
+def _march_tail(stepper: _Stepper, T: float, dt: float, check=None):
     """March stepper from 0 to T, streaming only the tail window.
 
-    The window stores step ``_tail_start``, every store_stride-th step
-    after it and the last step, so the window depends on T, dt and
-    tail_fraction alone.  check(t) runs after every CERT_EVERY-th step
-    before the window.  The march calls back at these steps alone.
+    The window stores step ``_tail_start``, every STORE_STRIDE-th step
+    after it and the last step, so the window depends on T and dt alone.
+    check(t) runs after every CERT_EVERY-th step before the window.  The
+    march calls back at these steps alone.
     Returns (times, stream): the k stored times and the ``_TailStream``
-    (built with cluster_radius) that took every stored state as it came;
+    that took every stored state as it came;
     it keeps the batch at the tail start, never written into, to replay
     the window from.  M is fixed over the window, since rows only leave
     at checks; a march whose rows all left before the window stores
@@ -841,10 +848,10 @@ def _march_tail(stepper: _Stepper, T: float, dt: float, tail_fraction: float,
     """
     n_full, rem = _plan_steps(T, dt)
     total = n_full + (1 if rem > 0.0 else 0)
-    tail_start = _tail_start(T, dt, tail_fraction)
+    tail_start = _tail_start(T, dt)
     checks = (range(CERT_EVERY, tail_start, CERT_EVERY) if check is not None
               else range(0))
-    stores = range(tail_start, total, store_stride)
+    stores = range(tail_start, total, STORE_STRIDE)
     k, n = len(stores) + 1, stepper.X.shape[1]  # the stores and the last
     times, stream = [], None
     left = len(checks)  # the checks come first, then the stores
@@ -858,30 +865,24 @@ def _march_tail(stepper: _Stepper, T: float, dt: float, tail_fraction: float,
             if stream is None:  # the rows still in the batch
                 replay = functools.partial(_replay_tail, stepper.s, stepper.X,
                                            T, dt, stores)
-                stream = _TailStream(k, len(stepper.X), n, cluster_radius,
-                                     replay)
+                stream = _TailStream(k, len(stepper.X), n, replay)
             stream.store(stepper.X)
             times.append(t)
 
     stepper.march(T, dt, on_event, events=itertools.chain(checks, stores))
     if stream is None:  # every row left before the window opened
-        stream = _TailStream(k, 0, n, cluster_radius)
+        stream = _TailStream(k, 0, n)
     return np.asarray(times), stream
 
 
-def omega_limit(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
-                tail_fraction: float = TAIL_FRACTION,
-                cluster_radius: float = CLUSTER_RADIUS,
-                eq_tol: float = EQ_TOL,
-                store_stride: int = STORE_STRIDE) -> OmegaEstimate:
+def omega_limit(s: FlowSystem, x0: np.ndarray, T: float,
+                dt: float = DT_DEFAULT) -> OmegaEstimate:
     """Integrate to T and classify the tail window of stored states, the
     window ``ensemble_tails`` streams; leaving the chart or blowing up
     raises, as in ``integrate``."""
     x0 = s.manifold.check_point(x0)
     stepper = _Stepper(s, x0[None, :])
-    _, tail = _march_tail(stepper, T, dt, tail_fraction, store_stride,
-                          cluster_radius=cluster_radius)
-    return classify_tail(s, tail, cluster_radius, eq_tol)[0]
+    return classify_tail(s, _march_tail(stepper, T, dt)[1])[0]
 
 
 class _Certifier:
@@ -947,9 +948,7 @@ class _Certifier:
 
 
 def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
-                   dt: float = DT_DEFAULT,
-                   tail_fraction: float = TAIL_FRACTION,
-                   store_stride: int = STORE_STRIDE):
+                   dt: float = DT_DEFAULT):
     """Batched integration that streams only the tail window.
 
     On a euclidean system that declares jac_lipschitz, every CERT_EVERY
@@ -958,13 +957,12 @@ def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
     docstring); the march ends once every row has left.
 
     Returns (tail_times, tails, rows, certified): tails is the
-    ``_TailStream`` of ``_march_tail``, built with the default
-    CLUSTER_RADIUS, which folded each stored state into per-row statistics
-    as the march went; no state of the window is stored.  It holds the M
-    rows still in the batch at the tail start, whose sample indices are
-    rows; certified[j] is the certified singleton estimate of a retired
-    sample j and None for the others.  Escaped rows carry nan into the
-    stream and classify as escapes downstream.
+    ``_TailStream`` of ``_march_tail``, which folded each stored state into
+    per-row statistics as the march went; no state of the window is
+    stored.  It holds the M rows still in the batch at the tail start,
+    whose sample indices are rows; certified[j] is the certified singleton
+    estimate of a retired sample j and None for the others.  Escaped rows
+    carry nan into the stream and classify as escapes downstream.
     """
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     stepper = _Stepper(s, X0, on_failure="mask")
@@ -972,8 +970,7 @@ def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
     A = s.matrix  # with lambda_max(sym A) >= 0, every equilibrium has mu >= 0
     if (s.jac_lipschitz is not None and s.manifold.kind == "euclidean"
             and (A is None or np.linalg.eigvalsh(0.5 * (A + A.T))[-1] < 0.0)):
-        certifier = _Certifier(s, min(_tail_start(T, dt, tail_fraction) * dt,
-                                      T))
+        certifier = _Certifier(s, min(_tail_start(T, dt) * dt, T))
     rows = np.arange(len(X0))
     certified = [None] * len(X0)
 
@@ -989,24 +986,20 @@ def ensemble_tails(s: FlowSystem, X0: np.ndarray, T: float,
             rows = rows[~done]
             stepper.drop(done)
 
-    times, tails = _march_tail(stepper, T, dt, tail_fraction, store_stride,
+    times, tails = _march_tail(stepper, T, dt,
                                retire if certifier is not None else None)
     return times, tails, rows, certified
 
 
 def ensemble_omega(s: FlowSystem, X0: np.ndarray, T: float,
-                   dt: float = DT_DEFAULT,
-                   tail_fraction: float = TAIL_FRACTION,
-                   store_stride: int = STORE_STRIDE, witnesses: bool = True):
+                   dt: float = DT_DEFAULT, witnesses: bool = True):
     """Omega-limit estimates for a batch; escaped samples come back as None.
 
-    Tails classify with the default CLUSTER_RADIUS and EQ_TOL, the
-    tolerances the retirement certificate is built on, in one
-    ``classify_tail`` call; non-singleton estimates carry witnesses only
-    when witnesses is set, and only then are they replayed.
+    Tails classify in one ``classify_tail`` call; non-singleton estimates
+    carry witnesses only when witnesses is set, and only then are they
+    replayed.
     """
-    _, tails, rows, out = ensemble_tails(s, X0, T, dt, tail_fraction,
-                                         store_stride)
+    _, tails, rows, out = ensemble_tails(s, X0, T, dt)
     for j, est in zip(rows, classify_tail(s, tails, witnesses=witnesses)):
         out[j] = est
     return out
@@ -1015,13 +1008,13 @@ def ensemble_omega(s: FlowSystem, X0: np.ndarray, T: float,
 # ------------------------------------------------------------- validation
 
 
-def validate_jacobian(s: FlowSystem, samples: int = 100, seed: int = 0,
-                      scale: float = 1.0) -> float:
+def validate_jacobian(s: FlowSystem, samples: int = 100,
+                      seed: int = 0) -> float:
     """Max component error of jac vs central differences of f."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        x = s.manifold.random_point(rng, scale)
+        x = s.manifold.random_point(rng)
         J = s.jac(x)
         h = 1e-6 * (1.0 + np.linalg.norm(x))
         for i in range(s.dim):

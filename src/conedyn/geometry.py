@@ -293,30 +293,23 @@ class ManifoldSpec:
             raise UnsupportedInputError("to_matrix is only defined on SPD")
         return unpack_sym(x, self.n)
 
-    def from_matrix(self, S: np.ndarray) -> np.ndarray:
-        """Matrix -> chart coordinates (SPD only)."""
-        if self.kind != "spd":
-            raise UnsupportedInputError("from_matrix is only defined on SPD")
-        return pack_sym(S)
-
     def identity_point(self) -> np.ndarray:
         """Origin for Euclidean space, the identity matrix for SPD."""
         if self.kind == "euclidean":
             return np.zeros(self.n)
         return pack_sym(np.eye(self.n))
 
-    def random_point(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
         """Draw a chart point: uniform-ish for Euclidean, exp(sym) for SPD."""
-        return self.random_points(rng, 1, scale)[0]
+        return self.random_points(rng, 1)[0]
 
-    def random_points(self, rng: np.random.Generator, N: int,
-                      scale: float = 1.0) -> np.ndarray:
-        """N chart points, (N, dim): one uniform draw, one stacked eigh and
-        one stacked product, bit for bit the points (and the rng state)
-        that N one-point draws would give."""
+    def random_points(self, rng: np.random.Generator, N: int) -> np.ndarray:
+        """N chart points, (N, dim): one uniform draw in [-1, 1], one
+        stacked eigh and one stacked product, bit for bit the points (and
+        the rng state) that N one-point draws would give."""
         if self.kind == "euclidean":
-            return rng.uniform(-scale, scale, (N, self.n))
-        B = rng.uniform(-scale, scale, (N, self.n, self.n))
+            return rng.uniform(-1.0, 1.0, (N, self.n))
+        B = rng.uniform(-1.0, 1.0, (N, self.n, self.n))
         w, V = np.linalg.eigh(0.5 * (B + B.swapaxes(-1, -2)))
         return pack_sym((V * np.exp(w)[:, None, :]) @ V.swapaxes(-1, -2))
 

@@ -49,6 +49,7 @@ _NAMES = (INCOMPARABLE, LEQ, LEQ_STRICT)  # the public verdict of each code
 
 CHRONOLOGICAL = "chronological"
 CAUSAL = "causal"
+QC_TERMS = 8  # terms of each sequence quasi_closed_probe builds
 
 
 @dataclass
@@ -97,8 +98,7 @@ def _verdict(code: int, x: np.ndarray, y: np.ndarray) -> OrderVerdict:
     return OrderVerdict(_NAMES[code], np.vstack([x, y]))
 
 
-def leq_flat(c: Cone, x: np.ndarray, y: np.ndarray,
-             tol: float = DEFAULT_TOL) -> OrderVerdict:
+def leq_flat(c: Cone, x: np.ndarray, y: np.ndarray) -> OrderVerdict:
     """Order verdict for the constant-cone order on flat space.
 
     y - x interior -> strictly ordered; boundary (including y = x) ->
@@ -109,7 +109,7 @@ def leq_flat(c: Cone, x: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.shape[-1] != c.dim:
         raise DimensionMismatchError("point dimensions do not match the cone")
-    return _verdict(int(relations(c, x, y, tol)), x, y)
+    return _verdict(int(relations(c, x, y)), x, y)
 
 
 def minkowski_relation(p: np.ndarray, q: np.ndarray) -> OrderVerdict:
@@ -245,17 +245,16 @@ def _coprime_offsets(directions: int):
 
 
 def reachable_grid(field: ConeField, p: np.ndarray, region, resolution: int,
-                   directions: int = 16, grid_slack: float | None = None) -> FutureSet:
+                   directions: int = 16) -> FutureSet:
     """Reachability by cone-respecting grid steps (BFS over cells).
 
     The walk starts at the cell of p, which must lie in the closed region.
     From each reached cell it may step by any coprime integer offset
     (directions -> 8/16/32 stencil) whose physical displacement is not
-    incomparable, at tolerance grid_slack, in the chart cone of ``field``
-    (for 1+1 Minkowski space, ``ConstantField(Lorentz(2))``).
-    The default slack, half a cell diagonal over the region diameter,
-    keeps exactly-null directions connected without admitting clearly
-    spacelike ones.
+    incomparable, at a slack of half a cell diagonal over the region
+    diameter, in the chart cone of ``field`` (for 1+1 Minkowski space,
+    ``ConstantField(Lorentz(2))``).  The slack keeps exactly-null
+    directions connected without admitting clearly spacelike ones.
     """
     if directions < 8:
         raise ValueError("directions must be >= 8")
@@ -267,11 +266,10 @@ def reachable_grid(field: ConeField, p: np.ndarray, region, resolution: int,
     if not (p.shape == (2,) and np.all(np.isfinite(p))
             and tmin <= p[0] <= tmax and xmin <= p[1] <= xmax):
         raise ValueError(f"start point {p.tolist()} is not a point of the region")
-    if grid_slack is None:
-        cell_diag = math.hypot(dt_c, dx_c)
-        region_diag = math.hypot(t_centers[-1] - t_centers[0] + dt_c,
-                                 x_centers[-1] - x_centers[0] + dx_c)
-        grid_slack = 0.5 * cell_diag / region_diag
+    cell_diag = math.hypot(dt_c, dx_c)
+    region_diag = math.hypot(t_centers[-1] - t_centers[0] + dt_c,
+                             x_centers[-1] - x_centers[0] + dx_c)
+    grid_slack = 0.5 * cell_diag / region_diag
 
     offsets = _coprime_offsets(directions)
     disps = np.array([[di * dt_c, dj * dx_c] for di, dj in offsets])
@@ -298,25 +296,25 @@ def reachable_grid(field: ConeField, p: np.ndarray, region, resolution: int,
 # ------------------------------------------------------------------ probes
 
 
-def quasi_closed_probe(oracle, sequences: int, seed: int,
-                       n_terms: int = 8) -> dict:
+def quasi_closed_probe(oracle, sequences: int, seed: int) -> dict:
     """Check that limits of strictly ordered sequences stay weakly ordered.
 
     For each sampled boundary pair (x, y), the sequences x_n = x - w/n and
-    y_n = y + w/n (w the oracle's interior shift) are strictly ordered by
-    construction; the probe counts limit pairs that fail the weak order.
+    y_n = y + w/n, n = 1..QC_TERMS (w the oracle's interior shift), are
+    strictly ordered by construction; the probe counts limit pairs that
+    fail the weak order.
     """
     if sequences < 1:
         raise ValueError("sequences must be >= 1")
     rng = np.random.default_rng(seed)
     X, Y = oracle.boundary_pairs(rng, sequences)
-    step = oracle.shift / np.arange(1, n_terms + 1)[:, None]  # w/n, by term
+    step = oracle.shift / np.arange(1, QC_TERMS + 1)[:, None]  # w/n, by term
     if np.any(oracle.relations(X[:, None] - step, Y[:, None] + step) != STRICT):
         raise ProbeConstructionError(
             "constructed sequence is not strictly ordered")
     violations = int(np.sum(oracle.relations(X, Y) == INC))
     return {"violations": violations, "sequences": sequences,
-            "terms_per_sequence": n_terms, "seed": seed}
+            "terms_per_sequence": QC_TERMS, "seed": seed}
 
 
 def flat_order_properties(cone: Cone, samples: int, seed: int) -> dict:

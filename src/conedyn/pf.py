@@ -64,8 +64,7 @@ def _metric_norms(field: ConeField, x: np.ndarray, W: np.ndarray) -> np.ndarray:
 def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,
                         x0: np.ndarray, rays_a: np.ndarray, rays_b: np.ndarray,
                         T: float, dt: float = flowmod.DT_DEFAULT,
-                        store_stride: int = flowmod.STORE_STRIDE,
-                        exit_tol: float = EXIT_TOL):
+                        store_stride: int = flowmod.STORE_STRIDE):
     """Push k ray pairs along one orbit, renormalizing every step.
 
     The rays are the columns of a tangent matrix on the orbit's shared flow
@@ -80,7 +79,7 @@ def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,
     propagated rays as columns (a-rays then b-rays), at unit metric length.
 
     Raises ConeExitError when a propagated ray's containment margin drops
-    below -10 * exit_tol (a positivity violation along the orbit), at the
+    below -10 * EXIT_TOL (a positivity violation along the orbit), at the
     first stored time it does so.
     """
     x0 = s.manifold.check_point(x0)
@@ -96,7 +95,7 @@ def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,
     def record(ts, _xs, Ws):
         rays = np.swapaxes(Ws, 1, 2)  # (stored, 2k, dim)
         worst = np.min(cone.margins(rays), axis=1)
-        out = np.flatnonzero(worst < -10.0 * exit_tol)
+        out = np.flatnonzero(worst < -10.0 * EXIT_TOL)
         if out.size:
             j = out[0]
             raise ConeExitError(
@@ -141,8 +140,7 @@ def pf_direction(s: flowmod.FlowSystem, field: ConeField, x0: np.ndarray,
 
 
 def pf_at_equilibrium(s: flowmod.FlowSystem, field: ConeField, e: np.ndarray,
-                      tau: float = 1.0, dt: float = flowmod.DT_DEFAULT,
-                      eq_tol: float = flowmod.EQ_TOL):
+                      tau: float = 1.0, dt: float = flowmod.DT_DEFAULT):
     """Dominant eigenpair of the tangent map over horizon tau at equilibrium e.
 
     Power iteration starts from the cone-field section (interior, so
@@ -154,9 +152,10 @@ def pf_at_equilibrium(s: flowmod.FlowSystem, field: ConeField, e: np.ndarray,
     |Phi_tau v - rho v| < 1e-8.
     """
     e = s.manifold.check_point(e)
-    if float(np.linalg.norm(s.f(e))) >= eq_tol:
+    res = float(np.linalg.norm(s.f(e)))
+    if res >= flowmod.EQ_TOL:
         raise NotEquilibriumError(
-            f"|f(e)| = {float(np.linalg.norm(s.f(e))):.3e} >= {eq_tol:.0e}")
+            f"|f(e)| = {res:.3e} >= {flowmod.EQ_TOL:.0e}")
     if tau <= 0:
         raise ValueError("tau must be > 0")
     _, phis = flowmod.tangent_at(s, e[None, :], [tau], dt)

@@ -39,6 +39,7 @@ INCONCLUSIVE = "inconclusive"
 
 DP_TOL = 1e-7  # containment-margin tolerance after time-1 integration
 SDP_MARGIN_FLOOR = 1e-6
+BOX_SCALE = 2.0  # sampled states are uniform in [-BOX_SCALE, BOX_SCALE]^n
 
 
 @dataclass
@@ -76,11 +77,11 @@ def _first_min(values: np.ndarray):
 
 
 def _rk4_step_not_positive(s: flowmod.FlowSystem, cone: Cone, X0: np.ndarray,
-                           rays: np.ndarray, dt: float, tol: float) -> bool:
+                           rays: np.ndarray, dt: float) -> bool:
     """True when RK4's step map, not the flow, refutes positivity at the
     sampled states X0: the step map at DT_DEFAULT keeps every ray of
-    rays[i] (the rays drawn at X0[i]) within tol of the cone, and the map
-    at dt pushes one out by more than 10 tol.
+    rays[i] (the rays drawn at X0[i]) within DP_TOL of the cone, and the
+    map at dt pushes one out by more than 10 DP_TOL.
 
     RK4's stability polynomial is absolutely monotonic on [-1, 0] and on
     no larger interval, so its step map at a large h need not be positive
@@ -92,26 +93,26 @@ def _rk4_step_not_positive(s: flowmod.FlowSystem, cone: Cone, X0: np.ndarray,
         return cone.margins(rays @ M.transpose(0, 2, 1))
 
     with np.errstate(all="ignore"):  # a map at a huge dt may overflow
-        return bool(np.all(margins(flowmod.DT_DEFAULT) >= -tol)
-                    and np.any(margins(dt) < -10.0 * tol))
+        return bool(np.all(margins(flowmod.DT_DEFAULT) >= -DP_TOL)
+                    and np.any(margins(dt) < -10.0 * DP_TOL))
 
 
 def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
              ray_samples: int, times, seed: int | np.random.Generator,
-             tol: float = DP_TOL, sdp_margin_floor: float = SDP_MARGIN_FLOOR,
-             dt: float = flowmod.DT_DEFAULT, box_scale: float = 2.0) -> DpVerdict:
+             dt: float = flowmod.DT_DEFAULT) -> DpVerdict:
     """Sampled cone-invariance verdict for the tangent flow.
 
     For each random state and cone ray, pushes the ray through the tangent
     map at every requested time and classifies the image in the field's
     chart cone, which is the cone at the image point (chart cones are
-    already expressed there, so no extra transport is applied).  Margins
-    below -10*tol refute positivity; margins in [-10*tol, -tol) are
-    inconclusive; otherwise the verdict is DP, upgraded to SDP when every
-    boundary-ray image stays strictly interior by more than
-    sdp_margin_floor at all sampled t > 0.  A refutation at dt above
-    DT_DEFAULT that RK4's step map explains (``_rk4_step_not_positive``)
-    is inconclusive instead, with params["rk4_step_not_positive"] set.
+    already expressed there, so no extra transport is applied).  With
+    tol = DP_TOL, margins below -10*tol refute positivity; margins in
+    [-10*tol, -tol) are inconclusive; otherwise the verdict is DP,
+    upgraded to SDP when every boundary-ray image stays strictly interior
+    by more than SDP_MARGIN_FLOOR at all sampled t > 0.  A refutation at
+    dt above DT_DEFAULT that RK4's step map explains
+    (``_rk4_step_not_positive``) is inconclusive instead, with
+    params["rk4_step_not_positive"] set.
     """
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0:
@@ -119,7 +120,7 @@ def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
     if x_samples < 1 or ray_samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    X0 = flowmod.sample_states(s, box_scale, x_samples, rng)
+    X0 = flowmod.sample_states(s, BOX_SCALE, x_samples, rng)
     ray_list, tag_list = [], []
     for i in range(x_samples):
         r, tg = _ray_set(field, X0[i], ray_samples, rng)
@@ -144,21 +145,20 @@ def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
                 if tag_list[i][j]:
                     boundary_min = min(boundary_min, m)
 
-    if worst < -10.0 * tol:
+    if worst < -10.0 * DP_TOL:
         status = VIOLATED
-    elif worst < -tol:
+    elif worst < -DP_TOL:
         status = INCONCLUSIVE
-    elif boundary_min > sdp_margin_floor:
+    elif boundary_min > SDP_MARGIN_FLOOR:
         status = SDP
     else:
         status = DP
     params = {"x_samples": x_samples, "ray_samples": ray_samples,
-              "times": times, "seed": seed, "tol": tol,
-              "sdp_margin_floor": sdp_margin_floor, "dt": dt,
-              "box_scale": box_scale, "system": s.name}
+              "times": times, "seed": seed, "tol": DP_TOL,
+              "sdp_margin_floor": SDP_MARGIN_FLOOR, "dt": dt,
+              "box_scale": BOX_SCALE, "system": s.name}
     if (status == VIOLATED and dt > flowmod.DT_DEFAULT
-            and _rk4_step_not_positive(s, cone, X0, np.array(ray_list), dt,
-                                       tol)):
+            and _rk4_step_not_positive(s, cone, X0, np.array(ray_list), dt)):
         status = INCONCLUSIVE
         params["rk4_step_not_positive"] = True
     return DpVerdict(status, float(worst), witness,
@@ -167,12 +167,11 @@ def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
 
 
 def cross_positivity_flat(s: flowmod.FlowSystem, c: Cone, x_samples: int,
-                          seed: int, tol: float = DP_TOL,
-                          box_scale: float = 2.0) -> DpVerdict:
+                          seed: int) -> DpVerdict:
     """Infinitesimal positivity test on flat space with a polyhedral cone.
 
     For every sampled state x, generator g, and facet normal lam with
-    <lam, g> = 0, requires <lam, jac(x) g> >= -tol.  One ``jac`` call
+    <lam, g> = 0, requires <lam, jac(x) g> >= -DP_TOL.  One ``jac`` call
     covers every sample; the witness is the first strict minimum in
     (x, pair) order.
     """
@@ -186,7 +185,7 @@ def cross_positivity_flat(s: flowmod.FlowSystem, c: Cone, x_samples: int,
     active = [(g, lam) for g in gens for lam in normals
               if abs(float(np.dot(lam, g))) < 1e-12]
 
-    X = flowmod.sample_states(s, box_scale, x_samples, seed)
+    X = flowmod.sample_states(s, BOX_SCALE, x_samples, seed)
     J = s.jac(X)
     vals = np.empty((len(X), len(active)))
     for p, (g, lam) in enumerate(active):
@@ -197,23 +196,22 @@ def cross_positivity_flat(s: flowmod.FlowSystem, c: Cone, x_samples: int,
         g, lam = active[at[1]]
         witness = {"x0": X[at[0]].tolist(), "ray": g.tolist(),
                    "facet_normal": lam.tolist(), "t": 0.0}
-    status = DP if worst >= -tol else VIOLATED
-    params = {"x_samples": x_samples, "seed": seed, "tol": tol,
-              "box_scale": box_scale, "system": s.name,
+    status = DP if worst >= -DP_TOL else VIOLATED
+    params = {"x_samples": x_samples, "seed": seed, "tol": DP_TOL,
+              "box_scale": BOX_SCALE, "system": s.name,
               "active_pairs": len(active)}
     return DpVerdict(status, float(worst), witness, None, params)
 
 
 def flat_equivalence(s: flowmod.FlowSystem, c: Cone, pairs: int, T: float,
-                     seed: int, dt: float = flowmod.DT_DEFAULT,
-                     tol: float = DP_TOL, box_scale: float = 2.0,
-                     dp_x_samples: int = 25, dp_ray_samples: int = 6) -> dict:
+                     seed: int, dt: float = flowmod.DT_DEFAULT) -> dict:
     """Cross-check DP verdict against flow monotonicity on ordered pairs.
 
     Samples ordered pairs x <= y (y = x + random cone element, cycling
     through the generators first so extreme directions are always probed),
     checks order preservation at t in {T/2, T}, and compares with the
-    check_dp verdict at the same two times.  agreement = fraction of
+    check_dp verdict (25 states, 6 rays each) at the same two times, at
+    tolerance DP_TOL.  agreement = fraction of
     ordered pairs when the verdict is DP/SDP; when the verdict refutes
     positivity, agreement is 1.0 iff at least one pair lost order.
     """
@@ -221,12 +219,11 @@ def flat_equivalence(s: flowmod.FlowSystem, c: Cone, pairs: int, T: float,
         raise UnsupportedInputError("flat_equivalence needs a flat manifold")
     check_times = [T / 2.0, T]
     rng = np.random.default_rng(seed)  # the pairs follow check_dp's draws
-    dp = check_dp(s, ConstantField(c), dp_x_samples, dp_ray_samples,
-                  check_times, rng, tol=tol, dt=dt, box_scale=box_scale)
+    dp = check_dp(s, ConstantField(c), 25, 6, check_times, rng, dt=dt)
     dp_pass = dp.status in (DP, SDP)
 
     rays = c.unit_rays(rng)
-    X = flowmod.sample_states(s, box_scale, pairs, rng)
+    X = flowmod.sample_states(s, BOX_SCALE, pairs, rng)
     n_ext = min(pairs, 2 * len(rays))
     dirs = np.vstack([rays[np.arange(n_ext) % len(rays)],
                       conic_combinations(rays, pairs - n_ext, rng)])
@@ -236,7 +233,8 @@ def flat_equivalence(s: flowmod.FlowSystem, c: Cone, pairs: int, T: float,
     caught = flowmod.states_at(s, both, check_times, dt)
     # a pair that is incomparable at either time lost its order
     ordered = np.all(
-        relations(c, caught[:, :pairs], caught[:, pairs:], tol) != INC, axis=0)
+        relations(c, caught[:, :pairs], caught[:, pairs:], DP_TOL) != INC,
+        axis=0)
     n_ordered = int(np.sum(ordered))
     if dp_pass:
         agreement = n_ordered / pairs

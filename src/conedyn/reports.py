@@ -116,8 +116,8 @@ def schema_problems(instance, schema: dict | None = None, path: str = "$") -> li
     return problems
 
 
-def validate_report(report: dict, schema: dict | None = None) -> None:
-    problems = schema_problems(report, schema)
+def validate_report(report: dict) -> None:
+    problems = schema_problems(report)
     if problems:
         raise ValueError("report fails schema: " + "; ".join(problems))
 

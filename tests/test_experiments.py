@@ -126,7 +126,7 @@ def test_sample_states_prefix_does_not_depend_on_N(name):
 def test_pair_directions_do_not_reuse_state_draws(coop):
     # direction 1 is a conic combination of e1 and e2; drawn from sample
     # 977's uniforms u, it would be parallel to the weights 0.1 + 0.9 u
-    X, Y = experiments._sample_ordered_pairs(coop, Orthant(2), 1000, 3.0, 0)
+    X, Y = experiments._sample_ordered_pairs(coop, Orthant(2), 1000, 0)
     d = (Y[1] - X[1]) / np.linalg.norm(Y[1] - X[1])
     w = 0.1 + 0.9 * (X[977] + 3.0) / 6.0
     assert not np.allclose(d, w / np.linalg.norm(w), rtol=0.0, atol=1e-6)
@@ -155,6 +155,14 @@ def test_basin_boundary_scan_rejects_same_basin(coop):
     with pytest.raises(ValueError):
         experiments.basin_boundary_scan(
             coop, eqs, [(np.array([1.0, 1.0]), np.array([2.0, 2.0]))])
+
+
+
+def test_basin_boundary_scan_rejects_an_empty_transect_list(coop):
+    s_star = tanh_fixed_point(2.5)
+    eqs = [np.array([s_star, s_star]), -np.array([s_star, s_star])]
+    with pytest.raises(ValueError, match="transect"):
+        experiments.basin_boundary_scan(coop, eqs, [])
 
 
 # -------------------------------------------------------------- dichotomy

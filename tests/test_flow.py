@@ -454,6 +454,47 @@ def test_steps_never_write_into_what_f_and_jac_return(name):
     assert all(np.array_equal(out, copy) for out, copy in seen)
 
 
+@pytest.mark.parametrize("name", ["rotation2d", "coop2d"])
+def test_captures_come_back_in_the_order_of_times(name):
+    s = registry.get_system(name)
+    X = np.array([[1.0, 0.0], [0.5, 0.25]])
+    times = [2.0, 1.0]
+    one = [flow.states_at(s, X, [t])[0] for t in times]
+    assert flow.states_at(s, X, times).tobytes() == np.stack(one).tobytes()
+    xs, ps = flow.tangent_at(s, X, times)
+    for k, t in enumerate(times):
+        x1, p1 = flow.tangent_at(s, X, [t])
+        assert xs[k].tobytes() == x1[0].tobytes()
+        assert ps[k].tobytes() == p1[0].tobytes()
+
+
+def test_no_capture_times_give_empty_stacks(coop):
+    X = np.array([[1.0, 0.0], [0.5, 0.25], [0.0, 1.0]])
+    assert flow.states_at(coop, X, []).shape == (0, 3, 2)
+    xs, ps = flow.tangent_at(coop, X, [])
+    assert xs.shape == (0, 3, 2) and ps.shape == (0, 3, 2, 2)
+
+
+@pytest.mark.parametrize("stride", [0, -1, -2, 2.5, True])
+@pytest.mark.parametrize("path", ["integrate", "tangent_flow",
+                                  "propagate_ray_pairs", "pf_direction"])
+def test_store_stride_must_be_an_integer_of_at_least_one(coop, path, stride):
+    x0 = np.array([1.0, 0.5])
+    field = ConstantField(Orthant(2))
+    calls = {
+        "integrate": lambda: flow.integrate(coop, x0, 1.0, store_stride=stride),
+        "tangent_flow": lambda: flow.tangent_flow(coop, x0, 1.0,
+                                                  store_stride=stride),
+        "propagate_ray_pairs": lambda: pf.propagate_ray_pairs(
+            coop, field, x0, [[1.0, 0.5]], [[0.5, 1.0]], 1.0,
+            store_stride=stride),
+        "pf_direction": lambda: pf.pf_direction(coop, field, x0, 1.0,
+                                                store_stride=stride),
+    }
+    with pytest.raises(ValueError, match="store_stride"):
+        calls[path]()
+
+
 # ------------------------------------------ component-major tangent stacks
 
 
@@ -543,8 +584,7 @@ def _oracle_run(path, system):
         xs, ps = flow.tangent_at(s, X0, [LIN_T], LIN_DT)
         return [], [], [(xs[0], X0 @ R(11).T), (ps[0], np.stack([R(11)] * 2))]
     if path == "ensemble_tails":  # tail starts at step ceil(0.75 * 11) = 9
-        times, frames, _, _, _ = _recorded_tails(s, X0, LIN_T, LIN_DT,
-                                                 store_stride=3)
+        times, frames, _, _, _ = _recorded_tails(s, X0, LIN_T, LIN_DT)
         return [9, 11], times, [(f, X0 @ R(i).T)
                                 for i, f in zip([9, 11], frames)]
     # the rays are renormalized after each step: compare directions
@@ -849,7 +889,7 @@ def _list_and_stack_window(s, X0, T, on_failure="mask"):
     dt = flow.DT_DEFAULT
     n_full, rem = flow._plan_steps(T, dt)
     total = n_full + (1 if rem > 0.0 else 0)
-    start = flow._tail_start(T, dt, flow.TAIL_FRACTION)
+    start = flow._tail_start(T, dt)
     stepper = flow._Stepper(s, X0, on_failure=on_failure)
     times, frames = [], []
 
@@ -988,8 +1028,7 @@ def test_one_orbit_window_equals_the_list_and_stack_reference(name, x0, T):
     s = registry.get_system(name)
     x0 = np.array(x0)
     _, window = _recorded(flow._march_tail, flow._Stepper(s, x0[None]), T,
-                          flow.DT_DEFAULT, flow.TAIL_FRACTION,
-                          flow.STORE_STRIDE)
+                          flow.DT_DEFAULT)
     _, ref = _list_and_stack_window(s, x0[None], T, on_failure="raise")
     _assert_same_window(window, ref)
     _assert_same_estimate(flow.omega_limit(s, x0, T),
@@ -1249,7 +1288,7 @@ def test_matrix_steps_equal_the_row_major_reference(name, seed, times):
     T = times[-1] + 5e-4  # the plan ends in a partial step
     times, tails, _, rows, _ = _recorded_tails(s, X0, T, dt)
     plan = _plan(T, dt)
-    start = flow._tail_start(T, dt, flow.TAIL_FRACTION)
+    start = flow._tail_start(T, dt)
     stored = [X.copy() for i, (X, _) in enumerate(_matrix_march(s, X0, plan), 1)
               if i >= start and ((i - start) % flow.STORE_STRIDE == 0
                                  or i == len(plan))]
@@ -1313,7 +1352,7 @@ def test_matrix_steps_survive_retirement():
     assert [c is not None for c in certified] == [True, False, True, False,
                                                   True]
     plan = _plan(T, dt)
-    start = flow._tail_start(T, dt, flow.TAIL_FRACTION)
+    start = flow._tail_start(T, dt)
     stored = [X.copy() for i, (X, _) in enumerate(
         _matrix_march(s, X0[rows], plan), 1)
         if i >= start and ((i - start) % flow.STORE_STRIDE == 0
