@@ -52,7 +52,10 @@ def wilson_interval(k: int, n: int):
     den = 1.0 + z * z / n
     center = (ph + z * z / (2 * n)) / den
     half = z * math.sqrt(ph * (1 - ph) / n + z * z / (4 * n * n)) / den
-    return (max(0.0, center - half), min(1.0, center + half))
+    # exact ends: center - half (k = 0) and center + half (k = n) meet 0
+    # and 1 only up to rounding
+    return (0.0 if k == 0 else max(0.0, center - half),
+            1.0 if k == n else min(1.0, center + half))
 
 
 def _omega_batch(s, X0, T, dt, witnesses=True):

@@ -3,30 +3,31 @@
 Integration is classical fixed-step RK4 (default dt = 1e-3, final partial
 step allowed) for determinism and reproducibility; adaptive stepping would
 make downstream tolerances scheduler-dependent.  Tangent maps propagate by
-one step map: ``_rk4_step_map`` returns, with each RK4 step, its exact
-Jacobian M built from the stages, so a tangent matrix steps as P <- M P.
-The map has two batch axes: the rows of an ensemble at one time, or the
-states of one orbit over time.  Batched tangent paths (``tangent_at``)
-step M and P with the rows; single-orbit tangent paths (``tangent_flow``
-and the Perron-Frobenius ray pairs) march the state alone, then evaluate
-the maps of a chunk of buffered steps in one call and scan P over them.
+the exact Jacobian M of each RK4 step, built from its stages, so a tangent
+matrix steps as P <- M P.  Every tangent path (``tangent_at``,
+``tangent_flow`` and the Perron-Frobenius ray pairs) marches the states
+once and keeps each step's four stage points, a chunk of at most
+_ORBIT_CHUNK step-rows at a time (``_StepMaps``); one jac call over all of
+a chunk's stage points gives its maps (``_stage_maps``), and P scans them
+one step at a time.  ``_rk4_step_map`` is the one-step case.  A declared
+matrix keeps M = R(hA) and needs no stages.
 
-Inside the step map and the stepper, stacks of matrices are stored
-component-major: a batch of N matrices of shape (n, m) is one contiguous
-(n, m, N) array, so entry (i, j) of every matrix is one contiguous row.
-A stacked product is then one pass of sums over whole rows (``_mul``)
-rather than N small matrix products, and the product with a declared
-matrix R is one BLAS call over the (n, m N) reshape.  Every stack
-that leaves this module has the usual (N, n, m) shape: the step map's M
-and the stepper's P are transposed views of the component-major arrays.
-A system that declares its matrix keeps its states the same way: a step
-is (R @ X.T).T, so X is the (N, n) transposed view of a contiguous
-(n, N) array, bit-equal to X @ R.T and about three times faster at
-N = 1000.  Nonlinear systems keep row-major states: their stage sums
-would otherwise mix memory layouts.  A jac may build its stack
-component-major and return the (N, n, n) view of it, as coop2d does;
-``_jac_cm`` then hands that stack on without a copy.  The RK4 sums
-k1 + 2 k2 + 2 k3 + k4 of the state and of M accumulate in place
+The step maps are stored component-major: a batch of N matrices of shape
+(n, m) is one contiguous (n, m, N) array, so entry (i, j) of every matrix
+is one contiguous row.  A stacked product is then one pass of sums over
+whole rows (``_mul``) rather than N small matrix products, and the product
+with a declared matrix R is one BLAS call over the (n, m N) reshape.  A
+batch's tangents scan component-major, summed in order; one orbit's take
+one small matmul per step, which BLAS rounds with fused multiply-adds, so
+the two may differ in the last bit.  Every stack that leaves this module
+has the usual (N, n, m) shape.  A system that declares its matrix keeps
+its states the same way: a step is (R @ X.T).T, so X is the (N, n)
+transposed view of a contiguous (n, N) array, bit-equal to X @ R.T and
+about three times faster at N = 1000.  Nonlinear systems keep row-major
+states: their stage sums would otherwise mix memory layouts.  A jac may
+build its stack component-major and return the (N, n, n) view of it, as
+coop2d does; ``_jac_cm`` then hands that stack on without a copy.  The
+RK4 sums k1 + 2 k2 + 2 k3 + k4 of the state and of M accumulate in place
 (``_rk4_increment``), in the order of the textbook expression, so a step
 rounds as that expression does; nothing f or jac returns is written into.
 
@@ -85,6 +86,11 @@ for a proof wherever none covers the next step (after a failed proof,
 only once a guarded step proves the live rows clean or loses a row),
 takes the run it proves as one bare loop of products and guards the live
 rows on every other step, so every decision is the one the guard makes.
+On flat space a system with no declared matrix needs no proof: a step
+keeps a non-finite entry non-finite, so each run up to the next event is
+one bare loop of RK4 steps with one guard at its end.  Rows that died in
+it are set to nan before the event reads them, and in raise mode a failed
+run is replayed with the guard after every step, which dates the failure.
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ TAIL_FRACTION = 0.25
 CLUSTER_RADIUS = 1e-4
 EQ_TOL = 1e-10
 CERT_EVERY = 100  # ensemble steps between contraction-certificate checks
-_ORBIT_CHUNK = 1024  # steps of one orbit per batched step-map call
+_ORBIT_CHUNK = 1024  # step-rows of stage points per jac call of a tangent path
 _CERT_F_MAX = 1e-2  # only rows with |f| below this seed an equilibrium search
 _CERT_EQ_TOL = 1e-12  # certified equilibria are polished past EQ_TOL
 _CERT_REJECT_RADIUS = 0.05  # rows this close to a rejected point seed nothing
@@ -177,11 +183,20 @@ def _rk4_increment(h: float, k1, k2, k3, k4, scratch: bool = False):
     return acc
 
 
-def _rk4_step(s: FlowSystem, X: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(s: FlowSystem, X: np.ndarray, h: float,
+              stages=None) -> np.ndarray:
+    """One RK4 step of the rows of X.  With stages, a list, the step also
+    appends its four stage points (X, X + h/2 k1, X + h/2 k2, X + h k3) to
+    it, the arrays it evaluated f at; nothing writes into them later."""
     k1 = s.f(X)
-    k2 = s.f(X + 0.5 * h * k1)
-    k3 = s.f(X + 0.5 * h * k2)
-    k4 = s.f(X + h * k3)
+    x2 = X + 0.5 * h * k1
+    k2 = s.f(x2)
+    x3 = X + 0.5 * h * k2
+    k3 = s.f(x3)
+    x4 = X + h * k3
+    k4 = s.f(x4)
+    if stages is not None:
+        stages += (X, x2, x3, x4)
     Xn = _rk4_increment(h, k1, k2, k3, k4)
     Xn += X
     return Xn
@@ -212,41 +227,45 @@ def _times_eye_plus(J: np.ndarray, K: np.ndarray, c: float) -> np.ndarray:
     return JK
 
 
+def _stage_maps(s: FlowSystem, stages: list, h: float) -> np.ndarray:
+    """The exact Jacobians of RK4 steps of size h from their stage points.
+
+    stages holds the stage points of C steps of N rows, as _rk4_step
+    appends them.  One jac call over all 4 C N points gives the stage
+    Jacobians J1..J4, and K1 = J1, K2 = J2 (I + h/2 K1), K3 = J3 (I + h/2 K2),
+    K4 = J4 (I + h K3), M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), the identity
+    added in place on the diagonal, over the C N columns at once.  Returns
+    the (C, n, n, N) view in which M[c] is step c's component-major stack.
+    """
+    C, (N, n) = len(stages) // 4, stages[0].shape
+    Z = np.concatenate(stages).reshape(C, 4, N, n).transpose(1, 0, 2, 3)
+    J = _jac_cm(s, Z.reshape(-1, n))  # the points grouped by stage
+    K1, J2, J3, J4 = (J[:, :, q * C * N:(q + 1) * C * N] for q in range(4))
+    K2 = _times_eye_plus(J2, K1, 0.5 * h)
+    K3 = _times_eye_plus(J3, K2, 0.5 * h)
+    K4 = _times_eye_plus(J4, K3, h)
+    # K2 and K3 are _times_eye_plus outputs, so they may hold the sum
+    M = _rk4_increment(h, K1, K2, K3, K4, scratch=True)
+    for i in range(n):
+        M[i, i] += 1.0
+    return M.reshape(n, n, C, N).transpose(2, 0, 1, 3)
+
+
 def _rk4_step_map(s: FlowSystem, X: np.ndarray, h: float):
-    """One RK4 step of the rows of X and its exact Jacobian.
+    """One RK4 step of the rows of X and its exact Jacobian: the one-step
+    case of ``_StepMaps``.
 
     Returns (Xn, M) with Xn = _rk4_step(s, X, h) bit for bit and M[j] the
-    derivative of the step map at X[j], built from the stages as
-    K1 = J1, K2 = J2 (I + h/2 K1), K3 = J3 (I + h/2 K2), K4 = J4 (I + h K3),
-    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), the identity added in place on
-    the diagonal.  The stages are component-major and M, of shape (N, n, n),
-    is a view of the contiguous (n, n, N) stack: ``M.transpose(1, 2, 0)``
-    gives that stack back for free.  A declared matrix gives M = R(hA) as
-    a zero-stride broadcast of R, which is not such a stack.
-    The rows of the 2-d X may be one batch at one time or one orbit's
-    states over time: the map batches over either.
+    derivative of the step map at X[j] (``_stage_maps``).  M, of shape
+    (N, n, n), is a view of a component-major (n, n, N) stack.  A declared
+    matrix gives M = R(hA) as a zero-stride broadcast of R.
     """
     if s.matrix is not None:
         R = _rk4_map(s.matrix, h)
         return (R @ X.T).T, np.broadcast_to(R, X.shape[:-1] + R.shape)
-    k1 = s.f(X)
-    K1 = _jac_cm(s, X)
-    x2 = X + 0.5 * h * k1
-    k2 = s.f(x2)
-    K2 = _times_eye_plus(_jac_cm(s, x2), K1, 0.5 * h)
-    x3 = X + 0.5 * h * k2
-    k3 = s.f(x3)
-    K3 = _times_eye_plus(_jac_cm(s, x3), K2, 0.5 * h)
-    x4 = X + h * k3
-    k4 = s.f(x4)
-    K4 = _times_eye_plus(_jac_cm(s, x4), K3, h)
-    Xn = _rk4_increment(h, k1, k2, k3, k4)
-    Xn += X
-    # K2 and K3 are _times_eye_plus outputs, so they may hold the sum
-    M = _rk4_increment(h, K1, K2, K3, K4, scratch=True)
-    for i in range(len(M)):
-        M[i, i] += 1.0
-    return Xn, M.transpose(2, 0, 1)
+    stages = []
+    Xn = _rk4_step(s, X, h, stages)
+    return Xn, _stage_maps(s, stages, h)[0].transpose(2, 0, 1)
 
 
 def _rk4_map(A: np.ndarray, h: float) -> np.ndarray:
@@ -271,45 +290,98 @@ def _bad_rows(s: FlowSystem, X: np.ndarray):
     return s.manifold.leaves(X)
 
 
+class _StepMaps:
+    """The step maps of a march, handed to a scan a chunk at a time.
+
+    A ``_Stepper`` whose ``tangents`` is set hands over every step it
+    takes: a declared matrix's steps as their map R(hA) (``matrix_steps``),
+    any other step as its four stage points, which _rk4_step appends to
+    ``stages(h)``.  A chunk holds at most C = max(1, _ORBIT_CHUNK // N)
+    steps of the N rows, all of one size h.  ``flush`` builds the chunk's
+    maps, from the stages with one jac call (``_stage_maps``), and calls
+    scan(Ms) with them in step order: Ms[c] is step c's component-major
+    (n, n, N) stack, or, for a declared matrix, R itself.  A step's maps
+    reach the scan before its guard only inside a run of a flat system
+    (``_Stepper``), so a row that dies there may scan garbage until it is
+    marked dead.
+    """
+
+    def __init__(self, s: FlowSystem, N: int, scan):
+        self.s, self.scan = s, scan
+        self.C = max(1, _ORBIT_CHUNK // max(N, 1))
+        self.points = []  # the stage points of the chunk's steps, in order
+        self.used, self.h, self.R = 0, None, None  # steps in the chunk
+
+    def _take(self, h: float, k: int) -> None:
+        """Open k more steps of size h in the chunk; a chunk that is full
+        or of another step size is flushed first."""
+        if self.used and (self.used + k > self.C or h != self.h):
+            self.flush()
+        self.used += k
+        self.h = h
+
+    def stages(self, h: float) -> list:
+        """The list the next step, of size h, appends its stage points to."""
+        self._take(h, 1)
+        return self.points
+
+    def matrix_steps(self, R: np.ndarray, h: float, k: int) -> None:
+        """k steps of size h of a declared matrix, whose map is R."""
+        self._take(h, k)
+        self.R = R
+
+    def flush(self) -> None:
+        """Scan the maps of the steps in the chunk, and empty it."""
+        c, self.used = self.used, 0
+        points, self.points = self.points, []
+        if not c:
+            return
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            if self.s.matrix is not None:
+                self.scan(np.broadcast_to(self.R, (c,) + self.R.shape))
+            else:
+                self.scan(_stage_maps(self.s, points, self.h))
+
+
 class _Stepper:
     """Fixed-step RK4 over a batch, with failure masking or raising.
 
-    Every flow path marches through ``march``.  With an initial (n, m)
-    tangent matrix ``P0`` (copied to every row) the stepper also steps the
-    variational equation P' = jac(x) P as P <- M P, M from _rk4_step_map.
-    The tangent matrices are stored component-major, (n, m, N); the ``P``
-    property is their (N, n, m) view, and writes through it land in the
-    stored stack.  With a declared matrix the states are component-major
-    too: X is the (N, n) view of the (n, N) array each step returns.
+    Every flow path marches through ``march``.  With a declared matrix the
+    states are component-major: X is the (N, n) view of the (n, N) array
+    each step returns.  A ``_StepMaps`` set as ``tangents`` receives every
+    step, so the tangent paths build their maps from the march's own stages.
 
-    The manifold guard (``_bad_rows``) runs over the live rows after every
-    step no proof covers; it returns None only for rows it proves clean,
-    and then the step does no mask work.  A proof covers a run of steps of
-    a declared matrix (``_free_steps``): the steps ``ManifoldSpec.free_steps``
-    allows the live rows, which the stepper then takes with no guard.
+    The manifold guard (``_bad_rows``) decides every row; it returns None
+    only for rows it proves clean, and then the step does no mask work.  On
+    flat space a system with no declared matrix takes each run up to its
+    next event as a bare loop of _rk4_step and guards the live rows once,
+    at its end: x + (h/6)(k1 + 2 k2 + 2 k3 + k4) keeps a non-finite entry
+    non-finite, so a row that is finite at the end of a run was finite at
+    every step of it.  Rows found bad are marked dead and set to nan before
+    the event reads them; in raise mode a failed run is replayed from its
+    start with the guard after every step, which raises at the step that
+    failed.  A declared matrix takes the runs a proof covers
+    (``_free_steps``: the steps ``ManifoldSpec.free_steps`` allows the live
+    rows) with no guard.  Every other step (on SPD, every step no proof
+    covers) is guarded after it.
     """
 
-    def __init__(self, s: FlowSystem, X0: np.ndarray, P0=None,
+    def __init__(self, s: FlowSystem, X0: np.ndarray,
                  on_failure: str = "raise"):
         self.s = s
         self.X = np.array(X0, dtype=float, copy=True)
         if self.X.ndim != 2:
             raise ValueError("batch states must have shape (N, n)")
         self.t = 0.0
-        self._P = None if P0 is None else np.repeat(
-            np.asarray(P0, dtype=float)[..., None], len(self.X), axis=-1)
         self.on_failure = on_failure
         self.maps = {}  # step size h -> (R(hA), c), for a declared matrix A
+        self.tangents = None  # a _StepMaps that takes every step
+        self.runs = s.matrix is None and s.manifold.kind == "euclidean"
         bad = _bad_rows(s, self.X)
         self.dead = np.zeros(len(self.X), dtype=bool) if bad is None else bad
         self.any_dead = bool(np.any(self.dead))
         if self.on_failure == "raise" and self.any_dead:
             raise ManifoldExitError(0.0, "initial state is off the manifold")
-
-    @property
-    def P(self):
-        """The tangent matrices, (N, n, m): a view of the stored stack."""
-        return None if self._P is None else self._P.transpose(2, 0, 1)
 
     def _map(self, h: float):
         """(R(hA), c) for the declared matrix A, cached per step size; c is
@@ -333,25 +405,16 @@ class _Stepper:
     def _steps(self, h: float, k: int) -> None:
         """k steps of size h of a declared matrix, with no guard."""
         R = self._map(h)[0]
-        X, P = self.X.T, self._P
+        X = self.X.T
         for _ in range(k):
             X = R @ X  # component-major: one pass over (n, N)
-            if P is not None:
-                P = (R @ P.reshape(len(R), -1)).reshape(P.shape)
-        self.X, self._P = X.T, P
+        self.X = X.T
+        if self.tangents is not None:
+            self.tangents.matrix_steps(R, h, k)
 
-    def advance(self, h: float, t_new: float) -> bool:
-        """One guarded step of size h to time t_new; True when the guard
-        proved the live rows clean or rows left: a new proof may succeed."""
-        P = self._P
-        if self.s.matrix is not None:
-            self._steps(h, 1)
-            Xn, Pn = self.X, self._P
-        elif P is None:
-            Xn, Pn = _rk4_step(self.s, self.X, h), None
-        else:
-            Xn, M = _rk4_step_map(self.s, self.X, h)
-            Pn = _mul(M.transpose(1, 2, 0), P)
+    def _accept(self, Xn: np.ndarray, t_new: float) -> bool:
+        """Guard the live rows of Xn, the states at t_new, and take them;
+        True when the guard proved them clean or rows left."""
         live = ~self.dead if self.any_dead else slice(None)
         bad = _bad_rows(self.s, Xn[live])  # the dead rows need no guard
         fresh = bad is None
@@ -364,14 +427,40 @@ class _Stepper:
             self.any_dead = fresh = True
         if self.any_dead:  # dead rows stay frozen at nan
             Xn[self.dead] = np.nan
-            if Pn is not None:
-                Pn[..., self.dead] = np.nan
-        self.X, self._P = Xn, Pn
+        self.X = Xn
         return fresh
+
+    def advance(self, h: float, t_new: float) -> bool:
+        """One guarded step of size h to time t_new; True when the guard
+        proved the live rows clean or rows left: a new proof may succeed."""
+        if self.s.matrix is not None:
+            self._steps(h, 1)
+            return self._accept(self.X, t_new)
+        maps = self.tangents
+        return self._accept(_rk4_step(self.s, self.X, h, None if maps is None
+                                      else maps.stages(h)), t_new)
+
+    def _run(self, i: int, stop: int, size, time, t_stop: float) -> None:
+        """Steps i + 1..stop (step j + 1 of size size(j), ending at time(j
+        + 1); t_stop = time(stop)) of a flat system with no declared
+        matrix: one bare loop, then one guard."""
+        X = start = self.X
+        maps = self.tangents
+        for j in range(i, stop):
+            h = size(j)
+            X = _rk4_step(self.s, X, h, None if maps is None
+                          else maps.stages(h))
+        try:
+            self._accept(X, t_stop)
+        except FlowBlowupError:  # raise mode: replay to date the failure
+            self.X, self.tangents = start, None
+            for j in range(i, stop):
+                self.advance(size(j), time(j + 1))
+            raise
 
     def drop(self, rows: np.ndarray) -> None:
         """Remove the rows where the boolean mask rows is True (a stepper
-        without tangent matrices only)."""
+        without tangents only)."""
         keep = ~rows
         self.X = self.X[keep]
         self.dead = self.dead[keep]
@@ -395,12 +484,23 @@ class _Stepper:
             events = ()
         elif events is None:
             events = range(0, total, stride)
+
+        def size(j):  # of step j + 1
+            return dt if j < n_full else rem
+
+        def time(j):  # at the end of step j
+            return t0 + min(j * dt, span)
+
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             i = proven = first  # steps i + 1..proven need no guard
             fresh = True  # no proof has failed on the batch as it stands
             for stop in itertools.chain(events, (total,)):
+                t_stop = time(stop)
+                if self.runs and i < stop:
+                    self._run(i, stop, size, time, t_stop)
+                    i = stop
                 while i < stop:
-                    h = dt if i < n_full else rem
+                    h = size(i)
                     if i >= proven and fresh:  # no proof covers step i + 1
                         proven = i + self._free_steps(
                             h, n_full - i if i < n_full else 1)
@@ -410,9 +510,9 @@ class _Stepper:
                         i += k
                     else:
                         i += 1
-                        fresh = self.advance(h, t0 + min(i * dt, span))
+                        fresh = self.advance(h, time(i))
                 if on_store is not None:
-                    on_store(t0 + min(stop * dt, span), stop == total)
+                    on_store(t_stop, stop == total)
                 if not len(self.X):
                     break  # every row has left the batch
         self.t = t_end  # no float drift across horizons
@@ -445,14 +545,14 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
                    dt: float, stride: int, on_records, unit: bool = False):
     """March one orbit and a tangent matrix P, P(0) = P0, to T.
 
-    Only the state marches through ``_Stepper`` (same plan, guard and
-    failure policy as every flow path).  Its states are buffered, and for
-    every _ORBIT_CHUNK steps one ``_rk4_step_map`` call over the buffered
-    states (a batch over time) gives the step maps; P <- M P then scans
-    them, with every column scaled to unit Euclidean length after each
-    step when unit is set.  on_records(ts, xs, Ps) receives, in step
-    order, the stored steps: the start, every stride-th step and the last.
-    A state failure first hands over the steps before it, then raises; so
+    The orbit marches as a batch of one row (same plan, guard and failure
+    policy as every flow path) with a ``_StepMaps`` attached, and P <- M P
+    scans each chunk's maps (one matmul per step), with every column scaled
+    to unit Euclidean length after each step when unit is set.  A store
+    after every step buffers its state, so every step is guarded before
+    its maps are scanned.  on_records(ts, xs, Ps) receives, in step order,
+    the stored steps: the start, every stride-th step and the last.  A
+    state failure first hands over the steps before it, then raises; so
     does (unit set) a step that leaves a column of P a zero or inf/nan norm.
 
     Returns (x_final, P_final).
@@ -468,14 +568,13 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
     xs, ts = [], []  # states and times from the chunk's start state on
     done = 0  # steps handed over
 
-    def flush():
+    def scan(Ms):
         nonlocal P, done, xs, ts
-        m = len(xs) - 1
-        if m < 1:
-            return
-        X, t_steps = np.asarray(xs), np.asarray(ts[1:])
-        xs, ts = xs[-1:], ts[-1:]
-        full = min(m, n_full - done)  # the partial step, if any, comes last
+        if Ms.ndim == 4:  # (c, n, n, 1) stacks of the one row
+            Ms = Ms[..., 0]
+        m = min(len(Ms), len(xs) - 1)  # a failed step has maps, no state
+        X, t_steps = np.asarray(xs[:m + 1]), np.asarray(ts[1:m + 1])
+        xs, ts = xs[m:], ts[m:]
         steps = np.arange(done + 1, done + m + 1)
         done += m
         keep = (steps % stride == 0) | (steps == total)
@@ -483,9 +582,7 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
         norms = np.ones((m, P.shape[1]))  # unit: column norms after each step
         r = 0
         with np.errstate(all="ignore"):  # failures are dated below or by march
-            Ms = [_rk4_step_map(s, X[a:b], h)[1]
-                  for a, b, h in ((0, full, dt), (full, m, rem)) if b > a]
-            for M, k, nrm in zip(itertools.chain(*Ms), keep.tolist(), norms):
+            for M, k, nrm in zip(Ms, keep.tolist(), norms):
                 P = M @ P
                 if unit:  # np.linalg.norm(P, axis=0) without its overhead
                     P /= np.sqrt(np.add.reduce(P * P, axis=0), out=nrm)
@@ -500,18 +597,18 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
             raise FlowBlowupError(t_steps[n_ok], "tangent map blew up near "
                                   f"t={t_steps[n_ok]:.6g}")
 
+    stepper.tangents = maps = _StepMaps(s, 1, scan)
+
     def buffer(t, last):
-        xs.append(stepper.X[0])  # advance allocates a new X every step
+        xs.append(stepper.X[0])  # every step allocates a new X
         ts.append(t)
-        if len(xs) > _ORBIT_CHUNK:
-            flush()
 
     try:
         stepper.march(T, dt, buffer)
     except (FlowBlowupError, ManifoldExitError):
-        flush()
+        maps.flush()
         raise
-    flush()
+    maps.flush()
     return stepper.X[0], P
 
 
@@ -569,14 +666,37 @@ def states_at(s: FlowSystem, X0: np.ndarray, times, dt: float = DT_DEFAULT,
 
 def tangent_at(s: FlowSystem, X0: np.ndarray, times, dt: float = DT_DEFAULT,
                on_failure: str = "raise"):
-    """Batched (states, tangent maps) captured exactly at the given times."""
+    """Batched (states, tangent maps) captured exactly at the given times.
+
+    The tangent matrices, from the identity, scan the march's step maps
+    (``_StepMaps``) as P <- M P: component-major, summed in order
+    (``_mul``), or one product with a declared matrix's R over the (n, n N)
+    reshape.  With on_failure="mask", a row that left reads nan from the
+    first capture after it left.
+    """
     stepper = _Stepper(s, np.atleast_2d(np.asarray(X0, float)),
-                       P0=np.eye(s.dim), on_failure=on_failure)
-    snaps = _capture(stepper, times, dt,
-                     lambda: (stepper.X.copy(), stepper.P.copy()))
+                       on_failure=on_failure)
+    N, n = stepper.X.shape
+    P = np.repeat(np.eye(n)[..., None], N, axis=-1)  # (n, n, N)
+
+    def scan(Ms):
+        nonlocal P
+        for M in Ms:
+            P = (_mul(M, P) if M.ndim == 3
+                 else (M @ P.reshape(n, -1)).reshape(P.shape))
+
+    stepper.tangents = maps = _StepMaps(s, N, scan)
+
+    def snapshot():
+        maps.flush()
+        if stepper.any_dead:  # a dead row's maps may be garbage
+            P[..., stepper.dead] = np.nan
+        return stepper.X.copy(), P.transpose(2, 0, 1).copy()
+
+    snaps = _capture(stepper, times, dt, snapshot)
     k = len(snaps)
-    return (np.asarray([x for x, _ in snaps]).reshape((k,) + stepper.X.shape),
-            np.asarray([p for _, p in snaps]).reshape((k,) + stepper.P.shape))
+    return (np.asarray([x for x, _ in snaps]).reshape((k, N, n)),
+            np.asarray([p for _, p in snaps]).reshape((k, N, n, n)))
 
 
 def _box_array(box, dim: int) -> np.ndarray:

@@ -548,3 +548,15 @@ def test_basin_scan_refuses_an_escaping_endpoint():
     with pytest.raises(ValueError, match="transect 1 does not straddle"):
         experiments.basin_boundary_scan(s, eqs, pairs, classify_T=1.0,
                                         dt=1e-2)
+
+
+def test_wilson_interval_ends_are_exact():
+    z2 = experiments._Z95 ** 2
+    for n in range(1, 1001):
+        lo, hi = experiments.wilson_interval(0, n)
+        assert lo == 0.0
+        assert hi == pytest.approx(z2 / (n + z2), rel=1e-15, abs=0.0)
+        lo, hi = experiments.wilson_interval(n, n)
+        assert hi == 1.0
+        assert lo == pytest.approx(n / (n + z2), rel=1e-15, abs=0.0)
+    assert experiments.wilson_interval(0, 0) == (0.0, 1.0)

@@ -56,12 +56,19 @@ def test_integrate_partial_final_step():
 
 
 def test_integrate_blowup_reports_time():
-    s = flow.FlowSystem(geometry.euclidean(1), lambda x: np.asarray(x) ** 2,
-                        lambda x: 2.0 * np.asarray(x)[..., None, None],
-                        "quadratic")
-    with pytest.raises(FlowBlowupError) as err:
-        flow.integrate(s, np.array([1.0]), T=2.0, dt=1e-3)
-    assert 0.9 < err.value.time <= 1.2  # true blow-up at t = 1
+    s, x0, T, dt = _quadratic(), np.array([1.0]), 2.0, 1e-3
+    t_ref = _first_blowup(s, x0, T, dt)
+    assert 1.0 < t_ref < 1.01  # the true blowup is at t = 1
+    calls = {
+        "integrate": lambda: flow.integrate(s, x0, T, dt),
+        "states_at": lambda: flow.states_at(s, x0[None], [0.5, T], dt),
+        "tangent_at": lambda: flow.tangent_at(s, x0[None], [T], dt),
+        "tangent_flow": lambda: flow.tangent_flow(s, x0, T, dt),
+    }
+    for path, call in calls.items():
+        with pytest.raises(FlowBlowupError) as err:
+            call()
+        assert err.value.time == t_ref, path
 
 
 def test_spd_guard_raises_on_chart_exit():
@@ -517,23 +524,244 @@ def test_masked_tangent_at_keeps_every_other_row_to_itself():
 
 
 @pytest.mark.parametrize("name", ["coop2d", "metzler_linear"])
-def test_stepper_tangents_keep_their_row_major_shape(name):
-    # a non-square P0, as the ray pairs of pf use; P is a view, so a write
-    # through it changes the next step
+def test_orbit_tangents_keep_a_non_square_start(name):
+    # a non-square P0, as the ray pairs of pf use, comes back as (n, m)
+    # captures; stacked over rows, one step gives M @ P0
     s = registry.get_system(name)
     X = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 2))
     P0 = np.random.default_rng(4).normal(size=(2, 5))
-    stepper = flow._Stepper(s, X, P0=P0)
-    assert stepper.P.shape == (4, 2, 5)
-    assert np.array_equal(stepper.P, np.broadcast_to(P0, (4, 2, 5)))
+    got = []
+    for x in X:
+        recs = []
+        flow._orbit_tangent(s, x, P0, 0.01, 0.01, 1,
+                            lambda ts, xs, Ps: recs.append(Ps))
+        got.append(np.concatenate(recs))
+    got = np.stack(got, axis=1)
+    assert got.shape == (2, 4, 2, 5)
+    assert np.array_equal(got[0], np.broadcast_to(P0, (4, 2, 5)))
     _, M = flow._rk4_step_map(s, X, 0.01)
     assert M.shape == (4, 2, 2)
-    stepper.advance(0.01, 0.01)
-    assert stepper.P.shape == (4, 2, 5)
-    assert np.allclose(stepper.P, M @ P0, rtol=1e-15, atol=1e-15)
-    stepper.P[2] = 0.0
-    stepper.advance(0.01, 0.02)
-    assert np.all(stepper.P[2] == 0.0) and np.all(stepper.P[[0, 1, 3]] != 0.0)
+    assert np.array_equal(got[1], M @ P0)
+
+
+# ------------------------------------------------------ one tangent engine
+
+ENGINE_TIMES = [2.0605, 0.25, 2.0605, 0.5]  # unsorted, repeated, partial
+ENGINE_DT = 1e-3
+
+
+def _in_order(M, P):
+    """M @ P for (N, n, k) and (N, k, m) stacks, each entry summed in
+    order j = 0, 1, ... with a rounding after every product and add."""
+    acc = M[:, :, :1] * P[:, :1, :]
+    for j in range(1, M.shape[2]):
+        acc = acc + M[:, :, j:j + 1] * P[:, j:j + 1, :]
+    return acc
+
+
+def _staged_march(s, X, plan, P):
+    """Reference for a system with no declared matrix: X <- _rk4_step and
+    P <- M P, M from reference_rk4_step_map, per step of the plan, summed
+    in order; a row with a non-finite state freezes at nan from the step
+    it fails.  Yields (X, P) after each step."""
+    dead = np.zeros(len(X), dtype=bool)
+    for h in plan:
+        _, M = reference_rk4_step_map(s, X, h)
+        X, P = flow._rk4_step(s, X, h), _in_order(M, P)
+        dead |= ~np.isfinite(X).all(axis=1)
+        X[dead] = np.nan
+        P[dead] = np.nan
+        yield X, P
+
+
+def _reference_captures(s, X0, times, dt):
+    """tangent_at's (xs, ps) step by step: the times visited sorted, each
+    gap on its own plan, as _capture marches them."""
+    march = _matrix_march if s.matrix is not None else _staged_march
+    X, P, t_prev = X0, np.tile(np.eye(s.dim), (len(X0), 1, 1)), 0.0
+    xs, ps = [None] * len(times), [None] * len(times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in sorted(range(len(times)), key=times.__getitem__):
+            span = times[i] - t_prev
+            if span > 0.0:
+                for X, P in march(s, X, _plan(span, min(dt, span)), P):
+                    pass
+                t_prev = times[i]
+            xs[i], ps[i] = X, P
+    return np.array(xs), np.array(ps)
+
+
+def _reference_orbit(s, x0, P0, T, dt, unit):
+    """One orbit step by step: the state by _rk4_step (a declared matrix by
+    R(hA)), P <- M @ P with M from reference_rk4_step_map (or R), each
+    column scaled to unit length after every step when unit is set.
+    Returns the (x, P) of every step from the start."""
+    X, P, out = x0[None], P0, [(x0, P0)]
+    for h in _plan(T, dt):
+        if s.matrix is not None:
+            M = flow._rk4_map(s.matrix, h)
+            X = (M @ X.T).T
+        else:
+            M = reference_rk4_step_map(s, X, h)[1][0]
+            X = flow._rk4_step(s, X, h)
+        P = M @ P
+        if unit:
+            P = P / np.linalg.norm(P, axis=0)
+        out.append((X[0], P))
+    return out
+
+
+ENGINE_SYSTEMS = ["coop2d", "bistable1d", "metzler_linear", "spd_lyapunov"]
+
+
+@pytest.mark.parametrize("N", [1, 25, 1000])
+@pytest.mark.parametrize("name", ENGINE_SYSTEMS)
+def test_tangent_paths_equal_the_per_step_reference(name, N):
+    s = registry.get_system(name)
+    X0 = flow.sample_states(s, 2.0, N, 11)
+    want = _reference_captures(s, X0, ENGINE_TIMES, ENGINE_DT)
+    got = flow.tangent_at(s, X0, ENGINE_TIMES, ENGINE_DT)
+    assert got[1].shape == (4, N, s.dim, s.dim)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    x0, T, stride = X0[-1], ENGINE_TIMES[0], 7
+    steps = list(range(0, len(_plan(T, ENGINE_DT)), stride)) + [
+        len(_plan(T, ENGINE_DT))]
+    ref = _reference_orbit(s, x0, np.eye(s.dim), T, ENGINE_DT, False)
+    tf = flow.tangent_flow(s, x0, T, ENGINE_DT, store_stride=stride)
+    assert np.array_equal(tf.states, [ref[i][0] for i in steps])
+    assert np.array_equal(tf.phis, [ref[i][1] for i in steps])
+    field = registry.default_field(s)
+    u0 = field.section(x0)
+    u1 = u0 + 0.5 * field.cone.boundary_rays(np.random.default_rng(0), 1)[0]
+    times, dists, x, W = pf.propagate_ray_pairs(
+        s, field, x0, u0[None], u1[None], T, ENGINE_DT, stride)
+    P0 = np.stack([u0, u1], axis=1)
+    ref = _reference_orbit(s, x0, P0 / np.linalg.norm(P0, axis=0), T,
+                           ENGINE_DT, True)
+    rays = np.array([ref[i][1].T for i in steps])
+    assert np.array_equal(times, tf.times)
+    assert np.array_equal(dists, field.cone.hilbert_distances(
+        rays[:, :1], rays[:, 1:]))
+    x_ref, W_ref = ref[-1]
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(W, W_ref / pf._metric_norms(field, x_ref, W_ref))
+
+
+def _quadratic():
+    """x' = x^2, which blows up at t = 1 / x(0) for x(0) > 0."""
+    return flow.FlowSystem(geometry.euclidean(1), lambda x: np.asarray(x) ** 2,
+                           lambda x: 2.0 * np.asarray(x)[..., None],
+                           "quadratic")
+
+
+def test_a_row_that_blows_up_mid_chunk_reads_nan_from_that_capture_on():
+    # 25 rows: a chunk is 40 steps; row 3 blows up near step 1020, the
+    # middle of the chunk of steps 1001-1040
+    s = _quadratic()
+    X0 = np.linspace(-1.0, 0.35, 25)[:, None]  # the others stay finite
+    X0[3] = 1.0 / 1.0205
+    times = [0.5, 1.5, 2.5]
+    xs, ps = flow.tangent_at(s, X0, times, on_failure="mask")
+    assert np.isfinite(xs[0]).all() and np.isfinite(ps[0]).all()
+    assert np.isnan(xs[1:, 3]).all() and np.isnan(ps[1:, 3]).all()
+    assert np.isfinite(np.delete(ps, 3, axis=1)).all()
+    want = _reference_captures(s, X0, times, flow.DT_DEFAULT)
+    assert np.array_equal(xs, want[0], equal_nan=True)
+    assert np.array_equal(ps, want[1], equal_nan=True)
+    for i in range(0, 25, 4):  # row 3's death touches no other row
+        x1, p1 = flow.tangent_at(s, X0[i:i + 1], times)
+        assert xs[:, i].tobytes() == x1[:, 0].tobytes()
+        assert ps[:, i].tobytes() == p1[:, 0].tobytes()
+
+
+# --------------------------------------------------------- flat run guard
+
+
+def _first_blowup(s, x0, T, dt):
+    """The time of the first step at which a per-step guard finds the
+    state non-finite."""
+    X = np.array([x0], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, h in enumerate(_plan(T, dt), 1):
+            X = flow._rk4_step(s, X, h)
+            if not np.isfinite(X).all():
+                return min(i * dt, T)
+    return None
+
+
+def test_a_masked_ensemble_loses_rows_at_the_per_step_guard_events():
+    # rows blow up near t = 0.35, 0.72 and 1.55, in different runs of 100
+    # steps; the others never do
+    s = _quadratic()
+    X0 = np.array([[1 / 0.35], [1 / 0.72], [-1.0], [1 / 1.55], [0.1]])
+    T, dt = 2.0005, 1e-3
+    want, X, dead = [], X0.copy(), np.zeros(len(X0), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, h in enumerate(_plan(T, dt), 1):
+            X = flow._rk4_step(s, X, h)
+            dead |= ~np.isfinite(X).all(axis=1)
+            X[dead] = np.nan
+            if i % 100 == 0 or i == len(_plan(T, dt)):
+                want.append((dead.copy(), X.copy()))
+    assert [d.sum() for d, _ in want][::5] == [0, 1, 2, 3, 3]
+    stepper, seen = flow._Stepper(s, X0, on_failure="mask"), []
+    stepper.march(T, dt, lambda t, last: seen.append(
+        (stepper.dead.copy(), stepper.X.copy())), 100)
+    assert len(seen[1:]) == len(want)
+    for (d, x), (wd, wx) in zip(seen[1:], want):
+        assert np.array_equal(d, wd)
+        assert np.array_equal(x, wx, equal_nan=True)
+
+
+# ---------------------------------------------------------- call counts
+
+
+def _counting(s):
+    """s with f and jac counting their rows: (system, rows of f, of jac)."""
+    f_rows, jac_rows = [], []
+
+    def f(x):
+        f_rows.append(np.shape(x)[0] if np.ndim(x) > 1 else 1)
+        return s.f(x)
+
+    def jac(x):
+        jac_rows.append(np.shape(x)[0] if np.ndim(x) > 1 else 1)
+        return s.jac(x)
+
+    return dataclasses.replace(s, f=f, jac=jac), f_rows, jac_rows
+
+
+def test_a_chunk_of_steps_takes_one_jac_call(coop):
+    s, f_rows, jac_rows = _counting(coop)
+    flow.tangent_at(s, flow.sample_states(coop, 2.0, 25, 0), [1.0])
+    # 1000 steps of 25 rows in chunks of 1024 // 25 = 40 steps
+    assert len(jac_rows) == 25
+    assert sum(jac_rows) == sum(f_rows) == 4 * 1000 * 25
+
+
+def test_a_flat_march_guards_once_per_run(monkeypatch, coop):
+    calls = _count_guard_calls(monkeypatch)
+    flow.integrate(coop, np.array([1.0, 0.5]), T=1.0)
+    assert len(calls) == 101  # the initial state and 100 runs of 10 steps
+
+
+@pytest.mark.parametrize("name", ["coop2d", "bistable1d"])
+def test_tangent_paths_evaluate_f_and_jac_on_the_same_rows(name):
+    s, f_rows, jac_rows = _counting(registry.get_system(name))
+    x0 = registry.DEFAULT_X0[name]
+    field = registry.default_field(s)
+    u0 = field.section(x0)
+    paths = [lambda: flow.tangent_at(s, np.stack([x0, 0.5 * x0]),
+                                     [0.3, 0.1005]),
+             lambda: flow.tangent_flow(s, x0, 1.0005),
+             lambda: pf.propagate_ray_pairs(s, field, x0, u0[None],
+                                            (1.5 * u0)[None], 1.0005)]
+    for path in paths:
+        f_rows.clear()
+        jac_rows.clear()
+        path()
+        assert sum(f_rows) == sum(jac_rows) > 0
 
 
 # --------------------------------------------------- exact propagator oracle

@@ -188,19 +188,27 @@ def test_birkhoff_hopf_bound_along_an_orbit(coop):
 def reference_ray_pairs(s, field, x0, A, B, T, dt=flow.DT_DEFAULT,
                         store_stride=flow.STORE_STRIDE,
                         exit_tol=pf.EXIT_TOL):
-    """propagate_ray_pairs step by step: the rays ride the batched march
-    as its tangent matrix, renormalized after every step, and each stored
-    time checks every ray with ``margin`` and every pair with
-    ``hilbert_distance``."""
+    """propagate_ray_pairs step by step: the march takes one step at a
+    time, each step's map comes from ``_rk4_step_map`` at the state before
+    it, the rays step as W <- M W and are renormalized after every step,
+    and each stored time checks every ray with ``margin`` and every pair
+    with ``hilbert_distance``."""
     k = len(A)
-    stepper = flow._Stepper(s, x0[None, :], P0=np.concatenate([A, B]).T)
+    n_full, rem = flow._plan_steps(T, dt)
+    stepper = flow._Stepper(s, x0[None, :])
+    W, prev = np.concatenate([A, B]).T, stepper.X
     times, dists = [], []
     step = itertools.count()
 
     def record(t, last):
-        x, W = stepper.X[0], stepper.P[0]
-        W /= np.linalg.norm(W, axis=0)
-        if next(step) % store_stride != 0 and not last:
+        nonlocal W, prev
+        i = next(step)
+        if i:
+            M = flow._rk4_step_map(s, prev, dt if i <= n_full else rem)[1]
+            W = M[0] @ W
+            W /= np.linalg.norm(W, axis=0)
+        prev, x = stepper.X.copy(), stepper.X[0]
+        if i % store_stride != 0 and not last:
             return
         cone = field.cone_at(x)
         worst = min(cone.margin(W[:, j]) for j in range(2 * k))
@@ -212,7 +220,7 @@ def reference_ray_pairs(s, field, x0, A, B, T, dt=flow.DT_DEFAULT,
                       for j in range(k)])
 
     stepper.march(T, dt, record)
-    x, W = stepper.X[0], stepper.P[0]
+    x = stepper.X[0]
     norms = [geometry.metric_norm(s.manifold, x, geometry.Tangent(x, w))
              for w in W.T]
     return np.asarray(times), np.asarray(dists), x, W / norms
@@ -314,6 +322,22 @@ def test_a_blowup_with_no_earlier_exit_raises_at_the_reference_time(stride):
     with pytest.raises(FlowBlowupError) as tf:
         flow.tangent_flow(s, x0, 3.0)
     assert tf.value.time == want.value.time
+
+
+def test_a_blowup_at_the_first_step_of_a_chunk_raises_at_its_time(
+        monkeypatch):
+    # the chunk before the failing step is full: the failing step opens a
+    # chunk of its own, whose maps hand over no record
+    s, field = blowup_rotation(), WEDGE
+    x0 = np.array([1.0 / 1.3, 1.0, 0.0])
+    A, B = _rotated_rays(1.5)
+    with pytest.raises(FlowBlowupError) as want:
+        flow.integrate(s, x0, 3.0)
+    monkeypatch.setattr(flow, "_ORBIT_CHUNK",
+                        round(want.value.time / flow.DT_DEFAULT) - 1)
+    with pytest.raises(FlowBlowupError) as got:
+        pf.propagate_ray_pairs(s, field, x0, A, B, 3.0, store_stride=1)
+    assert got.value.time == want.value.time
 
 
 def test_a_tangent_overflow_before_the_state_raises_flow_blowup():
