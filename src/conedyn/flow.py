@@ -78,19 +78,20 @@ positive-definiteness guard; leaving the chart raises (single orbit) or
 marks the sample as escaped (ensembles).  The manifold owns the guard,
 ``ManifoldSpec.leaves`` (finiteness on flat space; on SPD, eigvalsh's
 decision, on SPD(2) after a trace/determinant screen that proves most
-batches clean at once), and the one run rule, ``free_steps``: how many
-steps of a declared matrix the live rows can take before the guard could
-reject one, from their room (below overflow on flat space, above the
-guard's threshold on SPD(2)) and the growth of one step.  The march asks
-for a proof wherever none covers the next step (after a failed proof,
-only once a guarded step proves the live rows clean or loses a row),
+batches clean at once), and the start rows take it as every step does.  On
+flat space each run up to the next event is one bare loop of steps with
+one guard at its end: an RK4 step, or a product with a declared matrix's
+R(hA) (inf * 0 is nan), keeps a non-finite row non-finite, so a row finite
+at the end of a run was finite at every step of it.  Rows that died in it
+are set to nan before the event reads them, and in raise mode a failed run
+is replayed with the guard after every step, which dates the failure.  On
+SPD the run rule is ``free_steps``: how many steps of a declared matrix the
+live rows can take before the guard could reject one, from their room
+above the guard's threshold (SPD(2) only) and the growth of one step.  The
+march asks for a proof wherever none covers the next step (after a failed
+proof, only once a guarded step proves the live rows clean or loses a row),
 takes the run it proves as one bare loop of products and guards the live
 rows on every other step, so every decision is the one the guard makes.
-On flat space a system with no declared matrix needs no proof: a step
-keeps a non-finite entry non-finite, so each run up to the next event is
-one bare loop of RK4 steps with one guard at its end.  Rows that died in
-it are set to nan before the event reads them, and in raise mode a failed
-run is replayed with the guard after every step, which dates the failure.
 """
 
 from __future__ import annotations
@@ -301,9 +302,9 @@ class _StepMaps:
     maps, from the stages with one jac call (``_stage_maps``), and calls
     scan(Ms) with them in step order: Ms[c] is step c's component-major
     (n, n, N) stack, or, for a declared matrix, R itself.  A step's maps
-    reach the scan before its guard only inside a run of a flat system
-    (``_Stepper``), so a row that dies there may scan garbage until it is
-    marked dead.
+    may reach the scan before its guard; only inside a run on flat space
+    can that guard then fail (``_Stepper``), so a row that dies there may
+    scan garbage until it is marked dead.
     """
 
     def __init__(self, s: FlowSystem, N: int, scan):
@@ -351,19 +352,19 @@ class _Stepper:
     each step returns.  A ``_StepMaps`` set as ``tangents`` receives every
     step, so the tangent paths build their maps from the march's own stages.
 
-    The manifold guard (``_bad_rows``) decides every row; it returns None
-    only for rows it proves clean, and then the step does no mask work.  On
-    flat space a system with no declared matrix takes each run up to its
-    next event as a bare loop of _rk4_step and guards the live rows once,
-    at its end: x + (h/6)(k1 + 2 k2 + 2 k3 + k4) keeps a non-finite entry
-    non-finite, so a row that is finite at the end of a run was finite at
-    every step of it.  Rows found bad are marked dead and set to nan before
-    the event reads them; in raise mode a failed run is replayed from its
-    start with the guard after every step, which raises at the step that
-    failed.  A declared matrix takes the runs a proof covers
-    (``_free_steps``: the steps ``ManifoldSpec.free_steps`` allows the live
-    rows) with no guard.  Every other step (on SPD, every step no proof
-    covers) is guarded after it.
+    The manifold guard (``_bad_rows``) decides every row, the start rows
+    included; it returns None only for rows it proves clean, and then the
+    step does no mask work.  On flat space each run up to the next event is
+    one bare loop of steps (``_steps``) with one guard at its end: a step
+    keeps a non-finite row non-finite (an RK4 sum or a product with R(hA)
+    carries an inf or nan entry into every entry it touches, inf * 0 being
+    nan), so a row that is finite at the end of a run was finite at every
+    step of it.  Rows found bad are marked dead and set to nan before the
+    event reads them; in raise mode a failed run is replayed from its start
+    with the guard after every step, which raises at the step that failed.
+    On SPD a declared matrix takes the runs a proof covers (``_free_steps``:
+    the steps ``ManifoldSpec.free_steps`` allows the live rows) with no
+    guard, and every other step is guarded after it.
     """
 
     def __init__(self, s: FlowSystem, X0: np.ndarray,
@@ -374,43 +375,52 @@ class _Stepper:
             raise ValueError("batch states must have shape (N, n)")
         self.t = 0.0
         self.on_failure = on_failure
-        self.maps = {}  # step size h -> (R(hA), c), for a declared matrix A
+        self.maps = {}  # step size h -> R(hA), for a declared matrix A
+        self.growth = {}  # step size h -> step_growth(R(hA)), for SPD proofs
         self.tangents = None  # a _StepMaps that takes every step
-        self.runs = s.matrix is None and s.manifold.kind == "euclidean"
-        bad = _bad_rows(s, self.X)
-        self.dead = np.zeros(len(self.X), dtype=bool) if bad is None else bad
-        self.any_dead = bool(np.any(self.dead))
-        if self.on_failure == "raise" and self.any_dead:
-            raise ManifoldExitError(0.0, "initial state is off the manifold")
+        self.runs = s.manifold.kind == "euclidean"
+        self.dead = np.zeros(len(self.X), dtype=bool)
+        self.any_dead = False
+        self._accept(self.X, 0.0)  # the start rows, by the step guard's rule
 
-    def _map(self, h: float):
-        """(R(hA), c) for the declared matrix A, cached per step size; c is
-        the manifold's ``step_growth(R)``."""
-        got = self.maps.get(h)
-        if got is None:
-            R = _rk4_map(self.s.matrix, h)
-            got = self.maps[h] = (R, self.s.manifold.step_growth(R))
-        return got
+    def _map(self, h: float) -> np.ndarray:
+        """R(hA) for the declared matrix A, cached per step size."""
+        R = self.maps.get(h)
+        if R is None:
+            R = self.maps[h] = _rk4_map(self.s.matrix, h)
+        return R
 
     def _free_steps(self, h: float, count: int) -> int:
-        """How many of the next count steps of size h need no guard: those
-        ``ManifoldSpec.free_steps`` allows the live rows (all count once
-        every row is dead), none without a declared matrix.  Call it under
-        errstate(over="ignore")."""
+        """How many of the next count steps of size h on SPD need no guard:
+        those ``ManifoldSpec.free_steps`` allows the live rows (all count
+        once every row is dead), none without a declared matrix.  Call it
+        under errstate(over="ignore")."""
         if self.s.matrix is None:
             return 0
+        c = self.growth.get(h)
+        if c is None:
+            c = self.growth[h] = self.s.manifold.step_growth(self._map(h))
         live = self.X[~self.dead] if self.any_dead else self.X
-        return min(count, self.s.manifold.free_steps(live, self._map(h)[1]))
+        return min(count, self.s.manifold.free_steps(live, c))
 
     def _steps(self, h: float, k: int) -> None:
-        """k steps of size h of a declared matrix, with no guard."""
-        R = self._map(h)[0]
+        """k steps of size h with no guard: by R(hA) for a declared matrix,
+        by _rk4_step otherwise; tangents, if set, takes each one."""
+        maps = self.tangents
+        if self.s.matrix is None:
+            X = self.X
+            for _ in range(k):
+                X = _rk4_step(self.s, X, h, None if maps is None
+                              else maps.stages(h))
+            self.X = X
+            return
+        R = self._map(h)
         X = self.X.T
         for _ in range(k):
             X = R @ X  # component-major: one pass over (n, N)
         self.X = X.T
-        if self.tangents is not None:
-            self.tangents.matrix_steps(R, h, k)
+        if maps is not None:
+            maps.matrix_steps(R, h, k)
 
     def _accept(self, Xn: np.ndarray, t_new: float) -> bool:
         """Guard the live rows of Xn, the states at t_new, and take them;
@@ -433,25 +443,18 @@ class _Stepper:
     def advance(self, h: float, t_new: float) -> bool:
         """One guarded step of size h to time t_new; True when the guard
         proved the live rows clean or rows left: a new proof may succeed."""
-        if self.s.matrix is not None:
-            self._steps(h, 1)
-            return self._accept(self.X, t_new)
-        maps = self.tangents
-        return self._accept(_rk4_step(self.s, self.X, h, None if maps is None
-                                      else maps.stages(h)), t_new)
+        self._steps(h, 1)
+        return self._accept(self.X, t_new)
 
-    def _run(self, i: int, stop: int, size, time, t_stop: float) -> None:
-        """Steps i + 1..stop (step j + 1 of size size(j), ending at time(j
-        + 1); t_stop = time(stop)) of a flat system with no declared
-        matrix: one bare loop, then one guard."""
-        X = start = self.X
-        maps = self.tangents
-        for j in range(i, stop):
-            h = size(j)
-            X = _rk4_step(self.s, X, h, None if maps is None
-                          else maps.stages(h))
+    def _run(self, i: int, stop: int, size, time) -> None:
+        """Steps i + 1..stop on flat space (step j + 1 of size size(j),
+        ending at time(j + 1)): one bare loop, then one guard."""
+        start, last = self.X, stop - 1  # only the last step may be partial
+        if last > i:
+            self._steps(size(i), last - i)
+        self._steps(size(last), 1)
         try:
-            self._accept(X, t_stop)
+            self._accept(self.X, time(stop))
         except FlowBlowupError:  # raise mode: replay to date the failure
             self.X, self.tangents = start, None
             for j in range(i, stop):
@@ -495,11 +498,10 @@ class _Stepper:
             i = proven = first  # steps i + 1..proven need no guard
             fresh = True  # no proof has failed on the batch as it stands
             for stop in itertools.chain(events, (total,)):
-                t_stop = time(stop)
-                if self.runs and i < stop:
-                    self._run(i, stop, size, time, t_stop)
+                if self.runs and i < stop:  # flat: one run, one guard
+                    self._run(i, stop, size, time)
                     i = stop
-                while i < stop:
+                while i < stop:  # SPD: proven runs and guarded steps
                     h = size(i)
                     if i >= proven and fresh:  # no proof covers step i + 1
                         proven = i + self._free_steps(
@@ -512,7 +514,7 @@ class _Stepper:
                         i += 1
                         fresh = self.advance(h, time(i))
                 if on_store is not None:
-                    on_store(t_stop, stop == total)
+                    on_store(time(stop), stop == total)
                 if not len(self.X):
                     break  # every row has left the batch
         self.t = t_end  # no float drift across horizons

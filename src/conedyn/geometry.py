@@ -38,7 +38,6 @@ EIG_TOL = 1e-10  # positive-definiteness threshold for SPD points
 _SQRT2 = np.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 _SCREEN_MAX = 1e150  # no SPD(2) screen from here on: m^2 nears overflow
-_FINITE_LIMIT = 1e300  # a flat batch proven below this in size stays finite
 
 
 def sym_dim(n: int) -> int:
@@ -223,51 +222,38 @@ class ManifoldSpec:
         return bad
 
     def step_growth(self, R: np.ndarray) -> float:
-        """The growth c of a step v <- fl(R v) that ``free_steps`` takes; inf
-        for an R that overflowed.  Flat space: c >= max|fl(R v)| / max|v| - 1,
-        (1 + 4 d eps) ||R||_inf - 1.  SPD: c >= ||fl(R v) - v||_2 / ||v||_2,
-        the 2-norm of R - I, inflated past the error of its SVD, plus
-        4 d eps ||R||_F.  The 4 d eps terms pass the rounding of a product
-        over d terms."""
+        """The growth c of a step v <- fl(R v) on SPD that ``free_steps``
+        takes: c >= ||fl(R v) - v||_2 / ||v||_2, the 2-norm of R - I,
+        inflated past the error of its SVD, plus 4 d eps ||R||_F, which
+        passes the rounding of a product over d terms; inf for an R that
+        overflowed.  c > 0, since ||R - I|| + ||R|| >= 1."""
         if not np.isfinite(R).all():
             return math.inf
-        grow = 4.0 * len(R) * _EPS
-        if self.kind == "spd":
-            return float(np.linalg.norm(R - np.eye(len(R)), 2) * (1.0 + 1e-9)
-                         + grow * np.linalg.norm(R))
-        return (1.0 + grow) * float(np.abs(R).sum(axis=1).max()) - 1.0
+        return float(np.linalg.norm(R - np.eye(len(R)), 2) * (1.0 + 1e-9)
+                     + 4.0 * len(R) * _EPS * np.linalg.norm(R))
 
     def free_steps(self, V: np.ndarray, c: float):
-        """How many steps v <- fl(R v), c = step_growth(R), the rows of the
-        2-d stack V can take before ``leaves`` could reject one: 0 without
-        room or for an R that overflowed, inf for an empty V or a flat step
-        that grows nothing (c <= 0).
+        """How many steps v <- fl(R v) on SPD, c = step_growth(R), the rows
+        of the 2-d stack V can take before ``leaves`` could reject one: 0
+        without room or for an R that overflowed, inf for an empty V.
 
         V has room q, and a step grows it by at most 1 + c, so j steps are
         free while (1 + c)^j <= 1 + q: j = floor(log1p(q) / log1p(c)
         (1 - 1e-12)), the factor covering the rounding of q and the logs.
-        Flat space: q = _FINITE_LIMIT / max|V| - 1, so V stays finite.  On
-        SPD(2), q is ``_spd2_room`` and, by Weyl, a step moves each
+        On SPD(2), q is ``_spd2_room`` and, by Weyl, a step moves each
         eigenvalue of a row by at most c ||v||_2 (packing is a Frobenius
         isometry), so j steps move it by at most c sum_{l<j} (1 + c)^l ||v||
         <= q ||v||; norms grow by at most 1 + q, entries stay below M, and
         the band holds.  A room q > 0 proves V clean.  SPD(n > 2) has none.
+        Flat space needs no proof: its march guards once per run.
         """
         if not len(V):
             return math.inf
-        if self.kind == "euclidean":
-            # log1p(q) as log L - log m (inf for V = 0): L / m overflows for
-            # m < 5.6e-9; its rounding (~1e-13) fits well inside L's margin
-            m = float(np.maximum.reduce(np.abs(V), axis=None))
-            room = math.log(_FINITE_LIMIT) - math.log(m) if m else math.inf
-        else:  # _spd2_room is 0.0 without room; SPD(n > 2) has none
-            room = math.log1p(_spd2_room(V)) if self.n == 2 else 0.0
+        # _spd2_room is 0.0 without room; SPD(n > 2) has none
+        room = math.log1p(_spd2_room(V)) if self.n == 2 else 0.0
         if not (room > 0.0 and c < math.inf):  # also for a nan room
             return 0
-        if c <= 0.0:
-            return math.inf
-        j = room / math.log1p(c) * (1.0 - 1e-12)
-        return math.floor(j) if j < math.inf else j
+        return math.floor(room / math.log1p(c) * (1.0 - 1e-12))
 
     def check_point(self, x: np.ndarray) -> np.ndarray:
         """Validate chart coordinates; returns the coordinates as an array."""

@@ -740,9 +740,10 @@ def test_a_chunk_of_steps_takes_one_jac_call(coop):
     assert sum(jac_rows) == sum(f_rows) == 4 * 1000 * 25
 
 
-def test_a_flat_march_guards_once_per_run(monkeypatch, coop):
+@pytest.mark.parametrize("name", ["coop2d", "rotation2d", "metzler_linear"])
+def test_a_flat_march_guards_once_per_run(monkeypatch, name):
     calls = _count_guard_calls(monkeypatch)
-    flow.integrate(coop, np.array([1.0, 0.5]), T=1.0)
+    flow.integrate(registry.get_system(name), np.array([1.0, 0.5]), T=1.0)
     assert len(calls) == 101  # the initial state and 100 runs of 10 steps
 
 
@@ -1453,7 +1454,8 @@ def test_batched_classifier_matches_the_reference_on_ensembles(name, T, kinds):
 
 def _matrix_march(s, X, plan, P=None):
     """Reference: X <- X @ R.T and P <- R P per step of the plan, the guard
-    after every step; a row that leaves the manifold freezes at nan.  P,
+    after every step; a row that leaves the manifold (on flat space, one
+    with a non-finite entry) freezes at nan, its P too.  P,
     (N, n, n), defaults to the identity; it steps component-major, as the
     stepper's tangents do.  Yields (X, P) after each step."""
     n = s.dim
@@ -1465,8 +1467,8 @@ def _matrix_march(s, X, plan, P=None):
         R = flow._rk4_map(s.matrix, h)
         X = X @ R.T
         P = (R @ P.reshape(n, -1)).reshape(P.shape)
-        if s.manifold.kind == "spd":
-            dead |= _eigvalsh_guard(X)
+        dead |= (_eigvalsh_guard(X) if s.manifold.kind == "spd"
+                 else ~np.isfinite(X).all(axis=1))
         X[dead] = np.nan
         P[..., dead] = np.nan
         yield X, P.transpose(2, 0, 1)
@@ -1602,7 +1604,7 @@ def test_one_row_pf_march_on_a_declared_matrix_equals_the_reference():
                        atol=0.0)
 
 
-# ------------------------------------------------ a-priori finiteness bound
+# ------------------------------- SPD run proofs, growing declared matrices
 
 
 def _count_guard_calls(monkeypatch):
@@ -1621,20 +1623,17 @@ def test_a_march_proven_finite_skips_the_per_step_guard(monkeypatch):
     calls = _count_guard_calls(monkeypatch)
     flow.integrate(registry.get_system("rotation2d"), np.array([1.0, 0.0]),
                    T=1.0005, dt=1e-3)
-    assert len(calls) == 1  # the stepper's check of the initial state
+    # flat space takes no proof: the start, then one guard per run (100
+    # runs of 10 steps to the stores, and the partial last step)
+    assert len(calls) == 102
     calls.clear()
     grow = registry._linear_system(40.0 * np.eye(2), "grow")
     X0, T, dt = np.ones((2, 2)), 20.0, 1e-3
     died, _ = _grow_reference(grow, X0, _plan(T, dt))
-    R = flow._rk4_map(grow.matrix, dt)
-    rho = (1.0 + 8.0 * geometry._EPS) * np.abs(R).sum(axis=1).max()
-    j = 0  # the steps the bound proves: 17,269
-    while rho ** (j + 1) < 1e300:
-        j += 1
-    flow.states_at(grow, X0, [T], dt, on_failure="mask")
-    # every step past the bound is guarded until both rows die, none after
-    assert 0 < j < died[0] == died[1] < T / dt
-    assert len(calls) in (1 + died[0] - j, 2 + died[0] - j)  # 477 calls
+    xs = flow.states_at(grow, X0, [T], dt, on_failure="mask")
+    # both rows die inside the one run to T, which its end guard finds
+    assert 0 < died[0] == died[1] < T / dt and np.isnan(xs).all()
+    assert len(calls) == 2
     calls.clear()
     s = registry.get_system("spd_lyapunov")
     flow.states_at(s, flow.sample_states(s, None, 1000, 0), [5.0])
@@ -1703,13 +1702,14 @@ def test_the_step_bound_covers_every_rounded_step():
     cases = [(_near_identity_spd_system(), 1.0)] + [
         (registry.get_system("spd_lyapunov"), h) for h in (1e-3, 0.05, 0.4)]
     for s, h in cases:
-        R, c = flow._Stepper(s, rows[:1])._map(h)
+        R = flow._Stepper(s, rows[:1])._map(h)
+        c = s.manifold.step_growth(R)
         step = (R @ rows.T).T  # the stepper's product, bit for bit
         norm = np.linalg.norm(rows, axis=1)
         assert np.all(np.linalg.norm(step - rows, axis=1) <= c * norm)
         assert np.all(np.linalg.norm(step, axis=1) <= (1.0 + c) * norm)
     # the rounding alone moves the all-ones row past ||R - I||_2 ||v||_2
-    R, _ = flow._Stepper(cases[0][0], rows[:1])._map(1.0)
+    R = flow._Stepper(cases[0][0], rows[:1])._map(1.0)
     moved = np.linalg.norm(R @ rows[0] - rows[0])
     assert moved > np.linalg.norm(R - np.eye(3), 2) * np.linalg.norm(rows[0])
 
@@ -1740,36 +1740,20 @@ def test_spd2_room_bounds_the_room_above_the_band():
     assert proven == ["spd", "thin", "conditioned"]
 
 
-@pytest.mark.parametrize("kind,h", [
-    pytest.param(kind, h, id=f"{prefix}{h}")
-    for kind, prefix in (("spd", ""), ("flat", "flat-"))
-    for h in (1e-4, 1e-3, 5e-3)])
-def test_free_steps_are_the_longest_run_the_bound_allows(kind, h):
+@pytest.mark.parametrize("h", [1e-4, 1e-3, 5e-3])
+def test_free_steps_are_the_longest_run_the_bound_allows(h):
+    # the run of j steps moves row i by at most c ||v_i|| sum_{l<j} (1+c)^l
     rng = np.random.default_rng(10)
-    if kind == "spd":
-        # the run of j steps moves row i by at most c ||v_i|| sum_{l<j} (1+c)^l
-        s = registry.get_system("spd_lyapunov")
-        X = _spd2_rows(rng, rng.uniform(0.5, 1.0, 200),
-                       rng.uniform(1.0, 2.0, 200))
-        stepper = flow._Stepper(s, X)
-        c, q = stepper._map(h)[1], geometry._spd2_room(X)
-        j, moved = 0, 0.0
-        while moved + c * (1.0 + c) ** j <= q:
-            moved += c * (1.0 + c) ** j
-            j += 1
-        assert 2 <= j < q / c - 1  # the growth of the norms costs steps
-    else:
-        # the run of j steps keeps max|x| rho^j below the overflow limit,
-        # rho = (1 + 4 n eps) ||R||_inf per step
-        s = registry._linear_system(np.array([[1.0, 3.0], [-2.0, 0.5]]), "mix")
-        X = 1e290 * rng.uniform(-1.0, 1.0, (200, 2))
-        stepper = flow._Stepper(s, X)
-        R = flow._rk4_map(s.matrix, h)
-        rho = (1.0 + 8.0 * geometry._EPS) * np.abs(R).sum(axis=1).max()
-        m, j = np.abs(X).max(), 0
-        while m * rho ** (j + 1) < 1e300:
-            j += 1
-        assert j >= 2
+    s = registry.get_system("spd_lyapunov")
+    X = _spd2_rows(rng, rng.uniform(0.5, 1.0, 200),
+                   rng.uniform(1.0, 2.0, 200))
+    stepper = flow._Stepper(s, X)
+    c, q = s.manifold.step_growth(stepper._map(h)), geometry._spd2_room(X)
+    j, moved = 0, 0.0
+    while moved + c * (1.0 + c) ** j <= q:
+        moved += c * (1.0 + c) ** j
+        j += 1
+    assert 2 <= j < q / c - 1  # the growth of the norms costs steps
     with np.errstate(over="ignore"):
         assert stepper._free_steps(h, 10 ** 6) in (j - 1, j)
         assert stepper._free_steps(h, 1) == 1  # never past the count
@@ -1820,25 +1804,17 @@ def test_a_growing_matrix_freezes_the_same_rows_at_the_same_steps():
     assert np.array_equal(stepper.X, X_ref, equal_nan=True)
 
 
-def test_a_growing_matrix_from_tiny_states_is_guarded(monkeypatch):
-    # 1e300 / max|x| overflows for max|x| below about 5.6e-9: the room must
-    # still be finite, or the run rule frees every step and nothing raises
+def test_a_growing_matrix_from_tiny_states_is_guarded():
+    # tiny rows grow for longer than R(hA)^j alone stays finite (past
+    # j = 17,744): they must still die at their own steps
     s = registry._linear_system(40.0 * np.eye(2), "grow")
     X0 = np.array([[1e-9, 0.0], [3e-9, -1e-12], [0.0, 0.0]])
     T, dt = 20.0, 1e-3
     died, X_ref = _grow_reference(s, X0, _plan(T, dt))
     assert 0 < died[1] < died[0] < T / dt and died[2] == -1
-    R = flow._rk4_map(s.matrix, dt)
-    rho = (1.0 + 8.0 * geometry._EPS) * np.abs(R).sum(axis=1).max()
-    m, j = 3e-9, 0  # rho ** j alone overflows past j = 17,744
-    while m * rho < 1e300:
-        m, j = m * rho, j + 1
-    with np.errstate(over="ignore"):
-        assert flow._Stepper(s, X0)._free_steps(dt, 10 ** 6) in (j - 1, j)
     with pytest.raises(FlowBlowupError) as err:
         flow.integrate(s, X0[0], T, dt)
     assert err.value.time == died[0] * dt  # t = 18.263
-    calls = _count_guard_calls(monkeypatch)
     stepper = flow._Stepper(s, X0, on_failure="mask")
     got, step = np.full(len(X0), -1), itertools.count()
 
@@ -1848,23 +1824,214 @@ def test_a_growing_matrix_from_tiny_states_is_guarded(monkeypatch):
     stepper.march(T, dt, on_store)
     assert np.array_equal(got, died)
     assert np.array_equal(stepper.X, X_ref, equal_nan=True)
-    assert len(calls) > died[0] - j  # every step past the bound is guarded
 
 
 def test_the_finiteness_bound_counts_the_partial_last_step():
     # R(1000 h) grows a row by about 4.2e10 over a full step (h = 1) and
-    # 2.6e9 over the partial one (h = 0.5): from 1e289 the full step alone
-    # stays below the bound's limit, and the partial step overflows
+    # 2.6e9 over the partial one (h = 0.5): from 1e289 the full step stays
+    # finite, and the partial step overflows
     s = registry._linear_system(1000.0 * np.eye(2), "grow")
     x0 = np.array([1e289, 0.0])
-    stepper = flow._Stepper(s, x0[None])
-    with np.errstate(over="ignore"):
-        assert stepper._free_steps(1.0, 1) == 1
-        stepper._steps(1.0, 1)
-        assert stepper._free_steps(0.5, 1) == 0
     with pytest.raises(FlowBlowupError) as err:
         flow.integrate(s, x0, T=1.5, dt=1.0)
     assert err.value.time == 1.5
+    xs = flow.states_at(s, x0[None], [1.0, 1.5], dt=1.0, on_failure="mask")
+    assert np.isfinite(xs[0]).all() and np.isnan(xs[1]).all()
+
+
+# --------------------------------------------- one run rule on flat space
+
+
+def _dying_rows(name):
+    """(system, rows, capture times, T) on flat space, with rows that
+    overflow in different runs (between different capture times, and in a
+    march stored every 100 steps) and rows that never do; T ends in a
+    partial step.  metzler_linear: x1 of a row c (1, 1) peaks at
+    2 c / sqrt(e), so c > 1.48e308 overflows.  rotation2d: x0 of a row
+    c (1, 1) peaks at c sqrt(2), so c > 1.271e308 overflows.  grow,
+    x' = 40 x: a row overflows near step 17,745 - 5,757 log10 max|x0|,
+    after T for the last two rows."""
+    if name == "grow":
+        s = registry._linear_system(40.0 * np.eye(2), "grow")
+        X0 = np.array([[1.0, 1.0], [1e-100, 2e-100], [1e100, -1e100],
+                       [1e-300, 0.0], [0.0, 0.0]])
+        return s, X0, [12.0, 20.0, 25.0005], 25.0005
+    s = registry.get_system(name)
+    big = np.finfo(float).max
+    c, times = {"metzler_linear": ([big, 1.6e308, 1.5e308, 1.4e308],
+                                   [0.1, 0.3, 0.5, 1.0005]),
+                "rotation2d": ([1.35e308, 1.3e308, 1.28e308, 1.2e308],
+                               [0.5, 0.6, 0.7, 1.0005])}[name]
+    X0 = np.vstack([np.outer(c, [1.0, 1.0]), [[1.0, -0.5]]])
+    return s, X0, times, 1.0005
+
+
+RUN_SYSTEMS = ["metzler_linear", "rotation2d", "grow"]
+# orthant rays near (0, 1), which rotation2d turns clockwise: they stay in
+# the orthant past t = 1.5, after every row has died
+RUN_RAYS = np.array([[0.01, 1.0], [0.05, 1.0]])
+
+
+@pytest.mark.parametrize("name", RUN_SYSTEMS)
+def test_masked_captures_equal_the_per_step_guard_reference(name):
+    s, X0, times, T = _dying_rows(name)
+    dt = flow.DT_DEFAULT
+    died = _grow_reference(s, X0, _plan(T, dt))[0]
+    dying = died[died > 0]
+    assert len(dying) >= 3 and (died == -1).sum() >= 1
+    assert len(set((dying - 1) // 100)) == len(dying)  # one run each
+    steps = np.round(np.array(times) / dt)
+    gaps = np.searchsorted(steps, dying)  # the capture each death precedes
+    assert len(set(gaps)) == len(dying) and gaps.max() < len(times)
+    xs_ref, ps_ref = _reference_captures(s, X0, times, dt)
+    xs = flow.states_at(s, X0, times, dt, on_failure="mask")
+    xt, ps = flow.tangent_at(s, X0, times, dt, on_failure="mask")
+    dead = np.isnan(xs_ref).any(axis=-1)
+    assert dead[-1].sum() >= 3 and not dead[-1].all()
+    assert np.isnan(xs_ref[dead]).all() and np.isnan(ps_ref[dead]).all()
+    for got in (xs, xt):  # same dead rows, same nan, live rows bit-equal
+        assert got.tobytes() == xs_ref.tobytes()
+    assert ps.tobytes() == ps_ref.tobytes()
+
+
+@pytest.mark.parametrize("name", RUN_SYSTEMS)
+def test_a_flat_run_raises_at_the_per_step_guard_time(name):
+    # one capture at T, so a capture's march has integrate's plan
+    s, X0, _, T = _dying_rows(name)
+    dt = flow.DT_DEFAULT
+    died = _grow_reference(s, X0, _plan(T, dt))[0]
+    field = ConstantField(Orthant(2))
+    for x0, step in zip(X0, died):
+        if step < 0:
+            continue
+        t_ref = min(step * dt, T)
+        calls = {
+            "integrate": lambda: flow.integrate(s, x0, T, dt),
+            "states_at": lambda: flow.states_at(s, x0[None], [T], dt),
+            "tangent_at": lambda: flow.tangent_at(s, x0[None], [T], dt),
+            "tangent_flow": lambda: flow.tangent_flow(s, x0, T, dt),
+            "propagate_ray_pairs": lambda: pf.propagate_ray_pairs(
+                s, field, x0, RUN_RAYS[:1], RUN_RAYS[1:], T, dt),
+        }
+        for path, call in calls.items():
+            with pytest.raises(FlowBlowupError) as err:
+                call()
+            assert err.value.time == t_ref, (path, step)
+    with pytest.raises(FlowBlowupError) as err:  # the batch: the first death
+        flow.states_at(s, X0, [T], dt)
+    assert err.value.time == died[died > 0].min() * dt
+
+
+@pytest.mark.parametrize("name", RUN_SYSTEMS)
+def test_a_flat_ensemble_window_equals_the_per_step_guard_reference(name):
+    s, X0, _, T = _dying_rows(name)
+    dt = flow.DT_DEFAULT
+    times, tails, _, rows, _ = _recorded_tails(s, X0, T, dt)
+    plan = _plan(T, dt)
+    start = flow._tail_start(T, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stored = [X.copy() for i, (X, _) in enumerate(
+            _matrix_march(s, X0, plan), 1)
+            if i >= start and ((i - start) % flow.STORE_STRIDE == 0
+                               or i == len(plan))]
+    assert list(rows) == list(range(len(X0)))
+    assert tails.tobytes() == np.array(stored).tobytes()
+    est = flow.ensemble_omega(s, X0, T, dt)
+    escaped = np.isnan(stored[-1]).any(axis=1)
+    assert [e is None for e in est] == list(escaped) and escaped.sum() >= 1
+
+
+@pytest.mark.parametrize("N", [1, 3, 1000])
+def test_a_matrix_step_keeps_a_non_finite_column_non_finite(N):
+    # metzler's R(hA) is upper triangular: R[1, 0] is an exact zero, so a
+    # column (inf, 0) relies on inf * 0 = nan in the product
+    R = flow._rk4_map(registry.get_system("metzler_linear").matrix, 1e-3)
+    assert R[1, 0] == 0.0
+    bad = [(np.inf, 0.0), (0.0, np.inf), (-np.inf, 1.0), (np.nan, 0.0),
+           (0.0, np.nan), (np.inf, -np.inf)]
+    for col in bad:
+        for j in {0, N - 1}:
+            X = np.ones((2, N))
+            X[:, j] = col
+            for _ in range(3):
+                with np.errstate(invalid="ignore"):
+                    X = R @ X
+                assert not np.isfinite(X[:, j]).all()
+                assert np.isfinite(np.delete(X, j, axis=1)).all()
+
+
+def test_no_flat_march_asks_for_a_proof(monkeypatch):
+    for attr in ("free_steps", "step_growth"):
+        real = getattr(geometry.ManifoldSpec, attr)
+
+        def spd_only(self, *args, real=real):
+            assert self.kind == "spd", "a flat march asked for a proof"
+            return real(self, *args)
+
+        monkeypatch.setattr(geometry.ManifoldSpec, attr, spd_only)
+    field = ConstantField(Orthant(2))
+    for name in RUN_SYSTEMS:
+        s, X0, times, T = _dying_rows(name)
+        x0 = X0[-1]
+        flow.integrate(s, x0, T)
+        flow.states_at(s, X0, times, on_failure="mask")
+        flow.tangent_at(s, X0, times, on_failure="mask")
+        flow.tangent_flow(s, x0, min(T, 10.0))  # grow's Phi overflows later
+        flow.ensemble_omega(s, X0, T)
+        pf.propagate_ray_pairs(s, field, x0, RUN_RAYS[:1], RUN_RAYS[1:], T)
+    spd = registry.get_system("spd_lyapunov")  # SPD still proves its runs
+    flow.states_at(spd, flow.sample_states(spd, None, 10, 0), [1.0])
+
+
+# ----------------------------------------------------- start rows' guard
+
+
+def _off_chart_batch():
+    return np.array([pack_sym(np.eye(2)), pack_sym(np.diag([1.0, -1.0])),
+                     pack_sym(2.0 * np.eye(2))])
+
+
+def test_masked_start_rows_off_the_manifold_read_nan():
+    s, X0 = registry.get_system("spd_lyapunov"), _off_chart_batch()
+    times = [0.0, 0.5, 1.0]
+    on_chart = X0.copy()
+    on_chart[1] = pack_sym(3.0 * np.eye(2))  # the same batch, row 1 valid
+    xs = flow.states_at(s, X0, times, on_failure="mask")
+    xt, ps = flow.tangent_at(s, X0, times, on_failure="mask")
+    want = flow.states_at(s, on_chart, times, on_failure="mask")
+    _, want_p = flow.tangent_at(s, on_chart, times, on_failure="mask")
+    for x in (xs, xt):
+        assert np.isnan(x[:, 1]).all()
+        assert x[:, [0, 2]].tobytes() == want[:, [0, 2]].tobytes()
+    assert np.isnan(ps[:, 1]).all()
+    assert ps[:, [0, 2]].tobytes() == want_p[:, [0, 2]].tobytes()
+    est = flow.ensemble_omega(s, X0, 2.0)
+    ref = flow.ensemble_omega(s, on_chart, 2.0)
+    assert est[1] is None
+    for i in (0, 2):
+        _assert_same_estimate(est[i], ref[i])
+    # a non-finite start row on flat space reads nan at t = 0 too
+    for name in ("coop2d", "metzler_linear"):
+        X0 = np.array([[np.inf, 0.0], [1.0, 0.5]])
+        xs = flow.states_at(registry.get_system(name), X0, [0.0, 1.0],
+                            on_failure="mask")
+        assert np.isnan(xs[:, 0]).all() and np.isfinite(xs[:, 1]).all()
+
+
+def test_a_bad_start_raises_what_the_step_guard_raises():
+    for name in ("coop2d", "metzler_linear", "spd_lyapunov"):
+        s = registry.get_system(name)
+        X0 = np.full((1, s.dim), 0.5)
+        X0[0, 0] = np.nan
+        for call in (flow.states_at, flow.tangent_at):
+            with pytest.raises(FlowBlowupError) as err:
+                call(s, X0, [1.0])
+            assert err.value.time == 0.0
+    s = registry.get_system("spd_lyapunov")
+    for call in (flow.states_at, flow.tangent_at):
+        with pytest.raises(ManifoldExitError) as err:
+            call(s, _off_chart_batch(), [1.0])
+        assert err.value.time == 0.0
 
 
 # ---------------------------------------------------------- SPD sampling
