@@ -17,9 +17,10 @@ LIGHT_CONE = ConstantField(Lorentz(2))  # the cone of 1+1 space-time
 REGION = ((0.0, 2.0), (-2.0, 2.0))
 
 print("== point classifications from (0,0) ==")
-for q in ([2.0, 1.0], [1.0, 1.0], [0.0, 1.0]):
-    causal = order.minkowski_relation(p, np.array(q)).relation
-    print(f"  q={q}: {causal}")
+NAMES = ("incomparable", "causal (null)", "chronological")  # INC, WEAK, STRICT
+Q = np.array([[2.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+for q, code in zip(Q, order.minkowski_relations(p, Q)):
+    print(f"  q={q.tolist()}: {NAMES[code]}")
 
 print("\n== analytic future vs cone-respecting grid walk ==")
 analytic = order.minkowski_future(p, order.CAUSAL, REGION, 101)

@@ -31,15 +31,18 @@ the Lorentz form B), d = 2 asinh(s / sqrt(q(u) q(v))).  The textbook form
 2 log((B + sqrt(B^2 - q(u) q(v))) / sqrt(q(u) q(v))) subtracts two nearly
 equal squares near the diagonal and returns d(3u, u) ~ 1e-7; s^2 is built
 from terms that vanish with u - v, so the asinh form stays below 1e-14.
-``hilbert_distances(U, V)`` evaluates a stack of row pairs at once, and
-``hilbert_distance`` is its one-row case.  Rays outside the interior are at
-distance +inf.
+``hilbert_distances(U, V)`` evaluates a stack of row pairs at once.  Rays
+outside the interior are at distance +inf.
+
+These batched calls are the whole membership layer: a row with an inf or
+nan entry gets a nan margin and distance +inf, and
+``order.relations(c, X, Y)`` is the one place a margin and a tolerance
+become an order decision.  ``margin`` is ``margins`` on one vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -55,26 +58,16 @@ from .geometry import norms, pack_sym, scaled, sym_dim, unpack_sym
 DEFAULT_TOL = 1e-9  # membership tolerance on the normalized margin
 _ENTRY_RANGE = (2.0 ** -300, 2.0 ** 300)  # largest |entry| of unscaled rows
 _DUAL_TOL = 1e-12
-
-OUTSIDE = "outside"
-BOUNDARY = "boundary"
-INTERIOR = "interior"
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 
-@dataclass(frozen=True)
-class Containment:
-    """Membership region plus the normalized signed margin."""
-
-    region: str
-    margin: float
-
-
-def _classify(margin: float, tol: float) -> Containment:
-    if margin > tol:
-        return Containment(INTERIOR, margin)
-    if margin < -tol:
-        return Containment(OUTSIDE, margin)
-    return Containment(BOUNDARY, margin)
+def integer_at_least(n, least: int, what: str, error: type) -> int:
+    """n as an int, or error unless n is an integer in [least, intp max]:
+    a size, count or seed that numpy can take."""
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or not least <= n <= _INTP_MAX):
+        raise error(f"{what} must be an integer >= {least}: {n!r}")
+    return int(n)
 
 
 def _per_norm(slack: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -92,9 +85,9 @@ class Cone:
 
     def _check_dim(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if v.shape[-1] != self.dim:
+        if v.shape[-1:] != (self.dim,):
             raise DimensionMismatchError(
-                f"vector dim {v.shape[-1]} != cone dim {self.dim}"
+                f"vector shape {v.shape} does not end in cone dim {self.dim}"
             )
         return v
 
@@ -110,23 +103,23 @@ class Cone:
         row is ``geometry.scaled`` by a power of two first.  The scaling is
         exact, so a row and its 2^k multiples get the same margin, and
         inside the range it would not change a bit; it is skipped there
-        because it costs a one-row ``margin`` about 3.5 us.
+        because it costs a one-row ``margin`` about 3.5 us.  A row with an
+        inf or nan entry is replaced by a nan row there, so its margin is
+        nan, with no warning.
         """
         V = self._check_dim(V)
         m = np.maximum.reduce(np.abs(V), axis=-1)
         ok = (m >= _ENTRY_RANGE[0]) & (m <= _ENTRY_RANGE[1])
         if not (ok.all() if m.ndim else ok):  # np.all would cost 3 us more
-            V = scaled(V)[0]
+            V = np.where(np.isfinite(m)[..., None], scaled(V)[0], np.nan)
         return _per_norm(self._slack(V), V)
 
     def margin(self, v: np.ndarray) -> float:
-        """Normalized signed slack of v; 0 for the zero vector."""
-        return float(self.margins(v))
-
-    def contains(self, v: np.ndarray, tol: float = DEFAULT_TOL) -> Containment:
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
-        return _classify(self.margin(v), tol)
+        """Normalized signed slack of the one vector v; 0 for the zero vector."""
+        m = self.margins(v)
+        if m.ndim:
+            raise DimensionMismatchError("margin takes one vector; use margins")
+        return float(m)
 
     def dual_contains(self, lam: np.ndarray) -> bool:
         """True iff lam lies in the dual cone (within 1e-12 normalized slack)."""
@@ -154,30 +147,27 @@ class Cone:
         gens = self.generators()
         if gens is None:
             return self.boundary_rays(rng, 4)
-        return gens / np.linalg.norm(gens, axis=1, keepdims=True)
-
-    def hilbert_distance(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Hilbert distance of two rays: the one-row hilbert_distances."""
-        return float(self.hilbert_distances(u, v))
+        return gens / norms(gens)[:, None]
 
     def hilbert_distances(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Hilbert distance of each row pair (U[i], V[i]), any leading shape.
 
-        +inf where either row is outside the interior; ValueError for a
-        zero row.  Exact in scale: the rows are normalized by their
-        ``geometry.norms``, so 2^k multiples of a row pair give the same
-        distance bit for bit, and the closed forms see unit rows, on which
-        no product they form can overflow.
+        +inf where either row is outside the interior (a row with an inf
+        or nan entry included); ValueError for a zero row.  Exact in scale:
+        the rows are normalized by their ``geometry.norms``, so 2^k
+        multiples of a row pair give the same distance bit for bit, and the
+        closed forms see unit rows, on which no product they form can
+        overflow.
         """
         U, V = np.broadcast_arrays(self._check_dim(U), self._check_dim(V))
         nu = norms(U)[..., None]
         nv = norms(V)[..., None]
         if np.any(nu == 0.0) or np.any(nv == 0.0):
-            raise ValueError("hilbert_distance is undefined for the zero vector")
+            raise ValueError("the Hilbert distance is undefined for the zero vector")
         inner = ((self.margins(U) > DEFAULT_TOL)
                  & (self.margins(V) > DEFAULT_TOL))
         d = np.full(inner.shape, math.inf)
-        d[inner] = self._distances((U / nu)[inner], (V / nv)[inner])
+        d[inner] = self._distances(U[inner] / nu[inner], V[inner] / nv[inner])
         return d
 
     def _distances(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -198,10 +188,8 @@ class Lorentz(_SelfDual):
     name = "lorentz"
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ConeConstructionError("lorentz cone needs n >= 2")
-        self.n = n
-        self.dim = n
+        self.n = self.dim = integer_at_least(n, 2, "lorentz n",
+                                             ConeConstructionError)
 
     def _slack(self, V: np.ndarray) -> np.ndarray:
         return V[..., 0] - np.linalg.norm(V[..., 1:], axis=-1)
@@ -212,7 +200,7 @@ class Lorentz(_SelfDual):
         return w
 
     def boundary_rays(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        rays = np.zeros((k, self.n))
+        rays = np.zeros((integer_at_least(k, 0, "k", ValueError), self.n))
         rays[:, 0] = 1.0
         if self.n == 2:
             rays[:, 1] = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
@@ -241,10 +229,8 @@ class PSDCone(_SelfDual):
     name = "psd"
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ConeConstructionError("psd cone needs n >= 1")
-        self.n = n
-        self.dim = sym_dim(n)
+        self.n = integer_at_least(n, 1, "psd n", ConeConstructionError)
+        self.dim = sym_dim(self.n)
 
     def _slack(self, V: np.ndarray) -> np.ndarray:
         # lambda_min; the packed norm equals the Frobenius norm of the matrix
@@ -255,6 +241,7 @@ class PSDCone(_SelfDual):
 
     def boundary_rays(self, rng: np.random.Generator, k: int) -> np.ndarray:
         # rank-one projectors q q^T are the extreme rays
+        k = integer_at_least(k, 0, "k", ValueError)
         q = rng.normal(size=(k, self.n))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         return pack_sym(q[:, :, None] * q[:, None, :])
@@ -281,16 +268,22 @@ class Polyhedral(Cone):
     def __init__(self, generators, facet_normals, witness=None):
         G = np.atleast_2d(np.asarray(generators, dtype=float))
         L = np.atleast_2d(np.asarray(facet_normals, dtype=float))
-        if G.shape[1] != L.shape[1]:
-            raise DimensionMismatchError("generator / normal dimension mismatch")
-        if np.any(np.linalg.norm(G, axis=1) == 0.0):
+        if G.ndim != 2 or L.ndim != 2 or G.shape[1] != L.shape[1]:
+            raise DimensionMismatchError(
+                "generators and facet normals must be rows of one dimension")
+        if not (len(G) and len(L) and G.shape[1]):
+            raise ConeConstructionError("no generator or no facet normal")
+        if not (np.isfinite(G).all() and np.isfinite(L).all()):
+            raise ConeConstructionError("non-finite generator or facet normal")
+        ng, nl = norms(G)[:, None], norms(L)[:, None]
+        if np.any(ng == 0.0):
             raise ConeConstructionError("zero generator")
-        if np.any(np.linalg.norm(L, axis=1) == 0.0):
+        if np.any(nl == 0.0):
             raise ConeConstructionError("zero facet normal")
         self.dim = G.shape[1]
         self._gens = G
-        self._gens_unit = G / np.linalg.norm(G, axis=1, keepdims=True)
-        self._normals_unit = L / np.linalg.norm(L, axis=1, keepdims=True)
+        self._gens_unit = G / ng
+        self._normals_unit = L / nl
         if np.min(self.margins(G)) < -1e-12:
             raise ConeConstructionError(
                 "a generator violates a facet inequality (rep inconsistency)")
@@ -300,10 +293,9 @@ class Polyhedral(Cone):
         if witness is None:
             witness = self._gens_unit.mean(axis=0)
         witness = np.asarray(witness, dtype=float)
-        nw = np.linalg.norm(witness)
-        if nw == 0.0 or self.margin(witness) <= DEFAULT_TOL:
+        if not self.margin(witness) > DEFAULT_TOL:  # a nan margin fails too
             raise ConeConstructionError("cone is not solid: no interior witness")
-        self._witness = witness / nw
+        self._witness = witness / norms(witness)
 
     def _facet_values(self, V: np.ndarray) -> np.ndarray:
         # <l_i, v> for every unit facet normal (exact for the unit axes);
@@ -315,8 +307,11 @@ class Polyhedral(Cone):
 
     def dual_contains(self, lam: np.ndarray) -> bool:
         lam = self._check_dim(lam)
-        return bool(np.min(self._gens_unit @ lam)
-                    >= -_DUAL_TOL * np.linalg.norm(lam))
+        if lam.ndim != 1:
+            raise DimensionMismatchError("dual_contains takes one vector")
+        if not np.isfinite(lam).all():
+            return False  # as a self-dual cone's nan margin reads
+        return bool(np.min(self._gens_unit @ lam) >= -_DUAL_TOL * norms(lam))
 
     def generators(self) -> np.ndarray:
         return self._gens.copy()
@@ -328,6 +323,7 @@ class Polyhedral(Cone):
         return self._witness.copy()
 
     def boundary_rays(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        k = integer_at_least(k, 0, "k", ValueError)
         return self._gens_unit[np.arange(k) % len(self._gens)]
 
     def _distances(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -341,10 +337,8 @@ class Orthant(Polyhedral):
     name = "orthant"
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ConeConstructionError("orthant needs n >= 1")
-        self.n = n
-        super().__init__(np.eye(n), np.eye(n), witness=np.ones(n))
+        self.n = integer_at_least(n, 1, "orthant n", ConeConstructionError)
+        super().__init__(np.eye(self.n), np.eye(self.n), witness=np.ones(self.n))
 
 
 _BY_TYPE = {"orthant": Orthant, "lorentz": Lorentz, "psd": PSDCone}
@@ -357,9 +351,19 @@ def conic_combinations(rays: np.ndarray, k: int,
     The weights are one (k, m) draw.  Row products are taken as a stack of
     one-row products, which round exactly as ``w @ rays`` and
     ``np.linalg.norm(v)`` do, so a combination does not depend on k.
+    ValueError for rays that are not a nonempty stack of finite rows, or
+    whose combination is zero or overflows.
     """
-    V = rng.uniform(0.1, 1.0, (k, 1, len(rays))) @ rays
-    return (V / np.sqrt(V @ V.transpose(0, 2, 1)))[:, 0]
+    rays = np.asarray(rays, dtype=float)
+    if rays.ndim != 2 or not len(rays) or not np.isfinite(rays).all():
+        raise ValueError("rays must be a nonempty stack of finite rows")
+    k = integer_at_least(k, 0, "k", ValueError)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        V = rng.uniform(0.1, 1.0, (k, 1, len(rays))) @ rays
+        nv = np.sqrt(V @ V.transpose(0, 2, 1))
+    if not np.all((nv > 0.0) & (nv < math.inf)):
+        raise ValueError("a combination of the rays is zero or overflows")
+    return (V / nv)[:, 0]
 
 
 def finite_number(val) -> bool:
@@ -374,6 +378,8 @@ def finite_number(val) -> bool:
 
 def spec_int(spec: dict, key: str, what: str) -> int:
     """The integer ``spec[key]`` of a JSON spec, or an error naming the key."""
+    if not isinstance(spec, dict):
+        raise UnsupportedInputError(f"{what} spec must be an object")
     if key not in spec:
         raise UnsupportedInputError(f"{what} spec: missing key {key!r}")
     val = spec[key]

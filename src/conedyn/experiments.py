@@ -12,6 +12,11 @@ fraction with a 95% binomial interval, plus a basin-boundary bisection
 scan showing the non-convergent set is thin along random transects.
 Undetermined omega-estimates reduce the effective sample and are always
 reported, never coerced into a theorem-friendly bucket.
+
+The pair theorems (dichotomy, colimit, convergence criterion,
+trichotomy) decide the conal order with ``relations(field.cone, X, Y)``
+on every manifold: on SPD(n) with the transported PSD field that is the
+Loewner order.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ import numpy as np
 
 from . import flow as flowmod
 from . import positivity
-from .conefield import ConeField, ConstantField
+from .conefield import ConeField
 from .cones import conic_combinations
-from .errors import ProbeConstructionError, UnsupportedInputError
+from .errors import ProbeConstructionError
 from .flow import NON_SINGLETON, SINGLETON, UNDETERMINED, sample_states
 from .geometry import norms
 from .order import INC, STRICT, relations
@@ -69,13 +74,6 @@ def _match_cluster(points: list, p: np.ndarray, tol: float):
         if np.linalg.norm(p - q) < tol:
             return k
     return None
-
-
-def _require_flat(field: ConeField):
-    if not isinstance(field, ConstantField):
-        raise UnsupportedInputError(
-            "this check needs the flat order oracle (a constant cone field)")
-    return field.cone
 
 
 # ------------------------------------------------------- generic convergence
@@ -258,12 +256,11 @@ def _sample_ordered_pairs(s, c, pairs: int, seed: int):
 
 
 def _pair_limits(s, field, pairs: int, T: float, seed: int, dt):
-    """The flat cone and the omega-estimates of the sampled ordered pairs
-    x <= y: the x halves, then the y halves."""
-    c = _require_flat(field)
-    X, Y = _sample_ordered_pairs(s, c, pairs, seed)
+    """The omega-estimates of the sampled ordered pairs x <= y: the x
+    halves, then the y halves."""
+    X, Y = _sample_ordered_pairs(s, field.cone, pairs, seed)
     ests = _omega_batch(s, np.vstack([X, Y]), T, dt)
-    return c, ests[:pairs], ests[pairs:]
+    return ests[:pairs], ests[pairs:]
 
 
 def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
@@ -278,7 +275,7 @@ def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
     with a non-singleton must lie strictly below (or above) every witness.
     The order tests of all pairs are one ``relations`` call.
     """
-    c, ex, ey = _pair_limits(s, field, pairs, T, seed, dt)
+    ex, ey = _pair_limits(s, field, pairs, T, seed, dt)
     escapes = excluded = equal_singleton = mixed = 0
     found = [None] * pairs  # the finding of each violating pair
     tests = []  # (pair, low rows, high rows, finding unless low < high)
@@ -309,7 +306,8 @@ def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
     if tests:
         low, high = zip(*(np.broadcast_arrays(np.atleast_2d(lo), hi)
                           for _, lo, hi, _ in tests))
-        codes = relations(c, np.concatenate(low), np.concatenate(high))
+        codes = relations(field.cone, np.concatenate(low),
+                          np.concatenate(high))
         seg = np.repeat(np.arange(len(tests)), [len(rows) for rows in low])
         for k in np.flatnonzero(np.bincount(seg, codes != STRICT, len(tests))):
             found[tests[k][0]] = tests[k][3]
@@ -339,7 +337,7 @@ def colimit_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
                   T: float, seed: int = 0,
                   dt: float = flowmod.DT_DEFAULT) -> dict:
     """Ordered pairs sharing one singleton limit must sit at an equilibrium."""
-    _, ex, ey = _pair_limits(s, field, pairs, T, seed, dt)
+    ex, ey = _pair_limits(s, field, pairs, T, seed, dt)
     violations = checked = 0
     findings = []
     for i, (a, b) in enumerate(zip(ex, ey)):
@@ -372,7 +370,6 @@ def convergence_criterion_check(s: flowmod.FlowSystem, field: ConeField,
     undetermined estimates and escapes are excluded and counted
     separately, as in ``dichotomy_check``.
     """
-    c = _require_flat(field)
     T_scan = sorted(float(t) for t in T_scan)
     if not T_scan or T_scan[0] <= 0:
         raise ValueError("T_scan times must be > 0")
@@ -383,7 +380,8 @@ def convergence_criterion_check(s: flowmod.FlowSystem, field: ConeField,
     finite = np.all(np.isfinite(caught), axis=-1)
     Xt = np.where(finite[..., None], caught, X)
     pairs = np.stack([np.broadcast_to(X, Xt.shape), Xt])
-    fwd, rev = relations(c, pairs, pairs[::-1]) != INC  # x <= xt, xt <= x
+    # x <= xt, xt <= x
+    fwd, rev = relations(field.cone, pairs, pairs[::-1]) != INC
     hit = finite & (fwd | rev)
     first = np.argmax(hit, axis=0)  # the first T that triggers each sample
     triggered_idx = np.flatnonzero(hit.any(axis=0)).tolist()
@@ -427,7 +425,7 @@ def trichotomy_check(s: flowmod.FlowSystem, field: ConeField, x0,
     matches; it is None, with no branch, when an estimate is undetermined
     or escaped.
     """
-    c = _require_flat(field)
+    c = field.cone
     x0 = np.asarray(x0, dtype=float)
     if n_seq < 2:
         raise ValueError("n_seq must be >= 2")

@@ -555,7 +555,8 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
     its maps are scanned.  on_records(ts, xs, Ps) receives, in step order,
     the stored steps: the start, every stride-th step and the last.  A
     state failure first hands over the steps before it, then raises; so
-    does (unit set) a step that leaves a column of P a zero or inf/nan norm.
+    does the first step that leaves an inf or nan entry in P, or (unit
+    set) a zero column.
 
     Returns (x_final, P_final).
     """
@@ -581,17 +582,23 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
         done += m
         keep = (steps % stride == 0) | (steps == total)
         out = np.empty((int(keep.sum()),) + P.shape)
-        norms = np.ones((m, P.shape[1]))  # unit: column norms after each step
+        # per step and column: the norm (unit) or the largest |entry|
+        norms = np.empty((m, P.shape[1]))
         r = 0
         with np.errstate(all="ignore"):  # failures are dated below or by march
             for M, k, nrm in zip(Ms, keep.tolist(), norms):
                 P = M @ P
                 if unit:  # np.linalg.norm(P, axis=0) without its overhead
                     P /= np.sqrt(np.add.reduce(P * P, axis=0), out=nrm)
+                else:  # a finite P may still have squares that overflow
+                    np.maximum.reduce(np.abs(P), axis=0, out=nrm)
                 if k:
                     out[r] = P
                     r += 1
-        ok = ((norms > 0.0) & (norms < np.inf)).all(axis=1)  # nan fails too
+        ok = norms < np.inf  # nan fails too
+        if unit:
+            ok &= norms > 0.0
+        ok = ok.all(axis=1)
         n_ok = m if ok.all() else int(np.argmin(ok))
         n_rec = int(keep[:n_ok].sum())
         on_records(t_steps[keep][:n_rec], X[1:][keep][:n_rec], out[:n_rec])

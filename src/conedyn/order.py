@@ -12,12 +12,15 @@ Three order oracles ship:
              with the PSD field's chart cone.
 
 Every order decision is one batched call that returns int8 codes INC,
-WEAK or STRICT per pair: ``relations`` for a flat cone order (one
-``margins`` call, the one place a margin and a tolerance become a
-relation) and ``minkowski_relations``, the one encoding of the Minkowski
-inequalities, analytic and without a tolerance.  ``leq_flat`` and
-``minkowski_relation`` are their one-pair wrappers with string verdicts
-and certificates.
+WEAK or STRICT per pair, one pair being the case of no leading axes:
+``relations`` for a cone order (one ``margins`` call, the one place a
+margin and a tolerance become a relation) and ``minkowski_relations``,
+the one encoding of the Minkowski inequalities, analytic and without a
+tolerance.  On both shipped manifolds a field's chart cone is the cone
+at every point, so ``relations(field.cone, X, Y)`` decides the conal
+order of any ``ConeField``, the Loewner order on SPD included.  An
+ordered pair's certificate is the straight segment from x to y, whose
+constant velocity y - x lies in the cone.
 
 ``reachable_grid`` discretizes curve-based reachability for a
 ``ConeField``: breadth-first propagation over a rectangular grid,
@@ -36,26 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conefield import ConeField
-from .cones import DEFAULT_TOL, Cone, conic_combinations
+from .cones import DEFAULT_TOL, Cone, conic_combinations, integer_at_least
 from .errors import DimensionMismatchError, ProbeConstructionError
-
-LEQ_STRICT = "leq_strict"
-LEQ = "leq"
-INCOMPARABLE = "incomparable"
 
 # relation codes: incomparable, weakly ordered, strictly ordered
 INC, WEAK, STRICT = 0, 1, 2
-_NAMES = (INCOMPARABLE, LEQ, LEQ_STRICT)  # the public verdict of each code
 
 CHRONOLOGICAL = "chronological"
 CAUSAL = "causal"
 QC_TERMS = 8  # terms of each sequence quasi_closed_probe builds
-
-
-@dataclass
-class OrderVerdict:
-    relation: str
-    certificate: np.ndarray | None = None  # polyline rows, when ordered
 
 
 def relations(c: Cone, X, Y, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -63,12 +55,14 @@ def relations(c: Cone, X, Y, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     One ``c.margins(Y - X)`` call over the broadcast leading shapes of X
     and Y: STRICT where the margin is > tol, INC where it is < -tol, and
-    WEAK otherwise, so y = x and NaN separations are weakly ordered, as
-    ``Cone.contains`` decides.
+    WEAK otherwise, so y = x is weakly ordered, and so is a separation
+    with an inf or nan entry (one that overflows included): its margin is
+    NaN.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be >= 0")
-    m = c.margins(np.asarray(Y, dtype=float) - np.asarray(X, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # read as NaN margins
+        m = c.margins(np.asarray(Y, dtype=float) - np.asarray(X, dtype=float))
     codes = np.full(m.shape, WEAK, dtype=np.int8)
     codes[m > tol] = STRICT
     codes[m < -tol] = INC
@@ -82,43 +76,14 @@ def minkowski_relations(P, Q) -> np.ndarray:
     but null), INC otherwise, NaN separations included.  No tolerance:
     null separations built from exact coordinates stay exactly null.
     """
-    d = np.asarray(Q, dtype=float) - np.asarray(P, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN
+        d = np.asarray(Q, dtype=float) - np.asarray(P, dtype=float)
     if d.shape[-1:] != (2,):
         raise DimensionMismatchError("Minkowski points are (t, x) pairs")
     dt, dx = d[..., 0], np.abs(d[..., 1])
     codes = np.asarray(dt >= dx, dtype=np.int8)  # WEAK = 1 where causal
     codes[dt > dx] = STRICT
     return codes
-
-
-def _verdict(code: int, x: np.ndarray, y: np.ndarray) -> OrderVerdict:
-    """The verdict of one pair; the certificate is the straight segment."""
-    if code == INC:
-        return OrderVerdict(INCOMPARABLE, None)
-    return OrderVerdict(_NAMES[code], np.vstack([x, y]))
-
-
-def leq_flat(c: Cone, x: np.ndarray, y: np.ndarray) -> OrderVerdict:
-    """Order verdict for the constant-cone order on flat space.
-
-    y - x interior -> strictly ordered; boundary (including y = x) ->
-    weakly ordered; outside -> incomparable.  The certificate is the
-    straight segment, which has constant velocity y - x in the cone.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.shape[-1] != c.dim:
-        raise DimensionMismatchError("point dimensions do not match the cone")
-    return _verdict(int(relations(c, x, y)), x, y)
-
-
-def minkowski_relation(p: np.ndarray, q: np.ndarray) -> OrderVerdict:
-    """Analytic causal/chronological verdict on 1+1 Minkowski space."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != (2,) or q.shape != (2,):
-        raise DimensionMismatchError("Minkowski points are (t, x) pairs")
-    return _verdict(int(minkowski_relations(p, q)), p, q)
 
 
 # ----------------------------------------------------------- order oracles
@@ -136,11 +101,16 @@ class FlatOrderOracle:
 
     def boundary_pairs(self, rng: np.random.Generator, k: int):
         """k pairs (x, y), y - x on the cone boundary; y = x in about 1/10."""
+        k = integer_at_least(k, 0, "k", ValueError)
         X = rng.normal(size=(k, self.cone.dim))
         same = rng.integers(0, 10, k) == 0
         Y = X + rng.uniform(0.5, 2.0, (k, 1)) * self.cone.boundary_rays(rng, k)
         Y[same] = X[same]
         return X, Y
+
+
+def _seed(seed) -> int:
+    return integer_at_least(seed, 0, "seed", ValueError)
 
 
 def _dyadic(rng: np.random.Generator, lo, hi, size=None):
@@ -164,6 +134,7 @@ class MinkowskiOracle:
 
     def boundary_pairs(self, rng: np.random.Generator, k: int):
         """k null pairs (p, q) from dyadic coordinates; q = p in about 1/10."""
+        k = integer_at_least(k, 0, "k", ValueError)
         P = _dyadic(rng, -2.0, 2.0, (k, 2))
         same = rng.integers(0, 10, k) == 0
         sgn = np.where(rng.integers(0, 2, k) == 0, 1.0, -1.0)
@@ -178,19 +149,14 @@ class MinkowskiOracle:
 
 @dataclass
 class FutureSet:
-    """Grid bitmap of a future set, with the analytic predicate if known."""
+    """Grid bitmap of a future set: ``minkowski_relations`` decides a point
+    of the analytic sets."""
 
     kind: str  # CHRONOLOGICAL | CAUSAL
     base: np.ndarray
     t_centers: np.ndarray
     x_centers: np.ndarray
     grid: np.ndarray  # bool, shape (len(t_centers), len(x_centers))
-    predicate: object = None  # callable(q) -> bool, or None for grid-only sets
-
-    def contains_point(self, q) -> bool:
-        if self.predicate is None:
-            raise ValueError("this future set has no analytic predicate")
-        return bool(self.predicate(np.asarray(q, dtype=float)))
 
     def agreement(self, other: "FutureSet") -> float:
         """Fraction of cells on which two grids agree."""
@@ -199,12 +165,21 @@ class FutureSet:
         return float(np.mean(self.grid == other.grid))
 
 
+def _point(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if p.shape != (2,) or not np.isfinite(p).all():
+        raise ValueError(f"{p.tolist()} is not a finite (t, x) point")
+    return p
+
+
 def _cells(region, resolution: int):
-    (tmin, tmax), (xmin, xmax) = region
+    R = np.asarray(region, dtype=float)
+    if R.shape != (2, 2) or not np.isfinite(R).all():
+        raise ValueError("region must be ((tmin, tmax), (xmin, xmax)), finite")
+    (tmin, tmax), (xmin, xmax) = R.tolist()
     if not (tmax > tmin and xmax > xmin):
         raise ValueError("degenerate region")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    resolution = integer_at_least(resolution, 2, "resolution", ValueError)
     dt_c = (tmax - tmin) / resolution
     dx_c = (xmax - xmin) / resolution
     t_centers = tmin + (np.arange(resolution) + 0.5) * dt_c
@@ -218,18 +193,14 @@ def minkowski_future(p: np.ndarray, kind: str, region, resolution: int) -> Futur
     kind "causal": dt >= |dx|; "chronological": dt > |dx|.  region is
     ((tmin, tmax), (xmin, xmax)); membership is evaluated at cell centers.
     """
-    p = np.asarray(p, dtype=float)
+    p = _point(p)
     if kind not in (CHRONOLOGICAL, CAUSAL):
         raise ValueError(f"kind must be chronological|causal, got {kind!r}")
     t_centers, x_centers, _, _ = _cells(region, resolution)
     cells = np.stack(np.meshgrid(t_centers, x_centers, indexing="ij"), axis=-1)
     least = STRICT if kind == CHRONOLOGICAL else WEAK
     grid = minkowski_relations(p, cells) >= least
-
-    def predicate(q):
-        return minkowski_relations(p, q) >= least
-
-    return FutureSet(kind, p, t_centers, x_centers, grid, predicate)
+    return FutureSet(kind, p, t_centers, x_centers, grid)
 
 
 def _coprime_offsets(directions: int):
@@ -256,15 +227,13 @@ def reachable_grid(field: ConeField, p: np.ndarray, region, resolution: int,
     ``ConstantField(Lorentz(2))``).  The slack keeps exactly-null
     directions connected without admitting clearly spacelike ones.
     """
-    if directions < 8:
-        raise ValueError("directions must be >= 8")
+    directions = integer_at_least(directions, 8, "directions", ValueError)
     if not isinstance(field, ConeField):
         raise ValueError("field must be a ConeField")
-    p = np.asarray(p, dtype=float)
+    p = _point(p)
     t_centers, x_centers, dt_c, dx_c = _cells(region, resolution)
     (tmin, tmax), (xmin, xmax) = region
-    if not (p.shape == (2,) and np.all(np.isfinite(p))
-            and tmin <= p[0] <= tmax and xmin <= p[1] <= xmax):
+    if not (tmin <= p[0] <= tmax and xmin <= p[1] <= xmax):
         raise ValueError(f"start point {p.tolist()} is not a point of the region")
     cell_diag = math.hypot(dt_c, dx_c)
     region_diag = math.hypot(t_centers[-1] - t_centers[0] + dt_c,
@@ -290,7 +259,7 @@ def reachable_grid(field: ConeField, p: np.ndarray, region, resolution: int,
             if 0 <= ni < res and 0 <= nj < res and not grid[ni, nj]:
                 grid[ni, nj] = True
                 queue.append((ni, nj))
-    return FutureSet(CAUSAL, p, t_centers, x_centers, grid, None)
+    return FutureSet(CAUSAL, p, t_centers, x_centers, grid)
 
 
 # ------------------------------------------------------------------ probes
@@ -304,9 +273,8 @@ def quasi_closed_probe(oracle, sequences: int, seed: int) -> dict:
     strictly ordered by construction; the probe counts limit pairs that
     fail the weak order.
     """
-    if sequences < 1:
-        raise ValueError("sequences must be >= 1")
-    rng = np.random.default_rng(seed)
+    sequences = integer_at_least(sequences, 1, "sequences", ValueError)
+    rng = np.random.default_rng(_seed(seed))
     X, Y = oracle.boundary_pairs(rng, sequences)
     step = oracle.shift / np.arange(1, QC_TERMS + 1)[:, None]  # w/n, by term
     if np.any(oracle.relations(X[:, None] - step, Y[:, None] + step) != STRICT):
@@ -319,7 +287,8 @@ def quasi_closed_probe(oracle, sequences: int, seed: int) -> dict:
 
 def flat_order_properties(cone: Cone, samples: int, seed: int) -> dict:
     """Antisymmetry and transitivity spot-checks for a flat cone order."""
-    rng = np.random.default_rng(seed)
+    samples = integer_at_least(samples, 1, "samples", ValueError)
+    rng = np.random.default_rng(_seed(seed))
     rays = cone.unit_rays(rng)
     X = rng.normal(size=(samples, cone.dim))
     Y = X + rng.uniform(0.1, 1.0, (samples, 1)) * cone.interior_witness()
@@ -340,7 +309,8 @@ def push_up_probe(samples: int, seed: int) -> dict:
     steps included) and counts triples where the oracle fails to report
     x strictly below z.
     """
-    rng = np.random.default_rng(seed)
+    samples = integer_at_least(samples, 1, "samples", ValueError)
+    rng = np.random.default_rng(_seed(seed))
     X = _dyadic(rng, -2.0, 2.0, (samples, 2))
     dx = _dyadic(rng, 0.2, 2.0, samples)
     Y = X + np.stack([dx + _dyadic(rng, 0.05, 1.0, samples),
@@ -374,15 +344,20 @@ def continuity_probe(kind: str, p: np.ndarray, K, deltas,
     """
     if kind not in ("inner", "outer"):
         raise ValueError("kind must be 'inner' or 'outer'")
-    p = np.asarray(p, dtype=float)
+    p = _point(p)
     K = np.asarray(K, dtype=float)
     if K.size == 0:
         K = K.reshape(0, 2)
     if K.ndim != 2 or K.shape[1] != 2:
         raise DimensionMismatchError("K must be (k, 2) Minkowski points")
-    deltas = sorted(float(d) for d in deltas)
-    if any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be > 0")
+    if not np.isfinite(K).all():
+        raise ValueError("K must be finite points")
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 1 or not np.all(np.isfinite(deltas) & (deltas > 0)):
+        raise ValueError("deltas must be a list of finite numbers > 0")
+    deltas = sorted(deltas.tolist())
+    angular_resolution = integer_at_least(angular_resolution, 1,
+                                          "angular_resolution", ValueError)
 
     # inner: every k chronologically below q; outer: no k causally below q
     want = STRICT if kind == "inner" else INC

@@ -20,7 +20,7 @@ ORTHANT2 = ConstantField(Orthant(2))
 ORTHANT1 = ConstantField(Orthant(1))
 
 
-def _verdict(num, name, ok, detail):
+def _acceptance_line(num, name, ok, detail):
     line = f"ACCEPTANCE {num:02d} [{name}]: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
     assert ok, line
@@ -47,7 +47,7 @@ def test_criterion_01_cone_invariance(coop):
           and vio.witness is not None
           and vio2.witness == vio.witness
           and elapsed < 30.0)
-    _verdict(1, "cone invariance", ok,
+    _acceptance_line(1, "cone invariance", ok,
              f"coop2d={sdp.status} boundary_margin={sdp.boundary_margin:.3e}, "
              f"rotation2d={vio.status} witness_reproducible="
              f"{vio2.witness == vio.witness}, {elapsed:.1f}s")
@@ -70,7 +70,7 @@ def test_criterion_02_flat_equivalence():
         agreements.append(rep["agreement"])
     elapsed = time.monotonic() - t0
     ok = all(a == 1.0 for a in agreements) and elapsed < 60.0
-    _verdict(2, "flat equivalence", ok,
+    _acceptance_line(2, "flat equivalence", ok,
              f"50 systems, min agreement={min(agreements)}, {elapsed:.1f}s")
 
 
@@ -87,7 +87,7 @@ def test_criterion_03_hilbert_contraction(coop):
     final_max = float(np.max(dists[-1]))
     worst_step = float(np.max(np.diff(dists, axis=0)))
     ok = final_max < 1e-3 and worst_step <= 1e-8
-    _verdict(3, "hilbert contraction", ok,
+    _acceptance_line(3, "hilbert contraction", ok,
              f"50 ray pairs, max d(20)={final_max:.2e}, "
              f"worst step increase={worst_step:.2e}")
 
@@ -107,7 +107,7 @@ def test_criterion_04_equilibrium_eigenstructure(coop):
     sq1 = abs(rhos[1.0] - rhos[0.5] ** 2) / rhos[1.0]
     sq2 = abs(rhos[2.0] - rhos[1.0] ** 2) / rhos[2.0]
     ok &= sq1 < 1e-6 and sq2 < 1e-6
-    _verdict(4, "eigen-structure", ok,
+    _acceptance_line(4, "eigen-structure", ok,
              "; ".join(details) + f"; squaring residuals {sq1:.1e}, {sq2:.1e}")
 
 
@@ -132,7 +132,7 @@ def test_criterion_05_generic_convergence(coop):
     elapsed = time.monotonic() - t0
     ok = (frac >= 0.99 and n_eq >= 2 and scan["max_width"] < 1e-3
           and elapsed < 120.0)
-    _verdict(5, "generic convergence", ok,
+    _acceptance_line(5, "generic convergence", ok,
              f"fraction={frac:.3f} interval={rep.interval}, "
              f"{n_eq} attractors, boundary width={scan['max_width']:.2e}, "
              f"{elapsed:.1f}s")
@@ -143,7 +143,7 @@ def test_criterion_06_dichotomy(coop):
                                       seed=0)
     ok = (rep["violations"] == 0 and rep["cases"]["strict_order"] > 0
           and rep["cases"]["equal_singleton"] > 0)
-    _verdict(6, "dichotomy + intersection", ok,
+    _acceptance_line(6, "dichotomy + intersection", ok,
              f"violations={rep['violations']}, cases={rep['cases']}, "
              f"excluded={rep['undetermined_excluded']}")
 
@@ -159,7 +159,7 @@ def test_criterion_07_convergence_criterion(coop):
     ok = (rep_a["triggered"] == rep_a["confirmed"]
           and rep_b["triggered"] == rep_b["confirmed"]
           and total >= 50)
-    _verdict(7, "convergence criterion", ok,
+    _acceptance_line(7, "convergence criterion", ok,
              f"coop2d {rep_a['triggered']}/{rep_a['confirmed']}, "
              f"bistable1d {rep_b['triggered']}/{rep_b['confirmed']}, "
              f"total={total}")
@@ -177,7 +177,7 @@ def test_criterion_08_trichotomy(coop):
     ]
     branches = [r["branch"] for r in runs]
     ok = branches == [2, 3, 3] and all(r["consistent"] for r in runs)
-    _verdict(8, "trichotomy", ok,
+    _acceptance_line(8, "trichotomy", ok,
              f"branches={branches}, consistent={[r['consistent'] for r in runs]}")
 
 
@@ -196,7 +196,7 @@ def test_criterion_09_causal_order():
           and pu["violations"] == 0
           and ci["max_delta_passing"] == 0.5
           and co["max_delta_passing"] == 0.5)
-    _verdict(9, "causal order", ok,
+    _acceptance_line(9, "causal order", ok,
              f"grid agreement={agreement:.4f}, quasi-closed={qc['violations']}, "
              f"push-up={pu['violations']}, continuity deltas="
              f"({ci['max_delta_passing']}, {co['max_delta_passing']})")
@@ -234,6 +234,6 @@ def test_criterion_10_numerics(coop):
                                       - second.phis[-1] @ first.phis[-1])))
 
     ok = (8.0 <= factor <= 40.0 and fd_err < 1e-4 and cocycle_err < 1e-6)
-    _verdict(10, "numerics", ok,
+    _acceptance_line(10, "numerics", ok,
              f"rk4 halving factor={factor:.1f}, tangent-vs-fd={fd_err:.2e}, "
              f"cocycle={cocycle_err:.2e}")

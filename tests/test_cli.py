@@ -462,6 +462,17 @@ def test_x0_off_the_spd_chart_exits_2(capsys, command):
     assert len(err) == 1 and err[0].startswith("error: x0:")
 
 
+@pytest.mark.parametrize("command", ["dichotomy", "criterion", "trichotomy"])
+def test_pair_theorems_run_on_spd_lyapunov(tmp_path, command):
+    # the PSD field's chart cone decides the Loewner order; every orbit
+    # sinks toward the boundary, so nothing is decided and nothing violated
+    out = tmp_path / "r.json"
+    assert run([command, "--system", "spd_lyapunov", "--out", str(out)]) == 0
+    rep = read_json(out)
+    reports.validate_report(rep)
+    assert rep["status"] == "undetermined" and rep["findings"] == []
+
+
 def test_step_cap_rejects_unbounded_plans():
     # T/dt = 1e300 steps would never finish; the validator must refuse it
     with pytest.raises(ScenarioError) as err:

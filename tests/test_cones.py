@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from conedyn import cones
-from conedyn.cones import (
-    BOUNDARY,
-    INTERIOR,
-    OUTSIDE,
-    Lorentz,
-    Orthant,
-    Polyhedral,
-    PSDCone,
-)
+from conedyn.cones import Lorentz, Orthant, Polyhedral, PSDCone
 from conedyn.errors import ConeConstructionError, DimensionMismatchError
 from conedyn.geometry import pack_sym
+from conedyn.order import INC, STRICT, WEAK, relations
 from helpers import hilbert_bisect
 
 
@@ -38,38 +31,38 @@ def interior_sample(c, rng):
     w = c.interior_witness()
     for _ in range(100):
         v = w + 0.3 * rng.normal(size=c.dim)
-        if c.contains(v).region == INTERIOR:
+        if relations(c, 0, v) == STRICT:
             return v
     raise AssertionError("could not sample interior point")
 
 
-# ------------------------------------------------------------------ contains
+# ------------------------------------------------------- membership, margins
 
 
 def test_contains_orthant_interior():
-    got = Orthant(2).contains(np.array([1.0, 1.0]))
-    assert got.region == INTERIOR
-    assert got.margin == pytest.approx(1 / math.sqrt(2))
+    v = np.array([1.0, 1.0])
+    assert relations(Orthant(2), 0, v) == STRICT
+    assert Orthant(2).margin(v) == pytest.approx(1 / math.sqrt(2))
 
 
 def test_contains_lorentz_interior():
-    got = Lorentz(2).contains(np.array([2.0, 1.0]))
-    assert got.region == INTERIOR
-    assert got.margin == pytest.approx((2 - 1) / math.sqrt(5))
+    v = np.array([2.0, 1.0])
+    assert relations(Lorentz(2), 0, v) == STRICT
+    assert Lorentz(2).margin(v) == pytest.approx((2 - 1) / math.sqrt(5))
 
 
 def test_contains_orthant_outside():
-    got = Orthant(2).contains(np.array([1.0, -1.0]))
-    assert got.region == OUTSIDE
-    assert got.margin == pytest.approx(-1 / math.sqrt(2))
+    v = np.array([1.0, -1.0])
+    assert relations(Orthant(2), 0, v) == INC
+    assert Orthant(2).margin(v) == pytest.approx(-1 / math.sqrt(2))
 
 
 def test_contains_psd():
-    got = PSDCone(2).contains(pack_sym(np.diag([3.0, 1.0])))
-    assert got.region == INTERIOR
-    assert got.margin == pytest.approx(1.0 / np.sqrt(10.0))
-    rank1 = PSDCone(2).contains(pack_sym(np.outer([1, 1], [1, 1]) * 1.0))
-    assert rank1.region == BOUNDARY
+    v = pack_sym(np.diag([3.0, 1.0]))
+    assert relations(PSDCone(2), 0, v) == STRICT
+    assert PSDCone(2).margin(v) == pytest.approx(1.0 / np.sqrt(10.0))
+    rank1 = pack_sym(np.outer([1, 1], [1, 1]) * 1.0)
+    assert relations(PSDCone(2), 0, rank1) == WEAK
 
 
 def test_margins_match_margin_row_by_row():
@@ -163,9 +156,8 @@ def test_conic_combinations_are_unit_cone_elements_drawn_row_by_row():
 
 def test_zero_vector_is_boundary():
     for c in all_cones():
-        got = c.contains(np.zeros(c.dim))
-        assert got.region == BOUNDARY
-        assert got.margin == 0.0
+        assert relations(c, 0, np.zeros(c.dim)) == WEAK
+        assert c.margin(np.zeros(c.dim)) == 0.0
 
 
 def test_generators_never_outside():
@@ -173,21 +165,18 @@ def test_generators_never_outside():
         gens = c.generators()
         if gens is None:
             continue
-        for g in gens:
-            assert c.contains(g).region in (BOUNDARY, INTERIOR)
+        assert np.all(relations(c, 0, gens) != INC)
 
 
 def test_contains_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        Orthant(2).contains(np.ones(3))
+        relations(Orthant(2), 0, np.ones(3))
 
 
 def test_cross_representation_contains_agreement():
     L, P = Lorentz(2), lorentz2_polyhedral()
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        v = rng.uniform(-1, 1, 2)
-        assert L.contains(v).region == P.contains(v).region
+    V = np.random.default_rng(0).uniform(-1, 1, (1000, 2))
+    assert np.array_equal(relations(L, 0, V), relations(P, 0, V))
 
 
 # ---------------------------------------------------------------- polyhedral
@@ -222,7 +211,7 @@ def test_polyhedral_rejects_non_solid():
 
 
 def test_hilbert_orthant_closed_form():
-    d = Orthant(2).hilbert_distance(np.array([1.0, 1.0]), np.array([2.0, 1.0]))
+    d = Orthant(2).hilbert_distances(np.array([1.0, 1.0]), np.array([2.0, 1.0]))
     assert d == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -230,14 +219,14 @@ def test_hilbert_projective_identity():
     rng = np.random.default_rng(1)
     for c in all_cones():
         v = interior_sample(c, rng)
-        assert c.hilbert_distance(3.0 * v, v) == pytest.approx(0.0, abs=1e-9)
+        assert c.hilbert_distances(3.0 * v, v) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_hilbert_cross_representation():
     # bisection on the Lorentz cone must match the polyhedral closed path
     L, P = Lorentz(2), lorentz2_polyhedral()
     u, v = np.array([2.0, 1.0]), np.array([2.0, -1.0])
-    dl, dp = L.hilbert_distance(u, v), P.hilbert_distance(u, v)
+    dl, dp = L.hilbert_distances(u, v), P.hilbert_distances(u, v)
     assert abs(dl - dp) < 1e-9
     # light-cone coordinates map this cone onto the orthant: distance log 9
     assert dl == pytest.approx(math.log(9.0), abs=1e-9)
@@ -247,10 +236,10 @@ def test_hilbert_scale_invariance():
     rng = np.random.default_rng(2)
     for c in all_cones():
         u, v = interior_sample(c, rng), interior_sample(c, rng)
-        d0 = c.hilbert_distance(u, v)
+        d0 = c.hilbert_distances(u, v)
         for _ in range(5):
             a, b = rng.uniform(0.1, 10.0, 2)
-            assert abs(c.hilbert_distance(a * u, b * v) - d0) < 1e-9
+            assert abs(c.hilbert_distances(a * u, b * v) - d0) < 1e-9
 
 
 @pytest.mark.parametrize("c", [Orthant(3), Lorentz(3), PSDCone(2),
@@ -281,8 +270,8 @@ def test_hilbert_distance_of_huge_and_tiny_rays_is_the_unit_distance(
     # |u|^2 underflows to 0 (or overflows) unless the rows are normalized
     # exactly; RuntimeWarnings are errors under this suite's settings
     u, v = np.array(u), np.array(v)
-    assert c.hilbert_distance(scale * u, scale * v) == pytest.approx(
-        c.hilbert_distance(u, v), rel=1e-14)
+    assert c.hilbert_distances(scale * u, scale * v) == pytest.approx(
+        c.hilbert_distances(u, v), rel=1e-14)
 
 
 def test_hilbert_triangle_inequality():
@@ -290,16 +279,16 @@ def test_hilbert_triangle_inequality():
     for c in all_cones():
         for _ in range(20):
             u, v, w = (interior_sample(c, rng) for _ in range(3))
-            duw = c.hilbert_distance(u, w)
-            assert duw <= (c.hilbert_distance(u, v)
-                           + c.hilbert_distance(v, w) + 1e-9)
+            duw = c.hilbert_distances(u, w)
+            assert duw <= (c.hilbert_distances(u, v)
+                           + c.hilbert_distances(v, w) + 1e-9)
 
 
 def test_hilbert_symmetry():
     rng = np.random.default_rng(4)
     for c in all_cones():
         u, v = interior_sample(c, rng), interior_sample(c, rng)
-        assert abs(c.hilbert_distance(u, v) - c.hilbert_distance(v, u)) < 1e-9
+        assert abs(c.hilbert_distances(u, v) - c.hilbert_distances(v, u)) < 1e-9
 
 
 def test_closed_forms_match_bisection_oracle():
@@ -307,7 +296,7 @@ def test_closed_forms_match_bisection_oracle():
     for c in all_cones() + [Lorentz(4), square_pyramid()]:
         for _ in range(10):
             u, v = interior_sample(c, rng), interior_sample(c, rng)
-            assert abs(c.hilbert_distance(u, v)
+            assert abs(c.hilbert_distances(u, v)
                        - hilbert_bisect(c, u, v)) < 1e-9
 
 
@@ -329,23 +318,23 @@ def test_birkhoff_hopf_contraction():
     rng = np.random.default_rng(7)
     for c, Phi, gens in _positive_maps(rng):
         images = gens @ Phi.T
-        diam = max(c.hilbert_distance(a, b) for a in images for b in images)
+        diam = max(c.hilbert_distances(a, b) for a in images for b in images)
         assert math.isfinite(diam)
         k = math.tanh(diam / 4.0)
         for _ in range(20):
             u, v = interior_sample(c, rng), interior_sample(c, rng)
-            assert (c.hilbert_distance(Phi @ u, Phi @ v)
-                    <= k * c.hilbert_distance(u, v) + 1e-12)
+            assert (c.hilbert_distances(Phi @ u, Phi @ v)
+                    <= k * c.hilbert_distances(u, v) + 1e-12)
 
 
 def test_hilbert_infinite_outside_interior():
     c = Orthant(2)
-    assert c.hilbert_distance(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == math.inf
+    assert c.hilbert_distances(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == math.inf
 
 
 def test_hilbert_zero_vector_rejected():
     with pytest.raises(ValueError):
-        Orthant(2).hilbert_distance(np.zeros(2), np.ones(2))
+        Orthant(2).hilbert_distances(np.zeros(2), np.ones(2))
 
 
 @pytest.mark.parametrize("c", [Orthant(3), square_pyramid(), Lorentz(3),
@@ -365,7 +354,7 @@ def test_batched_hilbert_distances_match_bisection_oracle(c):
         assert abs(d[i] - hilbert_bisect(c, U[i], V[i])) < 1e-9
     # the one-row case, rows as rays, and any leading shape (a stacked
     # product may round apart from a one-row product by ulps)
-    one_row = [c.hilbert_distance(u, v) for u, v in zip(U, V)]
+    one_row = [c.hilbert_distances(u, v) for u, v in zip(U, V)]
     assert np.allclose(one_row, d, rtol=1e-14, atol=0.0)
     assert np.allclose(c.hilbert_distances(3.0 * U, 0.5 * V), d,
                        rtol=1e-14, atol=0.0)
@@ -407,3 +396,39 @@ def test_cone_spec_roundtrip():
         again = cones.cone_from_spec(cones.cone_to_spec(c))
         assert type(again) is type(c)
         assert again.dim == c.dim
+
+
+# ------------------------------------------------- non-finite and 0-d input
+
+
+@pytest.mark.parametrize("c", [Orthant(2), Lorentz(3), PSDCone(2),
+                               square_pyramid()], ids=lambda c: c.name)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_nonfinite_row_reads_nan_margin_inf_distance_and_weak(c, bad):
+    # RuntimeWarnings are errors under this suite's settings
+    w = c.interior_witness()
+    V = np.vstack([w, w])
+    V[1, 0] = bad
+    m = c.margins(V)
+    assert m[0] > 0.0 and np.isnan(m[1])
+    assert np.isnan(c.margins(V[1]))
+    for U, W in [(V, V[::-1]), (V[::-1], V)]:
+        d = c.hilbert_distances(U, W)
+        assert np.isinf(d[0]) and np.isinf(d[1]) and d[1] > 0.0
+    assert c.hilbert_distances(V[0], V[0]) == 0.0
+    assert relations(c, 0, V).tolist() == [STRICT, WEAK]
+    assert relations(c, V, V).tolist() == [WEAK, WEAK]  # inf - inf is nan
+    assert relations(c, 0, np.full((2, c.dim), bad)).tolist() == [WEAK, WEAK]
+
+
+@pytest.mark.parametrize("c", [Orthant(2), Lorentz(3), PSDCone(2),
+                               square_pyramid()], ids=lambda c: c.name)
+def test_a_0d_input_is_a_dimension_mismatch(c):
+    for call in (lambda: c.margins(np.float64(1.0)),
+                 lambda: c.margin(1.0),
+                 lambda: c.hilbert_distances(np.float64(1.0), 1.0),
+                 lambda: relations(c, 0.0, np.float64(1.0))):
+        with pytest.raises(DimensionMismatchError):
+            call()
+    with pytest.raises(DimensionMismatchError):
+        c.margin(np.ones((2, c.dim)))  # margin takes one vector

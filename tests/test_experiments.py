@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conedyn import experiments, flow, positivity, registry, reports
-from conedyn.conefield import ConstantField
-from conedyn.cones import Orthant
-from conedyn.errors import ProbeConstructionError, UnsupportedInputError
-from conedyn.order import INCOMPARABLE, LEQ_STRICT, leq_flat
+from conedyn.conefield import ConstantField, HomogeneousPSDField
+from conedyn.cones import Orthant, PSDCone
+from conedyn.errors import ProbeConstructionError
+from conedyn.order import INC, STRICT, relations
 from helpers import blowup_rotation, tanh_fixed_point
 
 ORTHANT2 = ConstantField(Orthant(2))
@@ -107,7 +107,7 @@ def test_ordered_omega_witnesses_match_the_pairwise_search(coop, monkeypatch):
     for i, W in enumerate(tails):
         for a in range(len(W)):
             for b in range(len(W)):
-                if a != b and leq_flat(Orthant(2), W[a], W[b]).relation != INCOMPARABLE:
+                if a != b and relations(Orthant(2), W[a], W[b]) != INC:
                     want.append({"kind": "ordered_omega_witnesses", "sample": i,
                                  "points": [W[a].tolist(), W[b].tolist()]})
                     break
@@ -183,12 +183,36 @@ def test_dichotomy_metzler_all_equal():
     assert rep["cases"]["strict_order"] == 0
 
 
-def test_dichotomy_needs_flat_field(coop):
-    from conedyn.conefield import HomogeneousPSDField
-    with pytest.raises(UnsupportedInputError):
-        experiments.dichotomy_check(
-            registry.get_system("spd_lyapunov"), HomogeneousPSDField(2),
-            pairs=5, T=1.0)
+def test_pair_theorems_run_on_spd():
+    # the transported PSD field's chart cone decides the Loewner order
+    s, field = registry.get_system("spd_lyapunov"), HomogeneousPSDField(2)
+    rep = experiments.dichotomy_check(s, field, pairs=30, T=2.0, seed=0)
+    assert rep["violations"] == 0
+    assert (sum(rep["cases"].values()) + rep["undetermined_excluded"]
+            + rep["escapes"] + rep["nonsingleton_or_mixed"]) == 30
+    rep = experiments.colimit_check(s, field, pairs=30, T=2.0, seed=0)
+    assert rep["violations"] == 0 and 0 <= rep["checked_pairs"] <= 30
+    rep = experiments.convergence_criterion_check(
+        s, field, x_samples=30, T_scan=[0.5, 1.0], seed=0, omega_T=2.0)
+    # ||e^{At}||_2 < 1 for t > 0, so phi_T(x) <= x triggers every sample
+    assert rep["findings"] == [] and rep["triggered"] == 30
+    assert (rep["confirmed"] + rep["undetermined_excluded"] + rep["escapes"]
+            == rep["triggered"])
+    rep = experiments.trichotomy_check(s, field, s.manifold.identity_point(),
+                                       n_seq=4, T=2.0)
+    assert rep["consistent"] in (None, True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_spd_pairs_stay_loewner_ordered_under_the_flow(seed):
+    # spd_lyapunov's flow is the congruence P -> e^{At} P e^{A^T t}, which
+    # preserves the Loewner order: every sampled pair X <= Y stays ordered
+    s, c = registry.get_system("spd_lyapunov"), PSDCone(2)
+    X, Y = experiments._sample_ordered_pairs(s, c, 300, seed)
+    assert np.all(relations(c, X, Y) != INC)
+    XT, YT = np.split(flow.states_at(s, np.vstack([X, Y]), [2.5, 5.0]), 2,
+                      axis=1)
+    assert np.all(relations(c, XT, YT) != INC)
 
 
 # -------------------------------------------------------------- criterion
@@ -206,7 +230,7 @@ def test_criterion_trigger_sign_oracle(coop):
     x = np.array([0.1, 0.1])
     assert -0.1 + np.tanh(0.25) > 0.0
     xt = flow.states_at(coop, x[None, :], [0.5])[0, 0]
-    assert leq_flat(Orthant(2), x, xt).relation == LEQ_STRICT
+    assert relations(Orthant(2), x, xt) == STRICT
 
 
 def test_criterion_metzler_small_T_no_trigger():
@@ -314,13 +338,14 @@ def test_colimit_metzler_all_checked():
 
 
 def reference_dichotomy(s, c, ex, ey):
-    """The limit-set dichotomy decided pair by pair with leq_flat."""
+    """The limit-set dichotomy decided pair by pair, one ``relations``
+    call per pair."""
     counts = {"violations": 0, "strict_order": 0, "equal_singleton": 0,
               "excluded": 0, "escapes": 0, "mixed": 0}
     findings = []
 
     def below(x, y):
-        return leq_flat(c, x, y).relation == LEQ_STRICT
+        return relations(c, x, y) == STRICT
 
     for i, (a, b) in enumerate(zip(ex, ey)):
         if a is None or b is None:
@@ -425,9 +450,9 @@ class _Section(ConstantField):
 def reference_chain_error(c, x0, w, n_seq):
     xs = [x0 - w / n for n in range(1, n_seq + 1)]
     for i in range(n_seq - 1):
-        if leq_flat(c, xs[i], xs[i + 1]).relation != LEQ_STRICT:
+        if relations(c, xs[i], xs[i + 1]) != STRICT:
             return "sequence is not strictly increasing"
-    if leq_flat(c, xs[-1], x0).relation != LEQ_STRICT:
+    if relations(c, xs[-1], x0) != STRICT:
         return "sequence does not approach x0 from below"
     return None
 
@@ -455,7 +480,7 @@ def reference_branch_flags(c, ps, p0, tol=experiments.MATCH_TOL):
         return np.linalg.norm(a - b) < tol
 
     def ll(a, b):
-        return (not eq(a, b)) and leq_flat(c, a, b).relation == LEQ_STRICT
+        return (not eq(a, b)) and relations(c, a, b) == STRICT
 
     b1 = (all(ll(ps[i], ps[i + 1]) for i in range(len(ps) - 1))
           and all(ll(p, p0) for p in ps))

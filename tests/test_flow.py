@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -1826,6 +1827,33 @@ def test_a_growing_matrix_from_tiny_states_is_guarded():
     assert np.array_equal(stepper.X, X_ref, equal_nan=True)
 
 
+def test_an_overflowing_tangent_map_raises_at_its_first_nonfinite_step():
+    # the state stays at 0 while Phi = R(hA)^j overflows: the per-step
+    # reference dates the first non-finite map, after whose step the scan
+    # must raise, having handed over only finite records before it
+    s = registry._linear_system(40.0 * np.eye(2), "grow")
+    T, dt = 25.0005, 1e-3
+    plan = _plan(T, dt)
+    P, first = np.eye(2), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, h in enumerate(plan, 1):
+            P = flow._rk4_map(s.matrix, h) @ P
+            if not np.isfinite(P).all():
+                first = j
+                break
+    assert first == 17745
+    with pytest.raises(FlowBlowupError) as err:
+        flow.tangent_flow(s, np.zeros(2), T, dt)
+    assert err.value.time == first * dt == 17.745
+    records = []
+    with pytest.raises(FlowBlowupError) as err:
+        flow._orbit_tangent(s, np.zeros(2), np.eye(2), T, dt, 1000,
+                            lambda ts, xs, Ps: records.append((ts, Ps)))
+    ts = np.concatenate([t for t, _ in records])
+    assert err.value.time == 17.745 and ts[-1] == 17.0
+    assert all(np.isfinite(Ps).all() for _, Ps in records)
+
+
 def test_the_finiteness_bound_counts_the_partial_last_step():
     # R(1000 h) grows a row by about 4.2e10 over a full step (h = 1) and
     # 2.6e9 over the partial one (h = 0.5): from 1e289 the full step stays
@@ -1900,6 +1928,11 @@ def test_a_flat_run_raises_at_the_per_step_guard_time(name):
     s, X0, _, T = _dying_rows(name)
     dt = flow.DT_DEFAULT
     died = _grow_reference(s, X0, _plan(T, dt))[0]
+    # tangent_flow also raises at its first non-finite map: the columns of
+    # Phi step as rows from I do (on grow at step 17,745, before the tiny
+    # rows' states die; never on the other two)
+    phi = _grow_reference(s, np.eye(2), _plan(T, dt))[0]
+    t_phi = phi[phi > 0].min() * dt if (phi > 0).any() else math.inf
     field = ConstantField(Orthant(2))
     for x0, step in zip(X0, died):
         if step < 0:
@@ -1916,7 +1949,8 @@ def test_a_flat_run_raises_at_the_per_step_guard_time(name):
         for path, call in calls.items():
             with pytest.raises(FlowBlowupError) as err:
                 call()
-            assert err.value.time == t_ref, (path, step)
+            want = min(t_ref, t_phi) if path == "tangent_flow" else t_ref
+            assert err.value.time == want, (path, step)
     with pytest.raises(FlowBlowupError) as err:  # the batch: the first death
         flow.states_at(s, X0, [T], dt)
     assert err.value.time == died[died > 0].min() * dt

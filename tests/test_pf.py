@@ -119,7 +119,7 @@ def test_pf_at_equilibrium_eigen_residual(coop):
 
 def test_pf_at_equilibrium_interior_margin(coop):
     v, _ = pf.pf_at_equilibrium(coop, ORTHANT2, np.zeros(2), tau=1.0)
-    assert Orthant(2).contains(v.vec).margin > 1e-6
+    assert Orthant(2).margin(v.vec) > 1e-6
 
 
 def test_pf_at_equilibrium_tau_scaling(coop):
@@ -174,7 +174,7 @@ def test_birkhoff_hopf_bound_along_an_orbit(coop):
     for i in range(len(times)):
         for j in range(i + 1, len(times)):
             Phi = tf.phis[j] @ np.linalg.inv(tf.phis[i])
-            diam = max(cone.hilbert_distance(Phi[:, a], Phi[:, b])
+            diam = max(cone.hilbert_distances(Phi[:, a], Phi[:, b])
                        for a in range(2) for b in range(2))
             k = math.tanh(diam / 4.0)
             assert np.all(dists[j] <= k * dists[i] + 1e-12)
@@ -192,7 +192,7 @@ def reference_ray_pairs(s, field, x0, A, B, T, dt=flow.DT_DEFAULT,
     time, each step's map comes from ``_rk4_step_map`` at the state before
     it, the rays step as W <- M W and are renormalized after every step,
     and each stored time checks every ray with ``margin`` and every pair
-    with ``hilbert_distance``."""
+    with a one-row ``hilbert_distances``."""
     k = len(A)
     n_full, rem = flow._plan_steps(T, dt)
     stepper = flow._Stepper(s, x0[None, :])
@@ -216,7 +216,7 @@ def reference_ray_pairs(s, field, x0, A, B, T, dt=flow.DT_DEFAULT,
             raise ConeExitError(
                 f"ray left the cone at t={t:.6g} (margin {worst:.3e})")
         times.append(t)
-        dists.append([cone.hilbert_distance(W[:, j], W[:, k + j])
+        dists.append([cone.hilbert_distances(W[:, j], W[:, k + j])
                       for j in range(k)])
 
     stepper.march(T, dt, record)
