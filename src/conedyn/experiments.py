@@ -13,10 +13,9 @@ scan showing the non-convergent set is thin along random transects.
 Undetermined omega-estimates reduce the effective sample and are always
 reported, never coerced into a theorem-friendly bucket.
 
-The pair theorems (dichotomy, colimit, convergence criterion,
-trichotomy) decide the conal order with ``relations(field.cone, X, Y)``
-on every manifold: on SPD(n) with the transported PSD field that is the
-Loewner order.
+The pair theorems (dichotomy, convergence criterion, trichotomy) decide
+the conal order with ``relations(field.cone, X, Y)`` on every manifold:
+on SPD(n) with the transported PSD field that is the Loewner order.
 """
 
 from __future__ import annotations
@@ -38,8 +37,9 @@ from .order import INC, STRICT, relations
 MATCH_TOL = 1e-3  # singleton limits closer than this are the same equilibrium
 # rows per ensemble_omega call.  Each call builds its own contraction
 # balls, so merging the chunks would share balls across them and move
-# certified_at for N > 1024: the chunking stays for that, not for memory
-# (ensemble_omega streams its tails and stores no window).
+# certified_at for N > 1024.  The chunking also bounds memory: the tails
+# stream, but classify_tail's replay keeps every clustered row's whole
+# window (40 MB for 1,000 rows of metzler_linear at T = 100).
 OMEGA_CHUNK = 1024
 _Z95 = 1.959963984540054
 WIDTH_TOL = 1e-3  # basin_boundary_scan bisects until brackets are this narrow
@@ -91,7 +91,7 @@ class ConvergenceReport:
     T: float
     seed: int
     interval: tuple
-    dp_status: str | None
+    dp_status: str
     samples: list = dc_field(default_factory=list)  # per-sample CSV rows
     findings: list = dc_field(default_factory=list)
 
@@ -101,8 +101,8 @@ class ConvergenceReport:
 
 
 def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
-                        T: float, seed: int = 0, dt: float = flowmod.DT_DEFAULT,
-                        dp_check: bool = True) -> ConvergenceReport:
+                        T: float, seed: int = 0,
+                        dt: float = flowmod.DT_DEFAULT) -> ConvergenceReport:
     """Classify the omega-limits of N uniform samples.
 
     The strong-positivity precondition is probed by check_dp and recorded
@@ -114,11 +114,9 @@ def generic_convergence(s: flowmod.FlowSystem, field: ConeField, box, N: int,
         raise ValueError("N must be >= 1")
     rng = np.random.default_rng(seed)
     X0 = sample_states(s, box, N, rng)
-    dp_status = None
-    if dp_check:
-        dp_times = [min(0.1, T / 2.0), min(1.0, T)]
-        dp = positivity.check_dp(s, field, 25, 6, dp_times, rng, dt=dt)
-        dp_status = dp.status
+    dp_times = [min(0.1, T / 2.0), min(1.0, T)]
+    dp_status = positivity.check_dp(s, field, 25, 6, dp_times, rng,
+                                    dt=dt).status
 
     # the witnesses are read only under an SDP verdict
     estimates = _omega_batch(s, X0, T, dt, dp_status == positivity.SDP)
@@ -255,14 +253,6 @@ def _sample_ordered_pairs(s, c, pairs: int, seed: int):
     return X, Y
 
 
-def _pair_limits(s, field, pairs: int, T: float, seed: int, dt):
-    """The omega-estimates of the sampled ordered pairs x <= y: the x
-    halves, then the y halves."""
-    X, Y = _sample_ordered_pairs(s, field.cone, pairs, seed)
-    ests = _omega_batch(s, np.vstack([X, Y]), T, dt)
-    return ests[:pairs], ests[pairs:]
-
-
 def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
                     T: float, seed: int = 0,
                     dt: float = flowmod.DT_DEFAULT) -> dict:
@@ -273,9 +263,14 @@ def dichotomy_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
     near-intersection points fail the equilibrium residual.  Undetermined
     estimates are excluded and counted separately.  A singleton paired
     with a non-singleton must lie strictly below (or above) every witness.
-    The order tests of all pairs are one ``relations`` call.
+    A pair sharing one singleton limit is equal_singleton: the co-limit
+    principle holds there by construction, as a singleton limit is a point
+    Newton polished below EQ_TOL.  The order tests of all pairs are one
+    ``relations`` call.
     """
-    ex, ey = _pair_limits(s, field, pairs, T, seed, dt)
+    X, Y = _sample_ordered_pairs(s, field.cone, pairs, seed)
+    ests = _omega_batch(s, np.vstack([X, Y]), T, dt)
+    ex, ey = ests[:pairs], ests[pairs:]
     escapes = excluded = equal_singleton = mixed = 0
     found = [None] * pairs  # the finding of each violating pair
     tests = []  # (pair, low rows, high rows, finding unless low < high)
@@ -331,31 +326,6 @@ def _nonequilibrium_intersection(s, wa, wb, pair: int):
             return {"kind": "nonequilibrium_intersection", "pair": pair,
                     "point": wa[ia].tolist(), "residual": res}
     return None
-
-
-def colimit_check(s: flowmod.FlowSystem, field: ConeField, pairs: int,
-                  T: float, seed: int = 0,
-                  dt: float = flowmod.DT_DEFAULT) -> dict:
-    """Ordered pairs sharing one singleton limit must sit at an equilibrium."""
-    ex, ey = _pair_limits(s, field, pairs, T, seed, dt)
-    violations = checked = 0
-    findings = []
-    for i, (a, b) in enumerate(zip(ex, ey)):
-        if (a is None or b is None or a.kind != SINGLETON
-                or b.kind != SINGLETON):
-            continue
-        if np.linalg.norm(a.point - b.point) >= MATCH_TOL:
-            continue  # distinct limits: outside the assertion set
-        checked += 1
-        res = max(float(np.linalg.norm(s.f(a.point))),
-                  float(np.linalg.norm(s.f(b.point))))
-        if res >= 10.0 * flowmod.EQ_TOL:
-            violations += 1
-            findings.append({"kind": "colimit_not_equilibrium", "pair": i,
-                             "point": a.point.tolist(), "residual": res})
-    return {"violations": violations, "checked_pairs": checked,
-            "pairs": pairs, "T": T, "seed": seed, "findings": findings,
-            "system": s.name}
 
 
 def convergence_criterion_check(s: flowmod.FlowSystem, field: ConeField,

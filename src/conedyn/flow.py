@@ -9,8 +9,8 @@ matrix steps as P <- M P.  Every tangent path (``tangent_at``,
 once and keeps each step's four stage points, a chunk of at most
 _ORBIT_CHUNK step-rows at a time (``_StepMaps``); one jac call over all of
 a chunk's stage points gives its maps (``_stage_maps``), and P scans them
-one step at a time.  ``_rk4_step_map`` is the one-step case.  A declared
-matrix keeps M = R(hA) and needs no stages.
+one step at a time.  A declared matrix keeps M = R(hA) and needs no
+stages.
 
 The step maps are stored component-major: a batch of N matrices of shape
 (n, m) is one contiguous (n, m, N) array, so entry (i, j) of every matrix
@@ -102,7 +102,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cones import integer_at_least
 from .errors import (
+    DimensionMismatchError,
     FlowBlowupError,
     ManifoldExitError,
     NumericsError,
@@ -116,6 +118,7 @@ CLUSTER_RADIUS = 1e-4
 EQ_TOL = 1e-10
 CERT_EVERY = 100  # ensemble steps between contraction-certificate checks
 _ORBIT_CHUNK = 1024  # step-rows of stage points per jac call of a tangent path
+_MAX_STEPS = 2.0 ** 53  # step counts stay exact floats below this
 _CERT_F_MAX = 1e-2  # only rows with |f| below this seed an equilibrium search
 _CERT_EQ_TOL = 1e-12  # certified equilibria are polished past EQ_TOL
 _CERT_REJECT_RADIUS = 0.05  # rows this close to a rejected point seed nothing
@@ -152,10 +155,8 @@ class OmegaEstimate:
 
 def _plan_steps(T: float, dt: float):
     """Full-step count and the trailing partial step (0 if aligned)."""
-    if T <= 0:
-        raise ValueError("T must be > 0")
-    if not 0 < dt <= T:
-        raise ValueError("need 0 < dt <= T")
+    if not (0 < T < np.inf and 0 < dt <= T and T / dt < _MAX_STEPS):
+        raise ValueError(f"need 0 < dt <= T < inf, T/dt < 2**53: {T=} {dt=}")
     n_full = int(np.floor(T / dt + 1e-9))
     rem = T - n_full * dt
     if rem < 1e-12 * max(1.0, T):
@@ -250,23 +251,6 @@ def _stage_maps(s: FlowSystem, stages: list, h: float) -> np.ndarray:
     for i in range(n):
         M[i, i] += 1.0
     return M.reshape(n, n, C, N).transpose(2, 0, 1, 3)
-
-
-def _rk4_step_map(s: FlowSystem, X: np.ndarray, h: float):
-    """One RK4 step of the rows of X and its exact Jacobian: the one-step
-    case of ``_StepMaps``.
-
-    Returns (Xn, M) with Xn = _rk4_step(s, X, h) bit for bit and M[j] the
-    derivative of the step map at X[j] (``_stage_maps``).  M, of shape
-    (N, n, n), is a view of a component-major (n, n, N) stack.  A declared
-    matrix gives M = R(hA) as a zero-stride broadcast of R.
-    """
-    if s.matrix is not None:
-        R = _rk4_map(s.matrix, h)
-        return (R @ X.T).T, np.broadcast_to(R, X.shape[:-1] + R.shape)
-    stages = []
-    Xn = _rk4_step(s, X, h, stages)
-    return Xn, _stage_maps(s, stages, h)[0].transpose(2, 0, 1)
 
 
 def _rk4_map(A: np.ndarray, h: float) -> np.ndarray:
@@ -371,8 +355,11 @@ class _Stepper:
                  on_failure: str = "raise"):
         self.s = s
         self.X = np.array(X0, dtype=float, copy=True)
-        if self.X.ndim != 2:
-            raise ValueError("batch states must have shape (N, n)")
+        if self.X.ndim != 2 or self.X.shape[1] != s.dim:
+            raise DimensionMismatchError(
+                f"batch states must have shape (N, {s.dim}): {self.X.shape}")
+        if on_failure not in ("raise", "mask"):
+            raise ValueError(f"on_failure must be raise|mask: {on_failure!r}")
         self.t = 0.0
         self.on_failure = on_failure
         self.maps = {}  # step size h -> R(hA), for a declared matrix A
@@ -520,27 +507,30 @@ class _Stepper:
         self.t = t_end  # no float drift across horizons
 
 
-def _capture(stepper: _Stepper, times, dt: float, snapshot) -> list:
+def _capture(stepper: _Stepper, times, dt: float, snapshot,
+             date=None) -> list:
     """Snapshots at times, in their order; the march visits them sorted,
-    each gap on its own plan."""
-    times = [float(t) for t in times]
+    each gap on its own plan.  When a gap to t, in steps of h, fails (its
+    march or its snapshot), date(t, h) may raise a better dated error."""
+    times = np.asarray(times, dtype=float)
+    if (times.ndim != 1 or not np.all((0.0 <= times) & (times < np.inf))
+            or not 0.0 < dt < np.inf):
+        raise ValueError("need capture times in [0, inf) and 0 < dt < inf")
+    times = times.tolist()
     out = [None] * len(times)
     for i in sorted(range(len(times)), key=times.__getitem__):
         t = times[i]
-        if t < 0:
-            raise ValueError("capture times must be >= 0")
         span = t - stepper.t
-        if span > 1e-15 * max(1.0, t):
-            stepper.march(t, min(dt, span))
-        out[i] = snapshot()
+        h = min(dt, span)
+        try:
+            if span > 1e-15 * max(1.0, t):
+                stepper.march(t, h)
+            out[i] = snapshot()
+        except (FlowBlowupError, ManifoldExitError):
+            if date is not None:
+                date(t, h)
+            raise
     return out
-
-
-def _check_stride(stride) -> None:
-    """Raise ValueError unless stride, a store_stride, is an integer >= 1."""
-    if (isinstance(stride, bool) or not isinstance(stride, (int, np.integer))
-            or stride < 1):
-        raise ValueError(f"store_stride must be an integer >= 1: {stride!r}")
 
 
 def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
@@ -560,7 +550,7 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
 
     Returns (x_final, P_final).
     """
-    _check_stride(stride)
+    integer_at_least(stride, 1, "store_stride", ValueError)
     n_full, rem = _plan_steps(T, dt)
     total = n_full + (1 if rem > 0.0 else 0)
     stepper = _Stepper(s, x0[None, :])
@@ -627,7 +617,7 @@ def _orbit_tangent(s: FlowSystem, x0: np.ndarray, P0: np.ndarray, T: float,
 def integrate(s: FlowSystem, x0: np.ndarray, T: float, dt: float = DT_DEFAULT,
               store_stride: int = STORE_STRIDE) -> Trajectory:
     """Integrate one orbit, storing every store_stride-th step and the end."""
-    _check_stride(store_stride)
+    integer_at_least(store_stride, 1, "store_stride", ValueError)
     x0 = s.manifold.check_point(x0)
     stepper = _Stepper(s, x0[None, :])
     times, states = [], []
@@ -681,7 +671,10 @@ def tangent_at(s: FlowSystem, X0: np.ndarray, times, dt: float = DT_DEFAULT,
     (``_StepMaps``) as P <- M P: component-major, summed in order
     (``_mul``), or one product with a declared matrix's R over the (n, n N)
     reshape.  With on_failure="mask", a row that left reads nan from the
-    first capture after it left.
+    first capture after it left.  In raise mode, a gap whose march fails
+    or whose maps end non-finite (P <- M P keeps an inf or nan) is replayed
+    with both checks after every step: the first failure, at a tie the
+    state's, raises.
     """
     stepper = _Stepper(s, np.atleast_2d(np.asarray(X0, float)),
                        on_failure=on_failure)
@@ -695,14 +688,34 @@ def tangent_at(s: FlowSystem, X0: np.ndarray, times, dt: float = DT_DEFAULT,
                  else (M @ P.reshape(n, -1)).reshape(P.shape))
 
     stepper.tangents = maps = _StepMaps(s, N, scan)
+    last = stepper.t, stepper.X, P  # the last capture, never written into
 
     def snapshot():
+        nonlocal last
         maps.flush()
         if stepper.any_dead:  # a dead row's maps may be garbage
             P[..., stepper.dead] = np.nan
+        elif on_failure == "raise" and not np.isfinite(P).all():
+            raise FlowBlowupError(stepper.t)  # dated by date()
+        last = stepper.t, stepper.X, P
         return stepper.X.copy(), P.transpose(2, 0, 1).copy()
 
-    snaps = _capture(stepper, times, dt, snapshot)
+    def date(t, h):
+        nonlocal P
+        t0, X, P = last
+        replay = _Stepper(s, X)
+        replay.t = t0
+        replay.tangents = steps = _StepMaps(s, N, scan)
+
+        def check(t_step, _):
+            steps.flush()
+            if not np.isfinite(P).all():
+                raise FlowBlowupError(t_step, "tangent map blew up near "
+                                      f"t={t_step:.6g}")
+
+        replay.march(t, h, check)
+
+    snaps = _capture(stepper, times, dt, snapshot, date)  # mask mode: no error
     k = len(snaps)
     return (np.asarray([x for x, _ in snaps]).reshape((k, N, n)),
             np.asarray([p for _, p in snaps]).reshape((k, N, n, n)))
@@ -716,8 +729,9 @@ def _box_array(box, dim: int) -> np.ndarray:
         if box.shape[0] != 2:
             raise ValueError("1-d box must be (lo, hi)")
         box = np.tile(box, (dim, 1))
-    if box.shape != (dim, 2) or np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("box must give lo < hi per dimension")
+    if (box.shape != (dim, 2) or not np.isfinite(box).all()
+            or np.any(box[:, 1] <= box[:, 0])):
+        raise ValueError("box must give finite lo < hi per dimension")
     return box
 
 
@@ -730,6 +744,9 @@ def sample_states(s: FlowSystem, box, N: int,
     Rows are drawn in sample order, so row i does not depend on N.  seed
     may be a ``np.random.Generator``, which the draws then continue.
     """
+    N = integer_at_least(N, 0, "N", ValueError)
+    if not isinstance(seed, np.random.Generator):
+        seed = integer_at_least(seed, 0, "seed", ValueError)
     rng = np.random.default_rng(seed)
     if s.manifold.kind == "euclidean":
         box = _box_array(box, s.dim)
@@ -741,40 +758,43 @@ def sample_states(s: FlowSystem, box, N: int,
 
 
 def _newton_polish(s: FlowSystem, x0: np.ndarray, eq_tol: float = EQ_TOL):
-    """Damped Newton on f, at most 100 steps; returns (point, residual) or
-    (None, residual)."""
-    x = np.asarray(x0, dtype=float).copy()
-    res = float(np.linalg.norm(s.f(x)))
-    for _ in range(100):
-        if res < eq_tol:
-            return x, res
-        try:
-            step = np.linalg.solve(s.jac(x), s.f(x))
-        except np.linalg.LinAlgError:
-            return None, res
-        alpha = 1.0
-        for _ in range(25):
-            x_new = x - alpha * step
-            res_new = float(np.linalg.norm(s.f(x_new)))
-            if res_new <= res or alpha < 1e-8:
-                break
-            alpha *= 0.5  # damping on residual increase
-        x, res = x_new, res_new
-        if not np.all(np.isfinite(x)):
-            return None, float("inf")
+    """Damped Newton on f, at most 100 steps; returns (point, residual),
+    a point only once its residual is below eq_tol, or (None, residual).
+    A residual or step that overflows on the way is inf or nan, silently."""
+    with np.errstate(all="ignore"):
+        x = np.asarray(x0, dtype=float).copy()
+        res = float(np.linalg.norm(s.f(x)))
+        for _ in range(100):
+            if res < eq_tol:
+                return x, res
+            try:
+                step = np.linalg.solve(s.jac(x), s.f(x))
+            except np.linalg.LinAlgError:
+                return None, res
+            alpha = 1.0
+            for _ in range(25):
+                x_new = x - alpha * step
+                res_new = float(np.linalg.norm(s.f(x_new)))
+                if res_new <= res or alpha < 1e-8:
+                    break
+                alpha *= 0.5  # damping on residual increase
+            x, res = x_new, res_new
+            if not np.all(np.isfinite(x)):
+                return None, float("inf")
     return (x, res) if res < eq_tol else (None, res)
 
 
 def find_equilibria(s: FlowSystem, seeds) -> list:
     """Newton from every seed; keep |f| < EQ_TOL at points of the manifold
     (on SPD, inside the chart guard), dedupe within CLUSTER_RADIUS."""
-    seeds = [np.asarray(x, dtype=float) for x in seeds]
-    if not seeds:
-        raise ValueError("seeds must be nonempty")
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.ndim != 2 or seeds.shape[1] != s.dim or not len(seeds):
+        raise DimensionMismatchError(
+            f"seeds must have shape (k >= 1, {s.dim}): {seeds.shape}")
     found: list[np.ndarray] = []
     for x0 in seeds:
-        p, res = _newton_polish(s, x0)
-        if p is None or res >= EQ_TOL or _off_chart(s, p):
+        p, _ = _newton_polish(s, x0)
+        if p is None or _off_chart(s, p):
             continue
         if not any(np.linalg.norm(p - q) < CLUSTER_RADIUS for q in found):
             found.append(p)
@@ -887,7 +907,7 @@ def classify_tail(s: FlowSystem, tails, witnesses: bool = True) -> list:
     Shared by the single-orbit and ensemble paths; r is CLUSTER_RADIUS.  A
     tail with a non-finite entry (an escape) gives None.  A tail whose
     bounding-box diagonal is below r is a singleton when Newton from its
-    mean polishes (residual below 10 EQ_TOL) to a point that every state
+    mean polishes (residual below EQ_TOL) to a point that every state
     lies within r of and that is a point of the manifold (on SPD, one that
     passes the chart guard), and undetermined otherwise.  Any other tail is
     non-singleton when the polyline through its states, from the first one
@@ -899,6 +919,10 @@ def classify_tail(s: FlowSystem, tails, witnesses: bool = True) -> list:
     """
     if not isinstance(tails, _TailStream):
         window = np.asarray(tails, dtype=float)
+        if (window.ndim != 3 or window.shape[2] != s.dim
+                or window.shape[1] and not len(window)):  # rows, no state
+            raise DimensionMismatchError(
+                f"tails must have shape (k >= 1, M, {s.dim}): {window.shape}")
         tails = _TailStream(*window.shape, lambda v: [v(X) for X in window])
         tails.replay(tails.store)
     st = tails
@@ -930,9 +954,10 @@ def classify_tail(s: FlowSystem, tails, witnesses: bool = True) -> list:
         elif near[j]:
             tail = next(kept)
             p, res = _newton_polish(s, tail.mean(axis=0))
-            if (p is not None and res < 10.0 * EQ_TOL and float(np.max(
+            with np.errstate(over="ignore"):  # a huge tail is far from p
+                far = p is None or not float(np.max(
                     np.linalg.norm(tail - p, axis=1))) < CLUSTER_RADIUS
-                    and not _off_chart(s, p)):
+            if not far and not _off_chart(s, p):
                 out.append(OmegaEstimate(SINGLETON, point=p, residual=res))
             else:
                 out.append(OmegaEstimate(UNDETERMINED, residual=res))
@@ -1140,9 +1165,10 @@ def ensemble_omega(s: FlowSystem, X0: np.ndarray, T: float,
 def validate_jacobian(s: FlowSystem, samples: int = 100,
                       seed: int = 0) -> float:
     """Max component error of jac vs central differences of f."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer_at_least(seed, 0, "seed",
+                                                 ValueError))
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(integer_at_least(samples, 1, "samples", ValueError)):
         x = s.manifold.random_point(rng)
         J = s.jac(x)
         h = 1e-6 * (1.0 + np.linalg.norm(x))

@@ -258,9 +258,9 @@ class ManifoldSpec:
     def check_point(self, x: np.ndarray) -> np.ndarray:
         """Validate chart coordinates; returns the coordinates as an array."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
+        if x.shape[-1:] != (self.dim,):
             raise DimensionMismatchError(
-                f"point has dim {x.shape[-1]}, expected {self.dim}"
+                f"point has shape {x.shape}, expected dim {self.dim}"
             )
         if not np.all(np.isfinite(x)):
             raise ValueError("point has non-finite coordinates")

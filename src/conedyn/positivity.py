@@ -86,10 +86,11 @@ def _rk4_step_not_positive(s: flowmod.FlowSystem, cone: Cone, X0: np.ndarray,
     RK4's stability polynomial is absolutely monotonic on [-1, 0] and on
     no larger interval, so its step map at a large h need not be positive
     where the flow is; a system that is not positive fails at DT_DEFAULT
-    too.  One ``_rk4_step_map`` and one batched ``margins`` call per step.
+    too.  One one-step ``tangent_at`` and one batched ``margins`` call per
+    step size.
     """
     def margins(h):
-        M = flowmod._rk4_step_map(s, X0, h)[1]
+        M = flowmod.tangent_at(s, X0, [h], h, on_failure="mask")[1][0]
         return cone.margins(rays @ M.transpose(0, 2, 1))
 
     with np.errstate(all="ignore"):  # a map at a huge dt may overflow

@@ -71,7 +71,7 @@ def test_generic_convergence_rotation_flags_precondition():
 def test_generic_convergence_undetermined_is_honest(coop):
     # horizon far too short: the classifier must admit it
     rep = experiments.generic_convergence(coop, ORTHANT2, box=3.0, N=20,
-                                          T=2.0, seed=0, dp_check=False)
+                                          T=2.0, seed=0)
     assert rep.undetermined > 0
     assert (rep.converged + rep.nonsingleton + rep.undetermined
             + rep.escapes) == rep.total
@@ -190,8 +190,6 @@ def test_pair_theorems_run_on_spd():
     assert rep["violations"] == 0
     assert (sum(rep["cases"].values()) + rep["undetermined_excluded"]
             + rep["escapes"] + rep["nonsingleton_or_mixed"]) == 30
-    rep = experiments.colimit_check(s, field, pairs=30, T=2.0, seed=0)
-    assert rep["violations"] == 0 and 0 <= rep["checked_pairs"] <= 30
     rep = experiments.convergence_criterion_check(
         s, field, x_samples=30, T_scan=[0.5, 1.0], seed=0, omega_T=2.0)
     # ||e^{At}||_2 < 1 for t > 0, so phi_T(x) <= x triggers every sample
@@ -318,20 +316,37 @@ def test_trichotomy_bistable_origin():
     assert abs(rep["limits"][0][0] + s1) < 1e-6
 
 
-# ---------------------------------------------------------------- colimit
+# ------------------------------------------------------- co-limit principle
 
 
-def test_colimit_coop2d(coop):
-    rep = experiments.colimit_check(coop, ORTHANT2, pairs=50, T=100.0, seed=0)
-    assert rep["violations"] == 0
-    assert 0 < rep["checked_pairs"] < 50  # distinct-limit pairs are excluded
-
-
-def test_colimit_metzler_all_checked():
-    s = registry.get_system("metzler_linear")
-    rep = experiments.colimit_check(s, ORTHANT2, pairs=40, T=60.0, seed=0)
-    assert rep["violations"] == 0
-    assert rep["checked_pairs"] > 0
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["coop2d", "metzler_linear", "bistable1d",
+                                  "spd_lyapunov"])
+def test_every_singleton_limit_is_an_equilibrium(name, seed):
+    # the co-limit principle: ordered points that share one limit sit at an
+    # equilibrium.  It holds by construction, so it is a property of the
+    # classifier and no check of its own: every singleton estimate, of a
+    # classified row or a certified one, is a point Newton polished below
+    # EQ_TOL, and its residual is |f| there
+    s = registry.get_system(name)
+    X, Y = experiments._sample_ordered_pairs(
+        s, registry.default_field(s).cone, 100, seed)
+    ests = flow.ensemble_omega(s, np.vstack([X, Y]), 30.0, witnesses=False)
+    kinds = {"classified": 0, "certified": 0}
+    for est in ests:
+        if est is None or est.kind != flow.SINGLETON:
+            continue
+        res = float(np.linalg.norm(s.f(est.point)))
+        assert res == est.residual and res < flow.EQ_TOL
+        if est.certified_at is None:
+            kinds["classified"] += 1
+        else:
+            kinds["certified"] += 1
+            assert res < flow._CERT_EQ_TOL
+    if name == "coop2d":  # both kinds occur
+        assert min(kinds.values()) > 0, kinds
+    if name == "metzler_linear":  # every pair shares the origin
+        assert kinds["classified"] == 200
 
 
 # ------------------------------------------- pair theorems against per-pair loops

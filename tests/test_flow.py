@@ -330,7 +330,7 @@ def test_rk4_step_map_is_the_derivative_of_the_step(name):
     rng = np.random.default_rng(8)
     X = np.array([s.manifold.random_point(rng) for _ in range(6)])
     h = 0.05
-    Xn, M = flow._rk4_step_map(s, X, h)
+    Xn, M = (v[0] for v in flow.tangent_at(s, X, [h], h))  # one step
     assert M.shape == (6, s.dim, s.dim)
     if s.matrix is not None:  # the exact RK4 map of x' = Ax
         assert np.array_equal(M, np.broadcast_to(flow._rk4_map(s.matrix, h),
@@ -351,7 +351,7 @@ def test_rk4_step_map_stages_give_the_exact_map_of_a_linear_field():
     A = np.array([[-1.0, 2.0, 0.5], [0.3, -0.7, 0.0], [1.0, -1.0, 0.2]])
     X = np.random.default_rng(9).normal(size=(4, 3))
     for h in (1e-3, 0.1, 0.7):
-        _, M = flow._rk4_step_map(linear_system(A), X, h)  # matrix-free
+        M = flow.tangent_at(linear_system(A), X, [h], h)[1][0]  # matrix-free
         R = flow._rk4_map(A, h)
         assert np.allclose(M, np.broadcast_to(R, M.shape), rtol=0.0,
                            atol=1e-14 * np.abs(R).max())
@@ -369,7 +369,8 @@ def reference_rk4_step(s, X, h):
 
 
 def reference_rk4_step_map(s, X, h):
-    """The stages of _rk4_step_map, summed by the one-line expressions."""
+    """The state and map of one RK4 step from its stages, as _rk4_step and
+    _stage_maps build them, summed by the one-line expressions."""
     k1 = s.f(X)
     K1 = flow._jac_cm(s, X)
     x2 = X + 0.5 * h * k1
@@ -406,7 +407,7 @@ def test_rk4_sums_equal_the_one_line_expressions(name, N):
     for h in (1e-3, 0.05, 0.3):
         assert np.array_equal(flow._rk4_step(s, X, h),
                               reference_rk4_step(s, X, h))
-        Xn, M = flow._rk4_step_map(s, X, h)
+        Xn, M = (v[0] for v in flow.tangent_at(s, X, [h], h))
         Xr, Mr = reference_rk4_step_map(s, X, h)
         assert np.array_equal(Xn, Xr) and np.array_equal(M, Mr)
 
@@ -448,8 +449,8 @@ def test_steps_never_write_into_what_f_and_jac_return(name):
     h = 0.05
     assert np.array_equal(flow._rk4_step(frozen, X, h),
                           flow._rk4_step(s, X, h))
-    for a, b in zip(flow._rk4_step_map(frozen, X, h),
-                    flow._rk4_step_map(s, X, h)):
+    for a, b in zip(flow.tangent_at(frozen, X, [h], h),
+                    flow.tangent_at(s, X, [h], h)):
         assert np.array_equal(a, b)
     for a, b in zip(flow.tangent_at(frozen, X, [0.05, 0.1]),
                     flow.tangent_at(s, X, [0.05, 0.1])):
@@ -540,7 +541,7 @@ def test_orbit_tangents_keep_a_non_square_start(name):
     got = np.stack(got, axis=1)
     assert got.shape == (2, 4, 2, 5)
     assert np.array_equal(got[0], np.broadcast_to(P0, (4, 2, 5)))
-    _, M = flow._rk4_step_map(s, X, 0.01)
+    M = flow.tangent_at(s, X, [0.01], 0.01)[1][0]
     assert M.shape == (4, 2, 2)
     assert np.array_equal(got[1], M @ P0)
 
@@ -1786,6 +1787,59 @@ def test_a_growing_matrix_raises_at_its_blowup_time():
     assert died[0] == 17718  # the step at which the unbounded march failed
 
 
+def _first_bad_map(s, x0, times, dt):
+    """The time of the first step at which the per-step reference's maps,
+    marched gap by gap through sorted times, hold an inf or nan entry."""
+    march = _matrix_march if s.matrix is not None else _staged_march
+    X, P, t0 = x0[None], np.eye(s.dim)[None], 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in sorted(times):
+            h = min(dt, t - t0)
+            for i, (X, P) in enumerate(march(s, X, _plan(t - t0, h), P), 1):
+                if not np.isfinite(P).all():
+                    return t0 + min(i * h, t - t0)
+            t0 = t
+    return None
+
+
+@pytest.mark.parametrize("declared", [True, False])
+def test_tangent_at_raises_at_its_first_non_finite_map(declared):
+    # x' = 40 x from the origin: the state stays 0, the map e^{40 t} I
+    # overflows at step 17,745 of the second gap's march
+    A = 40.0 * np.eye(2)
+    s = registry._linear_system(A, "grow") if declared else linear_system(A)
+    x0, times = np.zeros(2), [25.0005, 10.0]
+    want = _first_bad_map(s, x0, times, flow.DT_DEFAULT)
+    assert want == 17.745
+    with pytest.raises(FlowBlowupError, match="tangent map") as err:
+        flow.tangent_at(s, x0[None], times)
+    assert err.value.time == want
+    xs, ps = flow.tangent_at(s, x0[None], times, on_failure="mask")
+    assert np.isfinite(ps[1]).all() and not np.isfinite(ps[0]).all()
+    # a state that fails first wins: a row from 1e100 overflows near t = 12
+    X0 = np.array([[0.0, 0.0], [1e100, 1.0]])
+    with pytest.raises(FlowBlowupError) as died:
+        flow.states_at(s, X0, times)
+    with pytest.raises(FlowBlowupError, match="trajectory") as err:
+        flow.tangent_at(s, X0, times)
+    assert err.value.time == died.value.time < want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_capture_times_and_horizons_must_be_finite(coop, bad):
+    X0 = np.array([[1.0, 0.5]])
+    for call in (flow.states_at, flow.tangent_at):
+        with pytest.raises(ValueError, match="capture times"):
+            call(coop, X0, [bad, 1.0])
+        with pytest.raises(ValueError, match="capture times"):
+            call(coop, X0, [1.0, bad])
+    for call in (flow.integrate, flow.tangent_flow, flow.omega_limit):
+        with pytest.raises(ValueError, match="T < inf"):
+            call(coop, X0[0], bad)
+    with pytest.raises(ValueError, match="T < inf"):
+        flow.ensemble_omega(coop, X0, bad)
+
+
 def test_a_growing_matrix_freezes_the_same_rows_at_the_same_steps():
     s = registry._linear_system(40.0 * np.eye(2), "grow")
     X0 = np.array([[1.0, 1.0], [1e-100, 2e-100], [1e100, -1e100],
@@ -1928,9 +1982,9 @@ def test_a_flat_run_raises_at_the_per_step_guard_time(name):
     s, X0, _, T = _dying_rows(name)
     dt = flow.DT_DEFAULT
     died = _grow_reference(s, X0, _plan(T, dt))[0]
-    # tangent_flow also raises at its first non-finite map: the columns of
-    # Phi step as rows from I do (on grow at step 17,745, before the tiny
-    # rows' states die; never on the other two)
+    # tangent_flow and tangent_at also raise at their first non-finite map:
+    # the columns of Phi step as rows from I do (on grow at step 17,745,
+    # before the tiny rows' states die; never on the other two)
     phi = _grow_reference(s, np.eye(2), _plan(T, dt))[0]
     t_phi = phi[phi > 0].min() * dt if (phi > 0).any() else math.inf
     field = ConstantField(Orthant(2))
@@ -1949,7 +2003,8 @@ def test_a_flat_run_raises_at_the_per_step_guard_time(name):
         for path, call in calls.items():
             with pytest.raises(FlowBlowupError) as err:
                 call()
-            want = min(t_ref, t_phi) if path == "tangent_flow" else t_ref
+            want = (min(t_ref, t_phi) if path in ("tangent_flow", "tangent_at")
+                    else t_ref)
             assert err.value.time == want, (path, step)
     with pytest.raises(FlowBlowupError) as err:  # the batch: the first death
         flow.states_at(s, X0, [T], dt)

@@ -1,14 +1,15 @@
-"""Every public function and method of ``cones`` and ``order`` under
-hostile input: nan, +-inf, 1e+-300, empty, misshapen and 0-d arrays.
+"""Every public function and method of ``cones``, ``order`` and ``flow``
+under hostile input: nan, +-inf, 1e+-300, empty, misshapen and 0-d arrays.
 
 A call must return its documented values or raise a ``ConedynError`` or
 ``ValueError``.  Any other exception fails, and so does any warning (a
 RuntimeWarning from an inf or nan reaching arithmetic, say).  ``CASES``
-names one case per public function or method, found with ``ast`` as
-``test_parameters`` finds defaults; a public name without a case fails.
-Parameters that take an object (a cone, a field, an oracle, a generator)
-get valid objects; every number, array and size parameter gets the
-hostile values.  Inputs are drawn from one seeded generator per case.
+names one case per public function or method (of a public class or of
+a base of one), found with ``ast`` as ``test_parameters`` finds
+defaults; a public name without a case fails.  Parameters that take an
+object (a cone, a field, an oracle, a generator, a system) get valid
+objects; every number, array and size parameter gets the hostile values.
+Inputs are drawn from one seeded generator per case.
 """
 
 import ast
@@ -19,14 +20,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conedyn import cones, order
+from conedyn import cones, flow, order, registry
 from conedyn.conefield import ConstantField
 from conedyn.cones import Lorentz, Orthant, Polyhedral, PSDCone
 from conedyn.errors import ConedynError
 from conedyn.order import INC, STRICT, WEAK
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "conedyn"
-MODULES = {"cones": cones, "order": order}
+MODULES = {"cones": cones, "order": order, "flow": flow}
 ENTRIES = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300)
 # sizes, counts and seeds: none is a nonnegative integer a caller may pass
 BAD_COUNTS = (math.nan, math.inf, -math.inf, 1e300, 1e-300, -1, 2.5, True,
@@ -385,6 +386,170 @@ def case_continuity(rng):
     raises(order.continuity_probe, math.nan, np.zeros(2), K, [0.5])
 
 
+# --------------------------------------------------------------- flow cases
+
+# a nonlinear field, a declared matrix and the SPD manifold
+FLOW_SYSTEMS = ("coop2d", "metzler_linear", "spd_lyapunov")
+# spans and steps: none is a finite positive time a march can run
+BAD_TIMES = (math.nan, math.inf, -math.inf, 1e300, -1e300, -1e-300, 0.0)
+
+
+def flow_systems():
+    return [registry.get_system(name) for name in FLOW_SYSTEMS]
+
+
+def check_captured(X0, xs, mask):
+    """A capture stack of start rows X0: a row with a non-finite start is
+    nan at every capture in mask mode; every other row is finite or, once
+    it escaped, nan throughout."""
+    assert xs.shape[1:] == X0.shape
+    rows_nan = np.isnan(xs).all(axis=-1)
+    assert np.array_equal(rows_nan, ~np.isfinite(xs).all(axis=-1))
+    if mask:
+        assert rows_nan[:, ~finite_rows(X0)].all()
+
+
+def case_orbits(rng):
+    """integrate, tangent_flow and omega_limit on one start point."""
+    for s in flow_systems():
+        x0 = s.manifold.random_point(rng)
+        calls = [lambda x, T=1.0, dt=0.01: flow.integrate(s, x, T, dt),
+                 lambda x, T=1.0, dt=0.01: flow.tangent_flow(s, x, T, dt),
+                 lambda x, T=1.0, dt=0.01: flow.omega_limit(s, x, T, dt)]
+        good, bad = hostile_rows(rng, s.dim)
+        for call in calls:
+            for V in good:
+                got = attempt(call, V[0])
+                if got is RAISED:
+                    continue
+                assert np.isfinite(V[0]).all()
+                if isinstance(got, flow.OmegaEstimate):
+                    assert got.kind in (flow.SINGLETON, flow.NON_SINGLETON,
+                                        flow.UNDETERMINED)
+                else:  # times, states and, of a tangent flow, every map
+                    assert all(np.isfinite(a).all() for a in vars(got).values())
+            for V in bad:
+                raises(call, V)
+            for e in BAD_TIMES:
+                raises(call, x0, e)
+                raises(call, x0, 1.0, e)
+        for k in BAD_COUNTS:
+            raises(flow.integrate, s, x0, 1.0, 0.01, k)
+            raises(flow.tangent_flow, s, x0, 1.0, 0.01, k)
+
+
+def case_captures(rng):
+    """states_at and tangent_at, in both failure modes."""
+    def states_at(*args):  # a tuple, as tangent_at returns
+        return (flow.states_at(*args),)
+
+    for s in flow_systems():
+        good, bad = hostile_rows(rng, s.dim)
+        X0 = s.manifold.random_points(rng, 3)
+        for fn in (states_at, flow.tangent_at):
+            for V in good:
+                for mode in ("raise", "mask"):
+                    got = attempt(fn, s, V, [0.5, 0.25], 0.01, mode)
+                    if got is RAISED:
+                        assert mode == "raise"
+                        continue
+                    check_captured(V, got[0], mode == "mask")
+                    gone = np.isnan(got[0]).all(axis=-1)
+                    assert mode == "mask" or not gone.any()
+                    for ps in got[1:]:  # raise mode: every map is finite
+                        assert np.isnan(ps[gone]).all()
+                        assert mode == "mask" or np.isfinite(ps).all()
+            for V in bad[1:]:  # bad[0], a batch of no rows, is valid
+                raises(fn, s, V, [0.5], 0.01)
+            for e in BAD_TIMES[:-1] + (-1.0,):  # a time of 0 is the start
+                raises(fn, s, X0, [0.5, e], 0.01)
+            for e in BAD_TIMES[:3] + BAD_TIMES[4:] + (1e-300,):  # steps
+                raises(fn, s, X0, [0.5], e)
+            for times in (np.float64(0.5), [[0.5]], [0.5, None]):
+                raises(fn, s, X0, times, 0.01)
+            # below the march's resolution, a time is the start
+            assert np.array_equal(fn(s, X0, [1e-300], 0.01)[0][0], X0)
+            for a, b in zip(fn(s, X0, [0.02], 1e300),  # one step, the gap
+                            fn(s, X0, [0.02], 0.02)):
+                assert np.array_equal(a, b)
+            for mode in ("bogus", None, ""):
+                raises(fn, s, X0, [0.5], 0.01, mode)
+
+
+def case_sample_states(rng):
+    c, spd = (registry.get_system(n) for n in ("coop2d", "spd_lyapunov"))
+    assert flow.sample_states(c, 1e300, 3, 0).shape == (3, 2)
+    assert np.abs(flow.sample_states(c, 1e-300, 3, 0)).max() <= 1e-300
+    for box in ENTRIES[:3] + (-1e300, -1e-300, 0.0, None, np.ones(3),
+                              np.ones((3, 2)), np.empty((0, 2)),
+                              [[0.0, math.nan], [0.0, 1.0]]):
+        raises(flow.sample_states, c, box, 3, 0)
+    for s in (c, spd):
+        assert flow.sample_states(s, 2.0, 0, rng).shape == (0, s.dim)
+        assert flow.sample_states(s, 2.0, np.int64(2), 0).shape == (2, s.dim)
+        for k in BAD_COUNTS + (2 ** 70,):
+            raises(flow.sample_states, s, 2.0, k, 0)
+            raises(flow.sample_states, s, 2.0, 3, k)
+
+
+def case_find_equilibria(rng):
+    for s in flow_systems():
+        good, bad = hostile_rows(rng, s.dim)
+        for V in good:
+            for p in flow.find_equilibria(s, V):
+                assert np.isfinite(p).all()
+                assert np.linalg.norm(s.f(p)) < flow.EQ_TOL
+        for V in bad:
+            raises(flow.find_equilibria, s, V)
+
+
+def case_classify_tail(rng):
+    for s in flow_systems():
+        good, bad = hostile_rows(rng, s.dim)
+        for V in good:  # every row's tail holds one state, five times
+            ests = flow.classify_tail(s, np.broadcast_to(V, (5,) + V.shape))
+            assert len(ests) == len(V)
+            for row, est in zip(V, ests):
+                assert (est is None) == (not np.isfinite(row).all())
+                if est is not None and est.kind == flow.SINGLETON:
+                    assert np.linalg.norm(s.f(est.point)) < flow.EQ_TOL
+        assert len(flow.classify_tail(s, np.ones((2, 3, s.dim)))) == 3
+        for V in bad[:3] + bad[4:]:  # not a (k, M, n) stack
+            raises(flow.classify_tail, s, V)
+        raises(flow.classify_tail, s, np.empty((0, 3, s.dim)))  # no state
+        assert flow.classify_tail(s, np.empty((0, 0, s.dim))) == []
+
+
+def case_ensembles(rng):
+    """ensemble_tails and ensemble_omega: an escape is None."""
+    for s in flow_systems():
+        good, bad = hostile_rows(rng, s.dim)
+        X0 = s.manifold.random_points(rng, 3)
+        for V in good:
+            ests = flow.ensemble_omega(s, V, 1.0, 0.01)
+            assert len(ests) == len(V)
+            assert all(e is None for e, fin in zip(ests, finite_rows(V))
+                       if not fin)
+            _, tails, rows, certified = flow.ensemble_tails(s, V, 1.0, 0.01)
+            assert len(certified) == len(V) and tails.M == len(rows)
+        assert flow.ensemble_omega(s, np.empty((0, s.dim)), 1.0, 0.01) == []
+        for fn in (flow.ensemble_tails, flow.ensemble_omega):
+            for V in bad[1:]:
+                raises(fn, s, V, 1.0, 0.01)
+            for e in BAD_TIMES:
+                raises(fn, s, X0, e, 0.01)
+                raises(fn, s, X0, 1.0, e)
+
+
+def case_validate_jacobian(rng):
+    c = registry.get_system("coop2d")
+    assert flow.validate_jacobian(c, 2, 0) < 1e-5
+    for k in BAD_COUNTS + (0,):
+        raises(flow.validate_jacobian, c, k, 0)
+    for k in BAD_COUNTS:
+        raises(flow.validate_jacobian, c, 2, k)
+
+
 CASES = {
     "cones.integer_at_least": case_sized_constructors,
     "cones.Cone.margins": case_margins,
@@ -431,19 +596,36 @@ CASES = {
     "order.flat_order_properties": case_probes,
     "order.push_up_probe": case_probes,
     "order.continuity_probe": case_continuity,
+    "flow.integrate": case_orbits,
+    "flow.tangent_flow": case_orbits,
+    "flow.omega_limit": case_orbits,
+    "flow.states_at": case_captures,
+    "flow.tangent_at": case_captures,
+    "flow.sample_states": case_sample_states,
+    "flow.find_equilibria": case_find_equilibria,
+    "flow.classify_tail": case_classify_tail,
+    "flow.ensemble_tails": case_ensembles,
+    "flow.ensemble_omega": case_ensembles,
+    "flow.validate_jacobian": case_validate_jacobian,
 }
 
 
 def public_names():
     """module.function and module.Class.method for every public function,
-    every public method (of any class) and every constructor."""
+    and every public method and constructor of a class a caller reaches:
+    a public class or a base of one."""
     names = set()
     for mod in MODULES:
-        for node in ast.parse((SRC / f"{mod}.py").read_text()).body:
+        body = ast.parse((SRC / f"{mod}.py").read_text()).body
+        public = [n for n in body if isinstance(n, ast.ClassDef)
+                  and not n.name.startswith("_")]
+        reached = {n.name for n in public} | {
+            b.id for n in public for b in n.bases if isinstance(b, ast.Name)}
+        for node in body:
             if isinstance(node, ast.FunctionDef):
                 if not node.name.startswith("_"):
                     names.add(f"{mod}.{node.name}")
-            elif isinstance(node, ast.ClassDef):
+            elif isinstance(node, ast.ClassDef) and node.name in reached:
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and (
                             item.name == "__init__"

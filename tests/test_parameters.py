@@ -16,9 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "tests", "demos", "bench")
 
 # dt is the integrator step on every flow entry point (the CLI's --dt);
-# these three have no caller that sets it, but every sibling has one.
+# these two have no caller that sets it, but every sibling has one.
 UNSET_ON_PURPOSE = {
-    ("experiments.py", "colimit_check", "dt"),
     ("pf.py", "pf_at_equilibrium", "dt"),
     ("positivity.py", "flat_equivalence", "dt"),
 }

@@ -189,10 +189,10 @@ def reference_ray_pairs(s, field, x0, A, B, T, dt=flow.DT_DEFAULT,
                         store_stride=flow.STORE_STRIDE,
                         exit_tol=pf.EXIT_TOL):
     """propagate_ray_pairs step by step: the march takes one step at a
-    time, each step's map comes from ``_rk4_step_map`` at the state before
-    it, the rays step as W <- M W and are renormalized after every step,
-    and each stored time checks every ray with ``margin`` and every pair
-    with a one-row ``hilbert_distances``."""
+    time, each step's map comes from a one-step ``tangent_at`` at the state
+    before it, the rays step as W <- M W and are renormalized after every
+    step, and each stored time checks every ray with ``margin`` and every
+    pair with a one-row ``hilbert_distances``."""
     k = len(A)
     n_full, rem = flow._plan_steps(T, dt)
     stepper = flow._Stepper(s, x0[None, :])
@@ -204,8 +204,8 @@ def reference_ray_pairs(s, field, x0, A, B, T, dt=flow.DT_DEFAULT,
         nonlocal W, prev
         i = next(step)
         if i:
-            M = flow._rk4_step_map(s, prev, dt if i <= n_full else rem)[1]
-            W = M[0] @ W
+            h = dt if i <= n_full else rem
+            W = flow.tangent_at(s, prev, [h], h)[1][0, 0] @ W
             W /= np.linalg.norm(W, axis=0)
         prev, x = stepper.X.copy(), stepper.X[0]
         if i % store_stride != 0 and not last:
