@@ -50,7 +50,10 @@ class NumericsError(ConedynError, RuntimeError):
 
 
 class PowerIterationError(ConedynError, RuntimeError):
-    """Power iteration failed to converge (e.g. complex dominant pair)."""
+    """A tangent map at an equilibrium has no Perron-Frobenius pair: its
+    dominant eigenvalue is not simple, real and positive (a complex or
+    defective pair), or its eigenvector lies outside the cone.  The name
+    is kept from the power iteration that used to find the pair."""
 
 
 class ConeExitError(ConedynError, RuntimeError):

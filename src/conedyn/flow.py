@@ -735,6 +735,14 @@ def _box_array(box, dim: int) -> np.ndarray:
     return box
 
 
+def _generator(seed: int | np.random.Generator) -> np.random.Generator:
+    """seed itself when it is a ``np.random.Generator``, else a generator
+    seeded by it; ValueError unless such a seed is an integer >= 0."""
+    if not isinstance(seed, np.random.Generator):
+        seed = integer_at_least(seed, 0, "seed", ValueError)
+    return np.random.default_rng(seed)
+
+
 def sample_states(s: FlowSystem, box, N: int,
                   seed: int | np.random.Generator) -> np.ndarray:
     """N states drawn from ``np.random.default_rng(seed)``.
@@ -745,9 +753,7 @@ def sample_states(s: FlowSystem, box, N: int,
     may be a ``np.random.Generator``, which the draws then continue.
     """
     N = integer_at_least(N, 0, "N", ValueError)
-    if not isinstance(seed, np.random.Generator):
-        seed = integer_at_least(seed, 0, "seed", ValueError)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     if s.manifold.kind == "euclidean":
         box = _box_array(box, s.dim)
         return rng.uniform(box[:, 0], box[:, 1], (N, s.dim))

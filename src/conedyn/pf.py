@@ -11,9 +11,11 @@ length once, on return.  The stored records of each chunk of steps are
 checked in one batched cone call.
 
 At an equilibrium the tangent map over a fixed horizon tau is a single
-cone-positive matrix, so its Perron-Frobenius eigenpair is computed by
-power iteration started from the cone-field section (guaranteed interior).
-The dominant multiplier rho scales like rho(2 tau) = rho(tau)^2, which is
+matrix, so its Perron-Frobenius pair comes from one eigendecomposition:
+Krein-Rutman asks for a simple, real, positive eigenvalue, strictly
+ahead of every other modulus, with its eigenvector in the cone, and
+``pf_at_equilibrium`` raises unless the map shows all of it.  The
+dominant multiplier rho scales like rho(2 tau) = rho(tau)^2, which is
 tested instead of fixing a canonical tau.
 """
 
@@ -25,12 +27,15 @@ import numpy as np
 
 from . import flow as flowmod
 from .conefield import ConeField
-from .errors import ConeExitError, NotEquilibriumError, PowerIterationError
+from .cones import DEFAULT_TOL
+from .errors import (ConeExitError, DimensionMismatchError,
+                     NotEquilibriumError, PowerIterationError)
 from .geometry import Tangent, metric_norm, norms, scaled
 
 PF_CONVERGED_TOL = 1e-6
-POWER_DIR_TOL = 1e-12
-POWER_MAX_ITER = 10_000
+# least relative lead of the dominant modulus: well above eig's error on a
+# defective pair (sqrt(eps) ~ 1.5e-8), so a Jordan block never passes
+DOMINANCE_GAP = 1e-6
 EIGEN_RESIDUAL_TOL = 1e-8
 EXIT_TOL = 1e-7  # cone-exit guard threshold is -10 * EXIT_TOL
 
@@ -38,7 +43,6 @@ EXIT_TOL = 1e-7  # cone-exit guard threshold is -10 * EXIT_TOL
 @dataclass
 class PfResult:
     direction: Tangent  # unit (metric) direction at the final point
-    rho: float | None  # dominant multiplier; None away from equilibria
     contraction_log: np.ndarray  # rows (t, hilbert distance between test rays)
     converged: bool
 
@@ -78,16 +82,21 @@ def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,
     Hilbert distance of pair j at stored time m and W_final holds the
     propagated rays as columns (a-rays then b-rays), at unit metric length.
 
-    Raises ConeExitError when a propagated ray's containment margin drops
-    below -10 * EXIT_TOL (a positivity violation along the orbit), at the
-    first stored time it does so.
+    Raises ValueError, before marching, unless both ray arrays are (k, dim)
+    with k >= 1 and every ray is finite and nonzero, and ConeExitError when
+    a propagated ray's containment margin drops below -10 * EXIT_TOL (a
+    positivity violation along the orbit), at the first stored time it
+    does so.
     """
     x0 = s.manifold.check_point(x0)
     A = np.atleast_2d(np.asarray(rays_a, dtype=float))
     B = np.atleast_2d(np.asarray(rays_b, dtype=float))
-    if A.shape != B.shape or A.shape[1] != s.dim:
-        raise ValueError("ray arrays must both be (k, dim)")
-    k = A.shape[0]
+    if A.shape != B.shape or A.shape[1:] != (s.dim,) or not len(A):
+        raise ValueError("rays must come as two (k, dim) arrays, k >= 1")
+    R = np.concatenate([A, B])
+    if not (np.isfinite(R).all() and R.any(axis=1).all()):
+        raise ValueError("rays must be finite and nonzero")
+    k = len(A)
     cone = field.cone
     times: list[np.ndarray] = []
     dists: list[np.ndarray] = []
@@ -103,19 +112,17 @@ def propagate_ray_pairs(s: flowmod.FlowSystem, field: ConeField,
         times.append(ts)
         dists.append(cone.hilbert_distances(rays[:, :k], rays[:, k:]))
 
-    x, W = flowmod._orbit_tangent(s, x0, np.concatenate([A, B]).T, T, dt,
-                                  store_stride, record, unit=True)
+    x, W = flowmod._orbit_tangent(s, x0, R.T, T, dt, store_stride, record,
+                                  unit=True)
     W /= _metric_norms(field, x, W)[None, :]
     return np.concatenate(times), np.concatenate(dists), x, W
 
 
 def pf_direction(s: flowmod.FlowSystem, field: ConeField, x0: np.ndarray,
-                 T: float, dt: float = flowmod.DT_DEFAULT,
-                 u0: np.ndarray | None = None, u1: np.ndarray | None = None,
-                 store_stride: int = flowmod.STORE_STRIDE) -> PfResult:
+                 T: float, dt: float = flowmod.DT_DEFAULT) -> PfResult:
     """Estimate the Perron-Frobenius direction along the orbit of x0.
 
-    Two distinct interior rays (defaults: the cone-field section and a
+    Two distinct interior rays (the cone-field section and a
     section/boundary mix) ride the tangent flow (see
     ``propagate_ray_pairs``); their Hilbert distance in the cone at the
     moving point is the contraction log.  converged is True when the final
@@ -123,67 +130,57 @@ def pf_direction(s: flowmod.FlowSystem, field: ConeField, x0: np.ndarray,
     unit metric length.
     """
     x0 = s.manifold.check_point(x0)
-    if u0 is None:
-        u0 = field.section(x0)
-    if u1 is None:
-        rng = np.random.default_rng(0)
-        b = field.cone.boundary_rays(rng, 1)[0]
-        u1 = u0 + 0.5 * b
+    u0 = field.section(x0)
+    b = field.cone.boundary_rays(np.random.default_rng(0), 1)[0]
     times, dists, x_final, W = propagate_ray_pairs(
-        s, field, x0, u0[None, :], u1[None, :], T, dt, store_stride)
+        s, field, x0, u0[None, :], (u0 + 0.5 * b)[None, :], T, dt)
     log = np.column_stack([times, dists[:, 0]])
-    final = float(dists[-1, 0])
     return PfResult(direction=Tangent(x_final, W[:, 0].copy()),
-                    rho=None,
                     contraction_log=log,
-                    converged=bool(final < PF_CONVERGED_TOL))
+                    converged=bool(dists[-1, 0] < PF_CONVERGED_TOL))
 
 
 def pf_at_equilibrium(s: flowmod.FlowSystem, field: ConeField, e: np.ndarray,
                       tau: float = 1.0, dt: float = flowmod.DT_DEFAULT):
-    """Dominant eigenpair of the tangent map over horizon tau at equilibrium e.
+    """Dominant eigenpair of the tangent map Phi over horizon tau at
+    equilibrium e, from one eigendecomposition of Phi.
 
-    Power iteration starts from the cone-field section (interior, so
-    Perron-Frobenius convergence applies whenever the map is strongly
-    cone-positive) and must converge: a complex dominant pair raises
-    rather than returning a silently wrong answer.
+    Raises PowerIterationError unless the eigenvalue of largest modulus is
+    real, positive and ahead of every other modulus by the relative gap
+    DOMINANCE_GAP (a complex or defective dominant pair fails), and unless
+    its eigenvector, oriented by the sign with the larger margin, lies in
+    ``field.cone`` (margin >= -DEFAULT_TOL): a dominant pair outside the
+    cone is no Perron-Frobenius pair.
 
     Returns (v, rho) with v a metric-unit Tangent at e satisfying
-    |Phi_tau v - rho v| < 1e-8.
+    |Phi_tau v - rho v| < 1e-8 at unit Euclidean length.
     """
     e = s.manifold.check_point(e)
-    res = float(np.linalg.norm(s.f(e)))
+    if e.ndim != 1:
+        raise DimensionMismatchError(f"e must be one point, not {e.shape}")
+    res = float(norms(s.f(e)))  # exact in scale: a far point cannot overflow
     if res >= flowmod.EQ_TOL:
         raise NotEquilibriumError(
             f"|f(e)| = {res:.3e} >= {flowmod.EQ_TOL:.0e}")
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    _, phis = flowmod.tangent_at(s, e[None, :], [tau], dt)
-    Phi = phis[0, 0]
-
-    v = field.section(e)
-    v = v / np.linalg.norm(v)
-    converged = False
-    for _ in range(POWER_MAX_ITER):
-        w = Phi @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            raise PowerIterationError("tangent map annihilated the iterate")
-        v_new = w / nw
-        if float(np.linalg.norm(v_new - v)) < POWER_DIR_TOL:
-            v = v_new
-            converged = True
-            break
-        v = v_new
-    if not converged:
+    Phi = flowmod.tangent_at(s, e[None, :], [tau], dt)[1][0, 0]
+    lams, V = np.linalg.eig(Phi)
+    first, *rest = np.argsort(-np.abs(lams))
+    lam = lams[first]
+    ahead = np.abs(lams[rest]) <= (1.0 - DOMINANCE_GAP) * abs(lam)
+    if not (lam.imag == 0.0 and lam.real > 0.0 and ahead.all()):
         raise PowerIterationError(
-            "power iteration did not converge (complex or defective "
-            "dominant pair?)")
-    rho = float(np.linalg.norm(Phi @ v))
+            f"no simple, real, positive dominant eigenvalue among {lams}")
+    rho, v = float(lam.real), V[:, first].real
+    m = field.cone.margins(np.array([v, -v]))
+    if m[1] > m[0]:
+        v, m = -v, m[::-1]
+    if not m[0] >= -DEFAULT_TOL:
+        raise PowerIterationError(
+            f"dominant eigenvector {v} lies outside the cone "
+            f"(margin {m[0]:.3e})")
     if float(np.linalg.norm(Phi @ v - rho * v)) >= EIGEN_RESIDUAL_TOL:
         raise PowerIterationError(
             "dominant pair failed the eigen-residual check")
-
-    # report v at metric length 1
-    nv = metric_norm(s.manifold, e, Tangent(e, v))
-    return Tangent(e, v / nv), rho
+    return Tangent(e, v / metric_norm(s.manifold, e, Tangent(e, v))), rho

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import flow as flowmod
 from .conefield import ConeField, ConstantField
-from .cones import Cone, conic_combinations
+from .cones import Cone, conic_combinations, integer_at_least
 from .errors import UnsupportedInputError
 from .order import INC, relations
 
@@ -113,14 +113,17 @@ def check_dp(s: flowmod.FlowSystem, field: ConeField, x_samples: int,
     by more than SDP_MARGIN_FLOOR at all sampled t > 0.  A refutation at
     dt above DT_DEFAULT that RK4's step map explains
     (``_rk4_step_not_positive``) is inconclusive instead, with
-    params["rk4_step_not_positive"] set.
+    params["rk4_step_not_positive"] set.  The sample counts are integers
+    >= 1; seed is an integer >= 0 or a ``np.random.Generator``, whose
+    draws then continue.
     """
-    times = sorted(float(t) for t in times)
-    if not times or times[0] <= 0:
-        raise ValueError("times must all be > 0")
-    if x_samples < 1 or ray_samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size or not np.all(times > 0):
+        raise ValueError("times must be a nonempty list of times > 0")
+    times = sorted(times.tolist())
+    x_samples = integer_at_least(x_samples, 1, "x_samples", ValueError)
+    ray_samples = integer_at_least(ray_samples, 1, "ray_samples", ValueError)
+    rng = flowmod._generator(seed)
     X0 = flowmod.sample_states(s, BOX_SCALE, x_samples, rng)
     ray_list, tag_list = [], []
     for i in range(x_samples):
@@ -186,6 +189,7 @@ def cross_positivity_flat(s: flowmod.FlowSystem, c: Cone, x_samples: int,
     active = [(g, lam) for g in gens for lam in normals
               if abs(float(np.dot(lam, g))) < 1e-12]
 
+    x_samples = integer_at_least(x_samples, 1, "x_samples", ValueError)
     X = flowmod.sample_states(s, BOX_SCALE, x_samples, seed)
     J = s.jac(X)
     vals = np.empty((len(X), len(active)))
@@ -218,8 +222,9 @@ def flat_equivalence(s: flowmod.FlowSystem, c: Cone, pairs: int, T: float,
     """
     if s.manifold.kind != "euclidean":
         raise UnsupportedInputError("flat_equivalence needs a flat manifold")
+    pairs = integer_at_least(pairs, 1, "pairs", ValueError)
     check_times = [T / 2.0, T]
-    rng = np.random.default_rng(seed)  # the pairs follow check_dp's draws
+    rng = flowmod._generator(seed)  # the pairs follow check_dp's draws
     dp = check_dp(s, ConstantField(c), 25, 6, check_times, rng, dt=dt)
     dp_pass = dp.status in (DP, SDP)
 

@@ -486,7 +486,7 @@ def test_no_capture_times_give_empty_stacks(coop):
 
 @pytest.mark.parametrize("stride", [0, -1, -2, 2.5, True])
 @pytest.mark.parametrize("path", ["integrate", "tangent_flow",
-                                  "propagate_ray_pairs", "pf_direction"])
+                                  "propagate_ray_pairs"])
 def test_store_stride_must_be_an_integer_of_at_least_one(coop, path, stride):
     x0 = np.array([1.0, 0.5])
     field = ConstantField(Orthant(2))
@@ -497,8 +497,6 @@ def test_store_stride_must_be_an_integer_of_at_least_one(coop, path, stride):
         "propagate_ray_pairs": lambda: pf.propagate_ray_pairs(
             coop, field, x0, [[1.0, 0.5]], [[0.5, 1.0]], 1.0,
             store_stride=stride),
-        "pf_direction": lambda: pf.pf_direction(coop, field, x0, 1.0,
-                                                store_stride=stride),
     }
     with pytest.raises(ValueError, match="store_stride"):
         calls[path]()

@@ -1,5 +1,6 @@
-"""Every public function and method of ``cones``, ``order`` and ``flow``
-under hostile input: nan, +-inf, 1e+-300, empty, misshapen and 0-d arrays.
+"""Every public function and method of ``cones``, ``order``, ``flow``,
+``pf`` and ``positivity`` under hostile input: nan, +-inf, 1e+-300, empty,
+misshapen and 0-d arrays.
 
 A call must return its documented values or raise a ``ConedynError`` or
 ``ValueError``.  Any other exception fails, and so does any warning (a
@@ -20,14 +21,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conedyn import cones, flow, order, registry
+from conedyn import cones, flow, order, pf, positivity, registry
 from conedyn.conefield import ConstantField
 from conedyn.cones import Lorentz, Orthant, Polyhedral, PSDCone
 from conedyn.errors import ConedynError
 from conedyn.order import INC, STRICT, WEAK
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "conedyn"
-MODULES = {"cones": cones, "order": order, "flow": flow}
+MODULES = {"cones": cones, "order": order, "flow": flow, "pf": pf,
+           "positivity": positivity}
 ENTRIES = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300)
 # sizes, counts and seeds: none is a nonnegative integer a caller may pass
 BAD_COUNTS = (math.nan, math.inf, -math.inf, 1e300, 1e-300, -1, 2.5, True,
@@ -550,6 +552,135 @@ def case_validate_jacobian(rng):
         raises(flow.validate_jacobian, c, 2, k)
 
 
+# ---------------------------------------------------------------- pf cases
+
+ORTHANT2 = ConstantField(Orthant(2))
+RAYS = (np.array([[1.0, 0.5]]), np.array([[0.5, 1.0]]))
+
+
+def check_ray_pairs(got):
+    """times, state and rays finite; a distance is >= 0, and inf where a
+    ray is on the cone's boundary (as ``hilbert_distances`` documents)."""
+    times, dists, x, W = got
+    assert all(np.isfinite(a).all() for a in (times, x, W))
+    assert np.all(dists >= 0.0)
+
+
+def case_ray_pairs(rng):
+    """propagate_ray_pairs and pf_direction on coop2d with the orthant."""
+    s, x0 = registry.get_system("coop2d"), np.array([1.0, 0.5])
+    want = pf.propagate_ray_pairs(s, ORTHANT2, x0, *RAYS, 0.05)
+    for scale in (1e300, 1e-300):  # rays are directions
+        got = pf.propagate_ray_pairs(s, ORTHANT2, x0, scale * RAYS[0],
+                                     scale * RAYS[1], 0.05)
+        assert all(np.allclose(g, w, rtol=1e-12, atol=0.0)
+                   for g, w in zip(got, want))
+    good, bad = hostile_rows(rng, 2)
+    for V in good:  # |V|: rays in the cone unless non-finite
+        got = attempt(pf.propagate_ray_pairs, s, ORTHANT2, x0, np.abs(V),
+                      np.abs(V[::-1]), 0.05)
+        assert (got is RAISED) != bool(np.isfinite(V).all())
+        if got is not RAISED:
+            check_ray_pairs(got)
+        for start in (V[0], np.abs(V[0])):  # a far or non-finite start
+            got = attempt(pf.propagate_ray_pairs, s, ORTHANT2, start, *RAYS,
+                          0.05)
+            res = attempt(pf.pf_direction, s, ORTHANT2, start, 0.05)
+            assert ((got is RAISED) == (res is RAISED)
+                    == (not np.isfinite(start).all()))
+            if got is not RAISED:
+                check_ray_pairs(got)
+                assert np.isfinite(res.direction.vec).all()
+                assert np.all(res.contraction_log >= 0.0)
+    # refused before the march: a zero ray's start normalization divides
+    # by 0, a nan ray makes the first map nan, and no ray has no records
+    for A, B in [(np.zeros((1, 2)), RAYS[1]),
+                 (np.array([[1.0, 0.5], [0.0, 0.0]]), np.ones((2, 2))),
+                 (np.array([[math.nan, 1.0]]), RAYS[1]),
+                 (RAYS[0], np.array([[1.0, math.inf]])),
+                 (np.empty((0, 2)), np.empty((0, 2)))]:
+        with pytest.raises(ValueError, match="^rays"):
+            pf.propagate_ray_pairs(s, ORTHANT2, x0, A, B, 0.05)
+    for V in bad:
+        raises(pf.propagate_ray_pairs, s, ORTHANT2, x0, V, V, 0.05)
+        raises(pf.propagate_ray_pairs, s, ORTHANT2, V, *RAYS, 0.05)
+        raises(pf.pf_direction, s, ORTHANT2, V, 0.05)
+    raises(pf.propagate_ray_pairs, s, ORTHANT2, x0, RAYS[0], RAYS, 0.05)
+    for e in BAD_TIMES:
+        raises(pf.propagate_ray_pairs, s, ORTHANT2, x0, *RAYS, e)
+        raises(pf.propagate_ray_pairs, s, ORTHANT2, x0, *RAYS, 0.05, e)
+        raises(pf.pf_direction, s, ORTHANT2, x0, e)
+        raises(pf.pf_direction, s, ORTHANT2, x0, 0.05, e)
+    for k in BAD_COUNTS:
+        raises(pf.propagate_ray_pairs, s, ORTHANT2, x0, *RAYS, 0.05, 0.01, k)
+
+
+def case_pf_at_equilibrium(rng):
+    s = registry.get_system("coop2d")
+    good, bad = hostile_rows(rng, 2)
+    for V in good:  # a point of 1e-300 entries passes as an equilibrium
+        got = attempt(pf.pf_at_equilibrium, s, ORTHANT2, V[0])
+        assert got is RAISED or (np.isfinite(V[0]).all() and got[1] > 0.0)
+    for V in bad:
+        raises(pf.pf_at_equilibrium, s, ORTHANT2, V)
+    for e in BAD_TIMES + (1e-300,):  # at tau = 1e-300, Phi is I
+        raises(pf.pf_at_equilibrium, s, ORTHANT2, np.zeros(2), e)
+
+
+# -------------------------------------------------------- positivity cases
+
+
+def case_check_dp(rng):
+    s, args = registry.get_system("coop2d"), (ORTHANT2, 2, 3, [0.05])
+    want = positivity.check_dp(s, *args, 0)
+    assert want.status == positivity.SDP
+    # a seed or the generator it seeds; a step of 1e300 is one step over
+    # the gap, as a step of 0.05 is
+    for got, ref in [
+            (positivity.check_dp(s, *args, np.random.default_rng(0)), want),
+            (positivity.check_dp(s, *args, 0, 1e300),
+             positivity.check_dp(s, *args, 0, 0.05))]:
+        assert (got.worst_margin, got.witness) == (ref.worst_margin,
+                                                   ref.witness)
+    for k in BAD_COUNTS + (0,):
+        raises(positivity.check_dp, s, ORTHANT2, k, 3, [0.05], 0)
+        raises(positivity.check_dp, s, ORTHANT2, 2, k, [0.05], 0)
+    for k in BAD_COUNTS:
+        raises(positivity.check_dp, s, *args, k)
+    for times in [[e] for e in BAD_TIMES] + [
+            [], np.float64(0.05), [[0.05]], [0.05, None]]:
+        raises(positivity.check_dp, s, ORTHANT2, 2, 3, times, 0)
+    for e in BAD_TIMES[:3] + BAD_TIMES[4:] + (1e-300,):
+        raises(positivity.check_dp, s, *args, 0, e)
+
+
+def case_cross_positivity(rng):
+    s, c = registry.get_system("coop2d"), Orthant(2)
+    got = positivity.cross_positivity_flat(s, c, 3, rng)
+    assert got.status == positivity.DP and np.isfinite(got.worst_margin)
+    for k in BAD_COUNTS + (0,):
+        raises(positivity.cross_positivity_flat, s, c, k, 0)
+    for k in BAD_COUNTS:
+        raises(positivity.cross_positivity_flat, s, c, 3, k)
+    raises(positivity.cross_positivity_flat, s, Lorentz(2), 3, 0)
+    raises(positivity.cross_positivity_flat,
+           registry.get_system("spd_lyapunov"), c, 3, 0)
+
+
+def case_flat_equivalence(rng):
+    s, c = registry.get_system("coop2d"), Orthant(2)
+    got = positivity.flat_equivalence(s, c, 2, 0.05, rng)
+    assert got["agreement"] == 1.0 and got["pairs_ordered"] == 2
+    for k in BAD_COUNTS + (0,):
+        raises(positivity.flat_equivalence, s, c, k, 0.05, 0)
+    for k in BAD_COUNTS:
+        raises(positivity.flat_equivalence, s, c, 2, 0.05, k)
+    for e in BAD_TIMES:
+        raises(positivity.flat_equivalence, s, c, 2, e, 0)
+    raises(positivity.flat_equivalence, registry.get_system("spd_lyapunov"),
+           c, 2, 0.05, 0)
+
+
 CASES = {
     "cones.integer_at_least": case_sized_constructors,
     "cones.Cone.margins": case_margins,
@@ -607,6 +738,12 @@ CASES = {
     "flow.ensemble_tails": case_ensembles,
     "flow.ensemble_omega": case_ensembles,
     "flow.validate_jacobian": case_validate_jacobian,
+    "pf.propagate_ray_pairs": case_ray_pairs,
+    "pf.pf_direction": case_ray_pairs,
+    "pf.pf_at_equilibrium": case_pf_at_equilibrium,
+    "positivity.check_dp": case_check_dp,
+    "positivity.cross_positivity_flat": case_cross_positivity,
+    "positivity.flat_equivalence": case_flat_equivalence,
 }
 
 

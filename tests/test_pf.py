@@ -38,7 +38,6 @@ def test_pf_direction_linear_dominant_ray():
                           T=20.0)
     assert res.converged
     assert np.linalg.norm(res.direction.vec - DIAG) < 1e-6
-    assert res.rho is None
 
 
 def test_pf_direction_identity_flow_stalls():
@@ -138,6 +137,40 @@ def test_pf_at_equilibrium_complex_pair_raises():
     s = registry.get_system("rotation2d")  # rotation: complex eigenpair
     with pytest.raises(PowerIterationError):
         pf.pf_at_equilibrium(s, ORTHANT2, np.zeros(2), tau=1.0)
+
+
+def test_pf_at_equilibrium_defective_pair_raises():
+    # metzler_linear at 0 is a Jordan block: its two computed eigenvalues
+    # differ by ~sqrt(eps), far inside DOMINANCE_GAP
+    s = registry.get_system("metzler_linear")
+    with pytest.raises(PowerIterationError, match="dominant eigenvalue"):
+        pf.pf_at_equilibrium(s, ORTHANT2, np.zeros(2), tau=1.0)
+
+
+@pytest.mark.parametrize("A", [[[1.0, -0.5], [-0.5, 1.0]],
+                               [[1.0, -0.5], [-0.6, 1.0]]])
+def test_pf_at_equilibrium_dominant_pair_outside_the_cone_raises(A):
+    # the dominant eigenvectors, (1, -1) and (0.674, -0.739), leave the
+    # orthant: no Perron-Frobenius pair, though the section (1, 1) is an
+    # eigenvector of the first map (of the smaller eigenvalue e^0.5)
+    with pytest.raises(PowerIterationError, match="outside the cone"):
+        pf.pf_at_equilibrium(linear_system(A, "off_cone"), ORTHANT2,
+                             np.zeros(2), tau=1.0)
+
+
+def test_pf_at_equilibrium_a_small_spectral_gap_is_resolved():
+    # irreducible Metzler, eigenvalues +-1e-3 on (2, 1) and (2, -1): Phi's
+    # moduli e^(+-1e-3) lead by 2e-3, too slow for power iteration
+    s = linear_system([[0.0, 2e-3], [5e-4, 0.0]], "slow_metzler")
+    v, rho = pf.pf_at_equilibrium(s, ORTHANT2, np.zeros(2), tau=1.0)
+    assert rho == pytest.approx(np.exp(1e-3), rel=1e-12)
+    assert np.linalg.norm(v.vec - np.array([2.0, 1.0]) / np.sqrt(5.0)) < 1e-9
+
+
+def test_pf_at_equilibrium_an_identity_map_has_no_dominant_pair(coop):
+    # at tau = 1e-300 the march takes no step: Phi is I in double precision
+    with pytest.raises(PowerIterationError, match="dominant eigenvalue"):
+        pf.pf_at_equilibrium(coop, ORTHANT2, np.zeros(2), tau=1e-300)
 
 
 # ----------------------------------------------------- contraction sampling
@@ -365,12 +398,13 @@ def test_a_pf_run_from_a_huge_start_is_the_scaled_unit_run(k):
     s = registry.get_system("spd_lyapunov")
     field = registry.default_field(s)
     x0 = np.array([1.0, 0.3, 2.0])
-    rays = {"u0": np.array([1.0, 0.0, 1.0]), "u1": np.array([1.0, 0.5, 2.0])}
-    unit = pf.pf_direction(s, field, x0, T=1.0, **rays)
-    huge = pf.pf_direction(s, field, np.ldexp(x0, k), T=1.0, **rays)
-    assert np.array_equal(huge.contraction_log, unit.contraction_log)
-    assert np.array_equal(huge.direction.vec, np.ldexp(unit.direction.vec, k))
-    assert np.array_equal(huge.direction.base, np.ldexp(unit.direction.base, k))
+    A, B = np.array([[1.0, 0.0, 1.0]]), np.array([[1.0, 0.5, 2.0]])
+    times, dists, x, W = pf.propagate_ray_pairs(s, field, x0, A, B, T=1.0)
+    huge = pf.propagate_ray_pairs(s, field, np.ldexp(x0, k), A, B, T=1.0)
+    assert np.array_equal(huge[0], times)
+    assert np.array_equal(huge[1], dists)
+    assert np.array_equal(huge[2], np.ldexp(x, k))
+    assert np.array_equal(huge[3], np.ldexp(W, k))
 
 
 @pytest.mark.parametrize("start", range(6))
